@@ -4,7 +4,9 @@ A circuit is a DAG of INPUT / CONST / NOT / AND / OR gates with dense ids in
 topological order (operands always have smaller ids than the gate that reads
 them) and an ordered list of output gate ids.  Circuits are immutable after
 construction and safe to share across threads read-only; evaluation keeps its
-scratch state local to the call.
+scratch state local to the call.  Evaluation and the depth / alternation
+sweeps share one lazily built level schedule per circuit (see
+``_level_schedule``).
 
 Conventions (documented because the choice matters to the metrics):
 
@@ -39,6 +41,10 @@ class InputArityError(CircuitError):
     """Evaluation input vector length does not match num_inputs."""
 
 
+class InputBitError(InputArityError):
+    """Evaluation input holds an entry other than 0 or 1."""
+
+
 class StructureError(CircuitError):
     """Topological-order or reference invariant violated."""
 
@@ -71,7 +77,8 @@ class Circuit:
     gate circuits stay cheap; ``gate(i)`` gives a friendly view.
     """
 
-    __slots__ = ("num_inputs", "kinds", "arg0", "arg1", "outputs", "_np_cache")
+    __slots__ = ("num_inputs", "kinds", "arg0", "arg1", "outputs", "_np_cache",
+                 "_sched")
 
     def __init__(self, num_inputs, kinds, arg0, arg1, outputs, _validated=False):
         self.num_inputs = int(num_inputs)
@@ -80,6 +87,7 @@ class Circuit:
         self.arg1 = arg1 if isinstance(arg1, array) else array("q", arg1)
         self.outputs = list(outputs)
         self._np_cache = None
+        self._sched = None
         if not _validated:
             self._validate()
 
@@ -131,6 +139,18 @@ class Circuit:
                 np.frombuffer(self.arg1, dtype=np.int64),
             )
         return self._np_cache
+
+    def _schedule(self) -> "_Schedule":
+        if self._sched is None:
+            self._sched = _level_schedule(*self._arrays())
+        return self._sched
+
+    def _with_outputs(self, outputs) -> "Circuit":
+        """The same gates with other (existing) outputs, sharing the caches."""
+        c = Circuit(self.num_inputs, self.kinds, self.arg0, self.arg1, outputs,
+                    _validated=True)
+        c._np_cache, c._sched = self._arrays(), self._schedule()
+        return c
 
     def __eq__(self, other):
         if not isinstance(other, Circuit):
@@ -395,84 +415,158 @@ def lower_fields(builder: CircuitBuilder, fields, fn) -> int:
 
 
 # ---------------------------------------------------------------------------
+# level schedule
+#
+# Every sweep over a circuit (evaluation, depth, alternations) runs one level
+# at a time: a gate's level is its depth, so its operands all sit in earlier
+# levels and a whole level can be processed with one array operation per
+# gate kind.  This is the word-parallel simulation style of AIG tools (see
+# Brayton & Mishchenko, "ABC", CAV 2010).
+
+
+class _Schedule(NamedTuple):
+    """Gates regrouped by (level, kind), cached per circuit.
+
+    Slots number the gates in that order, so each group is a contiguous slot
+    range; operands are stored as slots too, and sweeps keep their per-gate
+    state in slot order.
+    """
+
+    level: np.ndarray   # gate id -> level (read-only)
+    slot: np.ndarray    # gate id -> slot
+    src0: np.ndarray    # slot -> input index, const bit or operand slot
+    src1: np.ndarray    # slot -> second operand slot for AND/OR, else 0
+    inputs_end: int     # slots [0, inputs_end) hold the INPUT gates
+    consts_end: int     # slots [inputs_end, consts_end) hold the CONST gates
+    groups: list        # (kind, lo, hi) per nonempty logic group, by level
+
+
+def _gate_levels(kinds, a0, a1) -> np.ndarray:
+    """Level of every gate by a frontier walk over the fan-out lists.
+
+    A gate joins the frontier once its last operand has been levelled, so
+    each fan-in edge is visited once; the walk takes one round per level.
+    """
+    n = len(kinds)
+    logic = np.flatnonzero(kinds >= NOT)
+    binary = np.flatnonzero(kinds >= AND)
+    readers = np.concatenate([logic, binary])
+    operands = np.concatenate([a0[logic], a1[binary]])
+    waiting = np.bincount(readers, minlength=n)  # operands not yet levelled
+    readers = readers[np.argsort(operands, kind="stable")]
+    # the readers of gate g are readers[first[g]:first[g + 1]]
+    first = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(operands, minlength=n), out=first[1:])
+    level = np.zeros(n, dtype=np.int32)
+    frontier = np.flatnonzero(kinds < NOT)
+    lvl = 0
+    while frontier.size:
+        lo = first[frontier]
+        count = first[frontier + 1] - lo
+        ends = np.cumsum(count)
+        edges = np.arange(ends[-1]) + np.repeat(lo - ends + count, count)
+        hit, times = np.unique(readers[edges], return_counts=True)
+        waiting[hit] -= times
+        frontier = hit[waiting[hit] == 0]
+        lvl += 1
+        level[frontier] = lvl
+    return level
+
+
+def _level_schedule(kinds, a0, a1) -> _Schedule:
+    n = len(kinds)
+    level = _gate_levels(kinds, a0, a1)
+    level.flags.writeable = False
+    key = level * 5 + kinds
+    order = np.argsort(key, kind="stable")
+    slot = np.empty(n, dtype=np.int64)
+    slot[order] = np.arange(n)
+    sorted_kinds = kinds[order]
+    src0 = a0[order]
+    logic = sorted_kinds >= NOT
+    src0[logic] = slot[src0[logic]]
+    src1 = np.zeros(n, dtype=np.int64)
+    binary = sorted_kinds >= AND
+    src1[binary] = slot[a1[order[binary]]]
+    # ends[j]: end slot of the group with key j = 5 * level + kind
+    ends = np.cumsum(np.bincount(key, minlength=5)).tolist()
+    groups = [
+        (j % 5, ends[j - 1], ends[j])
+        for j in range(5, len(ends)) if ends[j] > ends[j - 1]
+    ]
+    return _Schedule(level, slot, src0, src1, ends[INPUT], ends[CONST], groups)
+
+
+# ---------------------------------------------------------------------------
 # evaluation
 
+# Packed gate values held per chunk of rows; bounds eval_batch's memory.
+_CHUNK_BYTES = 1 << 19
+_ALL_ONES = np.uint64(2**64 - 1)
+_BINARY_OPS = {AND: np.bitwise_and, OR: np.bitwise_or}
 
-def _as_bits(x, length: int, what: str = "input") -> np.ndarray:
+
+def _as_bits(x, length: int | None = None, what: str = "input") -> np.ndarray:
+    """``x`` (a 0/1 string or array-like) as a uint8 array of bits.
+
+    With ``length``, ``x`` must be one word of that length.  Any entry other
+    than 0 or 1 raises :class:`InputBitError`.
+    """
     if isinstance(x, str):
-        if not set(x) <= {"0", "1"}:
-            raise InputArityError(f"{what} string must be over 0/1")
-        bits = np.frombuffer(x.encode(), dtype=np.uint8) - ord("0")
+        bits = np.frombuffer(x.encode(), dtype=np.uint8) - np.uint8(ord("0"))
     else:
-        bits = np.asarray(x, dtype=np.uint8)
-    if bits.ndim != 1 or len(bits) != length:
-        raise InputArityError(f"{what} must have length {length}, got {len(bits)}")
-    return bits
+        bits = np.asarray(x)
+    if length is not None and (bits.ndim != 1 or len(bits) != length):
+        got = len(bits) if bits.ndim == 1 else f"shape {bits.shape}"
+        raise InputArityError(f"{what} must have length {length}, got {got}")
+    if bits.size and not (
+        bits.max() <= 1 if bits.dtype == np.uint8
+        else ((bits == 0) | (bits == 1)).all()
+    ):
+        raise InputBitError(f"{what} bits must be 0 or 1")
+    return bits.astype(np.uint8, copy=False)
 
 
 def eval_circuit(c: Circuit, x) -> list[int]:
     """Evaluate on a single input vector; returns the output bits."""
-    bits = _as_bits(x, c.num_inputs)
-    vals = bytearray(c.num_gates)
-    kinds, a0, a1 = c.kinds, c.arg0, c.arg1
-    for i in range(c.num_gates):
-        k = kinds[i]
-        if k == AND:
-            vals[i] = vals[a0[i]] & vals[a1[i]]
-        elif k == OR:
-            vals[i] = vals[a0[i]] | vals[a1[i]]
-        elif k == NOT:
-            vals[i] = 1 - vals[a0[i]]
-        elif k == INPUT:
-            vals[i] = bits[a0[i]]
-        else:
-            vals[i] = a0[i]
-    return [vals[o] for o in c.outputs]
+    return eval_batch(c, _as_bits(x, c.num_inputs)[None])[0].tolist()
 
 
 def eval_batch(c: Circuit, X: np.ndarray) -> np.ndarray:
     """Evaluate many inputs at once.
 
-    ``X`` is a (N, num_inputs) uint8 array; returns (N, num_outputs) uint8.
-    Intermediate gate values are freed as soon as their last consumer has run,
-    so memory stays proportional to the live frontier, not the gate count.
+    ``X`` is a (N, num_inputs) 0/1 array; returns (N, num_outputs) uint8.
+    Rows are packed 64 to a machine word and evaluated level by level, in
+    chunks of rows sized so the packed gate values stay near _CHUNK_BYTES.
     """
-    X = np.asarray(X, dtype=np.uint8)
+    X = _as_bits(X, what="batch")
     if X.ndim != 2 or X.shape[1] != c.num_inputs:
         raise InputArityError(
             f"batch must be (N, {c.num_inputs}), got {X.shape}"
         )
-    n_gates = c.num_gates
-    kinds, a0, a1 = c.kinds, c.arg0, c.arg1
-    last_use = [-1] * n_gates
-    for i in range(n_gates):
-        k = kinds[i]
-        if k == NOT:
-            last_use[a0[i]] = i
-        elif k in (AND, OR):
-            last_use[a0[i]] = i
-            last_use[a1[i]] = i
-    out_set = set(c.outputs)
-    vals: list[np.ndarray | None] = [None] * n_gates
-    for i in range(n_gates):
-        k = kinds[i]
-        if k == AND:
-            v = vals[a0[i]] & vals[a1[i]]
-        elif k == OR:
-            v = vals[a0[i]] | vals[a1[i]]
-        elif k == NOT:
-            v = 1 - vals[a0[i]]
-        elif k == INPUT:
-            v = X[:, a0[i]]
-        else:
-            v = np.full(X.shape[0], a0[i], dtype=np.uint8)
-        vals[i] = v
-        for j in (a0[i], a1[i]) if k in (AND, OR) else ((a0[i],) if k == NOT else ()):
-            if last_use[j] == i and j not in out_set:
-                vals[j] = None
-    out = np.empty((X.shape[0], len(c.outputs)), dtype=np.uint8)
-    for col, o in enumerate(c.outputs):
-        out[:, col] = vals[o]
+    s = c._schedule()
+    out = np.empty((len(X), len(c.outputs)), dtype=np.uint8)
+    out_slots = s.slot[c.outputs]
+    rows = 64 * max(1, _CHUNK_BYTES // (8 * max(1, c.num_gates)))
+    for start in range(0, len(X), rows):
+        chunk = X[start : start + rows]
+        r = len(chunk)
+        words = -(-r // 64)
+        packed = np.zeros((c.num_inputs, 8 * words), dtype=np.uint8)
+        packed[:, : -(-r // 8)] = np.packbits(chunk.T, axis=1, bitorder="little")
+        vals = np.empty((c.num_gates, words), dtype=np.uint64)
+        vals[: s.inputs_end] = packed.view(np.uint64)[s.src0[: s.inputs_end]]
+        const_bits = s.src0[s.inputs_end : s.consts_end]
+        vals[s.inputs_end : s.consts_end] = np.where(const_bits == 1, _ALL_ONES, 0)[:, None]
+        for kind, lo, hi in s.groups:
+            a = vals[s.src0[lo:hi]]
+            if kind == NOT:
+                np.invert(a, out=vals[lo:hi])
+            else:
+                _BINARY_OPS[kind](a, vals[s.src1[lo:hi]], out=vals[lo:hi])
+        bits = np.unpackbits(vals[out_slots].view(np.uint8), axis=1, count=r,
+                             bitorder="little")
+        out[start : start + r] = bits.T
     return out
 
 
@@ -509,77 +603,19 @@ def circuit_range(c: Circuit, budget: int = 1 << 24) -> set[bytes]:
 # ---------------------------------------------------------------------------
 # metrics
 
-try:  # numba makes the structural sweeps fast on multi-million gate circuits
-    from numba import njit as _njit
-except Exception:  # pragma: no cover - exercised only without numba
-    _njit = None
-
-_NUMBA_THRESHOLD = 200_000
-
-
-def _depth_py(kinds, a0, a1):
-    depth = np.zeros(len(kinds), dtype=np.int64)
-    for i in range(len(kinds)):
-        k = kinds[i]
-        if k == NOT:
-            depth[i] = depth[a0[i]] + 1
-        elif k == AND or k == OR:
-            da, db = depth[a0[i]], depth[a1[i]]
-            depth[i] = (da if da > db else db) + 1
-    return depth
-
-
-def _alt_py(kinds, a0, a1):
-    # blocks[i, pol] / types[i, pol]: max count of maximal AND/OR blocks on a
-    # path ending at gate i when the gate is observed in polarity pol
-    # (0 positive, 1 negated), plus the type the path currently ends in
-    # (0 none, 1 AND, 2 OR).
-    n = len(kinds)
-    blocks = np.zeros((n, 2), dtype=np.int64)
-    types = np.zeros((n, 2), dtype=np.int8)
-    for i in range(n):
-        k = kinds[i]
-        if k == NOT:
-            s = a0[i]
-            blocks[i, 0] = blocks[s, 1]
-            types[i, 0] = types[s, 1]
-            blocks[i, 1] = blocks[s, 0]
-            types[i, 1] = types[s, 0]
-        elif k == AND or k == OR:
-            for pol in (0, 1):
-                t = 1 if (k == AND) == (pol == 0) else 2
-                best = 1
-                for s in (a0[i], a1[i]):
-                    sb, st = blocks[s, pol], types[s, pol]
-                    cand = sb if st == t else sb + 1
-                    if cand > best:
-                        best = cand
-                blocks[i, pol] = best
-                types[i, pol] = t
-    return blocks
-
-
-if _njit is not None:
-    _depth_nb = _njit(cache=True)(_depth_py)
-    _alt_nb = _njit(cache=True)(_alt_py)
-
-
-def _run_kernel(c: Circuit, py_fn, nb_fn):
-    kinds, a0, a1 = c._arrays()
-    if nb_fn is not None and c.num_gates >= _NUMBA_THRESHOLD:
-        return nb_fn(kinds, a0, a1)
-    return py_fn(kinds, a0, a1)
+# block type a gate opens when observed in polarity 0 / 1 (1 AND, 2 OR)
+_BLOCK_TYPES = {AND: np.array([[1], [2]], dtype=np.int8),
+                OR: np.array([[2], [1]], dtype=np.int8)}
 
 
 def gate_depths(c: Circuit) -> np.ndarray:
-    return _run_kernel(c, _depth_py, _depth_nb if _njit else None)
+    return c._schedule().level
 
 
 def depth(c: Circuit) -> int:
     if not c.outputs:
         return 0
-    d = gate_depths(c)
-    return int(max(d[o] for o in c.outputs))
+    return int(gate_depths(c)[c.outputs].max())
 
 
 def size(c: Circuit) -> int:
@@ -591,8 +627,25 @@ def size(c: Circuit) -> int:
 def alternations(c: Circuit) -> int:
     if not c.outputs:
         return 0
-    blocks = _run_kernel(c, _alt_py, _alt_nb if _njit else None)
-    return int(max(blocks[o, 0] for o in c.outputs))
+    s = c._schedule()
+    # blocks[pol, slot] / types[pol, slot]: max count of maximal AND/OR blocks
+    # on a path ending at the gate when it is observed in polarity pol
+    # (0 positive, 1 negated), plus the type the path currently ends in
+    # (0 none, 1 AND, 2 OR).  A NOT swaps the polarities.
+    blocks = np.zeros((2, c.num_gates), dtype=np.int32)
+    types = np.zeros((2, c.num_gates), dtype=np.int8)
+    for kind, lo, hi in s.groups:
+        a = s.src0[lo:hi]
+        if kind == NOT:
+            blocks[:, lo:hi] = blocks[::-1, a]
+            types[:, lo:hi] = types[::-1, a]
+            continue
+        b = s.src1[lo:hi]
+        t = _BLOCK_TYPES[kind]
+        blocks[:, lo:hi] = np.maximum(blocks[:, a] + (types[:, a] != t),
+                                      blocks[:, b] + (types[:, b] != t))
+        types[:, lo:hi] = t
+    return int(blocks[0, s.slot[c.outputs]].max())
 
 
 def cone_sizes(c: Circuit) -> list[int]:

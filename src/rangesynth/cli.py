@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from . import combinators, counting, graphs, npsys, regular
-from .circuit import CircuitError, eval_circuit, metrics, parse, serialize
+from .circuit import CircuitError, _as_bits, eval_circuit, metrics, parse, serialize
 from .languages import (
     Cycles, ExactCount, LanguageError, NpCoSac, NpPadded, NpSac, Regular,
     Threshold, UnReach, USTConn, parse_dfa,
@@ -293,8 +293,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_witness(args) -> int:
     spec, n = _parse_lang(args.lang)
-    if len(args.word) != n:
-        raise UsageError(f"word must have length {n}")
+    _as_bits(args.word, n, "word")  # wrong length or non-0/1 bits: exit 2
     fn = _witness_fn_for(args.lang)
     try:
         proof = fn(args.word)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .circuit import Circuit, CircuitBuilder, InputArityError, lower_fields
+from .circuit import Circuit, CircuitBuilder, InputArityError, _as_bits, lower_fields
 from .languages import LanguageError
 
 __all__ = [
@@ -28,11 +28,7 @@ __all__ = [
 
 
 def _word_bits(word) -> list:
-    if isinstance(word, str):
-        if not set(word) <= {"0", "1"}:
-            raise LanguageError(f"word {word!r} must be over 0/1")
-        return [int(c) for c in word]
-    return [int(b) for b in word]
+    return _as_bits(word, what=f"word {word!r}").tolist()
 
 
 def _selector(b: CircuitBuilder, first_input: int, k: int):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, CircuitBuilder
+from .circuit import Circuit, CircuitBuilder, _as_bits
 from .intervals import Node, build_tree, chain_ands, leaf_for_position, preorder
 from .languages import LanguageError
 from .regular import WitnessError
@@ -247,9 +247,7 @@ def synth_exact_count(n: int, t: int):
 
 def witness_count(kind: str, n: int, t: int, word) -> np.ndarray:
     """Honest proof: the word plus true subword popcounts as labels."""
-    word = np.asarray(
-        [int(c) for c in word] if isinstance(word, str) else word, dtype=np.uint8
-    )
+    word = _as_bits(word, what="word")
     if len(word) != n:
         raise WitnessError(f"word length {len(word)} != {n}")
     ones = int(word.sum())

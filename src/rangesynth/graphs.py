@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, CircuitBuilder
-from .languages import Cycles, EncodingError, USTConn, UnReach, member
+from .circuit import Circuit, CircuitBuilder, _as_bits
+from .languages import Cycles, EncodingError, USTConn, UnReach, _bfs_dist, member
 from .regular import WitnessError
 
 __all__ = [
@@ -84,9 +84,7 @@ def triangle_basis(n: int) -> TriangleBasis:
 
 
 def _word_to_matrix(G, undirected: bool = True) -> np.ndarray:
-    if isinstance(G, str):
-        G = [int(c) for c in G]
-    m = np.asarray(G, dtype=np.uint8)
+    m = _as_bits(G, what="graph")
     if m.ndim == 1:
         side = int(round(len(m) ** 0.5))
         if side * side != len(m):
@@ -213,36 +211,9 @@ def synth_unreach(n: int) -> Circuit:
 # witnesses
 
 
-def _bfs_tree(m: np.ndarray, src: int) -> np.ndarray:
-    n = len(m)
-    seen = np.zeros(n, dtype=bool)
-    seen[src] = True
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(m[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    nxt.append(int(v))
-        frontier = nxt
-    return seen
-
-
 def _shortest_path(m: np.ndarray, s: int, t: int):
     """Lexicographically smallest shortest s-t path (0-indexed vertices)."""
-    n = len(m)
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[t] = 0
-    frontier = [t]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(m[u])[0]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
+    dist = _bfs_dist(m, t)
     if dist[s] < 0:
         return None
     path = [s]
@@ -283,7 +254,6 @@ def witness_graph(kind: str, G) -> np.ndarray:
         n = len(m)
         if not member(UnReach(), m.reshape(-1)):
             raise WitnessError("vertex n is reachable from vertex 1")
-        reach = _bfs_tree(m, 0)
-        X = reach.astype(np.uint8)[1 : n - 1]
+        X = (_bfs_dist(m, 0) >= 0).astype(np.uint8)[1 : n - 1]
         return np.concatenate([m.reshape(-1).astype(np.uint8), X])
     raise EncodingError(f"unknown graph kind {kind!r}")

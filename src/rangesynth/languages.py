@@ -261,25 +261,22 @@ def degrees_even(m: np.ndarray) -> bool:
     return not np.any(m.sum(axis=1) % 2)
 
 
-def _st_connected(m: np.ndarray) -> bool:
-    v = len(m)
-    seen = np.zeros(v, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in np.nonzero(m[u])[0]:
-                if not seen[w]:
-                    seen[w] = True
-                    nxt.append(w)
-        frontier = nxt
-    return bool(seen[v - 1])
+def _bfs_dist(m: np.ndarray, src: int) -> np.ndarray:
+    """Hops from ``src`` along the rows of adjacency matrix m (-1: unreached)."""
+    dist = np.full(len(m), -1, dtype=np.int64)
+    dist[src] = 0
+    frontier = np.array([src])
+    hops = 0
+    while frontier.size:
+        hops += 1
+        frontier = np.flatnonzero(m[frontier].any(axis=0) & (dist < 0))
+        dist[frontier] = hops
+    return dist
 
 
 def member(spec, word) -> int:
     """Ground-truth membership: 1 if the word is in the language."""
-    word = _as_bits(word, len(word) if not isinstance(word, str) else len(word), "word")
+    word = _as_bits(word, len(word), "word")
     if isinstance(spec, Regular):
         return int(spec.automaton.accepts(word))
     if isinstance(spec, Threshold):
@@ -289,22 +286,9 @@ def member(spec, word) -> int:
     if isinstance(spec, Cycles):
         return int(degrees_even(_as_matrix(word, undirected=True)))
     if isinstance(spec, USTConn):
-        return int(_st_connected(_as_matrix(word, undirected=True)))
+        return int(_bfs_dist(_as_matrix(word, undirected=True), 0)[-1] >= 0)
     if isinstance(spec, UnReach):
-        m = _as_matrix(word, undirected=False)
-        v = len(m)
-        reach = np.zeros(v, dtype=bool)
-        reach[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in np.nonzero(m[u])[0]:
-                    if not reach[w]:
-                        reach[w] = True
-                        nxt.append(w)
-            frontier = nxt
-        return int(not reach[v - 1])
+        return int(_bfs_dist(_as_matrix(word, undirected=False), 0)[-1] < 0)
     if isinstance(spec, NpPadded):
         from .npsys import verifier_member
 

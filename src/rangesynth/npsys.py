@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import (
-    AND, CONST, INPUT, NOT, OR,
-    Circuit, CircuitBuilder, ParseError, all_inputs, eval_batch, lower_fields,
-    parse, serialize,
+    AND, CONST, INPUT, NOT,
+    Circuit, CircuitBuilder, ParseError, _as_bits, all_inputs, eval_batch,
+    lower_fields, parse, serialize,
 )
 from .languages import LanguageError
 
@@ -84,7 +84,7 @@ def parse_verifier(text: str) -> VerifierCircuit:
 
 def verifier_member(v: VerifierCircuit, x) -> bool:
     """Brute-force exists-y membership; meant for desk-scale verifiers."""
-    x = np.asarray([int(c) for c in x] if isinstance(x, str) else x, dtype=np.uint8)
+    x = _as_bits(x, what="x")
     if len(x) != v.num_x:
         raise LanguageError(f"x must have length {v.num_x}")
     for ys in all_inputs(v.num_y):
@@ -203,7 +203,7 @@ def witness_np(v: VerifierCircuit, variant: str, x) -> np.ndarray:
     """
     from .regular import WitnessError
 
-    x = np.asarray([int(c) for c in x] if isinstance(x, str) else x, dtype=np.uint8)
+    x = _as_bits(x, what="x")
     if len(x) != v.num_x:
         raise WitnessError(f"x must have length {v.num_x}")
     c = v.circuit
@@ -226,25 +226,7 @@ def witness_np(v: VerifierCircuit, variant: str, x) -> np.ndarray:
     # honest z = gate evaluation; when only the absorbing word applies and
     # the verifier rejects, the honest z has claimed output 0, which already
     # collapses the output as needed.
-    vals = _eval_gate_values(c, np.concatenate([x, good_y]))
-    z = np.array(
-        [vals[g] for g in range(c.num_gates) if c.kinds[g] >= NOT], dtype=np.uint8
-    )
-    return np.concatenate([x, good_y, z])
-
-
-def _eval_gate_values(c: Circuit, x: np.ndarray) -> list:
-    vals = [0] * c.num_gates
-    for g in range(c.num_gates):
-        k = c.kinds[g]
-        if k == INPUT:
-            vals[g] = int(x[c.arg0[g]])
-        elif k == CONST:
-            vals[g] = c.arg0[g]
-        elif k == NOT:
-            vals[g] = 1 - vals[c.arg0[g]]
-        elif k == AND:
-            vals[g] = vals[c.arg0[g]] & vals[c.arg1[g]]
-        else:
-            vals[g] = vals[c.arg0[g]] | vals[c.arg1[g]]
-    return vals
+    logic = [g for g, k in enumerate(c.kinds) if k >= NOT]
+    gates = c._with_outputs(logic)
+    xy = np.concatenate([x, good_y])
+    return np.concatenate([xy, eval_batch(gates, xy[None])[0]])

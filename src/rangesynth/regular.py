@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, CircuitBuilder, lower_fields
+from .circuit import Circuit, CircuitBuilder, _as_bits, lower_fields
 from .intervals import Node, build_tree, chain_ands, leaf_for_position, preorder
 from .languages import Dfa, LanguageError, Nfa
 
@@ -502,9 +502,7 @@ def _encode(value: int, bits: int, out: np.ndarray, offset: int):
 
 def witness_bp(bp: LayeredBp, word) -> np.ndarray:
     """Proof vector whose evaluation reproduces the given member word."""
-    word = np.asarray(
-        [int(c) for c in word] if isinstance(word, str) else word, dtype=np.uint8
-    )
+    word = _as_bits(word, what="word")
     if len(word) != bp.n:
         raise WitnessError(f"word length {len(word)} != {bp.n}")
     if not bp.accepts(word):

@@ -38,21 +38,26 @@ class Report:
     trials: int
     violations: list = field(default_factory=list)  # (proof, output, reason)
     metrics: object = None
+    dropped: int = 0  # violations counted but not stored
+
+    @property
+    def violation_count(self) -> int:
+        return len(self.violations) + self.dropped
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return not self.violation_count
 
     def machine_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return f"{status} {self.check} {self.trials} {len(self.violations)}"
+        return f"{status} {self.check} {self.trials} {self.violation_count}"
 
     def text(self) -> str:
         lines = [
             f"check:      {self.check}",
             f"mode:       {self.mode}",
             f"trials:     {self.trials}",
-            f"violations: {len(self.violations)}",
+            f"violations: {self.violation_count}",
         ]
         for proof, out, reason in self.violations[:_MAX_RECORDED]:
             lines.append(f"  proof={proof} output={out} ({reason})")
@@ -72,14 +77,12 @@ def _bits_str(row: np.ndarray) -> str:
 
 def _record(report: Report, proofs: np.ndarray, outs: np.ndarray, ok: np.ndarray,
             reason: str):
+    """Store the first _MAX_RECORDED violations; only count the rest."""
     bad = np.nonzero(~ok)[0]
-    for i in bad[: max(0, _MAX_RECORDED - len(report.violations))]:
+    room = max(0, _MAX_RECORDED - len(report.violations))
+    for i in bad[:room]:
         report.violations.append((_bits_str(proofs[i]), _bits_str(outs[i]), reason))
-    if len(bad) and len(report.violations) >= _MAX_RECORDED:
-        # keep counting without storing the proofs themselves
-        report.violations.extend(
-            [("...", "...", reason)] * max(0, len(bad) - _MAX_RECORDED)
-        )
+    report.dropped += max(0, len(bad) - room)
 
 
 def check_soundness(c: Circuit, spec, budget: int = DEFAULT_BUDGET, seed: int = 0,

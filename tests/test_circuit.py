@@ -8,8 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rangesynth.circuit import (
+    _CHUNK_BYTES,
+    AND,
+    CONST,
+    INPUT,
+    NOT,
+    OR,
+    Circuit,
     CircuitBuilder,
+    CircuitError,
     InputArityError,
+    InputBitError,
     ParseError,
     StructureError,
     alternations,
@@ -17,11 +26,17 @@ from rangesynth.circuit import (
     depth,
     eval_batch,
     eval_circuit,
+    gate_depths,
     metrics,
     parse,
     serialize,
     size,
     table_to_subcircuit,
+)
+from tests.circuit_reference import (
+    alternations_reference,
+    depth_reference,
+    eval_reference,
 )
 
 
@@ -180,3 +195,147 @@ class TestSerialization:
         b.set_outputs(wires[-2:])
         c = b.build()
         assert serialize(parse(serialize(c))) == serialize(c)
+
+
+@st.composite
+def random_circuits(draw, max_inputs=4, max_gates=40):
+    """Raw gate arrays, without the builder's sharing of INPUT/CONST/NOT."""
+    m = draw(st.integers(0, max_inputs))
+    n = draw(st.integers(0, max_gates))
+    kinds, a0, a1 = [], [], []
+    for i in range(n):
+        choices = [CONST] + ([INPUT] if m else []) + ([NOT, AND, OR] if i else [])
+        k = draw(st.sampled_from(choices))
+        if k == INPUT:
+            a, b = draw(st.integers(0, m - 1)), 0
+        elif k == CONST:
+            a, b = draw(st.integers(0, 1)), 0
+        elif k == NOT:
+            a, b = draw(st.integers(0, i - 1)), 0
+        else:
+            a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+        kinds.append(k)
+        a0.append(a)
+        a1.append(b)
+    outputs = draw(st.lists(st.integers(0, n - 1), max_size=6)) if n else []
+    return Circuit(m, kinds, a0, a1, outputs)
+
+
+def _random_rows(c, rows, seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2, (rows, c.num_inputs), dtype=np.uint8)
+
+
+class TestDifferential:
+    """The level-schedule kernels against the per-gate reference loops."""
+
+    @given(random_circuits(), st.integers(0, 200), st.integers(0, 2**31 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_random_circuits(self, c, rows, seed):
+        X = _random_rows(c, rows, seed)
+        want = eval_reference(c, X)
+        got = eval_batch(c, X)
+        assert got.dtype == np.uint8
+        assert got.shape == (rows, len(c.outputs))
+        assert np.array_equal(got, want)
+        for row, out in zip(X[:4], want):
+            assert eval_circuit(c, row) == out.tolist()
+        assert depth(c) == depth_reference(c)
+        assert alternations(c) == alternations_reference(c)
+
+    def test_rows_span_several_chunks(self):
+        from rangesynth.counting import synth_exact_count
+
+        c, _ = synth_exact_count(33, 5)
+        per_chunk = 64 * max(1, _CHUNK_BYTES // (8 * c.num_gates))
+        X = _random_rows(c, 2 * per_chunk + 77, 11)
+        assert np.array_equal(eval_batch(c, X), eval_reference(c, X))
+
+    def test_zero_inputs(self):
+        c = Circuit(0, [CONST, CONST, NOT, AND, OR], [1, 0, 0, 0, 0], [0, 0, 0, 2, 1],
+                    [4, 3, 2])
+        X = np.zeros((5, 0), dtype=np.uint8)
+        assert np.array_equal(eval_batch(c, X), eval_reference(c, X))
+        assert eval_circuit(c, []) == [1, 0, 0]
+        assert depth(c) == depth_reference(c) == 2
+        assert alternations(c) == alternations_reference(c)
+
+    def test_constants_only(self):
+        c = Circuit(2, [CONST, CONST], [0, 1], [0, 0], [1, 0, 1])
+        X = _random_rows(c, 9, 0)
+        assert eval_batch(c, X).tolist() == [[1, 0, 1]] * 9
+        assert depth(c) == 0 and alternations(c) == 0
+
+    def test_no_outputs(self):
+        c = Circuit(2, [INPUT, INPUT, AND], [0, 1, 0], [0, 0, 1], [])
+        assert eval_batch(c, _random_rows(c, 10, 1)).shape == (10, 0)
+        assert eval_circuit(c, [1, 0]) == []
+        assert depth(c) == 0 and alternations(c) == 0
+
+    def test_empty_circuit(self):
+        c = Circuit(0, [], [], [], [])
+        assert eval_batch(c, np.zeros((3, 0), dtype=np.uint8)).shape == (3, 0)
+        assert depth(c) == 0 and alternations(c) == 0
+
+    def test_zero_rows(self):
+        b = CircuitBuilder(3)
+        b.set_outputs([b.and_(b.input(0), b.input(2)), b.input(1)])
+        out = eval_batch(b.build(), np.zeros((0, 3), dtype=np.uint8))
+        assert out.shape == (0, 2) and out.dtype == np.uint8
+
+    @pytest.mark.parametrize("rows", [1, 7, 9, 63, 65, 130])
+    def test_rows_not_a_multiple_of_8(self, rows):
+        b = CircuitBuilder(4)
+        x = [b.input(i) for i in range(4)]
+        b.set_outputs([b.xor_tree(x), b.or_(b.not_(x[0]), x[3]), b.const(1)])
+        c = b.build()
+        X = _random_rows(c, rows, rows)
+        assert np.array_equal(eval_batch(c, X), eval_reference(c, X))
+
+    def test_long_chain(self):
+        # 20k levels of alternating AND / OR / NOT: the schedule has one
+        # group per level, and every sweep must stay linear in the gates
+        m, n = 3, 20_000
+        kinds, a0, a1 = [INPUT] * m, list(range(m)), [0] * m
+        for i in range(m, n):
+            k = (NOT, AND, OR)[i % 3]
+            kinds.append(k)
+            a0.append(i - 1)
+            a1.append(i % m if k != NOT else 0)
+        c = Circuit(m, kinds, a0, a1, [n - 1, n // 2])
+        X = _random_rows(c, 70, 3)
+        assert np.array_equal(eval_batch(c, X), eval_reference(c, X))
+        assert depth(c) == depth_reference(c) == n - m
+        assert alternations(c) == alternations_reference(c)
+
+    def test_gate_depths_per_gate(self):
+        from rangesynth.counting import synth_threshold
+
+        c, _ = synth_threshold(6, 3)
+        d = gate_depths(c)
+        assert len(d) == c.num_gates
+        for g in range(0, c.num_gates, 7):
+            sub = Circuit(c.num_inputs, c.kinds, c.arg0, c.arg1, [g])
+            assert d[g] == depth_reference(sub)
+
+
+class TestBadBits:
+    """Non-binary input bits fail at the evaluator boundary."""
+
+    def test_eval_batch(self):
+        c = _identity()
+        with pytest.raises(InputBitError):
+            eval_batch(c, np.array([[0], [2]], dtype=np.uint8))
+        with pytest.raises(InputBitError):
+            eval_batch(c, [[-1]])
+        with pytest.raises(InputBitError):
+            eval_batch(c, np.array([[0.5]]))
+
+    @pytest.mark.parametrize("x", [[2], "2", "x", np.array([3], dtype=np.uint8)])
+    def test_eval_circuit(self, x):
+        with pytest.raises(InputBitError) as info:
+            eval_circuit(_identity(), x)
+        assert isinstance(info.value, CircuitError)
+
+    def test_bool_input_accepted(self):
+        assert eval_batch(_identity(), np.array([[True], [False]])).tolist() == [[1], [0]]

@@ -102,6 +102,23 @@ def test_malformed_word_exit_2(parity_file, capsys):
                 "--word", "10"]) == 2
 
 
+@pytest.mark.parametrize("bits", ["102", "1 0", "-01"])
+def test_eval_bad_bits_exit_2(tmp_path, bits, capsys):
+    b = CircuitBuilder(3)
+    b.set_outputs([b.not_(b.input(i)) for i in range(3)])
+    path = tmp_path / "not3.circ"
+    path.write_text(serialize(b.build()))
+    assert run(["eval", "--circuit", str(path), "--input", "101"]) == 0
+    assert capsys.readouterr().out.strip() == "010"
+    assert run(["eval", "--circuit", str(path), "--input", bits]) == 2
+    assert "must be 0 or 1" in capsys.readouterr().err
+
+
+def test_witness_bad_bits_exit_2(parity_file, capsys):
+    assert run(["witness", "--lang", f"regular:{parity_file}:3",
+                "--word", "121"]) == 2
+
+
 def test_layout_emitted(tmp_path, parity_file):
     out = tmp_path / "c.circ"
     run(["synth", "regular", "--dfa", parity_file, "--n", "2",

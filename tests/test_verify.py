@@ -10,6 +10,8 @@ from rangesynth.languages import BudgetError, Cycles, Regular, Threshold
 from rangesynth.regular import synth_regular, witness_regular
 from rangesynth.verify import (
     Report,
+    _MAX_RECORDED,
+    _record,
     check_completeness,
     check_soundness,
     locality_audit,
@@ -54,6 +56,28 @@ class TestSoundness:
                              trials=2000, base_proofs=base)
         assert r1.passed and r1.mode == "sampled"
         assert r1.machine_line() == r2.machine_line()
+
+    def test_broken_circuit_storage_is_bounded(self):
+        # every output is 00, which never meets the threshold: all 200k
+        # sampled proofs fail, but only the first few are stored
+        b = CircuitBuilder(3)
+        b.set_outputs([b.and_(b.input(0), b.const(0))] * 2)
+        r = check_soundness(b.build(), Threshold(1), budget=0, trials=200_000)
+        assert len(r.violations) <= 10
+        assert r.violation_count == 200_000
+        assert r.machine_line() == "FAIL soundness 200000 200000"
+        assert "violations: 200000" in r.text()
+
+    def test_record_counts_across_chunks(self):
+        r = Report("soundness", "sampled", 30)
+        proofs = np.zeros((20, 2), dtype=np.uint8)
+        ok = np.ones(20, dtype=bool)
+        ok[:5] = False
+        _record(r, proofs, proofs, ok, "first chunk")
+        ok[:] = False
+        _record(r, proofs, proofs, ok, "second chunk")
+        assert len(r.violations) == _MAX_RECORDED
+        assert r.violation_count == 25 and not r.passed
 
     def test_mutated_witnesses_stay_sound(self):
         c, _ = synth_threshold(16, 8)
