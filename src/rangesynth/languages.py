@@ -6,10 +6,12 @@ additionally require symmetry and a zero diagonal, and reject malformed
 encodings with :class:`EncodingError`.  Vertices are 1-indexed with s = 1 and
 t = n.
 
-``member`` is the single source of truth the verification harness trusts;
-``member_batch`` vectorizes it where that is easy, and ``enumerate_slice``
-produces entire length-n slices by filtering all candidates through the same
-predicate.
+``member`` is the single source of truth the verification harness trusts.
+``member_batch`` answers a whole (N, n) batch for every spec: automata,
+counting and graph specs in whole-array operations, with s-t reachability
+decided by a batched frontier closure from s, and every other spec by one
+``member`` call per distinct word.  ``enumerate_slice`` produces entire
+length-n slices by filtering all candidates through the same predicate.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import _as_bits
+from .circuit import InputArityError, _as_bits
 
 
 class LanguageError(ValueError):
@@ -243,6 +245,8 @@ def _graph_side(n: int) -> int:
     v = math.isqrt(n)
     if v * v != n:
         raise EncodingError(f"graph word length {n} is not a perfect square")
+    if v == 0:
+        raise EncodingError("graph word is empty")
     return v
 
 
@@ -272,6 +276,35 @@ def _bfs_dist(m: np.ndarray, src: int) -> np.ndarray:
         frontier = np.flatnonzero(m[frontier].any(axis=0) & (dist < 0))
         dist[frontier] = hops
     return dist
+
+
+# float32 adjacency matrices held per chunk of words; bounds member_batch's memory.
+_CHUNK_BYTES = 1 << 20
+
+
+def _reached(mats: np.ndarray) -> np.ndarray:
+    """(N, v) bool: the vertices reachable from vertex 0 in each matrix.
+
+    A batched BFS: each hop pushes every frontier through its adjacency
+    matrix with one float32 product (exact, as no sum exceeds v) and keeps
+    the vertices not reached before, until no frontier is left -- at most
+    diameter + 1 hops.  Matrices go in chunks of about _CHUNK_BYTES.
+    """
+    n, v = mats.shape[:2]
+    reach = np.zeros((n, v), dtype=bool)
+    reach[:, 0] = True
+    rows = max(1, _CHUNK_BYTES // (4 * v * v))
+    for start in range(0, n, rows):
+        adj = mats[start : start + rows].astype(np.float32)
+        seen = reach[start : start + rows]
+        frontier = seen.astype(np.float32)
+        while True:
+            new = (np.matmul(frontier[:, None, :], adj)[:, 0] > 0) & ~seen
+            if not new.any():
+                break
+            seen |= new
+            frontier = new.astype(np.float32)
+    return reach
 
 
 def member(spec, word) -> int:
@@ -377,8 +410,10 @@ def _member_combined(spec: Combined, word: np.ndarray) -> int:
 
 
 def member_batch(spec, words: np.ndarray) -> np.ndarray:
-    """Vectorized membership over a (N, n) uint8 array; returns bool (N,)."""
-    words = np.asarray(words, dtype=np.uint8)
+    """Vectorized membership over a (N, n) 0/1 array; returns bool (N,)."""
+    words = _as_bits(words, what="words")
+    if words.ndim != 2:
+        raise InputArityError(f"words must be an (N, n) array, got shape {words.shape}")
     if isinstance(spec, Regular):
         a = spec.automaton
         dfa = a if isinstance(a, Dfa) else determinize(a)
@@ -403,15 +438,13 @@ def member_batch(spec, words: np.ndarray) -> np.ndarray:
             ok &= (mats == mats.transpose(0, 2, 1)).all(axis=(1, 2))
         if isinstance(spec, Cycles):
             return ok & ~(mats.sum(axis=2) % 2).any(axis=1)
-        # reachability closure by repeated boolean squaring
-        reach = mats.astype(bool) | np.eye(v, dtype=bool)
-        steps = max(1, math.ceil(math.log2(v)))
-        for _ in range(steps):
-            reach = np.matmul(reach, reach)
+        t_reached = _reached(mats)[:, v - 1]
         if isinstance(spec, USTConn):
-            return ok & reach[:, 0, v - 1]
-        return ~reach[:, 0, v - 1]
-    return np.array([bool(member(spec, w)) for w in words])
+            return ok & t_reached
+        return ~t_reached
+    distinct, inverse = np.unique(words, axis=0, return_inverse=True)
+    answers = np.array([bool(member(spec, w)) for w in distinct], dtype=bool)
+    return answers[inverse.reshape(-1)]
 
 
 def word_shape(spec) -> str:

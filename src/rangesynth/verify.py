@@ -75,6 +75,14 @@ def _bits_str(row: np.ndarray) -> str:
     return "".join(str(int(b)) for b in row)
 
 
+def _note(report: Report, proof: str, out: str, reason: str):
+    """Store one violation while fewer than _MAX_RECORDED are stored; else count it."""
+    if len(report.violations) < _MAX_RECORDED:
+        report.violations.append((proof, out, reason))
+    else:
+        report.dropped += 1
+
+
 def _record(report: Report, proofs: np.ndarray, outs: np.ndarray, ok: np.ndarray,
             reason: str):
     """Store the first _MAX_RECORDED violations; only count the rest."""
@@ -112,12 +120,10 @@ def check_soundness(c: Circuit, spec, budget: int = DEFAULT_BUDGET, seed: int = 
     while done < trials:
         take = min(chunk, trials - done)
         if base is not None and (done // chunk) % 2 == 1:
-            rows = base[rng.integers(0, len(base), take)]
-            proofs = rows.copy()
+            proofs = base[rng.integers(0, len(base), take)]
             flips = rng.integers(1, 4, take)
-            for i in range(take):
-                idx = rng.integers(0, m, int(flips[i]))
-                proofs[i, idx] ^= 1
+            hit = rng.integers(0, m, int(flips.sum()))
+            proofs[np.repeat(np.arange(take), flips), hit] ^= 1
         else:
             proofs = rng.integers(0, 2, (take, m), dtype=np.uint8)
         outs = eval_batch(c, proofs)
@@ -148,13 +154,11 @@ def check_completeness(c: Circuit, spec, n: int, witness_fn=None,
             try:
                 proof = np.asarray(witness_fn(row), dtype=np.uint8)
             except Exception as exc:  # witness failure is a finding, not a crash
-                report.violations.append(("<none>", word, f"witness_fn: {exc}"))
+                _note(report, "<none>", word, f"witness_fn: {exc}")
                 continue
             out = eval_batch(c, proof[None, :])[0]
             if not np.array_equal(out, row):
-                report.violations.append(
-                    (_bits_str(proof), _bits_str(out), f"wanted {word}")
-                )
+                _note(report, _bits_str(proof), _bits_str(out), f"wanted {word}")
         return report
 
     m = c.num_inputs
@@ -169,9 +173,9 @@ def check_completeness(c: Circuit, spec, n: int, witness_fn=None,
     want = set(words_to_strings(members))
     report = Report("completeness", "exhaustive", 1 << m)
     for word in sorted(want - have):
-        report.violations.append(("<none>", word, "member not in range"))
+        _note(report, "<none>", word, "member not in range")
     for word in sorted(have - want):
-        report.violations.append(("<unknown>", word, "range word not a member"))
+        _note(report, "<unknown>", word, "range word not a member")
     return report
 
 

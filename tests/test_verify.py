@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from rangesynth.circuit import CircuitBuilder, serialize, parse
+from rangesynth import verify
+from rangesynth.circuit import CircuitBuilder, eval_batch, serialize, parse
 from rangesynth.counting import synth_threshold, witness_count
 from rangesynth.graphs import synth_cycles, synth_unreach, witness_graph
-from rangesynth.languages import BudgetError, Cycles, Regular, Threshold
+from rangesynth.languages import (
+    BudgetError, Cycles, Regular, Threshold, enumerate_slice, member_batch,
+)
 from rangesynth.regular import synth_regular, witness_regular
 from rangesynth.verify import (
     Report,
@@ -32,6 +35,37 @@ def _broken_cycles(n):
             break
     lines[-1] = "outputs " + " ".join(outs)
     return parse("\n".join(lines) + "\n")
+
+
+def _sampled_soundness_reference(c, spec, seed, trials, base_proofs):
+    """check_soundness in sampled mode with a per-row mutation loop.
+
+    Returns the report and the proof batches in evaluation order.
+    """
+    m = c.num_inputs
+    rng = np.random.default_rng(seed)
+    report = Report("soundness", "sampled", trials)
+    base = np.asarray(base_proofs, dtype=np.uint8)
+    batches = []
+    done = 0
+    chunk = 1 << 14
+    while done < trials:
+        take = min(chunk, trials - done)
+        if (done // chunk) % 2 == 1:
+            proofs = base[rng.integers(0, len(base), take)].copy()
+            flips = rng.integers(1, 4, take)
+            for i in range(take):
+                idx = rng.integers(0, m, int(flips[i]))
+                proofs[i, idx] ^= 1
+        else:
+            proofs = rng.integers(0, 2, (take, m), dtype=np.uint8)
+        outs = eval_batch(c, proofs)
+        ok = member_batch(spec, outs)
+        if not ok.all():
+            _record(report, proofs, outs, ok, "output not in language")
+        batches.append(proofs)
+        done += take
+    return report, batches
 
 
 class TestSoundness:
@@ -79,6 +113,39 @@ class TestSoundness:
         assert len(r.violations) == _MAX_RECORDED
         assert r.violation_count == 25 and not r.passed
 
+    @pytest.mark.parametrize("case", ["broken_cycles", "threshold", "parity"])
+    def test_mutations_match_per_row_reference(self, case, parity, monkeypatch):
+        if case == "broken_cycles":
+            c, spec = _broken_cycles(5), Cycles()
+            base = [witness_graph("cycles", [0] * 25)]
+        elif case == "threshold":
+            c, spec = synth_threshold(16, 8)[0], Threshold(8)
+            base = [witness_count("threshold", 16, 8, [1] * 8 + [0] * 8),
+                    witness_count("threshold", 16, 8, [0, 1] * 8)]
+        else:
+            c, spec = synth_regular(parity, 64)[0], Regular(parity)
+            base = [witness_regular(parity, [0] * 64),
+                    witness_regular(parity, [1] * 64)]
+        trials = (1 << 14) + 3000  # one uniform chunk, then a mutated one
+        want, want_batches = _sampled_soundness_reference(c, spec, 11, trials, base)
+        batches = []
+
+        def recording_eval_batch(circuit, proofs):
+            batches.append(proofs.copy())
+            return eval_batch(circuit, proofs)
+
+        monkeypatch.setattr(verify, "eval_batch", recording_eval_batch)
+        got = check_soundness(c, spec, budget=0, seed=11, trials=trials,
+                              base_proofs=base)
+        assert len(batches) == len(want_batches) == 2
+        for a, b in zip(batches, want_batches):
+            assert np.array_equal(a, b)
+        assert got.machine_line() == want.machine_line()
+        assert got.violations == want.violations
+        assert render_report(got) == render_report(want)
+        if case == "broken_cycles":
+            assert not got.passed
+
     def test_mutated_witnesses_stay_sound(self):
         c, _ = synth_threshold(16, 8)
         base = [
@@ -117,6 +184,39 @@ class TestCompleteness:
         c, _ = synth_regular(parity, 8)
         with pytest.raises(BudgetError):
             check_completeness(c, Regular(parity), 8, budget=1 << 10)
+
+    def test_witness_mode_storage_is_bounded(self):
+        # the circuit maps every proof to 0^12, so each of the 4,095 members
+        # of Threshold(1) fails; a few witnesses also raise
+        b = CircuitBuilder(1)
+        b.set_outputs([b.const(0)] * 12)
+        members = enumerate_slice(Threshold(1), 12)
+
+        def witness(w):
+            if w[:4].all():
+                raise RuntimeError("no witness")
+            return [0]
+
+        r = check_completeness(b.build(), Threshold(1), 12, witness_fn=witness,
+                               members=members)
+        assert len(members) == 4095
+        assert len(r.violations) <= _MAX_RECORDED
+        assert r.violation_count == 4095
+        assert r.machine_line() == "FAIL completeness 4095 4095"
+        assert "violations: 4095" in r.text()
+
+    def test_exhaustive_mode_storage_is_bounded(self):
+        # a constant 1^12 circuit misses 4,094 of the 4,095 members
+        b = CircuitBuilder(0)
+        b.set_outputs([b.const(1)] * 12)
+        r = check_completeness(b.build(), Threshold(1), 12)
+        assert len(r.violations) <= _MAX_RECORDED
+        assert r.violation_count == 4094
+        assert r.machine_line() == "FAIL completeness 1 4094"
+        # a range word outside the slice is still counted
+        r = check_completeness(b.build(), Threshold(1), 12,
+                               members=enumerate_slice(Threshold(1), 12)[:-1])
+        assert r.violation_count == 4095
 
     def test_missing_member_detected(self):
         # a constant circuit misses most threshold words
