@@ -3,15 +3,18 @@
 Language specs on the command line use a colon mini-syntax:
 ``regular:<dfa-file>:<n>``, ``structured:<bp-file>``, ``threshold:<n>:<t>``,
 ``exact:<n>:<t>``, ``cycles:<n>``, ``ustconn:<n>``, ``unreach:<n>``,
-``cosac:<verifier-file>``, ``sac:<verifier-file>``,
-``padded:<verifier-file>:<n>``.  Exit codes: 0 pass, 1 verification failure,
-2 usage or parse errors.
+``cosac:<verifier-file>``, ``sac:<verifier-file>``, ``padded:<verifier-file>:<n>``;
+``witness`` and ``verify --mode witness`` work for every family.  Exit codes:
+0 pass, 1 verification failure, 2 usage or parse errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
+from functools import partial
+from typing import Callable, NamedTuple
 
 from . import combinators, counting, graphs, npsys, regular
 from .circuit import CircuitError, _as_bits, eval_circuit, metrics, parse, serialize
@@ -34,151 +37,168 @@ def _read(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _parse_lang(text: str):
-    """Spec string -> (language spec usable by member, expected length)."""
-    parts = text.split(":")
-    kind = parts[0]
+# ---------------------------------------------------------------------------
+# language families
+
+
+class Family(NamedTuple):
+    """How the CLI synthesizes, specifies and proves one language family.
+
+    ``params`` name the synth flags in the positional order of ``--lang``
+    specs and ``--expr`` calls; the callables take the loaded parameters, and
+    ``options`` are extra synth flags passed by keyword.  Entries look layer
+    functions up when they run, so wrappers installed on the modules see them.
+    """
+
+    params: tuple
+    synth: Callable    # params -> (circuit, layout or None)
+    spec: Callable     # params -> (language spec, word length)
+    witness: Callable  # params -> (member word -> proof)
+    options: tuple = ()
+
+
+# parameter name -> (loader from its string, help text)
+_PARAMS = {
+    "dfa": (lambda s: parse_dfa(_read(s)), "automaton file"),
+    "bp": (lambda s: regular.parse_bp(_read(s)), "structured BP file"),
+    "verifier": (lambda s: npsys.parse_verifier(_read(s)), "verifier circuit file"),
+    "n": (int, "word length / vertex count"),
+    "t": (int, "count target"),
+}
+
+
+def _counting(kind: str, spec_cls, synth: str) -> Family:
+    return Family(("n", "t"), lambda n, t: getattr(counting, synth)(n, t),
+                  lambda n, t: (spec_cls(t), n),
+                  lambda n, t: partial(counting.witness_count, kind, n, t))
+
+
+def _graph(kind: str, spec_cls) -> Family:
+    return Family(("n",), lambda n: (getattr(graphs, "synth_" + kind)(n), None),
+                  lambda n: (spec_cls(), n * n),
+                  lambda n: partial(graphs.witness_graph, kind))
+
+
+def _np(variant: str, spec_cls, synth: str) -> Family:
+    return Family(("verifier",), lambda v: (getattr(npsys, synth)(v), None),
+                  lambda v: (spec_cls(v), v.num_x),
+                  lambda v: partial(npsys.witness_np, v, variant))
+
+
+def _synth_padded(v, n, variant="co-sac"):
+    sac_c, cosac_c = npsys.pad_language(v, n)
+    return (cosac_c if variant == "co-sac" else sac_c), None
+
+
+FAMILIES = {
+    "regular": Family(("dfa", "n"), lambda a, n: regular.synth_regular(a, n),
+                      lambda a, n: (Regular(a), n),
+                      lambda a, n: partial(regular.witness_regular, a)),
+    "structured": Family(("bp",), lambda bp: regular.synth_structured(bp),
+                         lambda bp: (Regular(bp), bp.n),
+                         lambda bp: partial(regular.witness_bp, bp)),
+    **{kind: _counting(kind, cls, synth) for kind, cls, synth in (
+        ("threshold", Threshold, "synth_threshold"),
+        ("exact", ExactCount, "synth_exact_count"))},
+    **{kind: _graph(kind, cls) for kind, cls in (
+        ("cycles", Cycles), ("ustconn", USTConn), ("unreach", UnReach))},
+    **{kind: _np(kind, cls, synth) for kind, cls, synth in (
+        ("cosac", NpCoSac, "synth_co_sac"), ("sac", NpSac, "synth_sac"))},
+    "padded": Family(("verifier", "n"), _synth_padded,
+                     lambda v, n: (NpPadded(v), n),
+                     lambda v, n: partial(npsys.witness_np,
+                                          npsys.pad_verifier(v, n), "cosac"),
+                     options=("variant",)),
+}
+_ALIASES = {"co-sac": "cosac"}
+
+
+def _spec_syntax(kind: str) -> str:
+    return ":".join([kind, *(f"<{p}>" for p in FAMILIES[kind].params)])
+
+
+def _family(kind: str, *values):
+    """(family, loaded parameters) from a family name and parameter strings."""
+    fam = FAMILIES.get(kind)
+    if fam is None:
+        raise UsageError(f"unknown language family {kind!r}; expected one of "
+                         f"{', '.join(FAMILIES)}")
+    if len(values) != len(fam.params):
+        raise UsageError(f"{kind} takes {len(fam.params)} argument(s), got "
+                         f"{len(values)}: {_spec_syntax(kind)}")
+    missing = [f"--{p}" for p, s in zip(fam.params, values) if s is None]
+    if missing:
+        raise UsageError(f"synth {kind} needs {' and '.join(missing)}")
     try:
-        if kind == "regular" and len(parts) == 3:
-            return Regular(parse_dfa(_read(parts[1]))), int(parts[2])
-        if kind == "threshold" and len(parts) == 3:
-            return Threshold(int(parts[2])), int(parts[1])
-        if kind == "exact" and len(parts) == 3:
-            return ExactCount(int(parts[2])), int(parts[1])
-        if kind == "cycles" and len(parts) == 2:
-            n = int(parts[1])
-            return Cycles(), n * n
-        if kind == "ustconn" and len(parts) == 2:
-            n = int(parts[1])
-            return USTConn(), n * n
-        if kind == "unreach" and len(parts) == 2:
-            n = int(parts[1])
-            return UnReach(), n * n
-        if kind in ("cosac", "sac") and len(parts) == 2:
-            v = npsys.parse_verifier(_read(parts[1]))
-            spec = NpCoSac(v) if kind == "cosac" else NpSac(v)
-            return spec, v.num_x
-        if kind == "padded" and len(parts) == 3:
-            v = npsys.parse_verifier(_read(parts[1]))
-            return NpPadded(v), int(parts[2])
+        return fam, [_PARAMS[p][0](s) for p, s in zip(fam.params, values)]
     except ValueError as exc:
-        raise UsageError(f"bad language spec {text!r}: {exc}") from None
-    raise UsageError(f"unrecognized language spec {text!r}")
+        raise UsageError(f"bad {kind} argument: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # combinator expressions
 
 
-class _ExprParser:
-    """Recursive-descent parser for `union(exact(3,1),exact(3,3))` forms."""
+def _parse_expr(text: str):
+    """``union(exact(3,1),exact(3,3))`` -> ("union", [("exact", ["3", "1"]), ...])."""
+    toks = re.findall(r"[\w.|/-]+|\S", text) + ["", ""]
+    pos = 0
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+    def take(want=None) -> str:
+        nonlocal pos
+        tok = toks[pos]
+        if tok != want and (want or not re.fullmatch(r"[\w.|/-]+", tok)):
+            raise UsageError(f"expected {repr(want) if want else 'a token'} at "
+                             f"token {pos}, got {tok or 'end of input'!r}")
+        pos += 1
+        return tok
 
-    def parse(self):
-        node = self._expr()
-        self._ws()
-        if self.pos != len(self.text):
-            raise UsageError(f"trailing junk in expression at {self.pos}")
-        return node
+    def call():
+        name, args = take(), []
+        take("(")
+        while toks[pos] != ")":
+            if args:
+                take(",")
+            args.append(call() if toks[pos + 1] == "(" else take())
+        take(")")
+        return name, args
 
-    def _ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    node = call()
+    if toks[pos]:
+        raise UsageError(f"trailing junk in expression at token {pos}")
+    return node
 
-    def _expect(self, ch: str):
-        self._ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise UsageError(f"expected {ch!r} at position {self.pos}")
-        self.pos += 1
 
-    def _atom(self) -> str:
-        self._ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] in "._-|/"
-        ):
-            self.pos += 1
-        if start == self.pos:
-            raise UsageError(f"expected a token at position {self.pos}")
-        return self.text[start : self.pos]
-
-    def _expr(self):
-        name = self._atom()
-        self._expect("(")
-        args = []
-        self._ws()
-        if self.text[self.pos : self.pos + 1] != ")":
-            while True:
-                self._ws()
-                nxt = self.pos
-                # lookahead: nested call or plain token?
-                probe = _ExprParser(self.text)
-                probe.pos = nxt
-                tok = probe._atom()
-                probe._ws()
-                if probe.text[probe.pos : probe.pos + 1] == "(":
-                    args.append(self._expr())
-                else:
-                    self.pos = probe.pos
-                    args.append(tok)
-                self._ws()
-                if self.text[self.pos : self.pos + 1] == ",":
-                    self.pos += 1
-                    continue
-                break
-        self._expect(")")
-        return (name, args)
+# combinator head -> circuit from its arguments (tokens and call nodes)
+_COMBINATORS = {
+    "finite": lambda a: combinators.finite_language(a[0].split("|")),
+    "union": lambda a: combinators.union([_build_expr(x) for x in a]),
+    "reverse": lambda a: combinators.reverse(_build_expr(a[0])),
+    "upclose": lambda a: combinators.upclose(_build_expr(a[0])),
+    "morphism": lambda a: combinators.morphism(a[0], a[1], _build_expr(a[2])),
+    "inverse_morphism":
+        lambda a: combinators.inverse_morphism(a[0], a[1], _build_expr(a[2])),
+    "concat_left": lambda a: combinators.concat_finite(
+        a[0].split("|"), _build_expr(a[1]), side="left"),
+    "concat_right": lambda a: combinators.concat_finite(
+        a[0].split("|"), _build_expr(a[1]), side="right"),
+}
 
 
 def _build_expr(node):
-    """Evaluate an expression tree to a circuit."""
+    """Evaluate an expression tree to a circuit; family names are leaves."""
     if isinstance(node, str):
         raise UsageError(f"expected a call, got bare token {node!r}")
     name, args = node
-
-    def circ(a):
-        return _build_expr(a)
-
-    def intarg(a):
-        if not isinstance(a, str):
-            raise UsageError(f"{name}: expected an integer argument")
-        return int(a)
-
     try:
-        if name == "threshold":
-            return counting.synth_threshold(intarg(args[0]), intarg(args[1]))[0]
-        if name == "exact":
-            return counting.synth_exact_count(intarg(args[0]), intarg(args[1]))[0]
-        if name == "cycles":
-            return graphs.synth_cycles(intarg(args[0]))
-        if name == "ustconn":
-            return graphs.synth_ustconn(intarg(args[0]))
-        if name == "unreach":
-            return graphs.synth_unreach(intarg(args[0]))
-        if name == "regular":
-            return regular.synth_regular(parse_dfa(_read(args[0])), intarg(args[1]))[0]
-        if name == "finite":
-            return combinators.finite_language(args[0].split("|"))
-        if name == "union":
-            return combinators.union([circ(a) for a in args])
-        if name == "reverse":
-            return combinators.reverse(circ(args[0]))
-        if name == "upclose":
-            return combinators.upclose(circ(args[0]))
-        if name == "morphism":
-            return combinators.morphism(args[0], args[1], circ(args[2]))
-        if name == "inverse_morphism":
-            return combinators.inverse_morphism(args[0], args[1], circ(args[2]))
-        if name in ("concat_left", "concat_right"):
-            return combinators.concat_finite(
-                args[0].split("|"), circ(args[1]), side=name.split("_")[1]
-            )
+        if name in _COMBINATORS:
+            return _COMBINATORS[name](args)
+        if not all(isinstance(a, str) for a in args):
+            raise UsageError(f"{name}: expected plain arguments, not calls")
+        fam, params = _family(name, *args)
+        return fam.synth(*params)[0]
     except (ValueError, IndexError) as exc:
         raise UsageError(f"bad expression {name}(...): {exc}") from None
-    raise UsageError(f"unknown expression head {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -188,32 +208,14 @@ def _build_expr(node):
 def _cmd_synth(args) -> int:
     layout = None
     if args.expr:
-        circuit = _build_expr(_ExprParser(args.expr).parse())
-    elif args.family == "regular":
-        circuit, layout = regular.synth_regular(parse_dfa(_read(args.dfa)), args.n)
-    elif args.family == "structured":
-        circuit, layout = regular.synth_structured(regular.parse_bp(_read(args.bp)))
-    elif args.family == "threshold":
-        circuit, layout = counting.synth_threshold(args.n, args.t)
-    elif args.family == "exact":
-        circuit, layout = counting.synth_exact_count(args.n, args.t)
-    elif args.family == "cycles":
-        circuit = graphs.synth_cycles(args.n)
-    elif args.family == "ustconn":
-        circuit = graphs.synth_ustconn(args.n)
-    elif args.family == "unreach":
-        circuit = graphs.synth_unreach(args.n)
-    elif args.family == "co-sac":
-        circuit = npsys.synth_co_sac(npsys.parse_verifier(_read(args.verifier)))
-    elif args.family == "sac":
-        circuit = npsys.synth_sac(npsys.parse_verifier(_read(args.verifier)))
-    elif args.family == "padded":
-        sac_c, cosac_c = npsys.pad_language(
-            npsys.parse_verifier(_read(args.verifier)), args.n
-        )
-        circuit = cosac_c if args.variant == "co-sac" else sac_c
+        circuit = _build_expr(_parse_expr(args.expr))
+    elif args.family:
+        kind = _ALIASES.get(args.family, args.family)
+        fam, params = _family(kind, *(getattr(args, p) for p in FAMILIES[kind].params))
+        circuit, layout = fam.synth(*params,
+                                    **{o: getattr(args, o) for o in fam.options})
     else:
-        raise UsageError("synth needs --expr or a --family")
+        raise UsageError("synth needs --expr or a family")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(serialize(circuit))
     if layout is not None:
@@ -233,7 +235,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_verify(args) -> int:
     circuit = parse(_read(args.circuit))
-    spec, n = _parse_lang(args.lang)
+    fam, params = _family(*args.lang.split(":"))
+    spec, n = fam.spec(*params)
     if len(circuit.outputs) != n:
         raise UsageError(
             f"circuit has {len(circuit.outputs)} outputs, language expects {n}"
@@ -247,26 +250,12 @@ def _cmd_verify(args) -> int:
         reports.append(check_soundness(circuit, spec, budget=0, seed=args.seed,
                                        trials=args.trials))
     elif args.mode == "witness":
-        witness_fn = _witness_fn_for(args.lang)
-        reports.append(check_completeness(circuit, spec, n, witness_fn=witness_fn,
+        reports.append(check_completeness(circuit, spec, n,
+                                          witness_fn=fam.witness(*params),
                                           budget=args.budget))
     for r in reports:
         print(render_report(r))
     return 0 if all(r.passed for r in reports) else 1
-
-
-def _witness_fn_for(lang: str):
-    parts = lang.split(":")
-    kind = parts[0]
-    if kind == "regular":
-        automaton = parse_dfa(_read(parts[1]))
-        return lambda w: regular.witness_regular(automaton, w)
-    if kind in ("threshold", "exact"):
-        n, t = int(parts[1]), int(parts[2])
-        return lambda w: counting.witness_count(kind, n, t, w)
-    if kind in ("cycles", "ustconn", "unreach"):
-        return lambda w: graphs.witness_graph(kind, w)
-    raise UsageError(f"no witness generator for language {lang!r}")
 
 
 def _cmd_stats(args) -> int:
@@ -292,9 +281,10 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    spec, n = _parse_lang(args.lang)
+    fam, params = _family(*args.lang.split(":"))
+    _, n = fam.spec(*params)
     _as_bits(args.word, n, "word")  # wrong length or non-0/1 bits: exit 2
-    fn = _witness_fn_for(args.lang)
+    fn = fam.witness(*params)
     try:
         proof = fn(args.word)
     except ValueError as exc:
@@ -311,17 +301,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     "(circuits whose range is exactly a target language).",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    lang_help = "language spec: " + ", ".join(map(_spec_syntax, FAMILIES))
 
     p = sub.add_parser("synth", help="compile a language into a circuit")
-    p.add_argument("family", nargs="?", choices=[
-        "regular", "structured", "threshold", "exact", "cycles", "ustconn",
-        "unreach", "co-sac", "sac", "padded",
-    ])
-    p.add_argument("--dfa", help="automaton file (regular)")
-    p.add_argument("--bp", help="structured BP file (structured)")
-    p.add_argument("--verifier", help="verifier circuit file (sac/co-sac/padded)")
-    p.add_argument("--n", type=int, help="word length / vertex count")
-    p.add_argument("--t", type=int, help="count target (threshold/exact)")
+    p.add_argument("family", nargs="?", choices=[*FAMILIES, *_ALIASES])
+    for param, (_, text) in _PARAMS.items():
+        users = [k for k, fam in FAMILIES.items() if param in fam.params]
+        p.add_argument(f"--{param}", help=f"{text} ({', '.join(users)})")
     p.add_argument("--variant", choices=["sac", "co-sac"], default="co-sac",
                    help="which padded construction to emit")
     p.add_argument("--expr", help="combinator expression, e.g. "
@@ -336,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the Definition-1 harness")
     p.add_argument("--circuit", required=True)
-    p.add_argument("--lang", required=True, help="language spec (see --help)")
+    p.add_argument("--lang", required=True, help=lang_help)
     p.add_argument("--mode", choices=["exhaustive", "sample", "witness"],
                    default="exhaustive")
     p.add_argument("--budget", type=int, default=1 << 24)
@@ -353,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_stats)
 
     p = sub.add_parser("witness", help="produce a proof for a member word")
-    p.add_argument("--lang", required=True)
+    p.add_argument("--lang", required=True, help=lang_help)
     p.add_argument("--word", required=True)
     p.set_defaults(fn=_cmd_witness)
     return top

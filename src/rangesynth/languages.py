@@ -9,9 +9,10 @@ t = n.
 ``member`` is the single source of truth the verification harness trusts.
 ``member_batch`` answers a whole (N, n) batch for every spec: automata,
 counting and graph specs in whole-array operations, with s-t reachability
-decided by a batched frontier closure from s, and every other spec by one
-``member`` call per distinct word.  ``enumerate_slice`` produces entire
-length-n slices by filtering all candidates through the same predicate.
+decided by a batched frontier closure from s, and every other spec (NP
+verifiers, structured BPs, combinator trees) by one ``member`` call per
+distinct word.  ``enumerate_slice`` produces entire length-n slices by
+filtering all candidates through the same predicate.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ def determinize(a: Nfa) -> Dfa:
 
 @dataclass(frozen=True)
 class Regular:
-    automaton: object  # Dfa | Nfa
+    automaton: object  # Dfa | Nfa | regular.LayeredBp (anything with accepts)
 
 
 @dataclass(frozen=True)
@@ -414,7 +415,7 @@ def member_batch(spec, words: np.ndarray) -> np.ndarray:
     words = _as_bits(words, what="words")
     if words.ndim != 2:
         raise InputArityError(f"words must be an (N, n) array, got shape {words.shape}")
-    if isinstance(spec, Regular):
+    if isinstance(spec, Regular) and isinstance(spec.automaton, (Dfa, Nfa)):
         a = spec.automaton
         dfa = a if isinstance(a, Dfa) else determinize(a)
         tab = np.array(dfa.delta, dtype=np.int64)  # (w, 2)

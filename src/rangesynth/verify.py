@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, all_inputs, eval_batch, metrics
+from .circuit import Circuit, _as_bits, all_inputs, eval_batch, metrics
 from .languages import (
     BudgetError, candidate_count, enumerate_slice, member_batch, words_to_strings,
 )
@@ -29,6 +29,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 1 << 24
 _MAX_RECORDED = 10
+_CHUNK = 1 << 14  # proofs per eval_batch call when sampling or checking witnesses
 
 
 @dataclass
@@ -116,10 +117,9 @@ def check_soundness(c: Circuit, spec, budget: int = DEFAULT_BUDGET, seed: int = 
     if base_proofs is not None and len(base_proofs):
         base = np.asarray(base_proofs, dtype=np.uint8)
     done = 0
-    chunk = 1 << 14
     while done < trials:
-        take = min(chunk, trials - done)
-        if base is not None and (done // chunk) % 2 == 1:
+        take = min(_CHUNK, trials - done)
+        if base is not None and (done // _CHUNK) % 2 == 1:
             proofs = base[rng.integers(0, len(base), take)]
             flips = rng.integers(1, 4, take)
             hit = rng.integers(0, m, int(flips.sum()))
@@ -149,16 +149,27 @@ def check_completeness(c: Circuit, spec, n: int, witness_fn=None,
 
     if witness_fn is not None:
         report = Report("completeness", "witness", len(members))
-        for row in members:
-            word = _bits_str(row)
-            try:
-                proof = np.asarray(witness_fn(row), dtype=np.uint8)
-            except Exception as exc:  # witness failure is a finding, not a crash
-                _note(report, "<none>", word, f"witness_fn: {exc}")
-                continue
-            out = eval_batch(c, proof[None, :])[0]
-            if not np.array_equal(out, row):
-                _note(report, _bits_str(proof), _bits_str(out), f"wanted {word}")
+        for start in range(0, len(members), _CHUNK):
+            rows = members[start : start + _CHUNK]
+            proofs, errors = [], []
+            for row in rows:
+                try:
+                    proof = np.asarray(witness_fn(row), dtype=np.uint8)
+                except Exception as exc:  # witness failure is a finding, not a crash
+                    errors.append(f"witness_fn: {exc}")
+                    continue
+                errors.append(None)
+                proofs.append(_as_bits(proof, c.num_inputs, "proof"))
+            batch = np.array(proofs, dtype=np.uint8).reshape(len(proofs), c.num_inputs)
+            results = zip(proofs, eval_batch(c, batch))
+            for row, error in zip(rows, errors):  # violations in member order
+                if error is not None:
+                    _note(report, "<none>", _bits_str(row), error)
+                    continue
+                proof, out = next(results)
+                if not np.array_equal(out, row):
+                    _note(report, _bits_str(proof), _bits_str(out),
+                          f"wanted {_bits_str(row)}")
         return report
 
     m = c.num_inputs

@@ -80,6 +80,26 @@ trans 1 0 1
 trans 1 1 1
 """
 
+# Structured BP whose gaps read x1, x3, x2, x4: the words x1 x2 x1 x2.
+XX_BP = """\
+gaps 4
+states 2
+start 0
+final 0
+var 1 1
+var 2 3
+var 3 2
+var 4 4
+edge 1 0 0 0
+edge 1 0 1 1
+edge 2 0 0 0
+edge 2 1 1 0
+edge 3 0 0 0
+edge 3 0 1 1
+edge 4 0 0 0
+edge 4 1 1 0
+"""
+
 # Number of ones divisible by 3.
 MOD3_TXT = """\
 states 3

@@ -1,11 +1,16 @@
 """CLI: every subcommand end to end, exit-code contract."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from rangesynth import cli
 from rangesynth.circuit import CircuitBuilder, serialize
-from rangesynth.cli import run
-from tests.conftest import PARITY_TXT
+from rangesynth.cli import FAMILIES, run
+from rangesynth.npsys import pad_verifier, serialize_verifier, witness_np
+from tests.conftest import PARITY_TXT, XX_BP, contains11_verifier
 
 
 @pytest.fixture()
@@ -13,6 +18,85 @@ def parity_file(tmp_path):
     p = tmp_path / "parity.dfa"
     p.write_text(PARITY_TXT)
     return str(p)
+
+
+@pytest.fixture()
+def family_cases(tmp_path, parity_file):
+    """Family -> (synth flags, language spec, member word), at tiny sizes."""
+    bp = tmp_path / "xx.bp"
+    bp.write_text(XX_BP)
+    v = tmp_path / "contains11.ver"  # 3-bit words containing 11
+    v.write_text(serialize_verifier(contains11_verifier()))
+    return {
+        "regular": (["--dfa", parity_file, "--n", "3"], f"regular:{parity_file}:3",
+                    "101"),
+        "structured": (["--bp", str(bp)], f"structured:{bp}", "0101"),
+        "threshold": (["--n", "4", "--t", "2"], "threshold:4:2", "1010"),
+        "exact": (["--n", "4", "--t", "2"], "exact:4:2", "0110"),
+        "cycles": (["--n", "3"], "cycles:3", "011101110"),  # a triangle
+        "ustconn": (["--n", "3"], "ustconn:3", "001000100"),  # edge 1-3
+        "unreach": (["--n", "3"], "unreach:3", "010000000"),  # edge 1->2
+        "cosac": (["--verifier", str(v)], f"cosac:{v}", "110"),
+        "sac": (["--verifier", str(v)], f"sac:{v}", "011"),
+        "padded": (["--verifier", str(v), "--n", "5"], f"padded:{v}:5", "11100"),
+    }
+
+
+@pytest.mark.parametrize("kind", list(FAMILIES))
+def test_family_round_trip(kind, family_cases, tmp_path, capsys):
+    assert kind in family_cases, f"no round-trip arguments for family {kind!r}"
+    flags, lang, word = family_cases[kind]
+    out = str(tmp_path / f"{kind}.circ")
+    assert run(["synth", kind, *flags, "--out", out]) == 0
+    capsys.readouterr()
+    assert run(["witness", "--lang", lang, "--word", word]) == 0
+    proof = capsys.readouterr().out.strip()
+    if kind == "padded":
+        v = pad_verifier(contains11_verifier(), 5)
+        assert proof == "".join(map(str, witness_np(v, "cosac", word)))
+    assert run(["eval", "--circuit", out, "--input", proof]) == 0
+    assert capsys.readouterr().out.strip() == word
+    assert run(["verify", "--circuit", out, "--lang", lang,
+                "--mode", "witness"]) == 0
+    assert "PASS completeness" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", list(FAMILIES))
+def test_missing_flag_or_wrong_arity_exit_2(kind, family_cases, tmp_path, capsys):
+    flags, lang, word = family_cases[kind]
+    out = str(tmp_path / "c.circ")
+    for i in range(0, len(flags), 2):  # drop one --flag value pair at a time
+        assert run(["synth", kind, *flags[:i], *flags[i + 2:], "--out", out]) == 2
+        assert f"needs {flags[i]}" in capsys.readouterr().err
+    for spec in (lang + ":7", kind):  # one argument too many, none at all
+        assert run(["witness", "--lang", spec, "--word", word]) == 2
+        err = capsys.readouterr().err
+        assert all(f"<{p}>" in err for p in FAMILIES[kind].params), err
+
+
+def test_co_sac_alias(family_cases, tmp_path):
+    flags = family_cases["cosac"][0]
+    a, b = tmp_path / "a.circ", tmp_path / "b.circ"
+    assert run(["synth", "co-sac", *flags, "--out", str(a)]) == 0
+    assert run(["synth", "cosac", *flags, "--out", str(b)]) == 0
+    assert a.read_text() == b.read_text()
+
+
+def test_docs_list_every_family():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    specs = readme.split("Language specs for")[1].split("\n\n")[0]
+    assert set(re.findall(r"`(\w+):", specs)) == set(FAMILIES)
+    assert set(re.findall(r"``(\w+):", cli.__doc__)) == set(FAMILIES)
+
+
+@pytest.mark.parametrize("expr", [
+    "", "union(", "union(exact(3,1)", "union(exact(3,1),)", "union(,exact(3,1))",
+    "exact(3,1) junk", "exact(3 1)", "union(3)", "nosuch(1)", "exact(3)",
+    "exact(3,x)", "reverse()", "union(exact(3,1) # )",
+])
+def test_bad_expression_exit_2(expr, tmp_path, capsys):
+    assert run(["synth", "--expr", expr, "--out", str(tmp_path / "e.circ")]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_synth_eval_roundtrip(tmp_path, parity_file, capsys):

@@ -31,7 +31,8 @@ from rangesynth.languages import (
     sample_members,
     words_to_strings,
 )
-from tests.conftest import NFA1_TXT, PARITY_TXT, contains11_verifier
+from rangesynth.regular import parse_bp
+from tests.conftest import NFA1_TXT, PARITY_TXT, XX_BP, contains11_verifier
 
 
 class TestParseDfa:
@@ -224,6 +225,7 @@ class TestMemberBatchDifferential:
             (NpCoSac(verifier), 3),
             (NpSac(verifier), 3),
             (Combined("union", (Threshold(3), Regular(parity))), 5),
+            (Regular(parse_bp(XX_BP)), 4),  # a structured BP, not an automaton
         ]
         rng = np.random.default_rng(7)
         calls = []

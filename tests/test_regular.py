@@ -26,26 +26,7 @@ from rangesynth.regular import (
     witness_bp,
     witness_regular,
 )
-from tests.conftest import exact_range, slice_set
-
-XX_BP = """\
-gaps 4
-states 2
-start 0
-final 0
-var 1 1
-var 2 3
-var 3 2
-var 4 4
-edge 1 0 0 0
-edge 1 0 1 1
-edge 2 0 0 0
-edge 2 1 1 0
-edge 3 0 0 0
-edge 3 0 1 1
-edge 4 0 0 0
-edge 4 1 1 0
-"""
+from tests.conftest import XX_BP, exact_range, slice_set
 
 
 class TestUnroll:

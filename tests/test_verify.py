@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from rangesynth import verify
-from rangesynth.circuit import CircuitBuilder, eval_batch, serialize, parse
+from rangesynth.circuit import (
+    CircuitBuilder, InputArityError, eval_batch, parse, serialize,
+)
 from rangesynth.counting import synth_threshold, witness_count
 from rangesynth.graphs import synth_cycles, synth_unreach, witness_graph
 from rangesynth.languages import (
@@ -66,6 +68,40 @@ def _sampled_soundness_reference(c, spec, seed, trials, base_proofs):
         batches.append(proofs)
         done += take
     return report, batches
+
+
+def _witness_completeness_reference(c, spec, members, witness_fn):
+    """check_completeness in witness mode with one eval_batch call per member."""
+    members = np.asarray(members, dtype=np.uint8)
+    report = Report("completeness", "witness", len(members))
+    for row in members:
+        word = verify._bits_str(row)
+        try:
+            proof = np.asarray(witness_fn(row), dtype=np.uint8)
+        except Exception as exc:
+            verify._note(report, "<none>", word, f"witness_fn: {exc}")
+            continue
+        out = eval_batch(c, proof[None, :])[0]
+        if not np.array_equal(out, row):
+            verify._note(report, verify._bits_str(proof), verify._bits_str(out),
+                         f"wanted {word}")
+    return report
+
+
+def _flaky_count_witness(n, t):
+    """Honest threshold proofs, except every third member raises and every
+    third proves the reversed word instead."""
+    seen = []
+
+    def witness(w):
+        seen.append(w)
+        k = len(seen) % 3
+        if k == 1:
+            raise RuntimeError(f"no proof for member {len(seen)}")
+        word = w[::-1] if k == 2 else w
+        return witness_count("threshold", n, t, word)
+
+    return witness
 
 
 class TestSoundness:
@@ -165,6 +201,37 @@ class TestCompleteness:
             witness_fn=lambda w: witness_regular(parity, w),
         )
         assert r.passed and r.mode == "witness" and r.trials == 4
+
+    @pytest.mark.parametrize("chunk", [3, 1 << 14])
+    def test_batched_witnesses_match_per_member_reference(self, chunk, monkeypatch):
+        c, _ = synth_threshold(7, 3)
+        members = enumerate_slice(Threshold(3), 7)
+        want = _witness_completeness_reference(
+            c, Threshold(3), members, _flaky_count_witness(7, 3))
+        calls = []
+
+        def counting_eval_batch(circuit, proofs):
+            calls.append(len(proofs))
+            return eval_batch(circuit, proofs)
+
+        monkeypatch.setattr(verify, "_CHUNK", chunk)
+        monkeypatch.setattr(verify, "eval_batch", counting_eval_batch)
+        got = check_completeness(c, Threshold(3), 7,
+                                 witness_fn=_flaky_count_witness(7, 3),
+                                 members=members)
+        reasons = {reason.split()[0] for _, _, reason in got.violations}
+        assert reasons == {"witness_fn:", "wanted"} and got.dropped > 0
+        assert got.violations == want.violations
+        assert render_report(got) == render_report(want)
+        assert len(calls) == -(-len(members) // chunk)
+        assert sum(calls) == len(members) - (len(members) + 2) // 3
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_proof_width_raises(self, extra):
+        c, _ = synth_threshold(4, 2)
+        proof = np.zeros(c.num_inputs + extra, dtype=np.uint8)
+        with pytest.raises(InputArityError):
+            check_completeness(c, Threshold(2), 4, witness_fn=lambda w: proof)
 
     def test_threshold_full_range(self):
         c, _ = synth_threshold(4, 2)
