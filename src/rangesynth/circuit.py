@@ -31,6 +31,14 @@ INPUT, CONST, NOT, AND, OR = range(5)
 
 _KIND_NAMES = ("INPUT", "CONST", "NOT", "AND", "OR")
 _NAME_TO_KIND = {name: kind for kind, name in enumerate(_KIND_NAMES)}
+# what a gate of each kind got wrong, given its kind k and operands a, b
+_FAULTS = {
+    INPUT: "input index {a} out of range",
+    CONST: "const value {a} not a bit",
+    NOT: "operand {a} not an earlier gate",
+    AND: "operands ({a},{b}) not earlier gates",
+    OR: "operands ({a},{b}) not earlier gates",
+}
 
 
 class CircuitError(ValueError):
@@ -46,7 +54,14 @@ class InputBitError(InputArityError):
 
 
 class StructureError(CircuitError):
-    """Topological-order or reference invariant violated."""
+    """Topological-order or reference invariant violated; ``gate`` is the
+    first offending gate, or None for the input count, lengths or outputs."""
+
+    def __init__(self, message: str, gate: int | None = None):
+        self.gate = gate
+        if gate is not None:
+            message = f"gate {gate}: {message}"
+        super().__init__(message)
 
 
 class ParseError(CircuitError):
@@ -59,22 +74,11 @@ class ParseError(CircuitError):
         super().__init__(message)
 
 
-class Gate(NamedTuple):
-    id: int
-    kind: int
-    a: int
-    b: int
-
-    @property
-    def kind_name(self) -> str:
-        return _KIND_NAMES[self.kind]
-
-
 class Circuit:
     """Immutable gate list plus designated outputs.
 
     Gates are stored as parallel arrays (kind, a, b) so that multi-million
-    gate circuits stay cheap; ``gate(i)`` gives a friendly view.
+    gate circuits stay cheap.
     """
 
     __slots__ = ("num_inputs", "kinds", "arg0", "arg1", "outputs", "_np_cache",
@@ -97,36 +101,28 @@ class Circuit:
     def num_gates(self) -> int:
         return len(self.kinds)
 
-    def gate(self, i: int) -> Gate:
-        return Gate(i, self.kinds[i], self.arg0[i], self.arg1[i])
-
-    def gates(self) -> Iterator[Gate]:
-        for i in range(len(self.kinds)):
-            yield Gate(i, self.kinds[i], self.arg0[i], self.arg1[i])
-
     def _validate(self):
+        """Check every structural rule with whole-array masks.
+
+        A fault raises :class:`StructureError` naming the first bad gate.
+        """
         if self.num_inputs < 0:
-            raise StructureError("num_inputs must be non-negative")
+            raise StructureError(f"num_inputs {self.num_inputs} is negative")
         n = len(self.kinds)
         if not (len(self.arg0) == len(self.arg1) == n):
             raise StructureError("gate arrays must have equal length")
-        for i in range(n):
-            k = self.kinds[i]
-            a, b = self.arg0[i], self.arg1[i]
-            if k == INPUT:
-                if not (0 <= a < self.num_inputs):
-                    raise StructureError(f"gate {i}: input index {a} out of range")
-            elif k == CONST:
-                if a not in (0, 1):
-                    raise StructureError(f"gate {i}: const value {a} not a bit")
-            elif k == NOT:
-                if not (0 <= a < i):
-                    raise StructureError(f"gate {i}: operand {a} not earlier gate")
-            elif k in (AND, OR):
-                if not (0 <= a < i and 0 <= b < i):
-                    raise StructureError(f"gate {i}: operands ({a},{b}) not earlier gates")
-            else:
-                raise StructureError(f"gate {i}: unknown kind {k}")
+        kinds, a0, a1 = self._arrays()
+        ids = np.arange(n)
+        bad = (kinds < INPUT) | (kinds > OR) | (a0 < 0)
+        bad |= (kinds == INPUT) & (a0 >= self.num_inputs)
+        bad |= (kinds == CONST) & (a0 > 1)
+        bad |= (kinds >= NOT) & (a0 >= ids)
+        bad |= (kinds >= AND) & ((a1 < 0) | (a1 >= ids))
+        if bad.any():
+            i = int(bad.argmax())
+            k, a, b = self.kinds[i], self.arg0[i], self.arg1[i]
+            fault = _FAULTS.get(k, "unknown kind {k}")
+            raise StructureError(fault.format(k=k, a=a, b=b), i)
         for o in self.outputs:
             if not (0 <= o < n):
                 raise StructureError(f"output id {o} does not exist")
@@ -275,12 +271,22 @@ class CircuitBuilder:
         if not wires:
             return self.const(empty)
         while len(wires) > 1:
-            nxt = [
+            wires = [
                 op(wires[i], wires[i + 1]) if i + 1 < len(wires) else wires[i]
                 for i in range(0, len(wires), 2)
             ]
-            wires = nxt
         return wires[0]
+
+    def _tree_f(self, op, wires: Sequence[int], empty: int) -> int:
+        """_tree over the non-constant wires; a constant ``1 - empty`` absorbs."""
+        kept = []
+        for w in wires:
+            v = self.const_value(w)
+            if v == 1 - empty:
+                return self.const(v)
+            if v != empty:
+                kept.append(w)
+        return self._tree(op, kept, empty)
 
     def and_tree(self, wires: Sequence[int]) -> int:
         return self._tree(self.and_, wires, 1)
@@ -289,42 +295,16 @@ class CircuitBuilder:
         return self._tree(self.or_, wires, 0)
 
     def and_tree_f(self, wires: Sequence[int]) -> int:
-        kept = []
-        for w in wires:
-            v = self.const_value(w)
-            if v == 0:
-                return self.const(0)
-            if v != 1:
-                kept.append(w)
-        return self._tree(self.and_, kept, 1)
+        return self._tree_f(self.and_, wires, 1)
 
     def or_tree_f(self, wires: Sequence[int]) -> int:
-        kept = []
-        for w in wires:
-            v = self.const_value(w)
-            if v == 1:
-                return self.const(1)
-            if v != 0:
-                kept.append(w)
-        return self._tree(self.or_, kept, 0)
+        return self._tree_f(self.or_, wires, 0)
 
     def xor_tree(self, wires: Sequence[int]) -> int:
-        wires = list(wires)
-        if not wires:
-            return self.const(0)
-        while len(wires) > 1:
-            nxt = [
-                self.xor_f(wires[i], wires[i + 1]) if i + 1 < len(wires) else wires[i]
-                for i in range(0, len(wires), 2)
-            ]
-            wires = nxt
-        return wires[0]
+        return self._tree(self.xor_f, wires, 0)
 
     def set_outputs(self, outputs: Sequence[int]):
         self.outputs = list(outputs)
-
-    def add_output(self, gate_id: int):
-        self.outputs.append(gate_id)
 
     def append_circuit(self, other: Circuit, input_wires: Sequence[int]) -> list[int]:
         """Inline another circuit, feeding its inputs from the given wires.
@@ -578,12 +558,9 @@ def all_inputs(m: int, chunk: int = 1 << 16) -> Iterator[np.ndarray]:
     """
     total = 1 << m
     shifts = np.arange(m, dtype=np.uint64)
-    start = 0
-    while start < total:
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.uint64)
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
         yield ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-        start = stop
 
 
 def circuit_range(c: Circuit, budget: int = 1 << 24) -> set[bytes]:
@@ -661,12 +638,7 @@ def cone_sizes(c: Circuit) -> list[int]:
     while stack:
         g = stack.pop()
         k = kinds[g]
-        if k == NOT:
-            srcs = (a0[g],)
-        elif k in (AND, OR):
-            srcs = (a0[g], a1[g])
-        else:
-            srcs = ()
+        srcs = (a0[g], a1[g]) if k >= AND else (a0[g],) if k == NOT else ()
         for s in srcs:
             if s not in needed:
                 needed.add(s)
@@ -732,6 +704,9 @@ def serialize(c: Circuit) -> str:
 
 
 def parse(text: str) -> Circuit:
+    """Read the text format.  Only its syntax is checked here; a structural
+    fault found by :class:`Circuit` is re-raised naming its line (gate i is
+    on line i + 2)."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty circuit text")
@@ -739,53 +714,33 @@ def parse(text: str) -> Circuit:
     if len(head) != 4 or head[0] != "circuit":
         raise ParseError("expected 'circuit <inputs> <gates> <outputs>'", 1)
     try:
-        num_inputs, num_gates, num_outputs = (int(t) for t in head[1:])
+        num_inputs, num_gates, num_outputs = map(int, head[1:])
     except ValueError:
         raise ParseError("non-integer header field", 1) from None
     if len(lines) != num_gates + 2:
         raise ParseError(
             f"expected {num_gates} gate lines plus outputs, got {len(lines) - 2}"
         )
-    kinds = array("b")
-    arg0 = array("q")
-    arg1 = array("q")
-    for gid in range(num_gates):
-        lineno = gid + 2
-        toks = lines[gid + 1].split()
-        if len(toks) < 3:
-            raise ParseError("too few fields", lineno)
+    kinds, arg0, arg1 = array("b"), array("q"), array("q")
+    for gid, line in enumerate(lines[1:-1]):
+        toks = line.split()
+        kind = _NAME_TO_KIND.get(toks[1]) if len(toks) > 1 else None
+        if kind is None:
+            raise ParseError(f"expected '<id> <kind> <operands>', kind one of "
+                             f"{', '.join(_KIND_NAMES)}", gid + 2)
+        binary = kind >= AND
+        if len(toks) != 3 + binary:
+            raise ParseError(f"{toks[1]} takes {1 + binary} operand(s)", gid + 2)
         try:
             idx = int(toks[0])
-        except ValueError:
-            raise ParseError("non-integer gate id", lineno) from None
+            arg0.append(int(toks[2]))
+            arg1.append(int(toks[3]) if binary else 0)
+        except (ValueError, OverflowError):
+            raise ParseError("gate id and operands must be 64-bit integers",
+                             gid + 2) from None
         if idx != gid:
-            raise ParseError(f"expected gate id {gid}, got {idx}", lineno)
-        kind = _NAME_TO_KIND.get(toks[1])
-        if kind is None:
-            raise ParseError(f"unknown gate kind {toks[1]!r}", lineno)
-        want = 2 if kind in (AND, OR) else 1
-        args = toks[2:]
-        if len(args) != want:
-            raise ParseError(f"{toks[1]} takes {want} operand(s)", lineno)
-        try:
-            vals = [int(t) for t in args]
-        except ValueError:
-            raise ParseError("non-integer operand", lineno) from None
-        if kind == INPUT:
-            if not (0 <= vals[0] < num_inputs):
-                raise ParseError(f"input index {vals[0]} out of range", lineno)
-        elif kind == CONST:
-            if vals[0] not in (0, 1):
-                raise ParseError(f"const value {vals[0]} not a bit", lineno)
-        else:
-            for v in vals:
-                if not (0 <= v < gid):
-                    raise StructureError(
-                        f"line {lineno}: operand {v} is not an earlier gate"
-                    )
+            raise ParseError(f"expected gate id {gid}, got {idx}", gid + 2)
         kinds.append(kind)
-        arg0.append(vals[0])
-        arg1.append(vals[1] if len(vals) > 1 else 0)
     out_toks = lines[-1].split()
     if not out_toks or out_toks[0] != "outputs":
         raise ParseError("expected final 'outputs' line", len(lines))
@@ -797,7 +752,10 @@ def parse(text: str) -> Circuit:
         raise ParseError(
             f"header promised {num_outputs} outputs, got {len(outputs)}", len(lines)
         )
-    for o in outputs:
-        if not (0 <= o < num_gates):
-            raise StructureError(f"output id {o} does not exist")
-    return Circuit(num_inputs, kinds, arg0, arg1, outputs, _validated=True)
+    try:
+        return Circuit(num_inputs, kinds, arg0, arg1, outputs)
+    except StructureError as exc:
+        # a fault outside the gates lies in the input count or the outputs
+        line = (exc.gate + 2 if exc.gate is not None
+                else 1 if num_inputs < 0 else len(lines))
+        raise StructureError(f"line {line}: {exc}") from None

@@ -20,7 +20,7 @@ from . import combinators, counting, graphs, npsys, regular
 from .circuit import CircuitError, _as_bits, eval_circuit, metrics, parse, serialize
 from .languages import (
     Cycles, ExactCount, LanguageError, NpCoSac, NpPadded, NpSac, Regular,
-    Threshold, UnReach, USTConn, parse_dfa,
+    Threshold, UnReach, USTConn, parse_dfa, word_to_string,
 )
 from .verify import check_completeness, check_soundness, locality_audit, render_report
 
@@ -228,12 +228,13 @@ def _cmd_synth(args) -> int:
 
 def _cmd_eval(args) -> int:
     circuit = parse(_read(args.circuit))
-    out = eval_circuit(circuit, args.input)
-    print("".join(str(b) for b in out))
+    print(word_to_string(eval_circuit(circuit, args.input)))
     return 0
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     circuit = parse(_read(args.circuit))
     fam, params = _family(*args.lang.split(":"))
     spec, n = fam.spec(*params)
@@ -287,10 +288,10 @@ def _cmd_witness(args) -> int:
     fn = fam.witness(*params)
     try:
         proof = fn(args.word)
-    except ValueError as exc:
+    except regular.WitnessError as exc:  # not a member; a bad encoding exits 2
         print(f"witness error: {exc}", file=sys.stderr)
         return 1
-    print("".join(str(int(b)) for b in proof))
+    print(word_to_string(proof))
     return 0
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, CircuitBuilder, _as_bits
-from .languages import Cycles, EncodingError, USTConn, UnReach, _bfs_dist, member
+from .languages import EncodingError, _as_matrix, _bfs_dist
 from .regular import WitnessError
 
 __all__ = [
@@ -83,19 +83,6 @@ def triangle_basis(n: int) -> TriangleBasis:
     return TriangleBasis(n=n, triangles=tris, edge_incidence=incidence)
 
 
-def _word_to_matrix(G, undirected: bool = True) -> np.ndarray:
-    m = _as_bits(G, what="graph")
-    if m.ndim == 1:
-        side = int(round(len(m) ** 0.5))
-        if side * side != len(m):
-            raise EncodingError(f"word length {len(m)} is not a square")
-        m = m.reshape(side, side)
-    if undirected:
-        if np.any(np.diag(m)) or not np.array_equal(m, m.T):
-            raise EncodingError("expected a symmetric, zero-diagonal matrix")
-    return m
-
-
 # ---------------------------------------------------------------------------
 # Cycles
 
@@ -124,7 +111,12 @@ def _graph_edges(m: np.ndarray):
     return {(u + 1, v + 1) for u in range(n) for v in range(u + 1, n) if m[u, v]}
 
 
-def decompose_cycles(G, n: int | None = None, trace: list | None = None) -> np.ndarray:
+def _graph_matrix(G, undirected: bool) -> np.ndarray:
+    """The adjacency matrix of a graph word or of a v x v matrix."""
+    return _as_matrix(_as_bits(G, what="graph").reshape(-1), undirected)
+
+
+def decompose_cycles(G, trace: list | None = None) -> np.ndarray:
     """Coefficients c with eval(synth_cycles(n), c) = G, by greedy descent.
 
     Repeatedly takes the longest edge (smallest endpoints on ties), XORs
@@ -134,9 +126,8 @@ def decompose_cycles(G, n: int | None = None, trace: list | None = None) -> np.n
     d(G) = (longest edge length, its multiplicity) is appended before each
     step.
     """
-    m = _word_to_matrix(G)
-    if n is None:
-        n = len(m)
+    m = _graph_matrix(G, undirected=True)
+    n = len(m)
     if np.any(m.sum(axis=1) % 2):
         raise WitnessError("graph has an odd-degree vertex; not in Cycles")
     basis = triangle_basis(n)
@@ -230,11 +221,11 @@ def witness_graph(kind: str, G) -> np.ndarray:
     if kind == "cycles":
         return decompose_cycles(G)
     if kind == "ustconn":
-        m = _word_to_matrix(G)
+        m = _graph_matrix(G, undirected=True)
         n = len(m)
-        if not member(USTConn(), m.reshape(-1)):
-            raise WitnessError("vertices 1 and n are not connected")
         path = _shortest_path(m, 0, n - 1)
+        if path is None:
+            raise WitnessError("vertices 1 and n are not connected")
         rho = {(min(a, b) + 1, max(a, b) + 1) for a, b in zip(path, path[1:])}
         cyc = set(rho)
         cyc.symmetric_difference_update({(1, n)})
@@ -250,10 +241,11 @@ def witness_graph(kind: str, G) -> np.ndarray:
         )
         return np.concatenate([coeffs, mask])
     if kind == "unreach":
-        m = _word_to_matrix(G, undirected=False)
+        m = _graph_matrix(G, undirected=False)
         n = len(m)
-        if not member(UnReach(), m.reshape(-1)):
+        reached = _bfs_dist(m, 0) >= 0
+        if reached[-1]:
             raise WitnessError("vertex n is reachable from vertex 1")
-        X = (_bfs_dist(m, 0) >= 0).astype(np.uint8)[1 : n - 1]
+        X = reached.astype(np.uint8)[1 : n - 1]
         return np.concatenate([m.reshape(-1).astype(np.uint8), X])
     raise EncodingError(f"unknown graph kind {kind!r}")

@@ -366,14 +366,14 @@ def _member_combined(spec: Combined, word: np.ndarray) -> int:
         k = len(words[0]) if words else 0
         if len(word) < k:
             return 0
-        head = "".join(str(int(b)) for b in word[:k])
+        head = word_to_string(word[:k])
         return int(head in set(words) and member(spec.specs[0], word[k:]))
     if op == "concat_right":
         words = spec.params[0]
         k = len(words[0]) if words else 0
         if len(word) < k:
             return 0
-        tail = "".join(str(int(b)) for b in word[len(word) - k:])
+        tail = word_to_string(word[len(word) - k:])
         return int(tail in set(words) and member(spec.specs[0], word[: len(word) - k]))
     if op == "morphism":
         h0, h1 = spec.params
@@ -400,13 +400,12 @@ def _member_combined(spec: Combined, word: np.ndarray) -> int:
         return 0
     if op == "inverse_morphism":
         h0, h1 = spec.params
-        img = "".join(str(int(b)) for b in np.concatenate(
+        img = word_to_string(np.concatenate(
             [_as_bits(h0 if b == 0 else h1, len(h0), "h") for b in word]
         )) if len(word) else ""
         return member(spec.specs[0], img)
     if op == "finite":
-        w = "".join(str(int(b)) for b in word)
-        return int(w in set(spec.params[0]))
+        return int(word_to_string(word) in set(spec.params[0]))
     raise LanguageError(f"unknown combinator {op!r}")
 
 
@@ -564,5 +563,10 @@ def sample_members(spec, n: int, count: int, seed: int = 0) -> np.ndarray:
     return np.concatenate(out, axis=0)
 
 
+def word_to_string(word) -> str:
+    """A word of 0/1 values as a '0'/'1' string."""
+    return "".join(str(int(b)) for b in word)
+
+
 def words_to_strings(words: np.ndarray) -> list[str]:
-    return ["".join(str(int(b)) for b in row) for row in words]
+    return [word_to_string(row) for row in words]

@@ -19,7 +19,7 @@ import numpy as np
 from .circuit import (
     AND, CONST, INPUT, NOT,
     Circuit, CircuitBuilder, ParseError, _as_bits, all_inputs, eval_batch,
-    lower_fields, parse, serialize,
+    lower_fields, parse, serialize, size,
 )
 from .languages import LanguageError
 
@@ -82,18 +82,24 @@ def parse_verifier(text: str) -> VerifierCircuit:
     return VerifierCircuit(circuit, split_vals[0], split_vals[1])
 
 
+def _certificate(v: VerifierCircuit, x: np.ndarray) -> np.ndarray | None:
+    """The first y, in all_inputs order, with V(x, y) = 1; None if there is none."""
+    for ys in all_inputs(v.num_y):
+        batch = np.concatenate(
+            [np.broadcast_to(x, (len(ys), v.num_x)), ys], axis=1
+        )
+        hits = np.flatnonzero(eval_batch(v.circuit, batch)[:, 0])
+        if len(hits):
+            return ys[hits[0]]
+    return None
+
+
 def verifier_member(v: VerifierCircuit, x) -> bool:
     """Brute-force exists-y membership; meant for desk-scale verifiers."""
     x = _as_bits(x, what="x")
     if len(x) != v.num_x:
         raise LanguageError(f"x must have length {v.num_x}")
-    for ys in all_inputs(v.num_y):
-        batch = np.concatenate(
-            [np.broadcast_to(x, (len(ys), v.num_x)), ys], axis=1
-        )
-        if eval_batch(v.circuit, batch)[:, 0].any():
-            return True
-    return False
+    return _certificate(v, x) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +109,7 @@ def verifier_member(v: VerifierCircuit, x) -> bool:
 def _gate_checks(b: CircuitBuilder, v: VerifierCircuit, want_consistent: bool):
     """Per-logic-gate (in)consistency bits plus the claimed-output wire.
 
-    Returns (check_wires, z_out, num_z).  Inputs of the new builder are laid
+    Returns (check_wires, z_out).  Inputs of the new builder are laid
     out as x, y, then one z bit per logic gate of v in gate order.
     """
     c = v.circuit
@@ -138,19 +144,17 @@ def _gate_checks(b: CircuitBuilder, v: VerifierCircuit, want_consistent: bool):
             fn = lambda a, bb, z, op=op: (z == op(a, bb)) == want_consistent
         checks.append(lower_fields(b, fields, fn))
     z_out = value_wire(c.outputs[0])
-    return checks, z_out, len(z_index)
+    return checks, z_out
 
 
 def _proof_inputs(v: VerifierCircuit) -> int:
-    c = v.circuit
-    nz = sum(1 for g in range(c.num_gates) if c.kinds[g] >= NOT)
-    return c.num_inputs + nz
+    return v.circuit.num_inputs + size(v.circuit)
 
 
 def synth_co_sac(v: VerifierCircuit) -> Circuit:
     """w_i = x_i AND (all gates consistent) AND (claimed output is 1)."""
     b = CircuitBuilder(_proof_inputs(v))
-    checks, z_out, _ = _gate_checks(b, v, want_consistent=True)
+    checks, z_out = _gate_checks(b, v, want_consistent=True)
     big = b.and_tree_f(checks + [z_out])
     b.set_outputs([b.and_f(b.input(i), big) for i in range(v.num_x)])
     return b.build()
@@ -159,7 +163,7 @@ def synth_co_sac(v: VerifierCircuit) -> Circuit:
 def synth_sac(v: VerifierCircuit) -> Circuit:
     """w_i = x_i OR (some gate inconsistent) OR (claimed output is 0)."""
     b = CircuitBuilder(_proof_inputs(v))
-    checks, z_out, _ = _gate_checks(b, v, want_consistent=False)
+    checks, z_out = _gate_checks(b, v, want_consistent=False)
     big = b.or_tree_f(checks + [b.not_f(z_out)])
     b.set_outputs([b.or_f(b.input(i), big) for i in range(v.num_x)])
     return b.build()
@@ -206,18 +210,10 @@ def witness_np(v: VerifierCircuit, variant: str, x) -> np.ndarray:
     x = _as_bits(x, what="x")
     if len(x) != v.num_x:
         raise WitnessError(f"x must have length {v.num_x}")
-    c = v.circuit
-    good_y = None
-    for ys in all_inputs(v.num_y):
-        batch = np.concatenate(
-            [np.broadcast_to(x, (len(ys), v.num_x)), ys], axis=1
-        )
-        hits = np.nonzero(eval_batch(c, batch)[:, 0])[0]
-        if len(hits):
-            good_y = ys[hits[0]]
-            break
     if variant not in ("cosac", "sac"):
         raise WitnessError(f"unknown variant {variant!r}; expected 'cosac' or 'sac'")
+    c = v.circuit
+    good_y = _certificate(v, x)
     absorbing = not x.any() if variant == "cosac" else bool(x.all())
     if good_y is None:
         if not absorbing:

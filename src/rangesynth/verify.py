@@ -16,7 +16,8 @@ import numpy as np
 
 from .circuit import Circuit, _as_bits, all_inputs, eval_batch, metrics
 from .languages import (
-    BudgetError, candidate_count, enumerate_slice, member_batch, words_to_strings,
+    BudgetError, candidate_count, enumerate_slice, member_batch,
+    word_to_string as _bits_str, words_to_strings,
 )
 
 __all__ = [
@@ -72,10 +73,6 @@ def render_report(report: Report) -> str:
     return report.text() + "\n" + report.machine_line()
 
 
-def _bits_str(row: np.ndarray) -> str:
-    return "".join(str(int(b)) for b in row)
-
-
 def _note(report: Report, proof: str, out: str, reason: str):
     """Store one violation while fewer than _MAX_RECORDED are stored; else count it."""
     if len(report.violations) < _MAX_RECORDED:
@@ -111,6 +108,8 @@ def check_soundness(c: Circuit, spec, budget: int = DEFAULT_BUDGET, seed: int = 
                 _record(report, block, outs, ok, "output not in language")
         return report
 
+    if trials < 1:
+        raise ValueError(f"sampled soundness needs trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     report = Report("soundness", "sampled", trials)
     base = None

@@ -37,6 +37,8 @@ from tests.circuit_reference import (
     alternations_reference,
     depth_reference,
     eval_reference,
+    parse_reference,
+    validate_reference,
 )
 
 
@@ -339,3 +341,141 @@ class TestBadBits:
 
     def test_bool_input_accepted(self):
         assert eval_batch(_identity(), np.array([[True], [False]])).tolist() == [[1], [0]]
+
+
+class TestStructure:
+    """Circuit(...) checks every structural rule and names the first bad gate."""
+
+    @pytest.mark.parametrize("args, gate", [
+        pytest.param((-1, [], [], [], []), None, id="negative-num-inputs"),
+        pytest.param((1, [INPUT], [0, 0], [0], []), None, id="unequal-lengths"),
+        pytest.param((1, [INPUT, INPUT], [0, 1], [0, 0], []), 1, id="input-index-high"),
+        pytest.param((1, [INPUT], [-1], [0], []), 0, id="input-index-negative"),
+        pytest.param((0, [CONST, CONST], [1, 2], [0, 0], []), 1, id="const-not-a-bit"),
+        pytest.param((1, [INPUT, NOT], [0, 1], [0, 0], []), 1, id="not-reads-itself"),
+        pytest.param((1, [INPUT, NOT], [0, -1], [0, 0], []), 1, id="operand-negative"),
+        pytest.param((1, [INPUT, AND], [0, 0], [0, 2], []), 1, id="and-reads-later"),
+        pytest.param((1, [INPUT, OR], [0, 1], [0, 0], []), 1, id="or-reads-itself"),
+        pytest.param((1, [INPUT, 5], [0, 0], [0, 0], []), 1, id="unknown-kind"),
+        pytest.param((1, [INPUT, NOT], [0, 0], [0, 0], [2]), None, id="output-missing"),
+        pytest.param((1, [INPUT, NOT], [0, 0], [0, 0], [-1]), None, id="output-negative"),
+        pytest.param((1, [INPUT, NOT, CONST, NOT], [0, 2, 3, 9], [0] * 4, [9]), 1,
+                     id="first-of-several"),
+    ])
+    def test_fault_kinds(self, args, gate):
+        with pytest.raises(StructureError) as info:
+            Circuit(*args)
+        assert info.value.gate == gate
+        with pytest.raises(StructureError) as ref:
+            validate_reference(Circuit(*args, _validated=True))
+        assert ref.value.gate == gate
+
+    @given(random_circuits(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, c, data):
+        m, kinds = c.num_inputs, list(c.kinds)
+        a0, a1, outputs = list(c.arg0), list(c.arg1), list(c.outputs)
+        n = len(kinds)
+        if data.draw(st.booleans(), "negative num_inputs"):
+            m = data.draw(st.integers(-3, -1))
+        for _ in range(data.draw(st.integers(0, 3))):
+            if not n:
+                break
+            i = data.draw(st.integers(0, n - 1))
+            field = data.draw(st.sampled_from([kinds, a0, a1]))
+            field[i] = data.draw(st.integers(-2, 6) if field is kinds
+                                 else st.integers(-3, n + 3))
+        if data.draw(st.booleans(), "bad output"):
+            outputs.append(data.draw(st.sampled_from([-1, n, n + 5])))
+        try:
+            validate_reference(Circuit(m, kinds, a0, a1, outputs, _validated=True))
+            want = None
+        except StructureError as exc:
+            want = exc.gate
+            with pytest.raises(StructureError) as info:
+                Circuit(m, kinds, a0, a1, outputs)
+            assert info.value.gate == want
+            return
+        assert Circuit(m, kinds, a0, a1, outputs).num_gates == n
+
+
+# tokens a corrupted circuit text may gain: numbers in and out of range,
+# numbers no gate array can hold, non-numbers, kind names and keywords
+_JUNK = ["-1", "-7", "0", "1", "2", "3", "99", "+1", "007", str(2**63), str(2**70),
+         "1.5", "x", "INPUT", "CONST", "NOT", "AND", "OR", "XOR", "circuit", "outputs"]
+
+
+@st.composite
+def mutated_texts(draw):
+    """Serialized random circuits, corrupted at the token level."""
+    c = draw(random_circuits(max_gates=12))
+    lines = [line.split() for line in serialize(c).splitlines()]
+    if draw(st.integers(0, 3)) == 0:  # break one of the header counts
+        k = draw(st.integers(1, 3))
+        lines[0][k] = str(int(lines[0][k]) + draw(st.sampled_from([-2, -1, 1])))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        toks = lines[i]
+        j = draw(st.integers(0, len(toks)))
+        op = draw(st.sampled_from(["number"] * 4 + ["kind"] * 2 + [
+            "drop", "duplicate", "insert", "drop-line", "duplicate-line"]))
+        if op == "drop" and j < len(toks):
+            del toks[j]
+        elif op == "duplicate" and j < len(toks):
+            toks.insert(j, toks[j])
+        elif op == "insert":
+            toks.insert(j, draw(st.sampled_from(_JUNK)))
+        elif op == "number" and j < len(toks):
+            toks[j] = str(draw(st.integers(-3, c.num_gates + 3)))
+        elif op == "kind" and 0 < i < len(lines) - 1 and len(toks) > 1:
+            toks[1] = draw(st.sampled_from(["INPUT", "CONST", "NOT", "AND", "OR"]))
+        elif op == "drop-line" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate-line":
+            lines.insert(i, list(toks))
+    return "\n".join(" ".join(toks) for toks in lines) + "\n"
+
+
+class TestParseBoundary:
+    """parse checks only the syntax; Circuit checks the structure."""
+
+    @given(mutated_texts())
+    @settings(max_examples=500, deadline=None)
+    def test_mutated_texts_match_reference(self, text):
+        try:
+            want = parse_reference(text)
+        except Exception:  # the reference may also overflow an int64 array
+            want = None
+        try:
+            got = parse(text)
+        except CircuitError:  # anything else fails the test
+            got = None
+        if want is not None and want.num_inputs < 0:
+            assert got is None  # the reference let a negative input count through
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("text, line", [
+        ("circuit -1 0 0\noutputs\n", 1),
+        ("circuit 1 2 1\n0 INPUT 1\n1 NOT 0\noutputs 1\n", 2),
+        ("circuit 1 2 1\n0 CONST 2\n1 NOT 0\noutputs 1\n", 2),
+        ("circuit 1 2 1\n0 INPUT 0\n1 AND 0 1\noutputs 1\n", 3),
+        ("circuit 1 2 1\n0 INPUT 0\n1 NOT 0\noutputs 2\n", 4),
+    ])
+    def test_structural_fault_names_its_line(self, text, line):
+        with pytest.raises(StructureError, match=f"^line {line}: "):
+            parse(text)
+
+    @pytest.mark.parametrize("text, line", [
+        ("circuit 1 1 1\n0 INPUT\noutputs 0\n", 2),
+        ("circuit 1 1 1\n0 AND 0\noutputs 0\n", 2),
+        ("circuit 1 1 1\n1 INPUT 0\noutputs 0\n", 2),
+        ("circuit 1 1 1\n0 INPUT 0x\noutputs 0\n", 2),
+        (f"circuit 1 2 1\n0 INPUT 0\n1 NOT {2**63}\noutputs 1\n", 3),
+        ("circuit 1 1 2\n0 INPUT 0\noutputs 0\n", 3),
+        ("circuit 1 1 1\n0 INPUT 0\nout 0\n", 3),
+        ("circuit 1 1\n0 INPUT 0\noutputs 0\n", 1),
+    ])
+    def test_syntax_fault_names_its_line(self, text, line):
+        with pytest.raises(ParseError, match=f"^line {line}: "):
+            parse(text)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rangesynth import cli
-from rangesynth.circuit import CircuitBuilder, serialize
+from rangesynth.circuit import CircuitBuilder, parse, serialize
 from rangesynth.cli import FAMILIES, run
 from rangesynth.npsys import pad_verifier, serialize_verifier, witness_np
 from tests.conftest import PARITY_TXT, XX_BP, contains11_verifier
@@ -211,3 +211,60 @@ def test_layout_emitted(tmp_path, parity_file):
     assert layout.exists()
     text = layout.read_text()
     assert text.startswith("word 0 2")
+
+
+@pytest.mark.parametrize("kind", list(FAMILIES))
+def test_parse_inverts_serialize(kind, family_cases):
+    flags, _, _ = family_cases[kind]
+    fam, params = cli._family(kind, *flags[1::2])
+    c = fam.synth(*params)[0]
+    assert parse(serialize(c)) == c
+
+
+@pytest.mark.parametrize("text, line", [
+    ("circuit -1 0 0\noutputs\n", 1),
+    ("circuit 1 1 1\n0 INPUT 1\noutputs 0\n", 2),
+    ("circuit 0 2 1\n0 CONST 0\n1 NOT 1\noutputs 1\n", 3),
+    ("circuit 0 1 1\n0 CONST 0\noutputs 3\n", 3),
+])
+def test_stats_structural_fault_exit_2(text, line, tmp_path, capsys):
+    path = tmp_path / "bad.circ"
+    path.write_text(text)
+    assert run(["stats", "--circuit", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: line {line}: " in captured.err
+
+
+@pytest.mark.parametrize("lang, word", [
+    ("ustconn:3", "010000000"),  # asymmetric
+    ("cycles:3", "100000000"),   # diagonal bit
+    ("cycles:0", ""),            # empty graph word
+])
+def test_witness_bad_encoding_exit_2(lang, word, capsys):
+    assert run(["witness", "--lang", lang, "--word", word]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
+@pytest.mark.parametrize("lang, word", [
+    ("ustconn:3", "000000000"),  # 1 and 3 not connected
+    ("unreach:3", "001000000"),  # edge 1 -> 3
+    ("cycles:3", "011100100"),   # odd degrees
+    ("threshold:4:2", "1000"),
+])
+def test_witness_non_member_exit_1(lang, word, capsys):
+    assert run(["witness", "--lang", lang, "--word", word]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "witness error:" in captured.err
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_non_positive_trials_exit_2(trials, tmp_path, capsys):
+    out = str(tmp_path / "c.circ")
+    assert run(["synth", "threshold", "--n", "4", "--t", "2", "--out", out]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--circuit", out, "--lang", "threshold:4:2",
+                "--mode", "sample", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "--trials" in captured.err

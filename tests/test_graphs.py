@@ -196,3 +196,31 @@ def test_non_member_witness_rejected():
         witness_graph("ustconn", [0] * 16)  # 1 and 4 disconnected
     with pytest.raises(WitnessError):
         witness_graph("cycles", m.reshape(-1))
+
+
+@pytest.mark.parametrize("kind", ["cycles", "ustconn", "unreach"])
+def test_empty_graph_word_rejected(kind):
+    with pytest.raises(EncodingError):
+        witness_graph(kind, "")
+
+
+@pytest.mark.parametrize("kind,word", [
+    ("cycles", "011101110"), ("ustconn", "001000100"), ("unreach", "010000000"),
+])
+def test_matrix_and_word_give_the_same_proof(kind, word):
+    m = np.array(list(word), dtype=np.uint8).reshape(3, 3)
+    assert np.array_equal(witness_graph(kind, m), witness_graph(kind, word))
+
+
+def test_malformed_undirected_encoding_rejected():
+    with pytest.raises(EncodingError):
+        witness_graph("ustconn", "010000000")  # asymmetric
+    with pytest.raises(EncodingError):
+        decompose_cycles("100000000")  # diagonal bit
+    with pytest.raises(EncodingError):
+        witness_graph("cycles", "01110")  # not a square
+
+
+def test_unreach_reachable_rejected():
+    with pytest.raises(WitnessError):
+        witness_graph("unreach", "010001000")  # 1 -> 2 -> 3

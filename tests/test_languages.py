@@ -29,6 +29,7 @@ from rangesynth.languages import (
     member_batch,
     parse_dfa,
     sample_members,
+    word_to_string,
     words_to_strings,
 )
 from rangesynth.regular import parse_bp
@@ -322,3 +323,15 @@ class TestSampleMembers:
         a = sample_members(Threshold(2), 12, 20, seed=9)
         b = sample_members(Threshold(2), 12, 20, seed=9)
         assert np.array_equal(a, b)
+
+
+class TestWordStrings:
+    def test_one_word(self):
+        assert word_to_string([1, 0, 1]) == "101"
+        assert word_to_string(np.array([0, 1], dtype=np.uint8)) == "01"
+        assert word_to_string([]) == ""
+
+    def test_rows_match_one_word(self):
+        words = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8)
+        assert words_to_strings(words) == [word_to_string(w) for w in words]
+        assert words_to_strings(words) == ["011", "100"]

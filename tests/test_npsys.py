@@ -11,6 +11,8 @@ from rangesynth.circuit import (
 )
 from rangesynth.npsys import (
     VerifierCircuit,
+    _certificate,
+    _proof_inputs,
     pad_language,
     pad_verifier,
     parse_verifier,
@@ -157,3 +159,28 @@ class TestWitness:
         for w in _members(v):
             assert bytes(eval_circuit(cosac, witness_np(v, "cosac", list(w)))) == w
             assert bytes(eval_circuit(sac, witness_np(v, "sac", list(w)))) == w
+
+
+def test_certificate_is_the_first_accepting_y():
+    v = contains11_verifier()
+    ys = [np.array(y, dtype=np.uint8) for y in itertools.product((0, 1), repeat=2)]
+    ys.sort(key=lambda y: int(y[0]) + 2 * int(y[1]))  # all_inputs order
+    for x in itertools.product((0, 1), repeat=3):
+        x = np.array(x, dtype=np.uint8)
+        accepting = [y for y in ys
+                     if eval_circuit(v.circuit, np.concatenate([x, y]))[0]]
+        got = _certificate(v, x)
+        if accepting:
+            assert np.array_equal(got, accepting[0])
+        else:
+            assert got is None
+        assert verifier_member(v, x) == bool(accepting)
+        if accepting:
+            assert np.array_equal(witness_np(v, "cosac", x)[3:5], accepting[0])
+
+
+def test_proof_inputs_count_logic_gates():
+    v = contains11_verifier()
+    logic = sum(1 for k in v.circuit.kinds if k in (NOT, AND, OR))
+    assert _proof_inputs(v) == v.circuit.num_inputs + logic
+    assert synth_co_sac(v).num_inputs == _proof_inputs(v)

@@ -127,6 +127,14 @@ class TestSoundness:
         assert r1.passed and r1.mode == "sampled"
         assert r1.machine_line() == r2.machine_line()
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_sampled_needs_a_trial(self, trials):
+        c, _ = synth_threshold(4, 2)
+        with pytest.raises(ValueError, match="trials"):
+            check_soundness(c, Threshold(2), budget=0, trials=trials)
+        # exhaustive mode counts its own trials
+        assert check_soundness(c, Threshold(2), trials=trials).passed
+
     def test_broken_circuit_storage_is_bounded(self):
         # every output is 00, which never meets the threshold: all 200k
         # sampled proofs fail, but only the first few are stored
