@@ -29,6 +29,11 @@ import numpy as np
 
 INPUT, CONST, NOT, AND, OR = range(5)
 
+# Largest proof width a circuit may declare: one proof row then takes 16 MB,
+# over 50 times the widest system synthesized here (parity at n = 2^16 reads
+# 327,647 proof bits).
+MAX_INPUTS = 1 << 24
+
 _KIND_NAMES = ("INPUT", "CONST", "NOT", "AND", "OR")
 _NAME_TO_KIND = {name: kind for kind, name in enumerate(_KIND_NAMES)}
 # what a gate of each kind got wrong, given its kind k and operands a, b
@@ -106,8 +111,9 @@ class Circuit:
 
         A fault raises :class:`StructureError` naming the first bad gate.
         """
-        if self.num_inputs < 0:
-            raise StructureError(f"num_inputs {self.num_inputs} is negative")
+        if not 0 <= self.num_inputs <= MAX_INPUTS:
+            raise StructureError(
+                f"num_inputs {self.num_inputs} is not in 0..{MAX_INPUTS}")
         n = len(self.kinds)
         if not (len(self.arg0) == len(self.arg1) == n):
             raise StructureError("gate arrays must have equal length")
@@ -757,5 +763,5 @@ def parse(text: str) -> Circuit:
     except StructureError as exc:
         # a fault outside the gates lies in the input count or the outputs
         line = (exc.gate + 2 if exc.gate is not None
-                else 1 if num_inputs < 0 else len(lines))
+                else 1 if not 0 <= num_inputs <= MAX_INPUTS else len(lines))
         raise StructureError(f"line {line}: {exc}") from None

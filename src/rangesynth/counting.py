@@ -1,18 +1,14 @@
 """Threshold and exact-count proof systems via integer interval labels.
 
-The interval tree over (0, n] carries, at every internal non-root node, a
-claimed count of ones in that subword; the root count is hardwired to the
-target t and leaves are the word bits themselves.  A node is consistent when
-its count relates to the sum of its children's counts (<= for thresholds,
-== for exact counts, with encodings above the interval length clamped to
-it).  Consistent paths pass the word bit through; inconsistency patches the
-output with the all-ones witness (threshold) or the 1^l 0^* witness of the
-topmost inconsistent node (exact count), so the circuit range is exactly the
-target slice.
+On the interval tree over (0, n] (see :mod:`rangesynth.intervals`) a label is
+a claimed count of ones: the root's is the target t, a leaf's is its word
+bit, and encodings above the interval length clamp to it.  A node is
+consistent when its label is <= (threshold) or == (exact) its children's
+sum.  An inconsistent path patches with all ones (threshold) or with
+1^l 0^* from the topmost inconsistent node's label l (exact count).
 
-The arithmetic is carry-lookahead style: range-ANDs of propagate/equality
-bits come from a doubling table, keeping the depth logarithmic in the label
-width (hence O(log log n)) with a constant number of alternations.
+Carry-lookahead arithmetic over doubling-table range-ANDs keeps the depth
+logarithmic in the label width, hence O(log log n).
 """
 
 from __future__ import annotations
@@ -22,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, CircuitBuilder, _as_bits
-from .intervals import Node, build_tree, chain_ands, leaf_for_position, preorder
+from .circuit import CircuitBuilder, _as_bits
+from .intervals import (Node, assign_blocks, build_tree, chain_ands, encode,
+                        patched_outputs)
 from .languages import LanguageError
 from .regular import WitnessError
 
@@ -57,6 +54,12 @@ class CountLayout:
 
 def _slot_bits(length: int) -> int:
     return math.ceil(math.log2(length + 1))
+
+
+def _count_bits(node: Node) -> int:
+    """Slot width of a node's count; the root (hardwired to t) and the
+    leaves (counted by the word bits themselves) get none."""
+    return 0 if node.parent is None or node.is_leaf else _slot_bits(node.length)
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +138,9 @@ def _clamp(b: CircuitBuilder, xs, cap: int):
     """min(xs, cap) bit-by-bit, for the out-of-range encoding convention."""
     if (1 << len(xs)) - 1 <= cap:
         return list(xs)
-    le = _leq(b, xs, _const_bits(b, cap, len(xs)))
-    over = b.not_f(le)
     cap_bits = _const_bits(b, cap, len(xs))
+    le = _leq(b, xs, cap_bits)
+    over = b.not_f(le)
     return [
         b.or_f(b.and_f(le, x), b.and_f(over, c))
         for x, c in zip(xs, cap_bits)
@@ -161,72 +164,49 @@ def _build(kind: str, n: int, t: int):
         if not (0 <= t <= n):
             raise LanguageError(f"exact count needs 0 <= t <= n, got t={t}, n={n}")
 
-    tree = build_tree(0, n)
-    nodes = preorder(tree)
-    counts = []
-    off = n
-    for node in nodes:
-        if node.parent is None or node.is_leaf:
-            node.offset, node.bits = -1, 0
-            continue
-        bits = _slot_bits(node.length)
-        counts.append((node.lo, node.hi, off, bits))
-        node.offset, node.bits = off, bits
-        off += bits
-    layout = CountLayout(n=n, m=off, counts=counts)
+    nodes, m = assign_blocks(build_tree(0, n), _count_bits, n)
+    layout = CountLayout(n=n, m=m, counts=[
+        (node.lo, node.hi, node.offset, node.bits) for node in nodes if node.bits
+    ])
 
-    b = CircuitBuilder(layout.m)
+    b = CircuitBuilder(m)
     word = [b.input(i) for i in range(n)]
 
     def clamped_label(node: Node):
-        if node.is_leaf:
-            return [word[node.hi - 1]]
         if node.parent is None:
             return _const_bits(b, t, max(1, _slot_bits(n)))
+        if node.is_leaf:
+            return [word[node.lo]]
         raw = [b.input(node.offset + node.bits - 1 - i) for i in range(node.bits)]
         return _clamp(b, raw, node.length)
 
     labels = {id(node): clamped_label(node) for node in nodes}
 
-    internal = [node for node in nodes if not node.is_leaf]
+    # a label against its children's sum, or a one-leaf root against its
+    # word bit; every other leaf is its word bit and always consistent
+    rel = _leq if kind == "threshold" else _eq
     cons = {}
-    for node in internal:
-        total = _add(b, labels[id(node.left)], labels[id(node.right)])
-        if kind == "threshold":
-            cons[id(node)] = _leq(b, labels[id(node)], total)
+    for node in nodes:
+        if not node.is_leaf:
+            total = _add(b, labels[id(node.left)], labels[id(node.right)])
+        elif node.parent is None:
+            total = [word[0]]
         else:
-            cons[id(node)] = _eq(b, labels[id(node)], total)
-
-    if internal:
-        pathand = chain_ands(b, internal, cons)
-
-    outputs = []
-    for k in range(1, n + 1):
-        leaf = leaf_for_position(tree, k)
-        if leaf.parent is None:  # n == 1: the root is the leaf
-            ok = _leq(b, _const_bits(b, t, 1), [word[0]]) if kind == "threshold" \
-                else _eq(b, _const_bits(b, t, 1), [word[0]])
-            if kind == "threshold":
-                outputs.append(b.or_f(word[0], b.not_f(ok)))
-            else:
-                outputs.append(b.or_f(
-                    b.and_f(word[0], ok),
-                    b.and_f(b.not_f(ok), b.const(1 if t >= 1 else 0)),
-                ))
             continue
-        allcons = pathand[id(leaf.parent)]
-        if kind == "threshold":
-            outputs.append(b.or_f(word[k - 1], b.not_f(allcons)))
-        else:
-            terms = [b.and_f(word[k - 1], allcons)]
-            node = leaf
-            while node.parent is not None:
-                u = node.parent
-                above = pathand[id(u.parent)] if u.parent is not None else b.const(1)
-                topmost = b.and_f(b.not_f(cons[id(u)]), above)
-                terms.append(b.and_f(topmost, _ge_const(b, labels[id(u)], k - u.lo)))
-                node = u
-            outputs.append(b.or_tree_f(terms))
+        cons[id(node)] = rel(b, labels[id(node)], total)
+
+    if kind == "threshold":
+        # all-ones patch: a position is 1 unless its whole path is consistent
+        # (the path of a one-leaf root is the root alone)
+        pathand = chain_ands(b, [node for node in nodes if id(node) in cons], cons)
+        outputs = [b.or_f(word[leaf.lo], b.not_f(pathand[id(leaf.parent or leaf)]))
+                   for leaf in nodes if leaf.is_leaf]
+    else:
+        # 1^l 0^* patch from the topmost inconsistent node's label l
+        outputs = patched_outputs(
+            b, nodes, lambda node: cons.get(id(node), b.const(1)), word,
+            lambda node, k: _ge_const(b, labels[id(node)], k - node.lo),
+        )
     b.set_outputs(outputs)
     return b.build(), layout
 
@@ -260,21 +240,11 @@ def witness_count(kind: str, n: int, t: int, word) -> np.ndarray:
     else:
         raise LanguageError(f"unknown counting kind {kind!r}")
 
-    tree = build_tree(0, n)
-    nodes = preorder(tree)
-    prefix = np.concatenate([[0], np.cumsum(word)])
-    slots = []
-    for node in nodes:
-        if node.parent is None or node.is_leaf:
-            continue
-        slots.append((node, _slot_bits(node.length)))
-    m = n + sum(bits for _, bits in slots)
+    nodes, m = assign_blocks(build_tree(0, n), _count_bits, n)
+    prefix = [0, *np.cumsum(word).tolist()]
     proof = np.zeros(m, dtype=np.uint8)
     proof[:n] = word
-    off = n
-    for node, bits in slots:
-        value = int(prefix[node.hi] - prefix[node.lo])
-        for i in range(bits):
-            proof[off + i] = (value >> (bits - 1 - i)) & 1
-        off += bits
+    for node in nodes:
+        if node.bits:
+            encode(proof, node.offset, node.bits, prefix[node.hi] - prefix[node.lo])
     return proof

@@ -1,16 +1,38 @@
-"""Balanced interval trees over half-open position ranges.
+"""The interval-tree skeleton shared by the regular, structured and counting
+proof systems.
 
-Both the regular and the counting synthesizers carve a word's position range
-into a binary tree by midpoint splits: node (i, j] with i + 1 < j splits at
-m = floor((i + j) / 2) into children (i, m] and (m, j].  Leaves are the unit
-ranges (k-1, k].  Proof layouts assign each tree node a contiguous block of
-proof bits; the root and any width-1 boundaries are hardwired and get no
-bits.
+A word's position range is carved into a binary tree by midpoint splits:
+node (i, j] with i + 1 < j splits at m = floor((i + j) / 2) into children
+(i, m] and (m, j].  Leaves are the unit ranges (k-1, k].  Every node carries
+a claimed label for its interval; the systems differ only in what a label is
+(a pair of boundary states, or a count of ones) and build the rest from three
+pieces here:
+
+* **Blocks.**  :func:`assign_blocks` gives each node, in pre-order, a
+  contiguous block of proof bits after the word bits.  Hardwired labels (the
+  root, width-1 boundaries, counting leaves) get zero bits.
+* **Encoding.**  :func:`encode` writes a label value into its block, most
+  significant bit first; an honest proof encodes every node's true label.
+* **Patched outputs.**  :func:`patched_outputs` turns per-node consistency
+  bits into the output word.  A position whose root-to-leaf path is fully
+  consistent passes its word bit through; otherwise the topmost inconsistent
+  node u on the path selects ``patch(u, k)``, a bit computed from u's own
+  label.  Since u's parent is consistent, u's label is one an honest proof
+  could carry, and the patches tile an accepted word.
+
+The callers' contracts: ``cons(u)`` is the wire saying u's label agrees with
+its children's (for a leaf, with its word bit); the constant 1 marks a node
+that cannot be inconsistent.  ``patch(u, k)`` is the wire for position k
+when u is the topmost inconsistent node, or None when that bit is always 0.
+Regular passes its state-pair chaining and feasibility checks and its
+witness-word tables; exact count passes ``label(u) >= k - u.lo``.
+Threshold's all-ones patch needs no selection: it ORs each word bit with
+NOT :func:`chain_ands` of its path, which is shallower than per-node ``sel``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -20,8 +42,7 @@ class Node:
     left: "Node | None" = None
     right: "Node | None" = None
     parent: "Node | None" = None
-    index: int = -1    # pre-order index
-    offset: int = -1   # first proof bit for this node's label, -1 if none
+    offset: int = -1   # first proof bit of this node's label block
     bits: int = 0      # number of proof bits for this node's label
 
     @property
@@ -49,27 +70,6 @@ def build_tree(lo: int, hi: int) -> Node:
     return root
 
 
-def preorder(root: Node) -> list:
-    out = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        node.index = len(out)
-        out.append(node)
-        if not node.is_leaf:
-            stack.append(node.right)
-            stack.append(node.left)
-    return out
-
-
-def leaf_for_position(root: Node, k: int) -> Node:
-    """Leaf whose range is (k-1, k]."""
-    node = root
-    while not node.is_leaf:
-        node = node.left if k <= node.left.hi else node.right
-    return node
-
-
 def path_to_leaf(root: Node, k: int) -> list:
     """Nodes from root down to the leaf covering position k."""
     node = root
@@ -80,44 +80,96 @@ def path_to_leaf(root: Node, k: int) -> list:
     return out
 
 
+def assign_blocks(root: Node, bits_of, start: int):
+    """Give every node ``bits_of(node)`` proof bits, in pre-order from
+    ``start``; returns the pre-order nodes and the proof length."""
+    nodes, stack, off = [], [root], start
+    while stack:
+        node = stack.pop()
+        node.offset, node.bits = off, bits_of(node)
+        off += node.bits
+        nodes.append(node)
+        if not node.is_leaf:
+            stack += [node.right, node.left]
+    return nodes, off
+
+
+def encode(proof, offset: int, bits: int, value: int):
+    """Write ``value`` into ``proof[offset:offset + bits]``, MSB first."""
+    for i in range(bits):
+        proof[offset + i] = (value >> (bits - 1 - i)) & 1
+
+
 def chain_ands(builder, nodes_root_first, value_of) -> dict:
     """AND-accumulate per-node bits up each ancestor chain, shallowly.
 
-    For every node in ``nodes_root_first`` (each node's parent, when it is
-    in the set, must appear earlier) returns a wire computing the AND of
-    ``value_of[node]`` over the node and all its ancestors within the set.
-    Uses binary lifting so the added circuit depth is O(log chain length)
-    rather than the chain length itself.
+    For every node in ``nodes_root_first`` (each node's parent is None or
+    appears earlier) returns a wire computing the AND of ``value_of[id]``
+    over the node and all its ancestors.  Uses binary lifting so the added
+    circuit depth is O(log chain length) rather than the chain length itself.
     """
-    in_set = set(id(n) for n in nodes_root_first)
-    depth_of: dict[int, int] = {}
     # lift[id(n)][k] = (wire = AND of values over the 2^k chain nodes starting
     # at n and going up, ancestor node just above that block or None)
     lift: dict[int, list] = {}
     for n in nodes_root_first:
-        p = n.parent
-        while p is not None and id(p) not in in_set:
-            p = p.parent
-        d = 0 if p is None else depth_of[id(p)] + 1
-        depth_of[id(n)] = d
-        levels = [(value_of[id(n)], p)]
-        k = 0
+        levels = [(value_of[id(n)], n.parent)]
         while True:
-            w, anc = levels[k]
-            if anc is None or len(lift[id(anc)]) <= k:
+            w, anc = levels[-1]
+            if anc is None or len(lift[id(anc)]) < len(levels):
                 break
-            w2, anc2 = lift[id(anc)][k]
+            w2, anc2 = lift[id(anc)][len(levels) - 1]
             levels.append((builder.and_f(w, w2), anc2))
-            k += 1
         lift[id(n)] = levels
     out: dict[int, int] = {}
     for n in nodes_root_first:
         parts = []
         cur = n
         while cur is not None:
-            levels = lift[id(cur)]
-            w, anc = levels[-1]
+            w, cur = lift[id(cur)][-1]
             parts.append(w)
-            cur = anc
         out[id(n)] = builder.and_tree_f(parts)
     return out
+
+
+def patched_outputs(b, nodes, cons, word_bits, patch) -> list:
+    """One output wire per position k = 1, 2, ... of ``word_bits``.
+
+    Output k is ``word_k AND cons(leaf) AND pathand(leaf.parent)`` ORed
+    with ``sel(u) AND patch(u, k)`` for every node u from the leaf up to the
+    root, where pathand is the AND of ``cons`` over a node and its
+    ancestors and ``sel(u) = NOT cons(u) AND pathand(u.parent)`` marks u as
+    the topmost inconsistent node.  ``cons`` and ``sel`` are built at most
+    once per node; ``nodes`` are in pre-order.
+    """
+    ok: dict[int, int] = {}
+    sel: dict[int, int] = {}
+
+    def cons_of(u):
+        if id(u) not in ok:
+            ok[id(u)] = cons(u)
+        return ok[id(u)]
+
+    internal = [u for u in nodes if not u.is_leaf]
+    pathand = chain_ands(b, internal, {id(u): cons_of(u) for u in internal})
+
+    def above(u):
+        return b.const(1) if u.parent is None else pathand[id(u.parent)]
+
+    def sel_of(u):
+        if id(u) not in sel:
+            sel[id(u)] = b.and_f(b.not_f(cons_of(u)), above(u))
+        return sel[id(u)]
+
+    outputs = []
+    leaves = [u for u in nodes if u.is_leaf]
+    for k, (leaf, word) in enumerate(zip(leaves, word_bits), 1):
+        terms = [b.and_tree_f([word, cons_of(leaf), above(leaf)])]
+        u = leaf
+        while u is not None:
+            if b.const_value(cons_of(u)) != 1:
+                bit = patch(u, k)
+                if bit is not None:
+                    terms.append(b.and_f(sel_of(u), bit))
+            u = u.parent
+        outputs.append(b.or_tree_f(terms))
+    return outputs

@@ -1,14 +1,13 @@
-"""Regular-language and structured-branching-program proof-system synthesis.
+"""Regular-language and structured-branching-program proof systems.
 
 An automaton on length-n words unrolls into a layered branching program with
-n+2 layers of widths (1, w, ..., w, 1): layer g holds the automaton states
-after reading g bits, gap g (between layers g-1 and g) reads one input
-variable, and the final gap carries always-true edges from accepting states
-to the single sink.  The proof system labels a balanced interval tree over
-(0, n+1] with state pairs; consistent labelings spell out accepted words
-verbatim, and any inconsistency patches the output with a precomputed
-feasibility witness for the lowest fully consistent ancestor, so the circuit
-range is exactly the length-n slice of the language.
+n+2 layers of widths (1, w, ..., w, 1): layer g holds the states after
+reading g bits, gap g reads one input variable, and the last gap joins the
+accepting states to a single sink.  On the interval tree over (0, n+1] (see
+:mod:`rangesynth.intervals`) a label is a pair of claimed states (p, q) at
+the interval's boundary layers.  A node is consistent when its label chains
+with its children's and all three are feasible; a leaf checks its gap's edge
+on the word bit.  A label's patch is its lexicographically smallest witness.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, CircuitBuilder, _as_bits, lower_fields
-from .intervals import Node, build_tree, chain_ands, leaf_for_position, preorder
+from .circuit import CircuitBuilder, _as_bits, lower_fields
+from .intervals import Node, assign_blocks, build_tree, encode, patched_outputs
 from .languages import Dfa, LanguageError, Nfa
 
 __all__ = [
@@ -79,6 +78,8 @@ class LayeredBp:
         return [1] + [self.width] * self.n + [1]
 
     def check_structured(self):
+        if self.n < 1:
+            raise StructureError(f"a structured BP needs n >= 1 gaps, got {self.n}")
         if sorted(self.gap_var) != list(range(1, self.n + 1)):
             raise StructureError(
                 f"gap variables {self.gap_var} are not a permutation of 1..{self.n}"
@@ -137,54 +138,62 @@ def parse_bp(text: str) -> LayeredBp:
     ``edge <gap> <p> <bit> <q>``.  Layer 0 is the start state alone; gap-1
     edges must leave the start state.  ``#`` starts a comment.
     """
-    n = w = start = None
-    finals: set[int] = set()
-    var_lines: dict[int, int] = {}
-    edges: list[tuple[int, int, int, int]] = []
+    header: dict[str, tuple[int, int]] = {}  # gaps/states/start -> (value, line)
+    finals: dict[int, int] = {}  # state -> line
+    var_lines: dict[int, tuple[int, int]] = {}  # gap -> (variable, line)
+    edges: list[tuple[int, ...]] = []  # (line, gap, p, bit, q)
+    arity = {"gaps": 1, "states": 1, "start": 1, "var": 2, "edge": 4}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        toks = line.split()
+        key, *fields = line.split()
+        if key != "final" and arity.get(key) != len(fields):
+            raise StructureError(f"line {lineno}: unrecognized line {line!r}")
         try:
-            if toks[0] == "gaps" and len(toks) == 2:
-                n = int(toks[1])
-            elif toks[0] == "states" and len(toks) == 2:
-                w = int(toks[1])
-            elif toks[0] == "start" and len(toks) == 2:
-                start = int(toks[1])
-            elif toks[0] == "final":
-                finals.update(int(t) for t in toks[1:])
-            elif toks[0] == "var" and len(toks) == 3:
-                g, v = int(toks[1]), int(toks[2])
-                if g in var_lines and var_lines[g] != v:
-                    raise StructureError(
-                        f"line {lineno}: gap {g} assigned two variables"
-                    )
-                var_lines[g] = v
-            elif toks[0] == "edge" and len(toks) == 5:
-                edges.append(tuple(int(t) for t in toks[1:]))
-            else:
-                raise StructureError(f"line {lineno}: unrecognized line {line!r}")
+            vals = [int(t) for t in fields]
         except ValueError:
             raise StructureError(f"line {lineno}: non-integer field") from None
-    if n is None or w is None or start is None:
+        if key == "final":
+            finals.update(dict.fromkeys(vals, lineno))
+        elif key == "edge":
+            edges.append((lineno, *vals))
+        elif key == "var":
+            g, v = vals
+            if var_lines.get(g, (v,))[0] != v:
+                raise StructureError(f"line {lineno}: gap {g} assigned two variables")
+            var_lines[g] = (v, lineno)
+        else:
+            header[key] = (vals[0], lineno)
+    if len(header) < 3:
         raise StructureError("missing 'gaps', 'states' or 'start' line")
-    gap_var = tuple(var_lines.get(g, g) for g in range(1, n + 1))
+    (n, n_line), (w, w_line), (start, s_line) = (
+        header[k] for k in ("gaps", "states", "start"))
+    if n < 1:
+        raise StructureError(f"line {n_line}: gaps must be at least 1")
+    if w < 1:
+        raise StructureError(f"line {w_line}: states must be at least 1")
+    if not 0 <= start < w:
+        raise StructureError(f"line {s_line}: start state {start} out of range")
+    for g, (v, line) in var_lines.items():
+        if not 1 <= g <= n:
+            raise StructureError(f"line {line}: var gap {g} is not in 1..{n}")
+    gap_var = tuple(var_lines.get(g, (g,))[0] for g in range(1, n + 1))
     rel0 = [np.zeros((1 if g == 0 else w, w), dtype=bool) for g in range(n)]
     rel1 = [np.zeros((1 if g == 0 else w, w), dtype=bool) for g in range(n)]
-    for g, p, b, q in edges:
+    for line, g, p, b, q in edges:
         if not (1 <= g <= n) or not (0 <= p < w) or not (0 <= q < w) or b not in (0, 1):
-            raise StructureError(f"bad edge ({g},{p},{b},{q})")
+            raise StructureError(f"line {line}: bad edge ({g},{p},{b},{q})")
         if g == 1:
             if p != start:
-                raise StructureError("gap-1 edges must leave the start state")
+                raise StructureError(
+                    f"line {line}: gap-1 edges must leave the start state")
             p = 0
         (rel1 if b else rel0)[g - 1][p, q] = True
     accept = np.zeros(w, dtype=bool)
-    for f in finals:
+    for f, line in finals.items():
         if not (0 <= f < w):
-            raise StructureError(f"final state {f} out of range")
+            raise StructureError(f"line {line}: final state {f} out of range")
         accept[f] = True
     bp = LayeredBp(n=n, width=w, gap_var=gap_var, rel0=rel0, rel1=rel1,
                    accept=accept, uniform=False)
@@ -216,18 +225,13 @@ class ProofLayout:
         return "\n".join(lines) + "\n"
 
 
-def _layout(bp: LayeredBp, nodes) -> ProofLayout:
-    widths = bp.widths
-    labels = []
-    off = bp.n
-    for node in nodes:
-        pb = _bits_for(widths[node.lo])
-        qb = _bits_for(widths[node.hi])
-        labels.append((node.lo, node.hi, off, pb, qb))
-        node.offset = off
-        node.bits = pb + qb
-        off += pb + qb
-    return ProofLayout(n=bp.n, m=off, labels=labels)
+def _layout(bp: LayeredBp):
+    """Pre-order tree nodes over (0, n+1] and their label blocks."""
+    bits = [_bits_for(w) for w in bp.widths]
+    nodes, m = assign_blocks(build_tree(0, bp.n + 1),
+                             lambda u: bits[u.lo] + bits[u.hi], bp.n)
+    labels = [(u.lo, u.hi, u.offset, bits[u.lo], bits[u.hi]) for u in nodes]
+    return nodes, ProofLayout(n=bp.n, m=m, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +271,13 @@ class _Engine:
         return r
 
     def witness(self, node: Node):
-        """(feasible matrix, witness words, nontrivial word positions).
+        """(witness words, nontrivial word positions) for the node's labels.
 
         ``words[p, q]`` is the word patched in for label (p, q): the bits
         read along the lexicographically smallest state sequence from p at
         the left boundary to q at the right one (bit 0 preferred on parallel
-        edges).  The acceptance gap contributes no bit.  ``nontrivial`` lists
-        the relative word positions where some feasible pair has a 1.
+        edges).  The acceptance gap contributes no bit.  ``nontrivial`` is
+        the set of relative word positions where some feasible pair has a 1.
         """
         key = self.key(node)
         got = self._wit.get(key)
@@ -325,14 +329,8 @@ class _Engine:
                         bit0 = succ0[t][cur]
                         words[p, q, t] = 0 if (bit0 >> nxt_state) & 1 else 1
                     cur = nxt_state
-        if n_words:
-            nontrivial = [
-                t for t in range(n_words)
-                if bool((words[:, :, t][feas]).any())
-            ]
-        else:
-            nontrivial = []
-        got = (feas, words, nontrivial)
+        nontrivial = {t for t in range(n_words) if words[:, :, t][feas].any()}
+        got = (words, nontrivial)
         self._wit[key] = got
         return got
 
@@ -349,27 +347,19 @@ def _row_mask(row: np.ndarray) -> int:
 
 
 def _synth(bp: LayeredBp):
-    n, w = bp.n, bp.width
+    n, widths = bp.n, bp.widths
     eng = _Engine(bp)
-    tree = build_tree(0, eng.N)
-    nodes = preorder(tree)
-    layout = _layout(bp, nodes)
-    if not eng.reach(tree).any():
+    nodes, layout = _layout(bp)
+    if not eng.reach(nodes[0]).any():
         raise SynthesisError(f"language slice at length {n} is empty")
 
     b = CircuitBuilder(layout.m)
     word = [b.input(i) for i in range(n)]  # a_1..a_n in variable order
-    widths = bp.widths
+    pq = {}
+    for lo, hi, off, pb, qb in layout.labels:
+        ws = [b.input(off + i) for i in range(pb + qb)]
+        pq[lo, hi] = ws[:pb], ws[pb:]
 
-    def label_wires(node: Node):
-        pb = _bits_for(widths[node.lo])
-        qb = _bits_for(widths[node.hi])
-        ws = [b.input(node.offset + i) for i in range(node.bits)]
-        return ws[:pb], ws[pb:]
-
-    pq = {id(node): label_wires(node) for node in nodes}
-
-    # feasibility per node, from its own label
     table_cache: dict = {}
 
     def cached_table(tag, key, fields, fn):
@@ -382,101 +372,54 @@ def _synth(bp: LayeredBp):
             table_cache[ck] = wire
         return wire
 
-    feas = {}
-    for node in nodes:
-        r = eng.reach(node)
-        pw, qw = pq[id(node)]
-        feas[id(node)] = cached_table(
-            "feas", eng.key(node),
-            [(pw, widths[node.lo]), (qw, widths[node.hi])],
-            lambda p, q, r=r: r[p, q],
-        )
+    def label_table(tag, node: Node, fn):
+        """A predicate of the node's own (p, q) label."""
+        pw, qw = pq[node.lo, node.hi]
+        return cached_table(tag, eng.key(node),
+                            [(pw, widths[node.lo]), (qw, widths[node.hi])], fn)
 
-    # leaf local consistency; gap k reads word bit a_{gap_var[k-1]}
-    lcons = {}
-    for node in nodes:
-        if not node.is_leaf or node.hi > n:
-            continue
-        k = node.hi
-        rel0, rel1 = bp.rel0[k - 1], bp.rel1[k - 1]
-        pw, qw = pq[id(node)]
-        a = word[bp.gap_var[k - 1] - 1]
-        lcons[id(node)] = lower_fields(
-            b,
-            [([a], None), (pw, widths[node.lo]), (qw, widths[node.hi])],
-            lambda abit, p, q, rel0=rel0, rel1=rel1: (rel1 if abit else rel0)[p, q],
-        )
+    feas = {id(node): label_table("feas", node, lambda p, q, r=eng.reach(node): r[p, q])
+            for node in nodes}
 
-    # internal-node consistency: children labels chain and everyone is feasible
-    cons = {}
-    internal = [node for node in nodes if not node.is_leaf]
-    for node in internal:
-        pw, qw = pq[id(node)]
-        lp, lq = pq[id(node.left)]
-        rp, rq = pq[id(node.right)]
-        wmid = widths[node.left.hi]
-        eqs = [
-            cached_table("eq", widths[node.lo],
-                         [(pw, widths[node.lo]), (lp, widths[node.lo])],
-                         lambda x, y: x == y),
-            cached_table("eq", wmid, [(lq, wmid), (rp, wmid)], lambda x, y: x == y),
-            cached_table("eq", widths[node.hi],
-                         [(qw, widths[node.hi]), (rq, widths[node.hi])],
-                         lambda x, y: x == y),
-        ]
-        cons[id(node)] = b.and_tree_f(
-            eqs + [feas[id(node)], feas[id(node.left)], feas[id(node.right)]]
-        )
+    def eq(xs, ys, width):
+        return cached_table("eq", width, [(xs, width), (ys, width)],
+                            lambda x, y: x == y)
 
-    # AND of consistency over all internal ancestors, for every internal node
-    pathand = chain_ands(b, internal, cons)
+    def cons(node: Node) -> int:
+        pw, qw = pq[node.lo, node.hi]
+        if node.is_leaf and node.hi > n:  # acceptance gap: feasibility alone
+            return feas[id(node)]
+        if node.is_leaf:  # gap k reads word bit a_{gap_var[k-1]}
+            rel0, rel1 = bp.rel0[node.hi - 1], bp.rel1[node.hi - 1]
+            return lower_fields(
+                b,
+                [([word[bp.gap_var[node.hi - 1] - 1]], None),
+                 (pw, widths[node.lo]), (qw, widths[node.hi])],
+                lambda a, p, q: (rel1 if a else rel0)[p, q],
+            )
+        # children labels chain and everyone is feasible
+        lp, lq = pq[node.left.lo, node.left.hi]
+        rp, rq = pq[node.right.lo, node.right.hi]
+        return b.and_tree_f([
+            eq(pw, lp, widths[node.lo]), eq(lq, rp, widths[node.left.hi]),
+            eq(qw, rq, widths[node.hi]),
+            feas[id(node)], feas[id(node.left)], feas[id(node.right)],
+        ])
 
-    # consistency-like bit of an arbitrary non-root node, for patch selection
-    def cons_like(node: Node) -> int:
-        if node.is_leaf:
-            return lcons[id(node)] if node.hi <= n else feas[id(node)]
-        return cons[id(node)]
+    def patch(node: Node, k: int):
+        """Bit k of the witness word for the node's label; the parent of the
+        topmost inconsistent node is consistent, so that label is feasible
+        and the patches tile the word into one accepted s-t path.  The root's
+        label is hardwired, so its table has no wires and lowers to a
+        constant."""
+        words, nontrivial = eng.witness(node)
+        rel = k - node.lo - 1
+        if rel not in nontrivial:
+            return None
+        return label_table(("wit", rel), node, lambda p, q: words[p, q, rel])
 
-    sel = {}  # node -> (not cons_like(node)) AND pathand(parent)
-    for node in nodes:
-        if node.parent is None:
-            continue
-        sel[id(node)] = b.and_f(
-            b.not_f(cons_like(node)), pathand[id(node.parent)]
-        )
-
-    root_feas, root_words, _ = eng.witness(tree)
-    outputs = [None] * n
-    for k in range(1, n + 1):
-        leaf = leaf_for_position(tree, k)
-        terms = [
-            b.and_tree_f([
-                word[bp.gap_var[k - 1] - 1],
-                lcons[id(leaf)],
-                pathand[id(leaf.parent)],
-            ])
-        ]
-        # patch from the highest inconsistent node on the path: its parent is
-        # then fully consistent, so its label is forced feasible and the
-        # patch witnesses tile the word into one accepted s-t path
-        node = leaf
-        while node.parent is not None:
-            _, words, nontrivial = eng.witness(node)
-            rel = k - node.lo - 1
-            if rel in nontrivial:
-                pw, qw = pq[id(node)]
-                wit = cached_table(
-                    ("wit", rel), eng.key(node),
-                    [(pw, widths[node.lo]), (qw, widths[node.hi])],
-                    lambda p, q, words=words, rel=rel: words[p, q, rel],
-                )
-                terms.append(b.and_f(wit, sel[id(node)]))
-            node = node.parent
-        # inconsistent root: patch with the hardwired s-t witness
-        if root_words[0, 0, k - 1]:
-            terms.append(b.not_f(cons[id(tree)]))
-        outputs[bp.gap_var[k - 1] - 1] = b.or_tree_f(terms)
-    b.set_outputs(outputs)
+    outs = patched_outputs(b, nodes, cons, [word[v - 1] for v in bp.gap_var], patch)
+    b.set_outputs([outs[k] for k in np.argsort(bp.gap_var)])
     return b.build(), layout
 
 
@@ -495,11 +438,6 @@ def synth_structured(bp: LayeredBp):
 # witness generation
 
 
-def _encode(value: int, bits: int, out: np.ndarray, offset: int):
-    for i in range(bits):
-        out[offset + i] = (value >> (bits - 1 - i)) & 1
-
-
 def witness_bp(bp: LayeredBp, word) -> np.ndarray:
     """Proof vector whose evaluation reproduces the given member word."""
     word = _as_bits(word, what="word")
@@ -509,7 +447,6 @@ def witness_bp(bp: LayeredBp, word) -> np.ndarray:
         raise WitnessError("word is not in the language")
     # lexicographically smallest accepting state sequence through the BP
     N = bp.n + 1
-    widths = bp.widths
     rels = []
     for g in range(1, N + 1):
         if g <= bp.n:
@@ -528,16 +465,11 @@ def witness_bp(bp: LayeredBp, word) -> np.ndarray:
         cur = int(np.nonzero(ok)[0][0])
         states.append(cur)
 
-    tree = build_tree(0, N)
-    nodes = preorder(tree)
-    layout = _layout(bp, nodes)
+    _, layout = _layout(bp)
     proof = np.zeros(layout.m, dtype=np.uint8)
     proof[: bp.n] = word
-    for node in nodes:
-        pb = _bits_for(widths[node.lo])
-        qb = _bits_for(widths[node.hi])
-        _encode(states[node.lo], pb, proof, node.offset)
-        _encode(states[node.hi], qb, proof, node.offset + pb)
+    for lo, hi, off, pb, qb in layout.labels:
+        encode(proof, off, pb + qb, (states[lo] << qb) | states[hi])
     return proof
 
 

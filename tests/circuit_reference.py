@@ -13,7 +13,8 @@ from array import array
 import numpy as np
 
 from rangesynth.circuit import (
-    _NAME_TO_KIND, AND, CONST, INPUT, NOT, OR, Circuit, ParseError, StructureError,
+    _NAME_TO_KIND, AND, CONST, INPUT, MAX_INPUTS, NOT, OR, Circuit, ParseError,
+    StructureError,
 )
 
 
@@ -81,8 +82,8 @@ def alternations_reference(c) -> int:
 
 def validate_reference(c) -> None:
     """The structural rules, one gate at a time; raises StructureError."""
-    if c.num_inputs < 0:
-        raise StructureError("num_inputs must be non-negative")
+    if not 0 <= c.num_inputs <= MAX_INPUTS:
+        raise StructureError(f"num_inputs must be in 0..{MAX_INPUTS}")
     n = len(c.kinds)
     if not (len(c.arg0) == len(c.arg1) == n):
         raise StructureError("gate arrays must have equal length")

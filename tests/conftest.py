@@ -172,6 +172,18 @@ def sampled_outputs(c, trials, seed=0):
     return eval_batch(c, proofs)
 
 
+def random_proofs(m, honest, count=256, seed=0):
+    """``count`` fixed-seed proofs of m bits: half uniform, half rows of
+    ``honest`` with one to three bits flipped, so that the first
+    inconsistency on a path lies at every depth of the interval tree."""
+    rng = np.random.default_rng(seed)
+    near = np.array(honest, dtype=np.uint8)[rng.integers(0, len(honest), count // 2)]
+    for row in near:
+        row[rng.integers(0, m, rng.integers(1, 4))] ^= 1
+    uniform = rng.integers(0, 2, (count - len(near), m), dtype=np.uint8)
+    return np.concatenate([near, uniform])
+
+
 def contains11_verifier():
     """Toy NP verifier: x (3 bits) contains substring 11, y = 2-bit position.
 

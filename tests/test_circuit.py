@@ -12,6 +12,7 @@ from rangesynth.circuit import (
     AND,
     CONST,
     INPUT,
+    MAX_INPUTS,
     NOT,
     OR,
     Circuit,
@@ -348,6 +349,8 @@ class TestStructure:
 
     @pytest.mark.parametrize("args, gate", [
         pytest.param((-1, [], [], [], []), None, id="negative-num-inputs"),
+        pytest.param((MAX_INPUTS + 1, [], [], [], []), None, id="too-many-inputs"),
+        pytest.param((10**20, [CONST], [1], [0], [0]), None, id="absurd-num-inputs"),
         pytest.param((1, [INPUT], [0, 0], [0], []), None, id="unequal-lengths"),
         pytest.param((1, [INPUT, INPUT], [0, 1], [0, 0], []), 1, id="input-index-high"),
         pytest.param((1, [INPUT], [-1], [0], []), 0, id="input-index-negative"),
@@ -369,6 +372,11 @@ class TestStructure:
         with pytest.raises(StructureError) as ref:
             validate_reference(Circuit(*args, _validated=True))
         assert ref.value.gate == gate
+
+    def test_widest_proof_accepted(self):
+        c = Circuit(MAX_INPUTS, [INPUT, CONST], [MAX_INPUTS - 1, 1], [0, 0], [0, 1])
+        assert c.num_inputs == MAX_INPUTS
+        assert parse(serialize(c)) == c
 
     @given(random_circuits(), st.data())
     @settings(max_examples=200, deadline=None)
@@ -450,13 +458,15 @@ class TestParseBoundary:
             got = parse(text)
         except CircuitError:  # anything else fails the test
             got = None
-        if want is not None and want.num_inputs < 0:
-            assert got is None  # the reference let a negative input count through
+        if want is not None and not 0 <= want.num_inputs <= MAX_INPUTS:
+            assert got is None  # the reference lets any input count through
         else:
             assert got == want
 
     @pytest.mark.parametrize("text, line", [
         ("circuit -1 0 0\noutputs\n", 1),
+        (f"circuit {MAX_INPUTS + 1} 0 0\noutputs\n", 1),
+        ("circuit 100000000000000000000 1 1\n0 CONST 1\noutputs 0\n", 1),
         ("circuit 1 2 1\n0 INPUT 1\n1 NOT 0\noutputs 1\n", 2),
         ("circuit 1 2 1\n0 CONST 2\n1 NOT 0\noutputs 1\n", 2),
         ("circuit 1 2 1\n0 INPUT 0\n1 AND 0 1\noutputs 1\n", 3),

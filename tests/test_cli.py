@@ -226,6 +226,7 @@ def test_parse_inverts_serialize(kind, family_cases):
     ("circuit 1 1 1\n0 INPUT 1\noutputs 0\n", 2),
     ("circuit 0 2 1\n0 CONST 0\n1 NOT 1\noutputs 1\n", 3),
     ("circuit 0 1 1\n0 CONST 0\noutputs 3\n", 3),
+    ("circuit 100000000000000000000 1 1\n0 CONST 1\noutputs 0\n", 1),
 ])
 def test_stats_structural_fault_exit_2(text, line, tmp_path, capsys):
     path = tmp_path / "bad.circ"
@@ -234,6 +235,29 @@ def test_stats_structural_fault_exit_2(text, line, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: line {line}: " in captured.err
+
+
+def test_verify_absurd_input_count_exit_2(tmp_path, capsys):
+    path = tmp_path / "wide.circ"
+    path.write_text("circuit 100000000000000000000 1 1\n0 CONST 1\noutputs 0\n")
+    assert run(["verify", "--circuit", str(path), "--lang", "threshold:1:1",
+                "--mode", "sample", "--trials", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: line 1: " in captured.err
+
+
+@pytest.mark.parametrize("edit, line", [
+    (("gaps 4", "gaps 0"), 1),
+    (("gaps 4", "gaps -1"), 1),
+    (("var 4 4", "var 4 4\nvar 7 1"), 9),
+])
+def test_synth_malformed_structured_exit_2(edit, line, tmp_path, capsys):
+    bp = tmp_path / "bad.bp"
+    bp.write_text(XX_BP.replace(*edit))
+    out = tmp_path / "bad.circ"
+    assert run(["synth", "structured", "--bp", str(bp), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"line {line}: " in captured.err and not out.exists()
 
 
 @pytest.mark.parametrize("lang, word", [

@@ -9,7 +9,7 @@ from rangesynth.circuit import eval_batch, eval_circuit
 from rangesynth.intervals import build_tree, path_to_leaf
 from rangesynth.counting import synth_exact_count, synth_threshold, witness_count
 from rangesynth.regular import WitnessError
-from tests.conftest import exact_range
+from tests.conftest import exact_range, random_proofs
 
 
 def _decode_counts(layout, proof):
@@ -38,6 +38,26 @@ def test_circuit_matches_reference_decoder(kind, n, t):
         decoded = _decode_counts(layout, proof)
         word, *_ = _reference_with_labels(kind, n, t, proof, decoded)
         assert list(out) == word
+
+
+@pytest.mark.parametrize("kind", ["threshold", "exact"])
+@pytest.mark.parametrize("n", [7, 16, 33])
+def test_random_proofs_match_reference_decoder(kind, n):
+    synth = synth_threshold if kind == "threshold" else synth_exact_count
+    rng = np.random.default_rng(n)
+    for t in sorted({1 if kind == "threshold" else 0, n // 2, n}):
+        c, layout = synth(n, t)
+        honest = []
+        for _ in range(32):
+            ones = t if kind == "exact" else int(rng.integers(t, n + 1))
+            w = np.zeros(n, dtype=np.uint8)
+            w[rng.choice(n, size=ones, replace=False)] = 1
+            honest.append(witness_count(kind, n, t, w))
+        rows = random_proofs(c.num_inputs, honest, seed=n * 100 + t)
+        for proof, out in zip(rows, eval_batch(c, rows)):
+            decoded = _decode_counts(layout, proof)
+            word, *_ = _reference_with_labels(kind, n, t, proof, decoded)
+            assert list(out) == word
 
 
 def _reference_with_labels(kind, n, t, proof, decoded):

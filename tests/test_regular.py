@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from rangesynth.circuit import eval_batch, eval_circuit
-from rangesynth.intervals import build_tree, leaf_for_position, path_to_leaf, preorder
+from rangesynth.intervals import build_tree, path_to_leaf
 from rangesynth.languages import Regular, member
 from rangesynth.regular import (
+    LayeredBp,
     StructureError,
     SynthesisError,
     WitnessError,
@@ -26,7 +27,7 @@ from rangesynth.regular import (
     witness_bp,
     witness_regular,
 )
-from tests.conftest import XX_BP, exact_range, slice_set
+from tests.conftest import XX_BP, exact_range, random_proofs, slice_set
 
 
 class TestUnroll:
@@ -57,6 +58,26 @@ class TestParseBp:
         with pytest.raises(StructureError):
             parse_bp(bad)
 
+    @pytest.mark.parametrize("edit, line", [
+        pytest.param(("gaps 4", "gaps 0"), 1, id="no-gaps"),
+        pytest.param(("gaps 4", "gaps -1"), 1, id="negative-gaps"),
+        pytest.param(("states 2", "states 0"), 2, id="no-states"),
+        pytest.param(("start 0", "start 2"), 3, id="start-out-of-range"),
+        pytest.param(("var 4 4", "var 4 4\nvar 7 1"), 9, id="var-gap-out-of-range"),
+        pytest.param(("final 0", "final 2"), 4, id="final-out-of-range"),
+        pytest.param(("edge 4 1 1 0", "edge 5 1 1 0"), 16, id="edge-gap-out-of-range"),
+        pytest.param(("edge 1 0 1 1", "edge 1 1 1 1"), 10, id="edge-off-start"),
+    ])
+    def test_malformed_fields_name_their_line(self, edit, line):
+        with pytest.raises(StructureError, match=f"^line {line}: "):
+            parse_bp(XX_BP.replace(*edit))
+
+    def test_api_bp_without_gaps_rejected(self):
+        bp = LayeredBp(n=0, width=1, gap_var=(), rel0=[], rel1=[],
+                       accept=np.ones(1, dtype=bool))
+        with pytest.raises(StructureError):
+            synth_structured(bp)
+
 
 # ---------------------------------------------------------------------------
 # reference decoder
@@ -86,17 +107,17 @@ def _gap_any(bp, g):
     return bp.accept[:, None]
 
 
-_REACH_MEMO = {}
+_REACH_MEMO = {}  # id(bp) -> (bp, {(lo, hi): reach}); holding bp keeps ids unique
 
 
 def _reach(bp, lo, hi):
-    key = (id(bp), lo, hi)
-    r = _REACH_MEMO.get(key)
+    memo = _REACH_MEMO.setdefault(id(bp), (bp, {}))[1]
+    r = memo.get((lo, hi))
     if r is None:
         r = np.eye(bp.widths[lo], dtype=bool)
         for g in range(lo + 1, hi + 1):
             r = r @ _gap_any(bp, g)
-        _REACH_MEMO[key] = r
+        memo[lo, hi] = r
     return r
 
 
@@ -196,6 +217,27 @@ def test_circuit_matches_reference_decoder_structured():
     outs = eval_batch(c, rows)
     for proof, out in zip(rows, outs):
         assert list(out) == reference_decode(bp, layout, proof)
+
+
+def _check_random_proofs(bp, c, layout, seed):
+    rng = np.random.default_rng(seed)
+    members = [w for w in rng.integers(0, 2, (64, bp.n)) if bp.accepts(w)]
+    rows = random_proofs(c.num_inputs, [witness_bp(bp, w) for w in members],
+                         seed=seed)
+    for proof, out in zip(rows, eval_batch(c, rows)):
+        assert list(out) == reference_decode(bp, layout, proof)
+
+
+@pytest.mark.parametrize("name", ["parity", "th2", "mod3", "nfa1"])
+@pytest.mark.parametrize("n", [5, 8, 13])
+def test_random_proofs_match_reference_decoder(name, n, request):
+    automaton = request.getfixturevalue(name)
+    _check_random_proofs(unroll(automaton, n), *synth_regular(automaton, n), seed=n)
+
+
+def test_random_proofs_match_reference_decoder_structured():
+    bp = parse_bp(XX_BP)
+    _check_random_proofs(bp, *synth_structured(bp), seed=4)
 
 
 # ---------------------------------------------------------------------------
