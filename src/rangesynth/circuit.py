@@ -344,6 +344,11 @@ class CircuitBuilder:
         )
 
 
+def bits_for(k: int) -> int:
+    """Bits that encode k >= 1 distinct values: ceil(log2 k), exactly."""
+    return (k - 1).bit_length()
+
+
 def table_to_subcircuit(builder: CircuitBuilder, table: Sequence[int], wires: Sequence[int]) -> int:
     """Append a DNF subcircuit computing an arbitrary truth table.
 

@@ -22,7 +22,7 @@ from .languages import (
     Cycles, ExactCount, LanguageError, NpCoSac, NpPadded, NpSac, Regular,
     Threshold, UnReach, USTConn, parse_dfa, word_to_string,
 )
-from .verify import check_completeness, check_soundness, locality_audit, render_report
+from .verify import audit_metrics, check_completeness, check_soundness, render_report
 
 
 class UsageError(Exception):
@@ -270,15 +270,12 @@ def _cmd_stats(args) -> int:
     print(f"alternations: {snap.alternations}")
     if want_cones:
         print(f"max cone:     {snap.max_cone}")
-    report = locality_audit(
-        circuit, max_cone=args.bound_cone, max_depth=args.bound_depth,
-        max_alternations=args.bound_alt,
-    )
-    if args.bound_cone is not None or args.bound_depth is not None \
-            or args.bound_alt is not None:
-        print(report.machine_line())
-        return 0 if report.passed else 1
-    return 0
+    bounds = (args.bound_cone, args.bound_depth, args.bound_alt)
+    if bounds == (None, None, None):
+        return 0
+    report = audit_metrics(snap, *bounds)
+    print(report.machine_line())
+    return 0 if report.passed else 1
 
 
 def _cmd_witness(args) -> int:

@@ -9,11 +9,9 @@ be empty, and neither can any language built here).
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
-from .circuit import Circuit, CircuitBuilder, InputArityError, _as_bits, lower_fields
+from .circuit import (
+    Circuit, CircuitBuilder, InputArityError, _as_bits, bits_for, lower_fields,
+)
 from .languages import LanguageError
 
 __all__ = [
@@ -31,21 +29,6 @@ def _word_bits(word) -> list:
     return _as_bits(word, what=f"word {word!r}").tolist()
 
 
-def _selector(b: CircuitBuilder, first_input: int, k: int):
-    """Selector wires (MSB first) and per-choice indicator wires.
-
-    Uses ceil(log2 k) input bits starting at ``first_input``; encodings of
-    k or more select the last choice.
-    """
-    bits = 0 if k <= 1 else math.ceil(math.log2(k))
-    wires = [b.input(first_input + i) for i in range(bits)]
-    ind = [
-        lower_fields(b, [(wires, k)], lambda v, i=i: v == i)
-        for i in range(k)
-    ]
-    return bits, ind
-
-
 def union(circuits) -> Circuit:
     """Range = union of the operand ranges; selector bits pick the branch."""
     circuits = list(circuits)
@@ -55,9 +38,10 @@ def union(circuits) -> Circuit:
     if any(len(c.outputs) != n for c in circuits):
         raise InputArityError("union operands must have equal output lengths")
     k = len(circuits)
-    sel_bits = 0 if k <= 1 else math.ceil(math.log2(k))
+    sel_bits = bits_for(k)
     b = CircuitBuilder(sel_bits + sum(c.num_inputs for c in circuits))
-    _, ind = _selector(b, 0, k)
+    sel = [b.input(i) for i in range(sel_bits)]  # MSB first; k or more picks the last
+    ind = [lower_fields(b, [(sel, k)], lambda v, i=i: v == i) for i in range(k)]
     branch_outs = []
     off = sel_bits
     for c in circuits:
@@ -83,7 +67,7 @@ def concat_finite(words, c: Circuit, side: str = "left") -> Circuit:
     if side not in ("left", "right"):
         raise LanguageError(f"side must be left or right, not {side!r}")
     s = len(words)
-    sel_bits = 0 if s <= 1 else math.ceil(math.log2(s))
+    sel_bits = bits_for(s)
     b = CircuitBuilder(sel_bits + c.num_inputs)
     sel = [b.input(i) for i in range(sel_bits)]
     word_outs = [
@@ -183,7 +167,7 @@ def finite_language(words) -> Circuit:
         raise LanguageError("finite language words must share a length")
     words = sorted(set(tuple(w) for w in words))
     s = len(words)
-    sel_bits = 0 if s <= 1 else math.ceil(math.log2(s))
+    sel_bits = bits_for(s)
     b = CircuitBuilder(sel_bits)
     sel = [b.input(i) for i in range(sel_bits)]
     b.set_outputs([

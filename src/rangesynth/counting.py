@@ -13,12 +13,11 @@ logarithmic in the label width, hence O(log log n).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitBuilder, _as_bits
+from .circuit import CircuitBuilder, _as_bits, bits_for
 from .intervals import (Node, assign_blocks, build_tree, chain_ands, encode,
                         patched_outputs)
 from .languages import LanguageError
@@ -52,14 +51,10 @@ class CountLayout:
         return "\n".join(lines) + "\n"
 
 
-def _slot_bits(length: int) -> int:
-    return math.ceil(math.log2(length + 1))
-
-
 def _count_bits(node: Node) -> int:
     """Slot width of a node's count; the root (hardwired to t) and the
     leaves (counted by the word bits themselves) get none."""
-    return 0 if node.parent is None or node.is_leaf else _slot_bits(node.length)
+    return 0 if node.parent is None or node.is_leaf else bits_for(node.length + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +169,7 @@ def _build(kind: str, n: int, t: int):
 
     def clamped_label(node: Node):
         if node.parent is None:
-            return _const_bits(b, t, max(1, _slot_bits(n)))
+            return _const_bits(b, t, max(1, bits_for(n + 1)))
         if node.is_leaf:
             return [word[node.lo]]
         raw = [b.input(node.offset + node.bits - 1 - i) for i in range(node.bits)]

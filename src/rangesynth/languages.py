@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import InputArityError, _as_bits
+from .circuit import InputArityError, _as_bits, all_inputs
 
 
 class LanguageError(ValueError):
@@ -467,38 +467,26 @@ def candidate_count(spec, n: int) -> int:
     return 1 << n
 
 
-def _candidates(spec, n: int, chunk: int = 1 << 16):
+def _symmetric(tri: np.ndarray, v: int) -> np.ndarray:
+    """Undirected words (symmetric, zero diagonal, v x v row-major) from
+    rows of upper-triangle bits in row-major pair order."""
+    iu, ju = np.triu_indices(v, k=1)
+    mats = np.zeros((len(tri), v, v), dtype=np.uint8)
+    mats[:, iu, ju] = tri
+    mats[:, ju, iu] = tri
+    return mats.reshape(len(tri), v * v)
+
+
+def _candidates(spec, n: int):
     """Yield all valid length-n encodings for the spec, in lexicographic
     order of the word (MSB = first bit), chunked."""
-    shape = word_shape(spec)
-    if shape == "directed" or shape == "word":
-        bits = n
-        total = 1 << bits
-        shifts = np.arange(bits - 1, -1, -1, dtype=np.uint64)
-        start = 0
-        while start < total:
-            stop = min(start + chunk, total)
-            idx = np.arange(start, stop, dtype=np.uint64)
-            yield ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-            start = stop
+    if word_shape(spec) != "undirected":
+        for rows in all_inputs(n):
+            yield rows[:, ::-1]
         return
-    v = _graph_side(n)
-    iu, ju = np.triu_indices(v, k=1)
-    # order pair bits so that full words come out lexicographically sorted:
-    # the first matrix entry (row 0, col 1) must be the most significant bit.
-    bits = len(iu)
-    total = 1 << bits
-    shifts = np.arange(bits - 1, -1, -1, dtype=np.uint64)
-    start = 0
-    while start < total:
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.uint64)
-        tri = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-        mats = np.zeros((stop - start, v, v), dtype=np.uint8)
-        mats[:, iu, ju] = tri
-        mats[:, ju, iu] = tri
-        yield mats.reshape(stop - start, v * v)
-        start = stop
+    v = _graph_side(n)  # the first pair, entry (0, 1), is the MSB
+    for tri in all_inputs(v * (v - 1) // 2):
+        yield _symmetric(tri[:, ::-1], v)
 
 
 def enumerate_slice(spec, n: int, budget: int = 1 << 24) -> np.ndarray:
@@ -548,12 +536,8 @@ def sample_members(spec, n: int, count: int, seed: int = 0) -> np.ndarray:
         batch = max(64, 2 * (count - have))
         if shape == "undirected":
             v = _graph_side(n)
-            iu, ju = np.triu_indices(v, k=1)
-            tri = rng.integers(0, 2, (batch, len(iu)), dtype=np.uint8)
-            mats = np.zeros((batch, v, v), dtype=np.uint8)
-            mats[:, iu, ju] = tri
-            mats[:, ju, iu] = tri
-            cand = mats.reshape(batch, n)
+            cand = _symmetric(rng.integers(0, 2, (batch, v * (v - 1) // 2),
+                                           dtype=np.uint8), v)
         else:
             cand = rng.integers(0, 2, (batch, n), dtype=np.uint8)
         keep = cand[member_batch(spec, cand)]

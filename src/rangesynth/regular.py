@@ -8,16 +8,22 @@ accepting states to a single sink.  On the interval tree over (0, n+1] (see
 the interval's boundary layers.  A node is consistent when its label chains
 with its children's and all three are feasible; a leaf checks its gap's edge
 on the word bit.  A label's patch is its lexicographically smallest witness.
+
+Both come from one backward-reach walk: :func:`_back` multiplies a chain of
+gap relations from the right, and :func:`_walk` steps through it taking the
+smallest state that can still reach the target.  Over a node's combined
+(either-bit) relations the first product is the feasibility table and the
+walk gives the patch words; over a word's own relations :func:`witness_bp`
+reads membership from the product and the honest labels from the walk.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitBuilder, _as_bits, lower_fields
+from .circuit import CircuitBuilder, _as_bits, bits_for, lower_fields
 from .intervals import Node, assign_blocks, build_tree, encode, patched_outputs
 from .languages import Dfa, LanguageError, Nfa
 
@@ -46,10 +52,6 @@ class WitnessError(ValueError):
     """Word is not in the language, so no proof can be generated."""
 
 
-def _bits_for(width: int) -> int:
-    return 0 if width <= 1 else max(1, math.ceil(math.log2(width)))
-
-
 # ---------------------------------------------------------------------------
 # layered branching programs
 
@@ -61,8 +63,8 @@ class LayeredBp:
     ``rel0[g-1]`` / ``rel1[g-1]`` are boolean matrices for gap g in 1..n
     (edges read as negative / positive literals of variable ``gap_var[g-1]``);
     ``accept`` marks the layer-n states wired to the sink by always-true
-    edges.  ``uniform`` marks automaton unrollings, enabling length-keyed
-    caching during synthesis.
+    edges.  Synthesis shares label tables between equal-length nodes when
+    gaps 2..n have equal relations, as in every automaton unrolling.
     """
 
     n: int
@@ -71,7 +73,6 @@ class LayeredBp:
     rel0: list              # np.bool_ matrices, shapes follow layer widths
     rel1: list
     accept: np.ndarray      # shape (width,)
-    uniform: bool = False
 
     @property
     def widths(self) -> list:
@@ -124,10 +125,8 @@ def unroll(automaton, n: int) -> LayeredBp:
     accept = np.zeros(w, dtype=bool)
     for f in automaton.finals:
         accept[f] = True
-    return LayeredBp(
-        n=n, width=w, gap_var=tuple(range(1, n + 1)),
-        rel0=rel0, rel1=rel1, accept=accept, uniform=True,
-    )
+    return LayeredBp(n=n, width=w, gap_var=tuple(range(1, n + 1)),
+                     rel0=rel0, rel1=rel1, accept=accept)
 
 
 def parse_bp(text: str) -> LayeredBp:
@@ -196,7 +195,7 @@ def parse_bp(text: str) -> LayeredBp:
             raise StructureError(f"line {line}: final state {f} out of range")
         accept[f] = True
     bp = LayeredBp(n=n, width=w, gap_var=gap_var, rel0=rel0, rel1=rel1,
-                   accept=accept, uniform=False)
+                   accept=accept)
     bp.check_structured()
     return bp
 
@@ -227,7 +226,7 @@ class ProofLayout:
 
 def _layout(bp: LayeredBp):
     """Pre-order tree nodes over (0, n+1] and their label blocks."""
-    bits = [_bits_for(w) for w in bp.widths]
+    bits = [bits_for(w) for w in bp.widths]
     nodes, m = assign_blocks(build_tree(0, bp.n + 1),
                              lambda u: bits[u.lo] + bits[u.hi], bp.n)
     labels = [(u.lo, u.hi, u.offset, bits[u.lo], bits[u.hi]) for u in nodes]
@@ -238,108 +237,68 @@ def _layout(bp: LayeredBp):
 # reachability and witnesses
 
 
+def _back(rels) -> list:
+    """Backward reach products along a chain of gap relations: ``back[t][s, q]``
+    says state s before gap t reaches state q after the last gap."""
+    back = [np.eye(rels[-1].shape[1], dtype=bool)]
+    for rel in reversed(rels):
+        back.append(rel @ back[-1])
+    return back[::-1]
+
+
+def _walk(rels, back, p, q) -> list:
+    """Lexicographically smallest state sequence from p to q along ``rels``:
+    each step takes the smallest state that still reaches q.  p and q may be
+    equal-length index arrays, walked side by side."""
+    states = [p]
+    for rel, tail in zip(rels, back[1:]):
+        states.append((rel[states[-1]] & tail[:, q].T).argmax(axis=-1))
+    return states
+
+
 class _Engine:
-    """Per-synthesis cache of reach matrices and feasibility witnesses."""
+    """Per-synthesis cache of each node's label tables.
+
+    When gaps 2..n share their relations (every automaton unrolling does),
+    a node's tables depend only on its length and on whether it touches the
+    first or the last layer, so one entry serves all such nodes and a BP
+    builds O(log n) tables; otherwise each node gets its own.
+    """
 
     def __init__(self, bp: LayeredBp):
         self.bp = bp
-        self.N = bp.n + 1  # tree covers (0, n+1]
-        self.widths = bp.widths
-        self._reach: dict = {}
-        self._wit: dict = {}
+        self.uniform = all(
+            np.array_equal(r0, bp.rel0[1]) and np.array_equal(r1, bp.rel1[1])
+            for r0, r1 in zip(bp.rel0[1:], bp.rel1[1:]))
+        self._tables: dict = {}
 
-    def key(self, node: Node):
-        if self.bp.uniform:
-            return (node.hi - node.lo, node.lo == 0, node.hi == self.N)
-        return (node.lo, node.hi)
+    def tables(self, node: Node):
+        """(feas, words, nontrivial) for the node's labels (p, q).
 
-    def gap_any(self, g: int) -> np.ndarray:
-        """Combined relation for gap g (1..n input gaps, n+1 acceptance)."""
-        if g <= self.bp.n:
-            return self.bp.rel0[g - 1] | self.bp.rel1[g - 1]
-        return self.bp.accept[:, None]
-
-    def reach(self, node: Node) -> np.ndarray:
-        key = self.key(node)
-        r = self._reach.get(key)
-        if r is None:
-            if node.is_leaf:
-                r = self.gap_any(node.hi)
-            else:
-                r = self.reach(node.left) @ self.reach(node.right)
-            self._reach[key] = r
-        return r
-
-    def witness(self, node: Node):
-        """(witness words, nontrivial word positions) for the node's labels.
-
-        ``words[p, q]`` is the word patched in for label (p, q): the bits
-        read along the lexicographically smallest state sequence from p at
-        the left boundary to q at the right one (bit 0 preferred on parallel
-        edges).  The acceptance gap contributes no bit.  ``nontrivial`` is
-        the set of relative word positions where some feasible pair has a 1.
+        ``feas[p, q]`` says q at the right boundary is reachable from p at
+        the left one.  ``words[p, q]`` is the word patched in for a feasible
+        label: the bits read along the lexicographically smallest state
+        sequence from p to q (bit 0 preferred on parallel edges); the
+        acceptance gap contributes no bit.  ``nontrivial`` is the set of
+        relative word positions where some feasible pair has a 1.
         """
-        key = self.key(node)
-        got = self._wit.get(key)
-        if got is not None:
-            return got
-        lo, hi = node.lo, node.hi
-        wl, wh = self.widths[lo], self.widths[hi]
-        n_words = (hi - lo) - (1 if hi == self.N else 0)
-        feas = self.reach(node)
-        words = np.zeros((wl, wh, n_words), dtype=np.uint8)
-
-        # per-gap successor masks and backward reach column masks, as ints
-        succ_any, succ0 = [], []
-        for g in range(lo + 1, hi + 1):
-            rel = self.gap_any(g)
-            succ_any.append([_row_mask(rel[p]) for p in range(rel.shape[0])])
-            if g <= self.bp.n:
-                rel0 = self.bp.rel0[g - 1]
-                succ0.append([_row_mask(rel0[p]) for p in range(rel0.shape[0])])
-            else:
-                succ0.append(None)
-        # colmask[t][q]: states at layer lo+t that reach q at layer hi
-        L = hi - lo
-        colmask = [None] * (L + 1)
-        colmask[L] = [1 << q for q in range(wh)]
-        for t in range(L - 1, -1, -1):
-            nxt = colmask[t + 1]
-            rows = succ_any[t]
-            width_t = len(rows)
-            cm = []
-            for q in range(wh):
-                target = nxt[q]
-                m = 0
-                for p in range(width_t):
-                    if rows[p] & target:
-                        m |= 1 << p
-                cm.append(m)
-            colmask[t] = cm
-
-        for p in range(wl):
-            for q in range(wh):
-                if not feas[p, q]:
-                    continue
-                cur = p
-                for t in range(L):
-                    allowed = succ_any[t][cur] & colmask[t + 1][q]
-                    nxt_state = (allowed & -allowed).bit_length() - 1
-                    if t < n_words:
-                        bit0 = succ0[t][cur]
-                        words[p, q, t] = 0 if (bit0 >> nxt_state) & 1 else 1
-                    cur = nxt_state
-        nontrivial = {t for t in range(n_words) if words[:, :, t][feas].any()}
-        got = (words, nontrivial)
-        self._wit[key] = got
+        bp, lo, hi = self.bp, node.lo, node.hi
+        key = (hi - lo, lo == 0, hi == bp.n + 1) if self.uniform else (lo, hi)
+        got = self._tables.get(key)
+        if got is None:
+            gaps = range(lo + 1, min(hi, bp.n) + 1)  # the gaps that read a bit
+            rels = [bp.rel0[g - 1] | bp.rel1[g - 1] for g in gaps]
+            if hi > bp.n:
+                rels.append(bp.accept[:, None])
+            back = _back(rels)
+            p, q = np.nonzero(back[0])
+            states = _walk(rels, back, p, q)
+            words = np.zeros(back[0].shape + (len(gaps),), dtype=np.uint8)
+            for t, g in enumerate(gaps):
+                words[p, q, t] = ~bp.rel0[g - 1][states[t], states[t + 1]]
+            nontrivial = set(np.flatnonzero(words[p, q].any(axis=0)).tolist())
+            got = self._tables[key] = (back[0], words, nontrivial)
         return got
-
-
-def _row_mask(row: np.ndarray) -> int:
-    m = 0
-    for j in np.nonzero(row)[0]:
-        m |= 1 << int(j)
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +309,7 @@ def _synth(bp: LayeredBp):
     n, widths = bp.n, bp.widths
     eng = _Engine(bp)
     nodes, layout = _layout(bp)
-    if not eng.reach(nodes[0]).any():
+    if not eng.tables(nodes[0])[0].any():
         raise SynthesisError(f"language slice at length {n} is empty")
 
     b = CircuitBuilder(layout.m)
@@ -360,30 +319,16 @@ def _synth(bp: LayeredBp):
         ws = [b.input(off + i) for i in range(pb + qb)]
         pq[lo, hi] = ws[:pb], ws[pb:]
 
-    table_cache: dict = {}
-
-    def cached_table(tag, key, fields, fn):
-        """Deduplicate identical predicate lowings per (tag, key, wires)."""
-        wires_key = tuple(tuple(ws) for ws, _ in fields)
-        ck = (tag, key, wires_key)
-        wire = table_cache.get(ck)
-        if wire is None:
-            wire = lower_fields(b, fields, fn)
-            table_cache[ck] = wire
-        return wire
-
-    def label_table(tag, node: Node, fn):
+    def label_table(node: Node, fn):
         """A predicate of the node's own (p, q) label."""
         pw, qw = pq[node.lo, node.hi]
-        return cached_table(tag, eng.key(node),
-                            [(pw, widths[node.lo]), (qw, widths[node.hi])], fn)
+        return lower_fields(b, [(pw, widths[node.lo]), (qw, widths[node.hi])], fn)
 
-    feas = {id(node): label_table("feas", node, lambda p, q, r=eng.reach(node): r[p, q])
+    feas = {id(node): label_table(node, lambda p, q, r=eng.tables(node)[0]: r[p, q])
             for node in nodes}
 
     def eq(xs, ys, width):
-        return cached_table("eq", width, [(xs, width), (ys, width)],
-                            lambda x, y: x == y)
+        return lower_fields(b, [(xs, width), (ys, width)], lambda x, y: x == y)
 
     def cons(node: Node) -> int:
         pw, qw = pq[node.lo, node.hi]
@@ -412,11 +357,11 @@ def _synth(bp: LayeredBp):
         and the patches tile the word into one accepted s-t path.  The root's
         label is hardwired, so its table has no wires and lowers to a
         constant."""
-        words, nontrivial = eng.witness(node)
+        _, words, nontrivial = eng.tables(node)
         rel = k - node.lo - 1
         if rel not in nontrivial:
             return None
-        return label_table(("wit", rel), node, lambda p, q: words[p, q, rel])
+        return label_table(node, lambda p, q: words[p, q, rel])
 
     outs = patched_outputs(b, nodes, cons, [word[v - 1] for v in bp.gap_var], patch)
     b.set_outputs([outs[k] for k in np.argsort(bp.gap_var)])
@@ -443,27 +388,13 @@ def witness_bp(bp: LayeredBp, word) -> np.ndarray:
     word = _as_bits(word, what="word")
     if len(word) != bp.n:
         raise WitnessError(f"word length {len(word)} != {bp.n}")
-    if not bp.accepts(word):
-        raise WitnessError("word is not in the language")
     # lexicographically smallest accepting state sequence through the BP
-    N = bp.n + 1
-    rels = []
-    for g in range(1, N + 1):
-        if g <= bp.n:
-            bit = word[bp.gap_var[g - 1] - 1]
-            rels.append(bp.rel1[g - 1] if bit else bp.rel0[g - 1])
-        else:
-            rels.append(bp.accept[:, None])
-    back = [None] * (N + 1)  # back[t][q]: q at layer t reaches the sink
-    back[N] = np.ones(1, dtype=bool)
-    for t in range(N - 1, -1, -1):
-        back[t] = rels[t] @ back[t + 1]
-    states = [0]
-    cur = 0
-    for t in range(N):
-        ok = rels[t][cur] & back[t + 1]
-        cur = int(np.nonzero(ok)[0][0])
-        states.append(cur)
+    rels = [(bp.rel1 if word[v - 1] else bp.rel0)[g] for g, v in enumerate(bp.gap_var)]
+    rels.append(bp.accept[:, None])
+    back = _back(rels)
+    if not back[0][0, 0]:
+        raise WitnessError("word is not in the language")
+    states = _walk(rels, back, 0, 0)
 
     _, layout = _layout(bp)
     proof = np.zeros(layout.m, dtype=np.uint8)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, _as_bits, all_inputs, eval_batch, metrics
+from .circuit import Circuit, _as_bits, all_inputs, circuit_range, eval_batch, metrics
 from .languages import (
     BudgetError, candidate_count, enumerate_slice, member_batch,
     word_to_string as _bits_str, words_to_strings,
@@ -25,6 +25,7 @@ __all__ = [
     "check_soundness",
     "check_completeness",
     "locality_audit",
+    "audit_metrics",
     "render_report",
 ]
 
@@ -176,10 +177,7 @@ def check_completeness(c: Circuit, spec, n: int, witness_fn=None,
         raise BudgetError(
             f"full-range completeness needs 2^{m} evaluations, over budget"
         )
-    have = set()
-    for block in all_inputs(m):
-        outs = eval_batch(c, block)
-        have.update(words_to_strings(outs))
+    have = {_bits_str(word) for word in circuit_range(c, budget)}
     want = set(words_to_strings(members))
     report = Report("completeness", "exhaustive", 1 << m)
     for word in sorted(want - have):
@@ -192,7 +190,14 @@ def check_completeness(c: Circuit, spec, n: int, witness_fn=None,
 def locality_audit(c: Circuit, max_cone=None, max_depth=None,
                    max_alternations=None) -> Report:
     """Compare measured structural metrics against declared bounds."""
-    snap = metrics(c, with_cones=max_cone is not None)
+    return audit_metrics(metrics(c, with_cones=max_cone is not None),
+                         max_cone, max_depth, max_alternations)
+
+
+def audit_metrics(snap, max_cone=None, max_depth=None,
+                  max_alternations=None) -> Report:
+    """:func:`locality_audit` on metrics already measured (with cones when
+    ``max_cone`` is given)."""
     report = Report("locality", "exhaustive", 1, metrics=snap)
     if max_cone is not None and snap.max_cone > max_cone:
         worst = int(np.argmax(snap.cone_sizes))

@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
+from rangesynth import regular
 from rangesynth.circuit import eval_batch, eval_circuit
 from rangesynth.intervals import build_tree, path_to_leaf
 from rangesynth.languages import Regular, member
@@ -20,6 +21,7 @@ from rangesynth.regular import (
     StructureError,
     SynthesisError,
     WitnessError,
+    _Engine,
     parse_bp,
     synth_regular,
     synth_structured,
@@ -240,6 +242,68 @@ def test_random_proofs_match_reference_decoder_structured():
     _check_random_proofs(bp, *synth_structured(bp), seed=4)
 
 
+def _bp_text(n, w, finals, gap_var, edges):
+    """Structured-BP text; ``edges[g - 1]`` lists gap g's (p, bit, q)."""
+    lines = [f"gaps {n}", f"states {w}", "start 0",
+             "final " + " ".join(map(str, finals))]
+    lines += [f"var {g} {v}" for g, v in enumerate(gap_var, 1)]
+    lines += [f"edge {g} {p} {a} {q}"
+              for g, es in enumerate(edges, 1) for p, a, q in es]
+    return "\n".join(lines) + "\n"
+
+
+def _random_bp(rng, shared):
+    """Random structured BP, n <= 8 and width <= 3, with a random variable
+    order; ``shared`` gives gaps 2..n one common relation pair."""
+    n, w = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+    dens = rng.uniform(0.3, 0.8)
+
+    def rel(rows):
+        return [(p, a, q) for p in range(rows) for a in (0, 1) for q in range(w)
+                if rng.random() < dens]
+
+    middle = rel(w)
+    edges = [rel(1)] + [middle if shared else rel(w) for _ in range(n - 1)]
+    finals = [q for q in range(w) if rng.random() < 0.5] or [w - 1]
+    return parse_bp(_bp_text(n, w, finals, rng.permutation(n) + 1, edges))
+
+
+_RANDOM_BPS = [_random_bp(np.random.default_rng(i), shared=i % 2 == 1)
+               for i in range(40)]
+
+
+@pytest.mark.parametrize("name", ["parity", "th2", "mod3", "nfa1"])
+@pytest.mark.parametrize("n", [5, 8, 13])
+def test_engine_tables_match_reference(name, n, request):
+    _check_tables(unroll(request.getfixturevalue(name), n))
+
+
+@pytest.mark.parametrize("bp", [parse_bp(XX_BP)] + _RANDOM_BPS)
+def test_engine_tables_match_reference_structured(bp):
+    _check_tables(bp)
+
+
+def _check_tables(bp):
+    """Every node's feasibility, witness words and nontrivial positions
+    against the reference reach and walk."""
+    eng = _Engine(bp)
+    stack = [build_tree(0, bp.n + 1)]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            stack += [node.left, node.right]
+        feas, words, nontrivial = eng.tables(node)
+        assert np.array_equal(feas, _reach(bp, node.lo, node.hi))
+        n_words = min(node.hi, bp.n) - node.lo
+        assert words.shape == feas.shape + (n_words,)
+        assert not words[~feas].any()
+        for p, q in zip(*np.nonzero(feas)):
+            for rel in range(n_words):
+                want = _witness_bit(bp, node.lo, node.hi, p, q, rel)
+                assert words[p, q, rel] == want, (node.lo, node.hi, p, q, rel)
+        assert nontrivial == {t for t in range(n_words) if words[feas, t].any()}
+
+
 # ---------------------------------------------------------------------------
 # ranges, witnesses, errors
 
@@ -306,6 +370,35 @@ class TestSynthStructured:
         bad = XX_BP.replace("edge 2 1 1 0", "edge 2 1 1 0\nvar 2 4")
         with pytest.raises(StructureError):
             parse_bp(bad)
+
+    @pytest.mark.parametrize("which", ["rel0", "rel1"])
+    def test_one_differing_middle_gap_keeps_exact_range(self, parity, which):
+        # gaps 2..n all equal except gap 3, so length-keyed tables would
+        # patch in words the BP does not accept
+        bp = unroll(parity, 4)
+        rels = getattr(bp, which)
+        rels[2] = np.roll(rels[2], 1, axis=1)
+        c, _ = synth_structured(bp)
+        assert exact_range(c) == slice_set(bp.accepts, 4)
+
+    @pytest.mark.parametrize("parsed", [False, True])
+    def test_shared_relations_build_log_n_tables(self, parity, parsed, monkeypatch):
+        n = 1024
+        bp = unroll(parity, n)
+        if parsed:  # equal relations in separate arrays
+            edges = [list(zip(*np.nonzero(np.stack([bp.rel0[g], bp.rel1[g]], axis=1))))
+                     for g in range(n)]
+            bp = parse_bp(_bp_text(n, 2, [0], range(1, n + 1), edges))
+        built = []
+        real_back = regular._back
+
+        def counting_back(rels):  # one call per label table built
+            built.append(len(rels))
+            return real_back(rels)
+
+        monkeypatch.setattr(regular, "_back", counting_back)
+        synth_structured(bp)
+        assert len(built) <= 4 * (n + 1).bit_length()
 
     def test_witness_bp_roundtrip(self):
         bp = parse_bp(XX_BP)
