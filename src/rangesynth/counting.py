@@ -14,12 +14,13 @@ logarithmic in the label width, hence O(log log n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .circuit import CircuitBuilder, _as_bits, bits_for
-from .intervals import (Node, assign_blocks, build_tree, chain_ands, encode,
-                        patched_outputs)
+from .intervals import (PLAN_CACHE, Node, Plan, build_tree, chain_ands,
+                        patched_outputs, preorder)
 from .languages import LanguageError
 from .regular import WitnessError
 
@@ -51,10 +52,23 @@ class CountLayout:
         return "\n".join(lines) + "\n"
 
 
-def _count_bits(node: Node) -> int:
-    """Slot width of a node's count; the root (hardwired to t) and the
-    leaves (counted by the word bits themselves) get none."""
-    return 0 if node.parent is None or node.is_leaf else bits_for(node.length + 1)
+def _check_target(kind: str, n: int, t: int):
+    """Refuse a slice no proof system is built for, before any plan is."""
+    if kind not in ("threshold", "exact"):
+        raise LanguageError(f"unknown counting kind {kind!r}")
+    if kind == "threshold" and not 1 <= t <= n:
+        raise LanguageError(f"threshold needs 1 <= t <= n, got t={t}, n={n}")
+    if kind == "exact" and not 0 <= t <= n:
+        raise LanguageError(f"exact count needs 0 <= t <= n, got t={t}, n={n}")
+    if n < 1:
+        raise LanguageError(f"counting needs n >= 1, got n={n}")
+
+
+@lru_cache(maxsize=PLAN_CACHE)
+def _plan(n: int) -> Plan:
+    """The count slots over (0, n]: none for the root and the leaves."""
+    return Plan(preorder(build_tree(0, n)), lambda u: 0 if u.parent is None
+                or u.is_leaf else bits_for(u.hi - u.lo + 1), n)
 
 
 # ---------------------------------------------------------------------------
@@ -152,19 +166,15 @@ def _ge_const(b: CircuitBuilder, xs, k: int) -> int:
 
 
 def _build(kind: str, n: int, t: int):
-    if kind == "threshold":
-        if not (1 <= t <= n):
-            raise LanguageError(f"threshold needs 1 <= t <= n, got t={t}, n={n}")
-    else:
-        if not (0 <= t <= n):
-            raise LanguageError(f"exact count needs 0 <= t <= n, got t={t}, n={n}")
+    _check_target(kind, n, t)
+    plan = _plan(n)
+    slotted = plan.bits > 0
+    layout = CountLayout(n=n, m=plan.m, counts=list(zip(*(
+        a[slotted].tolist() for a in (plan.lo, plan.hi, plan.offset, plan.bits)))))
+    slot = {(lo, hi): (off, bits) for lo, hi, off, bits in layout.counts}
+    nodes = preorder(build_tree(0, n))
 
-    nodes, m = assign_blocks(build_tree(0, n), _count_bits, n)
-    layout = CountLayout(n=n, m=m, counts=[
-        (node.lo, node.hi, node.offset, node.bits) for node in nodes if node.bits
-    ])
-
-    b = CircuitBuilder(m)
+    b = CircuitBuilder(plan.m)
     word = [b.input(i) for i in range(n)]
 
     def clamped_label(node: Node):
@@ -172,8 +182,9 @@ def _build(kind: str, n: int, t: int):
             return _const_bits(b, t, max(1, bits_for(n + 1)))
         if node.is_leaf:
             return [word[node.lo]]
-        raw = [b.input(node.offset + node.bits - 1 - i) for i in range(node.bits)]
-        return _clamp(b, raw, node.length)
+        off, bits = slot[node.lo, node.hi]
+        raw = [b.input(off + bits - 1 - i) for i in range(bits)]
+        return _clamp(b, raw, node.hi - node.lo)
 
     labels = {id(node): clamped_label(node) for node in nodes}
 
@@ -222,24 +233,18 @@ def synth_exact_count(n: int, t: int):
 
 def witness_count(kind: str, n: int, t: int, word) -> np.ndarray:
     """Honest proof: the word plus true subword popcounts as labels."""
+    _check_target(kind, n, t)
     word = _as_bits(word, what="word")
     if len(word) != n:
         raise WitnessError(f"word length {len(word)} != {n}")
-    ones = int(word.sum())
-    if kind == "threshold":
-        if ones < t:
-            raise WitnessError(f"word has {ones} ones, below threshold {t}")
-    elif kind == "exact":
-        if ones != t:
-            raise WitnessError(f"word has {ones} ones, not exactly {t}")
-    else:
-        raise LanguageError(f"unknown counting kind {kind!r}")
-
-    nodes, m = assign_blocks(build_tree(0, n), _count_bits, n)
-    prefix = [0, *np.cumsum(word).tolist()]
-    proof = np.zeros(m, dtype=np.uint8)
+    prefix = np.concatenate(([0], np.cumsum(word, dtype=np.int64)))
+    ones = int(prefix[-1])
+    if kind == "threshold" and ones < t:
+        raise WitnessError(f"word has {ones} ones, below threshold {t}")
+    if kind == "exact" and ones != t:
+        raise WitnessError(f"word has {ones} ones, not exactly {t}")
+    plan = _plan(n)
+    proof = np.empty(plan.m, dtype=np.uint8)
     proof[:n] = word
-    for node in nodes:
-        if node.bits:
-            encode(proof, node.offset, node.bits, prefix[node.hi] - prefix[node.lo])
+    plan.write(proof, prefix[plan.hi] - prefix[plan.lo])
     return proof

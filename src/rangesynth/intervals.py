@@ -8,11 +8,13 @@ a claimed label for its interval; the systems differ only in what a label is
 (a pair of boundary states, or a count of ones) and build the rest from three
 pieces here:
 
-* **Blocks.**  :func:`assign_blocks` gives each node, in pre-order, a
-  contiguous block of proof bits after the word bits.  Hardwired labels (the
-  root, width-1 boundaries, counting leaves) get zero bits.
-* **Encoding.**  :func:`encode` writes a label value into its block, most
-  significant bit first; an honest proof encodes every node's true label.
+* **Blocks.**  A :class:`Plan` gives each node, in pre-order, a contiguous
+  block of proof bits after the word bits.  Hardwired labels (the root,
+  width-1 boundaries, counting leaves) get zero bits.  Each scheme memoizes
+  one plan per shape (n and the BP width, or n) for synthesis and witnesses.
+* **Encoding.**  :meth:`Plan.write` encodes every node's label value in one
+  array operation, most significant bit first; an honest proof encodes
+  every node's true label.
 * **Patched outputs.**  :func:`patched_outputs` turns per-node consistency
   bits into the output word.  A position whose root-to-leaf path is fully
   consistent passes its word bit through; otherwise the topmost inconsistent
@@ -34,6 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+PLAN_CACHE = 64  # plans each label scheme keeps, least recently used first out
+
 
 @dataclass
 class Node:
@@ -42,16 +48,10 @@ class Node:
     left: "Node | None" = None
     right: "Node | None" = None
     parent: "Node | None" = None
-    offset: int = -1   # first proof bit of this node's label block
-    bits: int = 0      # number of proof bits for this node's label
 
     @property
     def is_leaf(self) -> bool:
         return self.left is None
-
-    @property
-    def length(self) -> int:
-        return self.hi - self.lo
 
 
 def build_tree(lo: int, hi: int) -> Node:
@@ -80,24 +80,36 @@ def path_to_leaf(root: Node, k: int) -> list:
     return out
 
 
-def assign_blocks(root: Node, bits_of, start: int):
-    """Give every node ``bits_of(node)`` proof bits, in pre-order from
-    ``start``; returns the pre-order nodes and the proof length."""
-    nodes, stack, off = [], [root], start
+def preorder(root: Node) -> list:
+    """The tree's nodes, each before its left and then its right subtree."""
+    nodes, stack = [], [root]
     while stack:
         node = stack.pop()
-        node.offset, node.bits = off, bits_of(node)
-        off += node.bits
         nodes.append(node)
         if not node.is_leaf:
             stack += [node.right, node.left]
-    return nodes, off
+    return nodes
 
 
-def encode(proof, offset: int, bits: int, value: int):
-    """Write ``value`` into ``proof[offset:offset + bits]``, MSB first."""
-    for i in range(bits):
-        proof[offset + i] = (value >> (bits - 1 - i)) & 1
+class Plan:
+    """Read-only int arrays over the pre-order ``nodes`` (their ``lo``, ``hi``):
+    node i's label takes ``bits[i] = bits_of(node)`` proof bits from
+    ``offset[i]``, packed from ``start`` to ``m``.  Proof bit ``start + j``
+    is bit ``shift[j]`` of node ``owner[j]``'s label."""
+
+    def __init__(self, nodes, bits_of, start: int):
+        self.lo, self.hi, self.bits = (np.array(col, dtype=np.int64) for col in
+                                       zip(*[(u.lo, u.hi, bits_of(u)) for u in nodes]))
+        self.offset = start + np.cumsum(self.bits) - self.bits
+        self.owner = np.repeat(np.arange(len(nodes)), self.bits)
+        self.start, self.m = start, start + len(self.owner)
+        self.shift = (self.offset + self.bits - 1)[self.owner] - np.arange(start, self.m)
+        for a in (self.lo, self.hi, self.bits, self.offset, self.owner, self.shift):
+            a.flags.writeable = False
+
+    def write(self, proof, values):
+        """Encode node i's label ``values[i]`` for every node at once."""
+        proof[self.start:] = (values[self.owner] >> self.shift) & 1
 
 
 def chain_ands(builder, nodes_root_first, value_of) -> dict:

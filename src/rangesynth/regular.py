@@ -20,11 +20,12 @@ reads membership from the product and the honest labels from the walk.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .circuit import CircuitBuilder, _as_bits, bits_for, lower_fields
-from .intervals import Node, assign_blocks, build_tree, encode, patched_outputs
+from .intervals import PLAN_CACHE, Node, Plan, build_tree, patched_outputs, preorder
 from .languages import Dfa, LanguageError, Nfa
 
 __all__ = [
@@ -224,13 +225,23 @@ class ProofLayout:
         return "\n".join(lines) + "\n"
 
 
+@lru_cache(maxsize=PLAN_CACHE)
+def _plan(n: int, width: int):
+    """The label plan of every n-gap BP of this width, and its q widths."""
+    bits = np.array([0] + [bits_for(width)] * n + [0])
+    plan = Plan(preorder(build_tree(0, n + 1)), lambda u: bits[u.lo] + bits[u.hi], n)
+    q_bits = bits[plan.hi]
+    q_bits.flags.writeable = False
+    return plan, q_bits
+
+
 def _layout(bp: LayeredBp):
     """Pre-order tree nodes over (0, n+1] and their label blocks."""
-    bits = [bits_for(w) for w in bp.widths]
-    nodes, m = assign_blocks(build_tree(0, bp.n + 1),
-                             lambda u: bits[u.lo] + bits[u.hi], bp.n)
-    labels = [(u.lo, u.hi, u.offset, bits[u.lo], bits[u.hi]) for u in nodes]
-    return nodes, ProofLayout(n=bp.n, m=m, labels=labels)
+    plan, q_bits = _plan(bp.n, bp.width)
+    labels = list(zip(*(a.tolist() for a in (
+        plan.lo, plan.hi, plan.offset, plan.bits - q_bits, q_bits))))
+    return (preorder(build_tree(0, bp.n + 1)),
+            ProofLayout(n=bp.n, m=plan.m, labels=labels))
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +394,7 @@ def synth_structured(bp: LayeredBp):
 # witness generation
 
 
-def witness_bp(bp: LayeredBp, word) -> np.ndarray:
-    """Proof vector whose evaluation reproduces the given member word."""
+def _witness(bp: LayeredBp, word) -> np.ndarray:
     word = _as_bits(word, what="word")
     if len(word) != bp.n:
         raise WitnessError(f"word length {len(word)} != {bp.n}")
@@ -394,16 +404,29 @@ def witness_bp(bp: LayeredBp, word) -> np.ndarray:
     back = _back(rels)
     if not back[0][0, 0]:
         raise WitnessError("word is not in the language")
-    states = _walk(rels, back, 0, 0)
+    states = np.array(_walk(rels, back, 0, 0))
 
-    _, layout = _layout(bp)
-    proof = np.zeros(layout.m, dtype=np.uint8)
+    plan, q_bits = _plan(bp.n, bp.width)
+    proof = np.empty(plan.m, dtype=np.uint8)
     proof[: bp.n] = word
-    for lo, hi, off, pb, qb in layout.labels:
-        encode(proof, off, pb + qb, (states[lo] << qb) | states[hi])
+    plan.write(proof, (states[plan.lo] << q_bits) | states[plan.hi])
     return proof
+
+
+def witness_bp(bp: LayeredBp, word) -> np.ndarray:
+    """Proof vector whose evaluation reproduces the given member word."""
+    bp.check_structured()
+    return _witness(bp, word)
+
+
+UNROLL_CACHE = 64
+_unrolled = lru_cache(maxsize=UNROLL_CACHE)(unroll)  # by value; never handed out
 
 
 def witness_regular(automaton, word) -> np.ndarray:
     """Proof vector for synth_regular(automaton, len(word))."""
-    return witness_bp(unroll(automaton, len(word)), word)
+    try:
+        bp = _unrolled(automaton, len(word))
+    except TypeError:  # unhashable, e.g. an automaton built with list fields
+        bp = unroll(automaton, len(word))
+    return _witness(bp, word)

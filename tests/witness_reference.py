@@ -1,0 +1,112 @@
+"""Per-word reference witness generators.
+
+Each call builds its interval tree afresh, walks the word's states with
+plain Python sets and writes every label with its own most-significant-bit-
+first loop: no layout plan, no shared reach products.  The differential
+tests in ``test_witness_plan.py`` hold ``witness_bp``/``witness_regular``
+and ``witness_count`` to these, proof for proof and error for error.
+"""
+
+import numpy as np
+
+from rangesynth.circuit import _as_bits
+from rangesynth.languages import LanguageError
+from rangesynth.regular import WitnessError
+
+
+def _bits_for(k):
+    return (k - 1).bit_length()
+
+
+def blocks(hi, bits_of, start):
+    """``(lo, hi, offset, bits)`` for every node of the midpoint-split tree
+    over (0, hi] in pre-order, packed from ``start``; and the proof length.
+    ``bits_of(lo, hi, is_root)`` is a node's label width."""
+    out = []
+
+    def visit(a, b, off):
+        k = bits_of(a, b, not out)
+        out.append((a, b, off, k))
+        off += k
+        if b - a > 1:
+            mid = (a + b) // 2
+            off = visit(mid, b, visit(a, mid, off))
+        return off
+
+    return out, visit(0, hi, start)
+
+
+def _encode(proof, offset, bits, value):
+    for i in range(bits):
+        proof[offset + i] = (value >> (bits - 1 - i)) & 1
+
+
+def bp_blocks(n, width):
+    layer = [0] + [_bits_for(width)] * n + [0]
+    return layer, blocks(n + 1, lambda a, b, root: layer[a] + layer[b], n)
+
+
+def count_blocks(n):
+    return blocks(n, lambda a, b, root: 0 if root or b - a == 1 else _bits_for(b - a + 1), n)
+
+
+def proof_layout_text(n, width):
+    layer, (nodes, _) = bp_blocks(n, width)
+    return "".join([f"word 0 {n}\n"] + [
+        f"label {lo} {hi} {off} {layer[lo]} {layer[hi]}\n" for lo, hi, off, _ in nodes])
+
+
+def count_layout_text(n):
+    nodes, _ = count_blocks(n)
+    return "".join([f"word 0 {n}\n"] + [
+        f"count {lo} {hi} {off} {bits}\n" for lo, hi, off, bits in nodes if bits])
+
+
+def witness_bp(bp, word):
+    """The proof encoding the lexicographically smallest accepting state
+    sequence of ``word`` through ``bp``."""
+    word = _as_bits(word, what="word")
+    if len(word) != bp.n:
+        raise WitnessError(f"word length {len(word)} != {bp.n}")
+    rels = [(bp.rel1 if word[v - 1] else bp.rel0)[g] for g, v in enumerate(bp.gap_var)]
+    rels.append(bp.accept[:, None])
+    # alive[t]: states of layer t from which the rest of the word reaches the sink
+    alive = [{0}]
+    for rel in reversed(rels):
+        alive.append({p for p in range(rel.shape[0])
+                      if any(rel[p, q] for q in alive[-1])})
+    alive.reverse()
+    if 0 not in alive[0]:
+        raise WitnessError("word is not in the language")
+    states = [0]
+    for rel, nxt in zip(rels, alive[1:]):
+        states.append(min(q for q in nxt if rel[states[-1], q]))
+
+    layer, (nodes, m) = bp_blocks(bp.n, bp.width)
+    proof = np.zeros(m, dtype=np.uint8)
+    proof[: bp.n] = word
+    for lo, hi, off, bits in nodes:
+        _encode(proof, off, bits, (states[lo] << layer[hi]) | states[hi])
+    return proof
+
+
+def witness_count(kind, n, t, word):
+    """The word plus every slotted node's true count of ones."""
+    word = _as_bits(word, what="word")
+    if len(word) != n:
+        raise WitnessError(f"word length {len(word)} != {n}")
+    ones = int(word.sum())
+    if kind == "threshold":
+        if ones < t:
+            raise WitnessError(f"word has {ones} ones, below threshold {t}")
+    elif kind == "exact":
+        if ones != t:
+            raise WitnessError(f"word has {ones} ones, not exactly {t}")
+    else:
+        raise LanguageError(f"unknown counting kind {kind!r}")
+    nodes, m = count_blocks(n)
+    proof = np.zeros(m, dtype=np.uint8)
+    proof[:n] = word
+    for lo, hi, off, bits in nodes:
+        _encode(proof, off, bits, int(word[lo:hi].sum()))
+    return proof
