@@ -175,11 +175,13 @@ class Circuit:
 class CircuitBuilder:
     """Append-only constructor for :class:`Circuit`.
 
-    INPUT, CONST and NOT gates are deduplicated (they are pure and free to
-    share); AND/OR gates are always emitted, so size accounting of the
-    synthesized structure stays predictable.  The ``*_f`` variants fold
-    constant operands at construction time and are used by synthesizers that
-    can prove the fold exact.
+    Gates are emitted as asked; :meth:`build` then merges structurally equal
+    gates and drops logic gates that no output reads (:func:`_reduce`), so
+    synthesizers need not share subcircuits themselves.  CONST and NOT gates
+    are still shared as they are emitted, which keeps the gate arrays and
+    the reduction small.  The ``*_f`` variants fold constant operands at
+    construction time and are used by synthesizers that can prove the fold
+    exact.
     """
 
     def __init__(self, num_inputs: int):
@@ -188,7 +190,6 @@ class CircuitBuilder:
         self.arg0 = array("q")
         self.arg1 = array("q")
         self.outputs: list[int] = []
-        self._input_ids: dict[int, int] = {}
         self._const_ids: dict[int, int] = {}
         self._not_ids: dict[int, int] = {}
 
@@ -202,10 +203,7 @@ class CircuitBuilder:
     def input(self, index: int) -> int:
         if not (0 <= index < self.num_inputs):
             raise StructureError(f"input index {index} out of range")
-        gid = self._input_ids.get(index)
-        if gid is None:
-            gid = self._input_ids[index] = self._emit(INPUT, index)
-        return gid
+        return self._emit(INPUT, index)
 
     def const(self, bit: int) -> int:
         bit = int(bit)
@@ -237,29 +235,24 @@ class CircuitBuilder:
         return None
 
     def not_f(self, a: int) -> int:
-        v = self.const_value(a)
-        if v is not None:
-            return self.const(1 - v)
+        if self.kinds[a] == CONST:
+            return self.const(1 - self.arg0[a])
         return self.not_(a)
 
     def and_f(self, a: int, b: int) -> int:
-        va, vb = self.const_value(a), self.const_value(b)
-        if va == 0 or vb == 0:
-            return self.const(0)
-        if va == 1:
-            return b
-        if vb == 1:
-            return a
+        kinds = self.kinds
+        if kinds[a] == CONST:
+            return b if self.arg0[a] else a
+        if kinds[b] == CONST:
+            return a if self.arg0[b] else b
         return self._emit(AND, a, b)
 
     def or_f(self, a: int, b: int) -> int:
-        va, vb = self.const_value(a), self.const_value(b)
-        if va == 1 or vb == 1:
-            return self.const(1)
-        if va == 0:
-            return b
-        if vb == 0:
-            return a
+        kinds = self.kinds
+        if kinds[a] == CONST:
+            return a if self.arg0[a] else b
+        if kinds[b] == CONST:
+            return b if self.arg0[b] else a
         return self._emit(OR, a, b)
 
     def xor_f(self, a: int, b: int) -> int:
@@ -315,33 +308,36 @@ class CircuitBuilder:
     def append_circuit(self, other: Circuit, input_wires: Sequence[int]) -> list[int]:
         """Inline another circuit, feeding its inputs from the given wires.
 
-        Returns the wires carrying the other circuit's outputs.
+        The other circuit's INPUT gates become the given wires and its other
+        gates are appended in order, with their operands moved to the new
+        ids.  Returns the wires carrying the other circuit's outputs.
         """
         if len(input_wires) != other.num_inputs:
             raise InputArityError(
                 f"expected {other.num_inputs} input wires, got {len(input_wires)}"
             )
-        remap = [0] * other.num_gates
-        kinds, a0, a1 = other.kinds, other.arg0, other.arg1
-        for i in range(other.num_gates):
-            k = kinds[i]
-            if k == INPUT:
-                remap[i] = input_wires[a0[i]]
-            elif k == CONST:
-                remap[i] = self.const(a0[i])
-            elif k == NOT:
-                remap[i] = self.not_(remap[a0[i]])
-            elif k == AND:
-                remap[i] = self.and_(remap[a0[i]], remap[a1[i]])
-            else:
-                remap[i] = self.or_(remap[a0[i]], remap[a1[i]])
-        return [remap[o] for o in other.outputs]
+        kinds, a0, a1 = other._arrays()
+        wires = np.asarray(input_wires, dtype=np.int64)
+        is_input = kinds == INPUT
+        copied = np.flatnonzero(~is_input)
+        remap = np.empty(len(kinds), dtype=np.int64)
+        remap[is_input] = wires[a0[is_input]]
+        remap[copied] = len(self.kinds) + np.arange(len(copied))
+        k = kinds[copied]
+        new0, new1 = a0[copied], a1[copied]
+        new0[k >= NOT] = remap[new0[k >= NOT]]
+        new1[k >= AND] = remap[new1[k >= AND]]
+        self.kinds.frombytes(k.tobytes())
+        self.arg0.frombytes(new0.tobytes())
+        self.arg1.frombytes(new1.tobytes())
+        return remap[other.outputs].tolist()
 
     def build(self) -> Circuit:
-        return Circuit(
-            self.num_inputs, self.kinds, self.arg0, self.arg1, self.outputs,
-            _validated=True,
-        )
+        """The circuit, reduced by :func:`_reduce`."""
+        kinds, arg0, arg1, outputs = _reduce(
+            self.kinds, self.arg0, self.arg1, self.outputs)
+        return Circuit(self.num_inputs, kinds, arg0, arg1, outputs,
+                       _validated=True)
 
 
 def bits_for(k: int) -> int:
@@ -403,6 +399,150 @@ def lower_fields(builder: CircuitBuilder, fields, fn) -> int:
             vals.append(v)
         table.append(1 if fn(*vals) else 0)
     return table_to_subcircuit(builder, table, wires_lsb)
+
+
+# ---------------------------------------------------------------------------
+# reduction
+#
+# Structural hashing and a cone-of-influence sweep, the standard AIG passes
+# (Brayton & Mishchenko, "ABC", CAV 2010), as whole-array rounds.
+
+# The first merge round keys about this many gates at a time, so its int64
+# keys and sort order stay a bounded part of the builder's own arrays.
+_KEY_CHUNK = 1 << 21
+
+
+def _first_of_key(kinds, lo, hi, ids, base: int) -> np.ndarray:
+    """For each gate in ``ids``, the first gate in ``ids`` with its key:
+    kind, then smaller operand, then larger operand.
+
+    When a position fits beside its key in an int64, one sort of the
+    packed (key, position) pairs orders both; otherwise a stable argsort
+    gives the order and the keys are sorted in place to match it.
+    """
+    key = kinds[ids].astype(np.int64)
+    key *= base
+    key += lo[ids]
+    key *= base
+    key += hi[ids]
+    m = len(key)
+    if 5 * base * base * m < 1 << 63:
+        key *= m
+        key += np.arange(m)
+        key.sort()
+        order = (key % m).astype(lo.dtype)
+        key //= m
+    else:
+        order = np.argsort(key, kind="stable").astype(lo.dtype)
+        key.sort()
+    opens = np.ones(len(key), dtype=bool)  # the key differs from the one before
+    np.not_equal(key[1:], key[:-1], out=opens[1:])
+    del key
+    starts = np.flatnonzero(opens)
+    first = np.empty_like(order)
+    first[order] = np.repeat(order[starts], np.diff(starts, append=len(order)))
+    return ids[first]
+
+
+def _reduce(kinds, arg0, arg1, outputs):
+    """Merge structurally equal gates, then drop logic gates nobody reads.
+
+    Takes and returns ``(kinds, arg0, arg1, outputs)`` as a builder holds
+    them.  Survivors keep their order, so operands still precede their
+    readers; a kept AND/OR lists its smaller operand first.  When nothing
+    merges and nothing is dead the arrays come back unchanged.
+    """
+    k = np.frombuffer(kinds, dtype=np.int8)
+    n = len(k)
+    if n == 0:
+        return kinds, arg0, arg1, outputs
+    a0 = np.frombuffer(arg0, dtype=np.int64)
+    a1 = np.frombuffer(arg1, dtype=np.int64)
+    base = max(n, int(a0.max()) + 1)  # INPUT indexes may exceed the gate count
+    idt = np.int32 if base <= np.iinfo(np.int32).max else np.int64
+    unary = k < AND  # repeats its one operand (index, bit or gate) as both
+    lo = a0.astype(idt)
+    hi = a1.astype(idt)
+    hi[unary] = lo[unary]
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi, out=hi)
+    canon, live = _merge(k, lo, hi, base)
+    out = np.asarray(outputs, dtype=idt)
+    nxt = canon[out]
+    while not np.array_equal(nxt, out):  # merged in several rounds
+        out, nxt = nxt, canon[nxt]
+    kept = _sweep(lo, hi, live, out)
+    kept |= (k < NOT) & (canon == np.arange(n, dtype=idt))  # not merged away
+    del canon
+    if kept.all():
+        return kinds, arg0, arg1, outputs
+    new_id = np.cumsum(kept, dtype=idt) - 1
+    outputs = new_id[out].tolist()
+    lo, hi = new_id[lo[kept]], new_id[hi[kept]]
+    del new_id
+    kk = k[kept]
+    arg0 = _to_array("q", np.where(kk >= NOT, lo, a0[kept]))
+    arg1 = _to_array("q", np.where(kk >= AND, hi, 0).astype(np.int64))
+    return _to_array("b", kk), arg0, arg1, outputs
+
+
+def _merge(k, lo, hi, base: int):
+    """Map every gate to the first gate with its key, until nothing merges.
+
+    The readers of merged gates move to that gate and are keyed again;
+    rounds after the first key only the gates that read a gate merged or
+    merged into in the round before.  Returns each gate's canonical gate and
+    the mask of logic gates that are not merged away; their ``lo``/``hi``
+    now name canonical gates.
+    """
+    n = len(k)
+    canon = np.empty(n, dtype=lo.dtype)
+    step = -(-base // -(-n // _KEY_CHUNK))  # a range of hi per chunk
+    for start in range(0, base, step):
+        part = np.flatnonzero((hi >= start) & (hi < start + step))
+        canon[part] = _first_of_key(k, lo, hi, part, base)
+    # from here on lo/hi are read as gate ids: INPUT/CONST gates point at 0
+    live = k >= NOT
+    lo[~live] = 0
+    hi[~live] = 0
+    merged = np.flatnonzero(canon != np.arange(n, dtype=lo.dtype))
+    while merged.size:
+        live[merged] = False
+        touched = np.zeros(n, dtype=bool)
+        touched[merged] = True
+        touched[canon[merged]] = True
+        c = np.flatnonzero(live & (touched[lo] | touched[hi]))
+        nlo, nhi = canon[lo[c]], canon[hi[c]]
+        lo[c] = np.minimum(nlo, nhi)
+        hi[c] = np.maximum(nlo, nhi)
+        rep = _first_of_key(k, lo, hi, c, base)
+        moved = rep != c
+        merged = c[moved]
+        canon[merged] = rep[moved]
+    return canon, live
+
+
+def _sweep(lo, hi, live, out):
+    """Peel the logic gates that no output and no live gate reads off
+    ``live``, round by round, and return it."""
+    n = len(live)
+    # reader slots per gate (a NOT fills both of its own); outputs count too
+    refs = np.bincount(lo[live], minlength=n).astype(lo.dtype)
+    refs += np.bincount(hi[live], minlength=n)
+    refs += np.bincount(out, minlength=n)
+    dead = np.flatnonzero(live & (refs == 0))
+    while dead.size:
+        live[dead] = False
+        hit, times = np.unique(np.concatenate([lo[dead], hi[dead]]),
+                               return_counts=True)
+        refs[hit] -= times
+        dead = hit[live[hit] & (refs[hit] == 0)]
+    return live
+
+
+def _to_array(code: str, values: np.ndarray) -> array:
+    a = array(code)
+    a.frombytes(memoryview(values).cast("B"))
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Per-gate reference implementations of the circuit core.
 
 These are the straightforward gate-by-gate loops that the levelized kernels,
-the whole-array structural check and the syntax-only parser in
-``rangesynth.circuit`` replaced: evaluation, depth, alternations, the
-structural rules, and a parser that checks each gate line as it reads it.
+the whole-array structural check, the syntax-only parser and the reducing
+builder in ``rangesynth.circuit`` replaced: evaluation, depth, alternations,
+the structural rules, a parser that checks each gate line as it reads it, a
+build that keeps every emitted gate, and a per-gate ``append_circuit``.
 They are slow but obviously follow the definitions in the circuit module
 docstring, so the differential tests compare the fast paths against them.
 """
@@ -13,8 +14,8 @@ from array import array
 import numpy as np
 
 from rangesynth.circuit import (
-    _NAME_TO_KIND, AND, CONST, INPUT, MAX_INPUTS, NOT, OR, Circuit, ParseError,
-    StructureError,
+    _NAME_TO_KIND, AND, CONST, INPUT, MAX_INPUTS, NOT, OR, Circuit,
+    InputArityError, ParseError, StructureError,
 )
 
 
@@ -78,6 +79,34 @@ def alternations_reference(c) -> int:
                 types[i][pol] = t
     return max((blocks[o][0] for o in c.outputs), default=0)
 
+
+def build_reference(b) -> Circuit:
+    """A builder's gates exactly as emitted: nothing merged, nothing swept."""
+    return Circuit(b.num_inputs, b.kinds, b.arg0, b.arg1, b.outputs,
+                   _validated=True)
+
+
+def append_circuit_reference(b, other, input_wires) -> list:
+    """Inline ``other`` into builder ``b`` one gate at a time."""
+    if len(input_wires) != other.num_inputs:
+        raise InputArityError(
+            f"expected {other.num_inputs} input wires, got {len(input_wires)}"
+        )
+    remap = [0] * other.num_gates
+    kinds, a0, a1 = other.kinds, other.arg0, other.arg1
+    for i in range(other.num_gates):
+        k = kinds[i]
+        if k == INPUT:
+            remap[i] = input_wires[a0[i]]
+        elif k == CONST:
+            remap[i] = b.const(a0[i])
+        elif k == NOT:
+            remap[i] = b.not_(remap[a0[i]])
+        elif k == AND:
+            remap[i] = b.and_(remap[a0[i]], remap[a1[i]])
+        else:
+            remap[i] = b.or_(remap[a0[i]], remap[a1[i]])
+    return [remap[o] for o in other.outputs]
 
 
 def validate_reference(c) -> None:
