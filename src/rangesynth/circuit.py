@@ -409,38 +409,31 @@ def lower_fields(builder: CircuitBuilder, fields, fn) -> int:
 
 # The first merge round keys about this many gates at a time, so its int64
 # keys and sort order stay a bounded part of the builder's own arrays.
-_KEY_CHUNK = 1 << 21
+_KEY_CHUNK = 1 << 20
 
 
 def _first_of_key(kinds, lo, hi, ids, base: int) -> np.ndarray:
-    """For each gate in ``ids``, the first gate in ``ids`` with its key:
-    kind, then smaller operand, then larger operand.
+    """For each gate in ``ids`` (ascending), the first gate in ``ids`` with
+    its key: kind, then smaller operand, then larger operand.
 
-    When a position fits beside its key in an int64, one sort of the
-    packed (key, position) pairs orders both; otherwise a stable argsort
-    gives the order and the keys are sorted in place to match it.
+    ``np.unique(key, return_index=True, return_inverse=True)`` gives the same
+    map with more than twice the work memory.
     """
     key = kinds[ids].astype(np.int64)
     key *= base
     key += lo[ids]
     key *= base
     key += hi[ids]
-    m = len(key)
-    if 5 * base * base * m < 1 << 63:
-        key *= m
-        key += np.arange(m)
-        key.sort()
-        order = (key % m).astype(lo.dtype)
-        key //= m
-    else:
-        order = np.argsort(key, kind="stable").astype(lo.dtype)
-        key.sort()
+    order = np.argsort(key, kind="stable")  # equal keys stay in id order
+    key = key[order]
     opens = np.ones(len(key), dtype=bool)  # the key differs from the one before
     np.not_equal(key[1:], key[:-1], out=opens[1:])
     del key
-    starts = np.flatnonzero(opens)
+    order = order.astype(np.int32)
+    group = np.cumsum(opens, dtype=np.int32)
+    group -= 1
     first = np.empty_like(order)
-    first[order] = np.repeat(order[starts], np.diff(starts, append=len(order)))
+    first[order] = order[opens][group]
     return ids[first]
 
 
@@ -459,30 +452,42 @@ def _reduce(kinds, arg0, arg1, outputs):
     a0 = np.frombuffer(arg0, dtype=np.int64)
     a1 = np.frombuffer(arg1, dtype=np.int64)
     base = max(n, int(a0.max()) + 1)  # INPUT indexes may exceed the gate count
-    idt = np.int32 if base <= np.iinfo(np.int32).max else np.int64
+    if 5 * base * base >= 1 << 63:  # a key must fit in an int64; ids in int32
+        raise CircuitError(f"cannot reduce: {base} gate ids or input indexes "
+                           "overflow the merge key")
     unary = k < AND  # repeats its one operand (index, bit or gate) as both
-    lo = a0.astype(idt)
-    hi = a1.astype(idt)
+    lo = a0.astype(np.int32)
+    hi = a1.astype(np.int32)
     hi[unary] = lo[unary]
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi, out=hi)
+    del unary
     canon, live = _merge(k, lo, hi, base)
-    out = np.asarray(outputs, dtype=idt)
+    out = np.asarray(outputs, dtype=np.int32)
     nxt = canon[out]
     while not np.array_equal(nxt, out):  # merged in several rounds
         out, nxt = nxt, canon[nxt]
-    kept = _sweep(lo, hi, live, out)
-    kept |= (k < NOT) & (canon == np.arange(n, dtype=idt))  # not merged away
+    kept = (k < NOT) & (canon == np.arange(n, dtype=np.int32))  # not merged away
     del canon
+    kept |= _sweep(lo, hi, live, out)
     if kept.all():
         return kinds, arg0, arg1, outputs
-    new_id = np.cumsum(kept, dtype=idt) - 1
+    new_id = np.cumsum(kept, dtype=np.int32)
+    new_id -= 1
     outputs = new_id[out].tolist()
+    leaves = np.flatnonzero(kept & (k < NOT))  # the INPUT and CONST gates
+    leaf_at = new_id[leaves]
     lo, hi = new_id[lo[kept]], new_id[hi[kept]]
     del new_id
-    kk = k[kept]
-    arg0 = _to_array("q", np.where(kk >= NOT, lo, a0[kept]))
-    arg1 = _to_array("q", np.where(kk >= AND, hi, 0).astype(np.int64))
-    return _to_array("b", kk), arg0, arg1, outputs
+    # survivors go straight into the circuit's arrays
+    kinds, kk = _zeros("b", len(lo))
+    kk[:] = k[kept]
+    arg0, r0 = _zeros("q", len(lo))
+    r0[:] = lo
+    r0[leaf_at] = a0[leaves]
+    arg1, r1 = _zeros("q", len(lo))
+    r1[:] = hi
+    r1[kk < AND] = 0
+    return kinds, arg0, arg1, outputs
 
 
 def _merge(k, lo, hi, base: int):
@@ -495,7 +500,7 @@ def _merge(k, lo, hi, base: int):
     now name canonical gates.
     """
     n = len(k)
-    canon = np.empty(n, dtype=lo.dtype)
+    canon = np.empty(n, dtype=np.int32)
     step = -(-base // -(-n // _KEY_CHUNK))  # a range of hi per chunk
     for start in range(0, base, step):
         part = np.flatnonzero((hi >= start) & (hi < start + step))
@@ -504,16 +509,18 @@ def _merge(k, lo, hi, base: int):
     live = k >= NOT
     lo[~live] = 0
     hi[~live] = 0
-    merged = np.flatnonzero(canon != np.arange(n, dtype=lo.dtype))
+    merged = np.flatnonzero(canon != np.arange(n, dtype=np.int32))
     while merged.size:
         live[merged] = False
         touched = np.zeros(n, dtype=bool)
         touched[merged] = True
         touched[canon[merged]] = True
         c = np.flatnonzero(live & (touched[lo] | touched[hi]))
+        del touched
         nlo, nhi = canon[lo[c]], canon[hi[c]]
         lo[c] = np.minimum(nlo, nhi)
         hi[c] = np.maximum(nlo, nhi)
+        del nlo, nhi
         rep = _first_of_key(k, lo, hi, c, base)
         moved = rep != c
         merged = c[moved]
@@ -526,7 +533,7 @@ def _sweep(lo, hi, live, out):
     ``live``, round by round, and return it."""
     n = len(live)
     # reader slots per gate (a NOT fills both of its own); outputs count too
-    refs = np.bincount(lo[live], minlength=n).astype(lo.dtype)
+    refs = np.bincount(lo[live], minlength=n).astype(np.int32)
     refs += np.bincount(hi[live], minlength=n)
     refs += np.bincount(out, minlength=n)
     dead = np.flatnonzero(live & (refs == 0))
@@ -539,10 +546,10 @@ def _sweep(lo, hi, live, out):
     return live
 
 
-def _to_array(code: str, values: np.ndarray) -> array:
-    a = array(code)
-    a.frombytes(memoryview(values).cast("B"))
-    return a
+def _zeros(code: str, m: int):
+    """A zeroed ``array`` of m items and a writable numpy view of it."""
+    a = array(code, [0]) * m
+    return a, np.frombuffer(a, dtype=np.dtype(code))
 
 
 # ---------------------------------------------------------------------------

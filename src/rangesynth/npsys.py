@@ -109,8 +109,8 @@ def verifier_member(v: VerifierCircuit, x) -> bool:
 def _gate_checks(b: CircuitBuilder, v: VerifierCircuit, want_consistent: bool):
     """Per-logic-gate (in)consistency bits plus the claimed-output wire.
 
-    Returns (check_wires, z_out).  Inputs of the new builder are laid
-    out as x, y, then one z bit per logic gate of v in gate order.
+    Returns (check_wires, z_out, x_wires).  Inputs of the new builder are
+    laid out as x, y, then one z bit per logic gate of v in gate order.
     """
     c = v.circuit
     nxy = c.num_inputs
@@ -118,19 +118,25 @@ def _gate_checks(b: CircuitBuilder, v: VerifierCircuit, want_consistent: bool):
     for g in range(c.num_gates):
         if c.kinds[g] >= NOT:
             z_index[g] = len(z_index)
+    wires: dict[int, int] = {}  # proof bit -> its one INPUT gate
+
+    def proof_bit(i: int) -> int:
+        if i not in wires:
+            wires[i] = b.input(i)
+        return wires[i]
 
     def value_wire(g: int) -> int:
         k = c.kinds[g]
         if k == INPUT:
-            return b.input(c.arg0[g])
+            return proof_bit(c.arg0[g])
         if k == CONST:
             return b.const(c.arg0[g])
-        return b.input(nxy + z_index[g])
+        return proof_bit(nxy + z_index[g])
 
     checks = []
     for g, zi in z_index.items():
         k = c.kinds[g]
-        zg = b.input(nxy + zi)
+        zg = proof_bit(nxy + zi)
         if k == NOT:
             fields = [([value_wire(c.arg0[g])], None), ([zg], None)]
             fn = lambda a, z: (z == 1 - a) == want_consistent
@@ -144,7 +150,7 @@ def _gate_checks(b: CircuitBuilder, v: VerifierCircuit, want_consistent: bool):
             fn = lambda a, bb, z, op=op: (z == op(a, bb)) == want_consistent
         checks.append(lower_fields(b, fields, fn))
     z_out = value_wire(c.outputs[0])
-    return checks, z_out
+    return checks, z_out, [proof_bit(i) for i in range(v.num_x)]
 
 
 def _proof_inputs(v: VerifierCircuit) -> int:
@@ -154,18 +160,18 @@ def _proof_inputs(v: VerifierCircuit) -> int:
 def synth_co_sac(v: VerifierCircuit) -> Circuit:
     """w_i = x_i AND (all gates consistent) AND (claimed output is 1)."""
     b = CircuitBuilder(_proof_inputs(v))
-    checks, z_out = _gate_checks(b, v, want_consistent=True)
+    checks, z_out, xs = _gate_checks(b, v, want_consistent=True)
     big = b.and_tree_f(checks + [z_out])
-    b.set_outputs([b.and_f(b.input(i), big) for i in range(v.num_x)])
+    b.set_outputs([b.and_f(x, big) for x in xs])
     return b.build()
 
 
 def synth_sac(v: VerifierCircuit) -> Circuit:
     """w_i = x_i OR (some gate inconsistent) OR (claimed output is 0)."""
     b = CircuitBuilder(_proof_inputs(v))
-    checks, z_out = _gate_checks(b, v, want_consistent=False)
+    checks, z_out, xs = _gate_checks(b, v, want_consistent=False)
     big = b.or_tree_f(checks + [b.not_f(z_out)])
-    b.set_outputs([b.or_f(b.input(i), big) for i in range(v.num_x)])
+    b.set_outputs([b.or_f(x, big) for x in xs])
     return b.build()
 
 

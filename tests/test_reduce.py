@@ -5,7 +5,9 @@ that no output reads (``circuit._reduce``); ``append_circuit`` splices whole
 arrays.  ``tests/circuit_reference.py`` keeps the non-reducing build and the
 per-gate ``append_circuit``.  A reduced circuit must give the same outputs
 with no more depth or alternations, hold no two gates with one key and no
-unread logic gate, pass the structural check, and reduce to itself.
+unread logic gate, pass the structural check, and reduce to itself.  The
+first merge round keys the gates in chunks (``circuit._KEY_CHUNK``); chunks of
+a few gates must give the very circuit one chunk gives.
 """
 
 from contextlib import contextmanager
@@ -15,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangesynth import combinators
+from rangesynth import circuit, combinators
 from rangesynth.circuit import (
-    AND, CONST, INPUT, NOT, OR, Circuit, CircuitBuilder, _reduce, alternations,
-    depth, eval_batch, size, table_to_subcircuit,
+    AND, CONST, INPUT, NOT, OR, Circuit, CircuitBuilder, CircuitError, _reduce,
+    alternations, depth, eval_batch, size, table_to_subcircuit,
 )
 from rangesynth.cli import FAMILIES
 from rangesynth.counting import synth_exact_count, synth_threshold
@@ -34,6 +36,7 @@ from tests.conftest import (
 )
 
 EXHAUSTIVE_INPUTS = 16  # compare whole ranges up to this proof width
+SMALL_CHUNK = 4  # gates keyed at a time in the split first merge round
 
 
 @contextmanager
@@ -43,6 +46,20 @@ def unreduced():
         mp.setattr(CircuitBuilder, "build", build_reference)
         mp.setattr(CircuitBuilder, "append_circuit", append_circuit_reference)
         yield
+
+
+@contextmanager
+def key_chunk(gates: int):
+    """The first merge round keys about this many gates at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(circuit, "_KEY_CHUNK", gates)
+        yield
+
+
+def build_chunked(b: CircuitBuilder) -> Circuit:
+    """``b.build()`` with the first merge round split into small chunks."""
+    with key_chunk(SMALL_CHUNK):
+        return b.build()
 
 
 def _key(c, g):
@@ -142,6 +159,7 @@ def test_random_programs_match_reference(program):
     assert_same_function(ref, red)
     X = np.random.default_rng(1).integers(0, 2, (64, ref.num_inputs), dtype=np.uint8)
     assert np.array_equal(eval_batch(red, X), eval_reference(ref, X))
+    assert build_chunked(b) == red
 
 
 def test_commuted_chains_merge_to_one():
@@ -198,16 +216,26 @@ def test_zero_wire_table():
     assert_reduced(c)
 
 
-def test_input_index_beyond_the_gate_count():
+@pytest.mark.parametrize("chunk", [None, SMALL_CHUNK])
+def test_input_index_beyond_the_gate_count(chunk):
     b = CircuitBuilder(1000)
     x, again = b.input(999), b.input(999)
     b.set_outputs([b.not_(x), b.not_(again), b.and_(x, b.input(998))])
-    c = b.build()
+    c = build_chunked(b) if chunk else b.build()
     assert c.num_gates == 4 and c.outputs[0] == c.outputs[1]
     X = np.zeros((2, 1000), np.uint8)
     X[1, 998:] = 1
     assert eval_batch(c, X).tolist() == [[1, 1, 0], [0, 0, 1]]
     assert_reduced(c)
+
+
+def test_keys_that_overflow_are_refused():
+    """Keys pack kind and two operands into an int64; ids too large for
+    that are refused, not wrapped."""
+    b = CircuitBuilder(1 << 31)
+    b.set_outputs([b.or_(b.input((1 << 31) - 1), b.input(0))])
+    with pytest.raises(CircuitError, match="overflow the merge key"):
+        b.build()
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +269,13 @@ def test_family_matches_reference(kind, params, members):
     fam = FAMILIES[kind]
     with unreduced():
         ref, ref_layout = fam.synth(*params)
+    # the builder keeps no INPUT map, so each proof bit is asked for once
+    indexes = [ref.arg0[g] for g in range(ref.num_gates) if ref.kinds[g] == INPUT]
+    assert len(indexes) == len(set(indexes))
     red, layout = fam.synth(*params)
     assert_reduced(red)
+    with key_chunk(SMALL_CHUNK):
+        assert fam.synth(*params)[0] == red
     witness = fam.witness(*params)
     honest = np.array([witness(w) for w in members], dtype=np.uint8)
     assert_same_function(ref, red, honest)
