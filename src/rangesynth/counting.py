@@ -19,8 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import CircuitBuilder, _as_bits, bits_for
-from .intervals import (PLAN_CACHE, Node, Plan, build_tree, chain_ands,
-                        patched_outputs, preorder)
+from .intervals import PLAN_CACHE, Plan, chain_ands, patched_outputs
 from .languages import LanguageError
 from .regular import WitnessError
 
@@ -67,8 +66,9 @@ def _check_target(kind: str, n: int, t: int):
 @lru_cache(maxsize=PLAN_CACHE)
 def _plan(n: int) -> Plan:
     """The count slots over (0, n]: none for the root and the leaves."""
-    return Plan(preorder(build_tree(0, n)), lambda u: 0 if u.parent is None
-                or u.is_leaf else bits_for(u.hi - u.lo + 1), n)
+    # frexp's exponent of a length l >= 1 is l.bit_length() = bits_for(l + 1)
+    return Plan(n, lambda lo, hi, parent: np.where(
+        (parent < 0) | (hi - lo == 1), 0, np.frexp(hi - lo)[1]), n)
 
 
 # ---------------------------------------------------------------------------
@@ -171,47 +171,48 @@ def _build(kind: str, n: int, t: int):
     slotted = plan.bits > 0
     layout = CountLayout(n=n, m=plan.m, counts=list(zip(*(
         a[slotted].tolist() for a in (plan.lo, plan.hi, plan.offset, plan.bits)))))
-    slot = {(lo, hi): (off, bits) for lo, hi, off, bits in layout.counts}
-    nodes = preorder(build_tree(0, n))
+    lo, hi, parent, right, offset, bits = (a.tolist() for a in (
+        plan.lo, plan.hi, plan.parent, plan.right, plan.offset, plan.bits))
 
     b = CircuitBuilder(plan.m)
     word = [b.input(i) for i in range(n)]
 
-    def clamped_label(node: Node):
-        if node.parent is None:
+    def clamped_label(u: int):
+        if parent[u] < 0:
             return _const_bits(b, t, max(1, bits_for(n + 1)))
-        if node.is_leaf:
-            return [word[node.lo]]
-        off, bits = slot[node.lo, node.hi]
-        raw = [b.input(off + bits - 1 - i) for i in range(bits)]
-        return _clamp(b, raw, node.hi - node.lo)
+        if right[u] < 0:
+            return [word[lo[u]]]
+        raw = [b.input(offset[u] + bits[u] - 1 - i) for i in range(bits[u])]
+        return _clamp(b, raw, hi[u] - lo[u])
 
-    labels = {id(node): clamped_label(node) for node in nodes}
+    labels = [clamped_label(u) for u in range(len(lo))]
 
     # a label against its children's sum, or a one-leaf root against its
     # word bit; every other leaf is its word bit and always consistent
     rel = _leq if kind == "threshold" else _eq
-    cons = {}
-    for node in nodes:
-        if not node.is_leaf:
-            total = _add(b, labels[id(node.left)], labels[id(node.right)])
-        elif node.parent is None:
+    cons: list = [None] * len(lo)
+    for u in range(len(lo)):
+        if right[u] >= 0:
+            total = _add(b, labels[u + 1], labels[right[u]])
+        elif parent[u] < 0:
             total = [word[0]]
         else:
             continue
-        cons[id(node)] = rel(b, labels[id(node)], total)
+        cons[u] = rel(b, labels[u], total)
 
     if kind == "threshold":
         # all-ones patch: a position is 1 unless its whole path is consistent
         # (the path of a one-leaf root is the root alone)
-        pathand = chain_ands(b, [node for node in nodes if id(node) in cons], cons)
-        outputs = [b.or_f(word[leaf.lo], b.not_f(pathand[id(leaf.parent or leaf)]))
-                   for leaf in nodes if leaf.is_leaf]
+        checked = [u for u in range(len(lo)) if cons[u] is not None]
+        pathand = chain_ands(b, parent, checked, cons)
+        outputs = [b.or_f(word[lo[u]], b.not_f(pathand[u if parent[u] < 0 else parent[u]]))
+                   for u in np.flatnonzero(plan.right < 0).tolist()]
     else:
         # 1^l 0^* patch from the topmost inconsistent node's label l
+        one = b.const(1)
         outputs = patched_outputs(
-            b, nodes, lambda node: cons.get(id(node), b.const(1)), word,
-            lambda node, k: _ge_const(b, labels[id(node)], k - node.lo),
+            b, plan, lambda u: one if cons[u] is None else cons[u], word,
+            lambda u, k: _ge_const(b, labels[u], k - lo[u]),
         )
     b.set_outputs(outputs)
     return b.build(), layout

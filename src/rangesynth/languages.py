@@ -86,6 +86,8 @@ class Nfa:
             raise LanguageError(f"start state {self.start} out of range")
         if not all(0 <= f < w for f in self.finals):
             raise LanguageError("final state out of range")
+        if len(self.delta) != w:
+            raise LanguageError("transition table must cover every state")
         for p, (s0, s1) in enumerate(self.delta):
             for q in s0 | s1:
                 if not (0 <= q < w):
@@ -512,21 +514,25 @@ def enumerate_slice(spec, n: int, budget: int = 1 << 24) -> np.ndarray:
 def sample_members(spec, n: int, count: int, seed: int = 0) -> np.ndarray:
     """Deterministic sample of length-n members, for over-budget slices.
 
-    Counting specs are sampled directly (shuffled 1-blocks); everything else
-    uses rejection sampling against member_batch, which is fine for the
-    graph and regular languages used here (member density is not tiny).
+    Counting specs are sampled directly (shuffled 1-blocks) and refused when
+    no length-n word qualifies; everything else uses rejection sampling
+    against member_batch, which is fine for the graph and regular languages
+    used here (member density is not tiny).
     """
     rng = np.random.default_rng(seed)
     if isinstance(spec, (Threshold, ExactCount)):
+        exact = isinstance(spec, ExactCount)
+        least, most = max(spec.t, 0), (spec.t if exact else n)  # ones a member has
+        if not least <= most <= n:
+            raise LanguageError(f"{spec!r} has no members of length {n}")
         rows = np.zeros((count, n), dtype=np.uint8)
-        ones = (np.full(count, spec.t) if isinstance(spec, ExactCount)
-                else rng.integers(spec.t, n + 1, count))
+        ones = np.full(count, spec.t) if exact else rng.integers(least, n + 1, count)
         for i in range(count):
             idx = rng.permutation(n)[: ones[i]]
             rows[i, idx] = 1
         return rows
     shape = word_shape(spec)
-    out = []
+    out = [np.zeros((0, n), dtype=np.uint8)]
     have = 0
     tries = 0
     while have < count:

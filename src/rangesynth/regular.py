@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import CircuitBuilder, _as_bits, bits_for, lower_fields
-from .intervals import PLAN_CACHE, Node, Plan, build_tree, patched_outputs, preorder
+from .intervals import PLAN_CACHE, Plan, patched_outputs
 from .languages import Dfa, LanguageError, Nfa
 
 __all__ = [
@@ -93,8 +93,11 @@ class LayeredBp:
                     raise StructureError(f"gap {g + 1} relation has shape {rel.shape}")
 
     def accepts(self, word) -> bool:
-        """Run the BP on a word given in variable order."""
+        """Run the BP on a word given in variable order; a word of any
+        length but n is not accepted."""
         word = np.asarray(word, dtype=np.uint8)
+        if len(word) != self.n:
+            return False
         cur = np.ones(1, dtype=bool)
         for g in range(self.n):
             rel = self.rel1[g] if word[self.gap_var[g] - 1] else self.rel0[g]
@@ -229,19 +232,18 @@ class ProofLayout:
 def _plan(n: int, width: int):
     """The label plan of every n-gap BP of this width, and its q widths."""
     bits = np.array([0] + [bits_for(width)] * n + [0])
-    plan = Plan(preorder(build_tree(0, n + 1)), lambda u: bits[u.lo] + bits[u.hi], n)
+    plan = Plan(n + 1, lambda lo, hi, parent: bits[lo] + bits[hi], n)
     q_bits = bits[plan.hi]
     q_bits.flags.writeable = False
     return plan, q_bits
 
 
 def _layout(bp: LayeredBp):
-    """Pre-order tree nodes over (0, n+1] and their label blocks."""
+    """The plan of the tree over (0, n+1] and its label blocks."""
     plan, q_bits = _plan(bp.n, bp.width)
     labels = list(zip(*(a.tolist() for a in (
         plan.lo, plan.hi, plan.offset, plan.bits - q_bits, q_bits))))
-    return (preorder(build_tree(0, bp.n + 1)),
-            ProofLayout(n=bp.n, m=plan.m, labels=labels))
+    return plan, ProofLayout(n=bp.n, m=plan.m, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +285,8 @@ class _Engine:
             for r0, r1 in zip(bp.rel0[1:], bp.rel1[1:]))
         self._tables: dict = {}
 
-    def tables(self, node: Node):
-        """(feas, words, nontrivial) for the node's labels (p, q).
+    def tables(self, lo: int, hi: int):
+        """(feas, words, nontrivial) for the labels (p, q) of node (lo, hi].
 
         ``feas[p, q]`` says q at the right boundary is reachable from p at
         the left one.  ``words[p, q]`` is the word patched in for a feasible
@@ -293,7 +295,7 @@ class _Engine:
         acceptance gap contributes no bit.  ``nontrivial`` is the set of
         relative word positions where some feasible pair has a 1.
         """
-        bp, lo, hi = self.bp, node.lo, node.hi
+        bp = self.bp
         key = (hi - lo, lo == 0, hi == bp.n + 1) if self.uniform else (lo, hi)
         got = self._tables.get(key)
         if got is None:
@@ -319,62 +321,62 @@ class _Engine:
 def _synth(bp: LayeredBp):
     n, widths = bp.n, bp.widths
     eng = _Engine(bp)
-    nodes, layout = _layout(bp)
-    if not eng.tables(nodes[0])[0].any():
+    plan, layout = _layout(bp)
+    if not eng.tables(0, n + 1)[0].any():
         raise SynthesisError(f"language slice at length {n} is empty")
+    lo, hi, right = (a.tolist() for a in (plan.lo, plan.hi, plan.right))
 
     b = CircuitBuilder(layout.m)
     word = [b.input(i) for i in range(n)]  # a_1..a_n in variable order
-    pq = {}
-    for lo, hi, off, pb, qb in layout.labels:
+    pq = []  # each node's (p wires, q wires)
+    for _, _, off, pb, qb in layout.labels:
         ws = [b.input(off + i) for i in range(pb + qb)]
-        pq[lo, hi] = ws[:pb], ws[pb:]
+        pq.append((ws[:pb], ws[pb:]))
 
-    def label_table(node: Node, fn):
-        """A predicate of the node's own (p, q) label."""
-        pw, qw = pq[node.lo, node.hi]
-        return lower_fields(b, [(pw, widths[node.lo]), (qw, widths[node.hi])], fn)
+    def label_table(u: int, fn):
+        """A predicate of node u's own (p, q) label."""
+        pw, qw = pq[u]
+        return lower_fields(b, [(pw, widths[lo[u]]), (qw, widths[hi[u]])], fn)
 
-    feas = {id(node): label_table(node, lambda p, q, r=eng.tables(node)[0]: r[p, q])
-            for node in nodes}
+    feas = [label_table(u, lambda p, q, r=eng.tables(lo[u], hi[u])[0]: r[p, q])
+            for u in range(len(lo))]
 
     def eq(xs, ys, width):
         return lower_fields(b, [(xs, width), (ys, width)], lambda x, y: x == y)
 
-    def cons(node: Node) -> int:
-        pw, qw = pq[node.lo, node.hi]
-        if node.is_leaf and node.hi > n:  # acceptance gap: feasibility alone
-            return feas[id(node)]
-        if node.is_leaf:  # gap k reads word bit a_{gap_var[k-1]}
-            rel0, rel1 = bp.rel0[node.hi - 1], bp.rel1[node.hi - 1]
+    def cons(u: int) -> int:
+        pw, qw = pq[u]
+        if right[u] < 0 and hi[u] > n:  # acceptance gap: feasibility alone
+            return feas[u]
+        if right[u] < 0:  # gap k reads word bit a_{gap_var[k-1]}
+            rel0, rel1 = bp.rel0[hi[u] - 1], bp.rel1[hi[u] - 1]
             return lower_fields(
                 b,
-                [([word[bp.gap_var[node.hi - 1] - 1]], None),
-                 (pw, widths[node.lo]), (qw, widths[node.hi])],
+                [([word[bp.gap_var[hi[u] - 1] - 1]], None),
+                 (pw, widths[lo[u]]), (qw, widths[hi[u]])],
                 lambda a, p, q: (rel1 if a else rel0)[p, q],
             )
         # children labels chain and everyone is feasible
-        lp, lq = pq[node.left.lo, node.left.hi]
-        rp, rq = pq[node.right.lo, node.right.hi]
+        (lp, lq), (rp, rq) = pq[u + 1], pq[right[u]]
         return b.and_tree_f([
-            eq(pw, lp, widths[node.lo]), eq(lq, rp, widths[node.left.hi]),
-            eq(qw, rq, widths[node.hi]),
-            feas[id(node)], feas[id(node.left)], feas[id(node.right)],
+            eq(pw, lp, widths[lo[u]]), eq(lq, rp, widths[lo[right[u]]]),
+            eq(qw, rq, widths[hi[u]]),
+            feas[u], feas[u + 1], feas[right[u]],
         ])
 
-    def patch(node: Node, k: int):
-        """Bit k of the witness word for the node's label; the parent of the
+    def patch(u: int, k: int):
+        """Bit k of the witness word for node u's label; the parent of the
         topmost inconsistent node is consistent, so that label is feasible
         and the patches tile the word into one accepted s-t path.  The root's
         label is hardwired, so its table has no wires and lowers to a
         constant."""
-        _, words, nontrivial = eng.tables(node)
-        rel = k - node.lo - 1
+        _, words, nontrivial = eng.tables(lo[u], hi[u])
+        rel = k - lo[u] - 1
         if rel not in nontrivial:
             return None
-        return label_table(node, lambda p, q: words[p, q, rel])
+        return label_table(u, lambda p, q: words[p, q, rel])
 
-    outs = patched_outputs(b, nodes, cons, [word[v - 1] for v in bp.gap_var], patch)
+    outs = patched_outputs(b, plan, cons, [word[v - 1] for v in bp.gap_var], patch)
     b.set_outputs([outs[k] for k in np.argsort(bp.gap_var)])
     return b.build(), layout
 

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from rangesynth.circuit import eval_batch, eval_circuit
-from rangesynth.intervals import build_tree, path_to_leaf
 from rangesynth.counting import synth_exact_count, synth_threshold, witness_count
 from rangesynth.regular import WitnessError
 from tests.conftest import exact_range, random_proofs
+from tests.witness_reference import build_tree, path_to_leaf
 
 
 def _decode_counts(layout, proof):

@@ -32,7 +32,7 @@ from rangesynth.languages import (
     word_to_string,
     words_to_strings,
 )
-from rangesynth.regular import parse_bp
+from rangesynth.regular import parse_bp, unroll
 from tests.conftest import NFA1_TXT, PARITY_TXT, XX_BP, contains11_verifier
 
 
@@ -53,6 +53,13 @@ class TestParseDfa:
     def test_missing_transition_rejected(self):
         with pytest.raises(LanguageError):
             parse_dfa("states 2\nstart 0\nfinal 0\ntrans 0 0 0\ntrans 0 1 1\n")
+
+    def test_nfa_transition_table_must_cover_every_state(self):
+        short = ((frozenset({0}), frozenset({1})),)
+        with pytest.raises(LanguageError, match="every state"):
+            Nfa(2, 0, frozenset({1}), short)
+        with pytest.raises(LanguageError, match="every state"):
+            Nfa(1, 0, frozenset({0}), short * 2)
 
     def test_determinize_agrees(self):
         a = parse_dfa(NFA1_TXT)
@@ -90,12 +97,17 @@ class TestMember:
         assert member(UnReach(), np.zeros(9, dtype=np.uint8)) == 1
 
     def test_member_batch_matches_member(self, parity):
-        specs = [Regular(parity), Threshold(2), ExactCount(1)]
+        bp = unroll(parity, 4)  # its language holds length-4 words only
+        specs = [Regular(parity), Threshold(2), ExactCount(1), Regular(bp)]
         rng = np.random.default_rng(0)
-        words = rng.integers(0, 2, (200, 5), dtype=np.uint8)
-        for spec in specs:
-            batch = member_batch(spec, words)
-            assert list(batch) == [member(spec, w) for w in words]
+        for n in (5, 2, 4, 6):
+            words = rng.integers(0, 2, (200, n), dtype=np.uint8)
+            for spec in specs:
+                batch = member_batch(spec, words)
+                assert list(batch) == [member(spec, w) for w in words]
+            assert list(member_batch(Regular(bp), words)) == \
+                [n == 4 and parity.accepts(w) for w in words]
+        assert member(Regular(bp), [1, 1, 0, 0, 1]) == 0
 
     def test_ustconn_monotone_under_edges(self):
         rng = np.random.default_rng(3)
@@ -318,6 +330,18 @@ class TestSampleMembers:
     def test_rejection_sampler(self, parity):
         words = sample_members(Regular(parity), 8, 30, seed=2)
         assert all(member(Regular(parity), w) for w in words)
+
+    def test_empty_counting_slice_refused(self):
+        for spec in (ExactCount(5), Threshold(5), ExactCount(-1)):
+            with pytest.raises(LanguageError, match="no members of length 3"):
+                sample_members(spec, 3, 2)
+        assert sample_members(ExactCount(3), 3, 2).tolist() == [[1, 1, 1]] * 2
+
+    def test_zero_count(self, parity):
+        for spec, n in ((Regular(parity), 6), (Cycles(), 9), (UnReach(), 9),
+                        (Threshold(2), 6), (ExactCount(0), 6)):
+            words = sample_members(spec, n, 0)
+            assert words.shape == (0, n) and words.dtype == np.uint8
 
     def test_deterministic_given_seed(self):
         a = sample_members(Threshold(2), 12, 20, seed=9)

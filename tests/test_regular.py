@@ -14,7 +14,6 @@ import pytest
 
 from rangesynth import regular
 from rangesynth.circuit import eval_batch, eval_circuit
-from rangesynth.intervals import build_tree, path_to_leaf
 from rangesynth.languages import Regular, member
 from rangesynth.regular import (
     LayeredBp,
@@ -30,6 +29,7 @@ from rangesynth.regular import (
     witness_regular,
 )
 from tests.conftest import XX_BP, exact_range, random_proofs, slice_set
+from tests.witness_reference import build_tree, path_to_leaf
 
 
 class TestUnroll:
@@ -292,7 +292,7 @@ def _check_tables(bp):
         node = stack.pop()
         if not node.is_leaf:
             stack += [node.left, node.right]
-        feas, words, nontrivial = eng.tables(node)
+        feas, words, nontrivial = eng.tables(node.lo, node.hi)
         assert np.array_equal(feas, _reach(bp, node.lo, node.hi))
         n_words = min(node.hi, bp.n) - node.lo
         assert words.shape == feas.shape + (n_words,)

@@ -91,6 +91,18 @@ def test_proof_layout_matches_fresh_tree(width):
         assert layout.to_text() == ref.proof_layout_text(n, width)
 
 
+def test_plan_is_the_reference_tree():
+    for span in range(1, 301):
+        nodes = ref.preorder(ref.build_tree(0, span))
+        index = {id(node): i for i, node in enumerate(nodes)}
+        plan = intervals.Plan(span, lambda lo, hi, parent: np.zeros_like(lo), 0)
+        assert plan.lo.tolist() == [node.lo for node in nodes]
+        assert plan.hi.tolist() == [node.hi for node in nodes]
+        assert plan.parent.tolist() == [index.get(id(node.parent), -1) for node in nodes]
+        assert plan.right.tolist() == [index.get(id(node.right), -1) for node in nodes]
+        assert plan.m == 0
+
+
 # ---------------------------------------------------------------------------
 # differential: counting
 
@@ -220,6 +232,7 @@ def test_caches_stay_within_their_bounds():
 
 def test_cached_plans_are_read_only():
     plan, q_bits = regular._plan(5, 3)
-    for a in (plan.lo, plan.hi, plan.offset, plan.bits, plan.owner, plan.shift, q_bits):
+    for a in (plan.lo, plan.hi, plan.parent, plan.right, plan.offset, plan.bits,
+              plan.owner, plan.shift, q_bits):
         assert not a.flags.writeable
     assert not counting._plan(9).owner.flags.writeable

@@ -1,11 +1,16 @@
-"""Per-word reference witness generators.
+"""The reference interval tree and per-word reference witness generators.
 
-Each call builds its interval tree afresh, walks the word's states with
+:class:`Node` trees are the object-graph form of the midpoint-split tree
+that ``rangesynth.intervals.Plan`` stores as pre-order arrays; the
+reference decoders in ``test_regular.py`` and ``test_counting.py`` walk
+them.  Each witness call builds its interval tree afresh, walks the word's states with
 plain Python sets and writes every label with its own most-significant-bit-
 first loop: no layout plan, no shared reach products.  The differential
 tests in ``test_witness_plan.py`` hold ``witness_bp``/``witness_regular``
 and ``witness_count`` to these, proof for proof and error for error.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,22 +23,63 @@ def _bits_for(k):
     return (k - 1).bit_length()
 
 
+@dataclass
+class Node:
+    lo: int            # exclusive left endpoint
+    hi: int            # inclusive right endpoint
+    left: "Node | None" = None
+    right: "Node | None" = None
+    parent: "Node | None" = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.left is None
+
+
+def build_tree(lo, hi):
+    """Midpoint-split tree over (lo, hi]."""
+    root = Node(lo, hi)
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.hi - node.lo > 1:
+            mid = (node.lo + node.hi) // 2
+            node.left = Node(node.lo, mid, parent=node)
+            node.right = Node(mid, node.hi, parent=node)
+            stack += [node.right, node.left]
+    return root
+
+
+def path_to_leaf(root, k):
+    """Nodes from root down to the leaf covering position k."""
+    out = [root]
+    while not out[-1].is_leaf:
+        node = out[-1]
+        out.append(node.left if k <= node.left.hi else node.right)
+    return out
+
+
+def preorder(root):
+    """The tree's nodes, each before its left and then its right subtree."""
+    nodes, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if not node.is_leaf:
+            stack += [node.right, node.left]
+    return nodes
+
+
 def blocks(hi, bits_of, start):
     """``(lo, hi, offset, bits)`` for every node of the midpoint-split tree
     over (0, hi] in pre-order, packed from ``start``; and the proof length.
     ``bits_of(lo, hi, is_root)`` is a node's label width."""
-    out = []
-
-    def visit(a, b, off):
-        k = bits_of(a, b, not out)
-        out.append((a, b, off, k))
+    out, off = [], start
+    for node in preorder(build_tree(0, hi)):
+        k = bits_of(node.lo, node.hi, node.parent is None)
+        out.append((node.lo, node.hi, off, k))
         off += k
-        if b - a > 1:
-            mid = (a + b) // 2
-            off = visit(mid, b, visit(a, mid, off))
-        return off
-
-    return out, visit(0, hi, start)
+    return out, off
 
 
 def _encode(proof, offset, bits, value):
