@@ -21,8 +21,10 @@ Conventions (documented because the choice matters to the metrics):
 
 from __future__ import annotations
 
+import heapq
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -345,32 +347,190 @@ def bits_for(k: int) -> int:
     return (k - 1).bit_length()
 
 
+# Distinct truth tables whose lowered covers are kept (and field layouts
+# whose decoded values are), least recently used first out; one regular
+# synthesis lowers a few dozen.
+COVER_CACHE = 256
+# Tables over more wires are covered by their true rows: the implicant search
+# visits every one of the 2^k sets of free wires, with a 2^k-bit row set each.
+COVER_MAX_WIRES = 12
+
+
 def table_to_subcircuit(builder: CircuitBuilder, table: Sequence[int], wires: Sequence[int]) -> int:
-    """Append a DNF subcircuit computing an arbitrary truth table.
+    """Append a two-level (DNF) subcircuit computing an arbitrary truth table.
 
     ``table`` has ``2**k`` entries where ``k = len(wires)``; row ``r`` gives
     the value when ``wires[i]`` carries bit ``(r >> i) & 1`` (wires[0] is the
-    least significant index bit).  True rows become balanced AND trees of
-    literals, joined by a balanced OR tree, so the local depth is at most
-    ``ceil(log2 k) + ceil(log2 #true_rows) + 1``.  A constant table collapses
-    to a CONST gate.
+    least significant index bit).  The true rows are covered by prime
+    implicants (:func:`_cover`); each becomes a balanced AND tree of its
+    literals over the wire slots (:func:`_slot_and_tree`), and a balanced OR
+    tree joins them.  There are at most as many implicants as true rows, so
+    the local depth is at most ``ceil(log2 k) + ceil(log2 #true_rows) + 1``.
+    A constant table collapses to a CONST gate.  Each distinct table is
+    lowered once (:func:`_template`); a call replays its gates on ``wires``.
     """
     k = len(wires)
     if len(table) != 1 << k:
         raise CircuitError(f"table needs {1 << k} entries, got {len(table)}")
-    true_rows = [r for r in range(1 << k) if table[r]]
-    if not true_rows:
-        return builder.const(0)
-    if len(true_rows) == 1 << k:
-        return builder.const(1)
-    terms = []
-    for r in true_rows:
-        lits = [
-            wires[i] if (r >> i) & 1 else builder.not_(wires[i])
-            for i in range(k)
+    gates, out = _template(k, np.asarray(table, dtype=bool).tobytes())
+    ids = list(wires)
+    for kind, a, b in gates:
+        if kind == NOT:
+            ids.append(builder.not_(ids[a]))
+        elif kind == CONST:
+            ids.append(builder.const(a))
+        else:
+            ids.append(builder._emit(kind, ids[a], ids[b]))
+    return ids[out]
+
+
+class _Recorder(CircuitBuilder):
+    """A builder that emits each distinct ``(kind, a, b)`` gate once."""
+
+    def __init__(self, num_inputs: int):
+        super().__init__(num_inputs)
+        self._seen: dict = {}
+
+    def _emit(self, kind: int, a: int, b: int = 0) -> int:
+        gid = self._seen.get((kind, a, b))
+        if gid is None:
+            gid = self._seen[kind, a, b] = super()._emit(kind, a, b)
+        return gid
+
+
+@lru_cache(maxsize=COVER_CACHE)
+def _template(k: int, table: bytes) -> tuple:
+    """A table's lowered cover as ``(gates, out)`` over local ids: ids
+    0..k-1 are the wires, gate j of ``gates`` is id k + j, and ``out`` is
+    the id that carries the table's value."""
+    on = np.frombuffer(table, dtype=bool)
+    b = _Recorder(k)
+    wires = [b.input(i) for i in range(k)]
+    if not on.any():
+        out = b.const(0)
+    elif on.all():
+        out = b.const(1)
+    else:
+        out = b.or_tree([_slot_and_tree(b, wires, mask, value)
+                         for mask, value in _cover(k, table)])
+    return tuple(zip(b.kinds[k:], b.arg0[k:], b.arg1[k:])), out
+
+
+def _cover(k: int, table: bytes) -> tuple:
+    """Prime implicants covering the true rows of a nonconstant k-wire table.
+
+    An implicant is a ``(mask, value)`` pair: it holds on the rows r with
+    ``r & mask == value``, and every such row is true.  Quine-McCluskey
+    (Brayton et al., *Logic Minimization Algorithms for VLSI Synthesis*,
+    1984) on row bitsets (bit r of an int is row r): the cube with free bits
+    D through row x is an implicant when both its halves along one bit of D
+    are, and it is prime when no cube with one more free bit is.  The
+    essential primes are taken first, then greedily the prime covering the
+    most rows still uncovered, fewer literals first on ties.  The result is
+    sorted by literal, slot 0 first (0, then 1, then absent), so the gates
+    emitted for a table never depend on the order of discovery; of the
+    orders tried, this one let the reduction pass share the most OR gates
+    between tables over the same wires.
+    """
+    full = (1 << k) - 1
+    if k > COVER_MAX_WIRES:
+        rows = np.flatnonzero(np.frombuffer(table, dtype=bool))
+        return tuple((full, r) for r in rows.tolist())
+    on = _bitset(np.frombuffer(table, dtype=bool))
+    index = np.arange(1 << k)
+    low = [_bitset(index >> i & 1 == 0) for i in range(k)]  # rows with bit i 0
+    holds = {0: on}  # free bits D -> the rows x whose D-cube is all true
+    zeros = [(1 << (1 << k)) - 1]  # D -> the rows that are 0 on D
+    spans = [1]  # D -> the rows of the D-cube through row 0
+    for free in range(1, 1 << k):
+        bit = free & -free
+        i = bit.bit_length() - 1
+        zeros.append(zeros[free ^ bit] & low[i])
+        spans.append(spans[free ^ bit] | spans[free ^ bit] << bit)
+        half = holds.get(free ^ bit)
+        if half:
+            cube = half & ((half >> bit & low[i]) | (half & low[i]) << bit)
+            if cube:
+                holds[free] = cube
+    primes = []  # (literals, mask, value)
+    for free, cube in holds.items():
+        prime = cube & zeros[free]  # one row per cube: the one 0 on D
+        for i in range(k):
+            if not free >> i & 1:
+                prime &= ~holds.get(free | 1 << i, 0)
+        while prime:
+            x = prime & -prime
+            primes.append((k - free.bit_count(), full ^ free, x.bit_length() - 1))
+            prime ^= x
+    primes.sort()
+    rows = [spans[full ^ mask] << value for _, mask, value in primes]
+    once = twice = 0
+    for r in rows:
+        twice |= once & r
+        once |= r
+    chosen = [bool(r & once & ~twice) for r in rows]  # the essential ones
+    uncovered = on
+    for r, c in zip(rows, chosen):
+        if c:
+            uncovered &= ~r
+    # greedy, lazily: a prime's gain only falls, so a popped prime whose gain
+    # is still no worse than every stale bound left is the first best one
+    heap = [(-(r & uncovered).bit_count(), p) for p, r in enumerate(rows)]
+    heapq.heapify(heap)
+    while uncovered:
+        _, p = heapq.heappop(heap)
+        entry = (-(rows[p] & uncovered).bit_count(), p)
+        if heap and entry > heap[0]:
+            heapq.heappush(heap, entry)
+            continue
+        chosen[p] = True
+        uncovered &= ~rows[p]
+    return tuple(sorted(
+        ((mask, value) for (_, mask, value), c in zip(primes, chosen) if c),
+        key=lambda mv: [mv[1] >> i & 1 if mv[0] >> i & 1 else 2 for i in range(k)]))
+
+
+def _bitset(bits: np.ndarray) -> int:
+    """A bool array as an int whose bit r is entry r."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _slot_and_tree(builder: CircuitBuilder, wires: Sequence[int], mask: int,
+                   value: int) -> int:
+    """AND of an implicant's literals as a balanced tree over the wire slots.
+
+    Slots pair (0, 1), (2, 3), ... at every level and a missing literal lets
+    its partner through, so implicants that agree on a pair of wires emit
+    the same AND gate there: one gate in a table's template, and one after
+    the reduction pass across tables on the same wires.  A full minterm
+    gives exactly :meth:`CircuitBuilder.and_tree` of its literals.
+    """
+    level = [
+        (w if value >> i & 1 else builder.not_(w)) if mask >> i & 1 else None
+        for i, w in enumerate(wires)
+    ]
+    while len(level) > 1:
+        level = [
+            a if b is None else b if a is None else builder.and_(a, b)
+            for a, b in zip(level[::2], level[1::2] + [None])
         ]
-        terms.append(builder.and_tree(lits))
-    return builder.or_tree(terms)
+    return level[0]
+
+
+@lru_cache(maxsize=COVER_CACHE)
+def _field_values(widths: tuple) -> tuple:
+    """Each field's decoded value on every table row, clamped to
+    ``num_values - 1`` when ``num_values`` is given; read-only arrays."""
+    rows = np.arange(1 << sum(nbits for nbits, _ in widths))
+    vals, shift = [], 0
+    for nbits, nv in widths:
+        v = (rows >> shift) & ((1 << nbits) - 1)
+        if nv is not None:
+            np.minimum(v, nv - 1, out=v)
+        v.flags.writeable = False
+        vals.append(v)
+        shift += nbits
+    return tuple(vals)
 
 
 def lower_fields(builder: CircuitBuilder, fields, fn) -> int:
@@ -379,26 +539,16 @@ def lower_fields(builder: CircuitBuilder, fields, fn) -> int:
     ``fields`` is a list of ``(wires_msb_first, num_values)`` pairs; each
     field decodes to an integer, clamped to ``num_values - 1`` when
     ``num_values`` is given (the out-of-range-encoding convention).  ``fn``
-    receives one decoded value per field and returns the predicate bit.
+    is called once, with one read-only int array per field holding that
+    field's value on every row of the truth table, and returns the
+    predicate's bit on every row as an array of the same length.
     """
     wires_lsb: list[int] = []
-    widths: list[tuple[int, int | None]] = []
+    widths = []
     for ws, nv in fields:
         wires_lsb.extend(reversed(list(ws)))
         widths.append((len(ws), nv))
-    total = len(wires_lsb)
-    table = []
-    for row in range(1 << total):
-        vals = []
-        shift = 0
-        for nbits, nv in widths:
-            v = (row >> shift) & ((1 << nbits) - 1)
-            shift += nbits
-            if nv is not None and v >= nv:
-                v = nv - 1
-            vals.append(v)
-        table.append(1 if fn(*vals) else 0)
-    return table_to_subcircuit(builder, table, wires_lsb)
+    return table_to_subcircuit(builder, fn(*_field_values(tuple(widths))), wires_lsb)
 
 
 # ---------------------------------------------------------------------------

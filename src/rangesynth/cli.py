@@ -169,20 +169,34 @@ def _parse_expr(text: str):
     return node
 
 
-# combinator head -> circuit from its arguments (tokens and call nodes)
+# combinator head -> (argument kinds, circuit from its arguments): "w" is a
+# plain token, "e" an expression (a call); "e+" is one or more expressions
 _COMBINATORS = {
-    "finite": lambda a: combinators.finite_language(a[0].split("|")),
-    "union": lambda a: combinators.union([_build_expr(x) for x in a]),
-    "reverse": lambda a: combinators.reverse(_build_expr(a[0])),
-    "upclose": lambda a: combinators.upclose(_build_expr(a[0])),
-    "morphism": lambda a: combinators.morphism(a[0], a[1], _build_expr(a[2])),
-    "inverse_morphism":
-        lambda a: combinators.inverse_morphism(a[0], a[1], _build_expr(a[2])),
-    "concat_left": lambda a: combinators.concat_finite(
-        a[0].split("|"), _build_expr(a[1]), side="left"),
-    "concat_right": lambda a: combinators.concat_finite(
-        a[0].split("|"), _build_expr(a[1]), side="right"),
+    "finite": ("w", lambda a: combinators.finite_language(a[0].split("|"))),
+    "union": ("e+", lambda a: combinators.union([_build_expr(x) for x in a])),
+    "reverse": ("e", lambda a: combinators.reverse(_build_expr(a[0]))),
+    "upclose": ("e", lambda a: combinators.upclose(_build_expr(a[0]))),
+    "morphism": ("wwe", lambda a: combinators.morphism(a[0], a[1], _build_expr(a[2]))),
+    "inverse_morphism": ("wwe", lambda a: combinators.inverse_morphism(
+        a[0], a[1], _build_expr(a[2]))),
+    "concat_left": ("we", lambda a: combinators.concat_finite(
+        a[0].split("|"), _build_expr(a[1]), side="left")),
+    "concat_right": ("we", lambda a: combinators.concat_finite(
+        a[0].split("|"), _build_expr(a[1]), side="right")),
 }
+
+
+def _check_args(name: str, kinds: str, args) -> None:
+    """Refuse a combinator call whose arguments do not match ``kinds``."""
+    want = str(len(kinds))
+    if kinds.endswith("+"):
+        want, kinds = "at least 1", kinds[:-1] * max(1, len(args))
+    if len(args) != len(kinds):
+        raise UsageError(f"{name} takes {want} argument(s), got {len(args)}")
+    for i, (kind, arg) in enumerate(zip(kinds, args), 1):
+        if kind == "w" and not isinstance(arg, str):
+            raise UsageError(f"{name}: argument {i} must be a plain token, "
+                             "not a call")
 
 
 def _build_expr(node):
@@ -192,7 +206,9 @@ def _build_expr(node):
     name, args = node
     try:
         if name in _COMBINATORS:
-            return _COMBINATORS[name](args)
+            kinds, build = _COMBINATORS[name]
+            _check_args(name, kinds, args)
+            return build(args)
         if not all(isinstance(a, str) for a in args):
             raise UsageError(f"{name}: expected plain arguments, not calls")
         fam, params = _family(name, *args)

@@ -9,6 +9,8 @@ be empty, and neither can any language built here).
 
 from __future__ import annotations
 
+import numpy as np
+
 from .circuit import (
     Circuit, CircuitBuilder, InputArityError, _as_bits, bits_for, lower_fields,
 )
@@ -70,10 +72,8 @@ def concat_finite(words, c: Circuit, side: str = "left") -> Circuit:
     sel_bits = bits_for(s)
     b = CircuitBuilder(sel_bits + c.num_inputs)
     sel = [b.input(i) for i in range(sel_bits)]
-    word_outs = [
-        lower_fields(b, [(sel, s)], lambda v, j=j: words[v][j])
-        for j in range(k)
-    ]
+    cols = np.array(words, dtype=np.uint8).T  # cols[j][v]: bit j of word v
+    word_outs = [lower_fields(b, [(sel, s)], col.__getitem__) for col in cols]
     inner = b.append_circuit(
         c, [b.input(sel_bits + i) for i in range(c.num_inputs)]
     )
@@ -170,8 +170,6 @@ def finite_language(words) -> Circuit:
     sel_bits = bits_for(s)
     b = CircuitBuilder(sel_bits)
     sel = [b.input(i) for i in range(sel_bits)]
-    b.set_outputs([
-        lower_fields(b, [(sel, s)], lambda v, j=j: words[v][j])
-        for j in range(n)
-    ])
+    cols = np.array(words, dtype=np.uint8).T  # cols[j][v]: bit j of word v
+    b.set_outputs([lower_fields(b, [(sel, s)], col.__getitem__) for col in cols])
     return b.build()

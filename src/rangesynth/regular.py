@@ -354,7 +354,7 @@ def _synth(bp: LayeredBp):
                 b,
                 [([word[bp.gap_var[hi[u] - 1] - 1]], None),
                  (pw, widths[lo[u]]), (qw, widths[hi[u]])],
-                lambda a, p, q: (rel1 if a else rel0)[p, q],
+                lambda a, p, q: np.where(a, rel1[p, q], rel0[p, q]),
             )
         # children labels chain and everyone is feasible
         (lp, lq), (rp, rq) = pq[u + 1], pq[right[u]]

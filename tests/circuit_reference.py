@@ -4,7 +4,8 @@ These are the straightforward gate-by-gate loops that the levelized kernels,
 the whole-array structural check, the syntax-only parser and the reducing
 builder in ``rangesynth.circuit`` replaced: evaluation, depth, alternations,
 the structural rules, a parser that checks each gate line as it reads it, a
-build that keeps every emitted gate, and a per-gate ``append_circuit``.
+build that keeps every emitted gate, a per-gate ``append_circuit``, and the
+truth-table lowering that writes one full minterm per true row.
 They are slow but obviously follow the definitions in the circuit module
 docstring, so the differential tests compare the fast paths against them.
 """
@@ -15,7 +16,7 @@ import numpy as np
 
 from rangesynth.circuit import (
     _NAME_TO_KIND, AND, CONST, INPUT, MAX_INPUTS, NOT, OR, Circuit,
-    InputArityError, ParseError, StructureError,
+    CircuitError, InputArityError, ParseError, StructureError,
 )
 
 
@@ -210,3 +211,24 @@ def parse_reference(text: str):
         if not (0 <= o < num_gates):
             raise StructureError(f"output id {o} does not exist")
     return Circuit(num_inputs, kinds, arg0, arg1, outputs, _validated=True)
+
+
+def table_to_subcircuit_reference(builder, table, wires) -> int:
+    """A truth table as a minterm DNF: one balanced AND tree of all k literals
+    per true row, joined by a balanced OR tree; a constant table is a CONST."""
+    k = len(wires)
+    if len(table) != 1 << k:
+        raise CircuitError(f"table needs {1 << k} entries, got {len(table)}")
+    true_rows = [r for r in range(1 << k) if table[r]]
+    if not true_rows:
+        return builder.const(0)
+    if len(true_rows) == 1 << k:
+        return builder.const(1)
+    terms = []
+    for r in true_rows:
+        lits = [
+            wires[i] if (r >> i) & 1 else builder.not_(wires[i])
+            for i in range(k)
+        ]
+        terms.append(builder.and_tree(lits))
+    return builder.or_tree(terms)

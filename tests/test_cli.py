@@ -99,6 +99,23 @@ def test_bad_expression_exit_2(expr, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expr,message", [
+    ("reverse(exact(3,1),exact(3,2))", "reverse takes 1 argument(s), got 2"),
+    ("finite(01|10,11)", "finite takes 1 argument(s), got 2"),
+    ("morphism(0,1,exact(3,1),junk)", "morphism takes 3 argument(s), got 4"),
+    ("upclose()", "upclose takes 1 argument(s), got 0"),
+    ("union()", "union takes at least 1 argument(s), got 0"),
+    ("finite(exact(3,1))", "finite: argument 1 must be a plain token"),
+])
+def test_combinator_arity_exit_2(expr, message, tmp_path, capsys):
+    """A combinator called with the wrong number or kind of arguments is
+    refused, naming what it takes, and writes no circuit."""
+    out = tmp_path / "e.circ"
+    assert run(["synth", "--expr", expr, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_eval_roundtrip(tmp_path, parity_file, capsys):
     out = str(tmp_path / "c.circ")
     assert run(["synth", "regular", "--dfa", parity_file, "--n", "3",
