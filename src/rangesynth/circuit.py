@@ -131,9 +131,7 @@ class Circuit:
             k, a, b = self.kinds[i], self.arg0[i], self.arg1[i]
             fault = _FAULTS.get(k, "unknown kind {k}")
             raise StructureError(fault.format(k=k, a=a, b=b), i)
-        for o in self.outputs:
-            if not (0 <= o < n):
-                raise StructureError(f"output id {o} does not exist")
+        _check_outputs(self.outputs, n)
 
     def _arrays(self):
         if self._np_cache is None:
@@ -174,16 +172,23 @@ class Circuit:
         )
 
 
+def _check_outputs(outputs, n: int):
+    for o in outputs:
+        if not 0 <= o < n:
+            raise StructureError(f"output id {o} does not exist")
+
+
 class CircuitBuilder:
     """Append-only constructor for :class:`Circuit`.
 
-    Gates are emitted as asked; :meth:`build` then merges structurally equal
-    gates and drops logic gates that no output reads (:func:`_reduce`), so
-    synthesizers need not share subcircuits themselves.  CONST and NOT gates
-    are still shared as they are emitted, which keeps the gate arrays and
-    the reduction small.  The ``*_f`` variants fold constant operands at
-    construction time and are used by synthesizers that can prove the fold
-    exact.
+    One constructor per gate kind; each folds constant operands (an AND
+    with 0 is that 0, an AND with 1 its other operand, and so on), which is
+    always exact.  :meth:`gate` emits a gate as given, for the few callers
+    that need the gate itself.  :meth:`build` then merges structurally
+    equal gates and drops logic gates that no output reads
+    (:func:`_reduce`), so synthesizers need not share subcircuits
+    themselves.  CONST and NOT gates are still shared as they are emitted,
+    which keeps the gate arrays and the reduction small.
     """
 
     def __init__(self, num_inputs: int):
@@ -195,7 +200,8 @@ class CircuitBuilder:
         self._const_ids: dict[int, int] = {}
         self._not_ids: dict[int, int] = {}
 
-    def _emit(self, kind: int, a: int, b: int = 0) -> int:
+    def gate(self, kind: int, a: int, b: int = 0) -> int:
+        """Append one gate as given, folding and sharing nothing."""
         gid = len(self.kinds)
         self.kinds.append(kind)
         self.arg0.append(a)
@@ -205,7 +211,7 @@ class CircuitBuilder:
     def input(self, index: int) -> int:
         if not (0 <= index < self.num_inputs):
             raise StructureError(f"input index {index} out of range")
-        return self._emit(INPUT, index)
+        return self.gate(INPUT, index)
 
     def const(self, bit: int) -> int:
         bit = int(bit)
@@ -213,96 +219,72 @@ class CircuitBuilder:
             raise StructureError("const must be 0 or 1")
         gid = self._const_ids.get(bit)
         if gid is None:
-            gid = self._const_ids[bit] = self._emit(CONST, bit)
+            gid = self._const_ids[bit] = self.gate(CONST, bit)
         return gid
-
-    def not_(self, a: int) -> int:
-        gid = self._not_ids.get(a)
-        if gid is None:
-            gid = self._not_ids[a] = self._emit(NOT, a)
-        return gid
-
-    def and_(self, a: int, b: int) -> int:
-        return self._emit(AND, a, b)
-
-    def or_(self, a: int, b: int) -> int:
-        return self._emit(OR, a, b)
-
-    # -- constant-folding variants ----------------------------------------
 
     def const_value(self, g: int) -> int | None:
         """Return the bit a gate is a CONST of, or None."""
-        if self.kinds[g] == CONST:
-            return self.arg0[g]
-        return None
+        return self.arg0[g] if self.kinds[g] == CONST else None
 
-    def not_f(self, a: int) -> int:
+    def not_(self, a: int) -> int:
         if self.kinds[a] == CONST:
             return self.const(1 - self.arg0[a])
-        return self.not_(a)
+        gid = self._not_ids.get(a)
+        if gid is None:
+            gid = self._not_ids[a] = self.gate(NOT, a)
+        return gid
 
-    def and_f(self, a: int, b: int) -> int:
-        kinds = self.kinds
-        if kinds[a] == CONST:
+    def and_(self, a: int, b: int) -> int:
+        if self.kinds[a] == CONST:
             return b if self.arg0[a] else a
-        if kinds[b] == CONST:
+        if self.kinds[b] == CONST:
             return a if self.arg0[b] else b
-        return self._emit(AND, a, b)
+        return self.gate(AND, a, b)
 
-    def or_f(self, a: int, b: int) -> int:
-        kinds = self.kinds
-        if kinds[a] == CONST:
+    def or_(self, a: int, b: int) -> int:
+        if self.kinds[a] == CONST:
             return a if self.arg0[a] else b
-        if kinds[b] == CONST:
+        if self.kinds[b] == CONST:
             return b if self.arg0[b] else a
-        return self._emit(OR, a, b)
+        return self.gate(OR, a, b)
 
-    def xor_f(self, a: int, b: int) -> int:
+    def xor(self, a: int, b: int) -> int:
         va, vb = self.const_value(a), self.const_value(b)
         if va is not None:
-            return b if va == 0 else self.not_f(b)
+            return b if va == 0 else self.not_(b)
         if vb is not None:
-            return a if vb == 0 else self.not_f(a)
-        return self.or_(self.and_(a, self.not_(b)), self.and_(self.not_(a), b))
+            return a if vb == 0 else self.not_(a)
+        return self.gate(OR, self.gate(AND, a, self.not_(b)),
+                         self.gate(AND, self.not_(a), b))
 
     # -- balanced trees ----------------------------------------------------
 
-    def _tree(self, op, wires: Sequence[int], empty: int) -> int:
-        wires = list(wires)
-        if not wires:
-            return self.const(empty)
-        while len(wires) > 1:
-            wires = [
-                op(wires[i], wires[i + 1]) if i + 1 < len(wires) else wires[i]
-                for i in range(0, len(wires), 2)
-            ]
-        return wires[0]
+    @staticmethod
+    def _tree(op, slots: list) -> int:
+        """Balanced tree of ``op`` over nonempty ``slots``: every level pairs
+        slots (0, 1), (2, 3), ..., and a ``None`` slot (or a missing last
+        partner) lets its partner through."""
+        while len(slots) > 1:
+            slots = [a if b is None else b if a is None else op(a, b)
+                     for a, b in zip(slots[::2], slots[1::2] + [None])]
+        return slots[0]
 
-    def _tree_f(self, op, wires: Sequence[int], empty: int) -> int:
-        """_tree over the non-constant wires; a constant ``1 - empty`` absorbs."""
-        kept = []
-        for w in wires:
-            v = self.const_value(w)
-            if v == 1 - empty:
-                return self.const(v)
-            if v != empty:
-                kept.append(w)
-        return self._tree(op, kept, empty)
+    def _fold_tree(self, op, wires: Sequence[int], unit: int) -> int:
+        """Tree of ``op`` over the wires: a constant ``unit`` drops out and a
+        constant ``1 - unit`` absorbs the whole tree."""
+        kept = [w for w in wires if self.const_value(w) != unit]
+        if any(self.kinds[w] == CONST for w in kept):
+            return self.const(1 - unit)
+        return self._tree(op, kept or [self.const(unit)])
 
     def and_tree(self, wires: Sequence[int]) -> int:
-        return self._tree(self.and_, wires, 1)
+        return self._fold_tree(self.and_, wires, 1)
 
     def or_tree(self, wires: Sequence[int]) -> int:
-        return self._tree(self.or_, wires, 0)
-
-    def and_tree_f(self, wires: Sequence[int]) -> int:
-        return self._tree_f(self.and_, wires, 1)
-
-    def or_tree_f(self, wires: Sequence[int]) -> int:
-        return self._tree_f(self.or_, wires, 0)
+        return self._fold_tree(self.or_, wires, 0)
 
     def xor_tree(self, wires: Sequence[int]) -> int:
-        return self._tree(self.xor_f, wires, 0)
+        return self._tree(self.xor, list(wires) or [self.const(0)])
 
     def set_outputs(self, outputs: Sequence[int]):
         self.outputs = list(outputs)
@@ -336,6 +318,7 @@ class CircuitBuilder:
 
     def build(self) -> Circuit:
         """The circuit, reduced by :func:`_reduce`."""
+        _check_outputs(self.outputs, len(self.kinds))
         kinds, arg0, arg1, outputs = _reduce(
             self.kinds, self.arg0, self.arg1, self.outputs)
         return Circuit(self.num_inputs, kinds, arg0, arg1, outputs,
@@ -380,31 +363,21 @@ def table_to_subcircuit(builder: CircuitBuilder, table: Sequence[int], wires: Se
         elif kind == CONST:
             ids.append(builder.const(a))
         else:
-            ids.append(builder._emit(kind, ids[a], ids[b]))
+            ids.append(builder.gate(kind, ids[a], ids[b]))
     return ids[out]
-
-
-class _Recorder(CircuitBuilder):
-    """A builder that emits each distinct ``(kind, a, b)`` gate once."""
-
-    def __init__(self, num_inputs: int):
-        super().__init__(num_inputs)
-        self._seen: dict = {}
-
-    def _emit(self, kind: int, a: int, b: int = 0) -> int:
-        gid = self._seen.get((kind, a, b))
-        if gid is None:
-            gid = self._seen[kind, a, b] = super()._emit(kind, a, b)
-        return gid
 
 
 @lru_cache(maxsize=COVER_CACHE)
 def _template(k: int, table: bytes) -> tuple:
     """A table's lowered cover as ``(gates, out)`` over local ids: ids
     0..k-1 are the wires, gate j of ``gates`` is id k + j, and ``out`` is
-    the id that carries the table's value."""
+    the id that carries the table's value.  Implicants that share a literal
+    pair share its AND gate: :func:`_reduce`, called directly so that a
+    patched ``build`` cannot leave copies in the cache, maps every gate to
+    the copy that survives, and that copy keeps the operand order it was
+    emitted with, as ``build`` keeps it when nothing merges."""
     on = np.frombuffer(table, dtype=bool)
-    b = _Recorder(k)
+    b = CircuitBuilder(k)
     wires = [b.input(i) for i in range(k)]
     if not on.any():
         out = b.const(0)
@@ -413,7 +386,11 @@ def _template(k: int, table: bytes) -> tuple:
     else:
         out = b.or_tree([_slot_and_tree(b, wires, mask, value)
                          for mask, value in _cover(k, table)])
-    return tuple(zip(b.kinds[k:], b.arg0[k:], b.arg1[k:])), out
+    canon = _reduce(b.kinds, b.arg0, b.arg1, list(range(len(b.kinds))))[3]
+    gates: dict = {}  # surviving id -> its first copy, in id order
+    for g, kind, a, c in zip(canon[k:], b.kinds[k:], b.arg0[k:], b.arg1[k:]):
+        gates.setdefault(g, (kind, a if kind == CONST else canon[a], canon[c]))
+    return tuple(gates.values()), canon[out]
 
 
 def _cover(k: int, table: bytes) -> tuple:
@@ -505,16 +482,10 @@ def _slot_and_tree(builder: CircuitBuilder, wires: Sequence[int], mask: int,
     the reduction pass across tables on the same wires.  A full minterm
     gives exactly :meth:`CircuitBuilder.and_tree` of its literals.
     """
-    level = [
+    return builder._tree(builder.and_, [
         (w if value >> i & 1 else builder.not_(w)) if mask >> i & 1 else None
         for i, w in enumerate(wires)
-    ]
-    while len(level) > 1:
-        level = [
-            a if b is None else b if a is None else builder.and_(a, b)
-            for a, b in zip(level[::2], level[1::2] + [None])
-        ]
-    return level[0]
+    ])
 
 
 @lru_cache(maxsize=COVER_CACHE)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import (
-    Circuit, CircuitBuilder, InputArityError, _as_bits, bits_for, lower_fields,
+    OR, Circuit, CircuitBuilder, InputArityError, _as_bits, bits_for,
+    lower_fields,
 )
 from .languages import LanguageError
 
@@ -51,7 +52,7 @@ def union(circuits) -> Circuit:
         branch_outs.append(b.append_circuit(c, wires))
         off += c.num_inputs
     outs = [
-        b.or_tree_f([b.and_f(ind[i], branch_outs[i][j]) for i in range(k)])
+        b.or_tree([b.and_(ind[i], branch_outs[i][j]) for i in range(k)])
         for j in range(n)
     ]
     b.set_outputs(outs)
@@ -104,7 +105,7 @@ def morphism(h0, h1, c: Circuit) -> Circuit:
             elif bit1 == 1:
                 outs.append(o)
             else:
-                outs.append(b.not_f(o))
+                outs.append(b.not_(o))
     b.set_outputs(outs)
     return b.build()
 
@@ -137,7 +138,7 @@ def inverse_morphism(h0, h1, c: Circuit) -> Circuit:
         d = next(i for i in range(k) if h0[i] != h1[i])
         for j in range(blocks):
             wire = inner[j * k + d]
-            outs.append(wire if h1[d] == 1 else b.not_f(wire))
+            outs.append(wire if h1[d] == 1 else b.not_(wire))
     b.set_outputs(outs)
     return b.build()
 
@@ -152,7 +153,7 @@ def upclose(c: Circuit) -> Circuit:
     b = CircuitBuilder(c.num_inputs + n)
     inner = b.append_circuit(c, [b.input(i) for i in range(c.num_inputs)])
     b.set_outputs([
-        b.or_(o, b.input(c.num_inputs + i)) for i, o in enumerate(inner)
+        b.gate(OR, o, b.input(c.num_inputs + i)) for i, o in enumerate(inner)
     ])
     return b.build()
 

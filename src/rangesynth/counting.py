@@ -86,7 +86,7 @@ class _RangeAnd:
             prev = self.tab[-1]
             size *= 2
             self.tab.append(
-                [b.and_f(prev[i], prev[i + size // 2])
+                [b.and_(prev[i], prev[i + size // 2])
                  for i in range(len(wires) - size + 1)]
             )
 
@@ -97,7 +97,7 @@ class _RangeAnd:
         k = (hi - lo).bit_length() - 1
         left = self.tab[k][lo]
         right = self.tab[k][hi - (1 << k)]
-        return self.b.and_f(left, right)
+        return self.b.and_(left, right)
 
 
 def _pad(b: CircuitBuilder, xs, length: int):
@@ -108,15 +108,15 @@ def _add(b: CircuitBuilder, xs, ys):
     """Carry-lookahead sum of two wire-lists; result has one extra bit."""
     L = max(len(xs), len(ys))
     xs, ys = _pad(b, xs, L), _pad(b, ys, L)
-    gen = [b.and_f(x, y) for x, y in zip(xs, ys)]
-    prop = [b.xor_f(x, y) for x, y in zip(xs, ys)]
+    gen = [b.and_(x, y) for x, y in zip(xs, ys)]
+    prop = [b.xor(x, y) for x, y in zip(xs, ys)]
     ptab = _RangeAnd(b, prop)
     carries = [b.const(0)]
     for i in range(1, L + 1):
-        carries.append(b.or_tree_f(
-            [b.and_f(gen[j], ptab.query(j + 1, i)) for j in range(i)]
+        carries.append(b.or_tree(
+            [b.and_(gen[j], ptab.query(j + 1, i)) for j in range(i)]
         ))
-    out = [b.xor_f(prop[i], carries[i]) for i in range(L)]
+    out = [b.xor(prop[i], carries[i]) for i in range(L)]
     out.append(carries[L])
     return out
 
@@ -125,18 +125,18 @@ def _leq(b: CircuitBuilder, xs, ys) -> int:
     """xs <= ys as unsigned numbers."""
     L = max(len(xs), len(ys))
     xs, ys = _pad(b, xs, L), _pad(b, ys, L)
-    eq = [b.not_f(b.xor_f(x, y)) for x, y in zip(xs, ys)]
-    lt = [b.and_f(b.not_f(x), y) for x, y in zip(xs, ys)]
+    eq = [b.not_(b.xor(x, y)) for x, y in zip(xs, ys)]
+    lt = [b.and_(b.not_(x), y) for x, y in zip(xs, ys)]
     etab = _RangeAnd(b, eq)
-    terms = [b.and_f(lt[i], etab.query(i + 1, L)) for i in range(L)]
+    terms = [b.and_(lt[i], etab.query(i + 1, L)) for i in range(L)]
     terms.append(etab.query(0, L))
-    return b.or_tree_f(terms)
+    return b.or_tree(terms)
 
 
 def _eq(b: CircuitBuilder, xs, ys) -> int:
     L = max(len(xs), len(ys))
     xs, ys = _pad(b, xs, L), _pad(b, ys, L)
-    return b.and_tree_f([b.not_f(b.xor_f(x, y)) for x, y in zip(xs, ys)])
+    return b.and_tree([b.not_(b.xor(x, y)) for x, y in zip(xs, ys)])
 
 
 def _const_bits(b: CircuitBuilder, value: int, length: int):
@@ -149,9 +149,9 @@ def _clamp(b: CircuitBuilder, xs, cap: int):
         return list(xs)
     cap_bits = _const_bits(b, cap, len(xs))
     le = _leq(b, xs, cap_bits)
-    over = b.not_f(le)
+    over = b.not_(le)
     return [
-        b.or_f(b.and_f(le, x), b.and_f(over, c))
+        b.or_(b.and_(le, x), b.and_(over, c))
         for x, c in zip(xs, cap_bits)
     ]
 
@@ -205,7 +205,7 @@ def _build(kind: str, n: int, t: int):
         # (the path of a one-leaf root is the root alone)
         checked = [u for u in range(len(lo)) if cons[u] is not None]
         pathand = chain_ands(b, parent, checked, cons)
-        outputs = [b.or_f(word[lo[u]], b.not_f(pathand[u if parent[u] < 0 else parent[u]]))
+        outputs = [b.or_(word[lo[u]], b.not_(pathand[u if parent[u] < 0 else parent[u]]))
                    for u in np.flatnonzero(plan.right < 0).tolist()]
     else:
         # 1^l 0^* patch from the topmost inconsistent node's label l

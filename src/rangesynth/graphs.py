@@ -87,10 +87,19 @@ def triangle_basis(n: int) -> TriangleBasis:
 # Cycles
 
 
+def _check_size(kind: str, n: int):
+    """Refuse a vertex count no proof system is built for, before any
+    circuit or witness is."""
+    least = {"cycles": 3, "ustconn": 2, "unreach": 2}.get(kind)
+    if least is None:
+        raise EncodingError(f"unknown graph kind {kind!r}")
+    if n < least:
+        raise EncodingError(f"{kind} needs n >= {least} vertices, got n={n}")
+
+
 def synth_cycles(n: int) -> Circuit:
     """Inputs: one coefficient per basis triangle; output: their GF(2) sum."""
-    if n < 3:
-        raise EncodingError("synth_cycles needs n >= 3")
+    _check_size("cycles", n)
     basis = triangle_basis(n)
     b = CircuitBuilder(len(basis))
     coeff = [b.input(i) for i in range(len(basis))]
@@ -161,8 +170,7 @@ def _pairs(n: int):
 
 def synth_ustconn(n: int) -> Circuit:
     """Inputs: cycles coefficients then one mask bit per unordered pair."""
-    if n < 2:
-        raise EncodingError("synth_ustconn needs n >= 2")
+    _check_size("ustconn", n)
     basis = triangle_basis(n)
     pairs = _pairs(n)
     b = CircuitBuilder(len(basis) + len(pairs))
@@ -174,8 +182,8 @@ def synth_ustconn(n: int) -> Circuit:
         incident = basis.edge_incidence.get((u, v), [])
         cyc = b.xor_tree([coeff[i] for i in incident])
         if (u, v) == (1, n):
-            cyc = b.not_f(cyc)
-        wire = b.or_f(cyc, mask[(u, v)])
+            cyc = b.not_(cyc)
+        wire = b.or_(cyc, mask[(u, v)])
         out[u - 1][v - 1] = wire
         out[v - 1][u - 1] = wire
     b.set_outputs([out[i][j] for i in range(n) for j in range(n)])
@@ -184,16 +192,15 @@ def synth_ustconn(n: int) -> Circuit:
 
 def synth_unreach(n: int) -> Circuit:
     """Inputs: n^2 adjacency bits then cut bits X_2..X_{n-1}; s=1, t=n."""
-    if n < 2:
-        raise EncodingError("synth_unreach needs n >= 2")
-    b = CircuitBuilder(n * n + max(0, n - 2))
+    _check_size("unreach", n)
+    b = CircuitBuilder(n * n + n - 2)
     A = [[b.input(i * n + j) for j in range(n)] for i in range(n)]
     X = [b.const(1)] + [b.input(n * n + i) for i in range(n - 2)] + [b.const(0)]
     outs = []
     for i in range(n):
         for j in range(n):
-            cut = b.and_f(X[i], b.not_f(X[j]))
-            outs.append(b.and_f(A[i][j], b.not_f(cut)))
+            cut = b.and_(X[i], b.not_(X[j]))
+            outs.append(b.and_(A[i][j], b.not_(cut)))
     b.set_outputs(outs)
     return b.build()
 
@@ -218,34 +225,23 @@ def _shortest_path(m: np.ndarray, s: int, t: int):
 
 def witness_graph(kind: str, G) -> np.ndarray:
     """Proof vector reproducing the member graph G under the kind's circuit."""
+    m = _graph_matrix(G, undirected=kind != "unreach")
+    n = len(m)
+    _check_size(kind, n)
     if kind == "cycles":
-        return decompose_cycles(G)
+        return decompose_cycles(m)
     if kind == "ustconn":
-        m = _graph_matrix(G, undirected=True)
-        n = len(m)
         path = _shortest_path(m, 0, n - 1)
         if path is None:
             raise WitnessError("vertices 1 and n are not connected")
         rho = {(min(a, b) + 1, max(a, b) + 1) for a, b in zip(path, path[1:])}
-        cyc = set(rho)
-        cyc.symmetric_difference_update({(1, n)})
         cyc_m = np.zeros((n, n), dtype=np.uint8)
-        for u, v in cyc:
+        for u, v in rho ^ {(1, n)}:
             cyc_m[u - 1, v - 1] = cyc_m[v - 1, u - 1] = 1
-        coeffs = (decompose_cycles(cyc_m) if n >= 3
-                  else np.zeros(0, dtype=np.uint8))
-        mask = np.array(
-            [1 if m[u - 1, v - 1] and (u, v) not in rho else 0
-             for u, v in _pairs(n)],
-            dtype=np.uint8,
-        )
-        return np.concatenate([coeffs, mask])
-    if kind == "unreach":
-        m = _graph_matrix(G, undirected=False)
-        n = len(m)
-        reached = _bfs_dist(m, 0) >= 0
-        if reached[-1]:
-            raise WitnessError("vertex n is reachable from vertex 1")
-        X = reached.astype(np.uint8)[1 : n - 1]
-        return np.concatenate([m.reshape(-1).astype(np.uint8), X])
-    raise EncodingError(f"unknown graph kind {kind!r}")
+        mask = [m[u - 1, v - 1] and (u, v) not in rho for u, v in _pairs(n)]
+        return np.concatenate([decompose_cycles(cyc_m), np.array(mask, dtype=np.uint8)])
+    reached = _bfs_dist(m, 0) >= 0
+    if reached[-1]:
+        raise WitnessError("vertex n is reachable from vertex 1")
+    X = reached.astype(np.uint8)[1 : n - 1]
+    return np.concatenate([m.reshape(-1).astype(np.uint8), X])

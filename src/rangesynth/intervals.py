@@ -102,7 +102,7 @@ def chain_ands(builder, parent, nodes, value_of) -> list:
             if anc < 0 or len(lift[anc]) < len(levels):
                 break
             w2, anc2 = lift[anc][len(levels) - 1]
-            levels.append((builder.and_f(w, w2), anc2))
+            levels.append((builder.and_(w, w2), anc2))
         lift[i] = levels
     out: list = [None] * len(parent)
     for i in nodes:
@@ -111,7 +111,7 @@ def chain_ands(builder, parent, nodes, value_of) -> list:
         while cur >= 0:
             w, cur = lift[cur][-1]
             parts.append(w)
-        out[i] = builder.and_tree_f(parts)
+        out[i] = builder.and_tree(parts)
     return out
 
 
@@ -144,19 +144,19 @@ def patched_outputs(b, plan: Plan, cons, word_bits, patch) -> list:
 
     def sel_of(u):
         if sel[u] is None:
-            sel[u] = b.and_f(b.not_f(cons_of(u)), above(u))
+            sel[u] = b.and_(b.not_(cons_of(u)), above(u))
         return sel[u]
 
     outputs = []
     leaves = np.flatnonzero(plan.right < 0).tolist()
     for k, (leaf, word) in enumerate(zip(leaves, word_bits), 1):
-        terms = [b.and_tree_f([word, cons_of(leaf), above(leaf)])]
+        terms = [b.and_tree([word, cons_of(leaf), above(leaf)])]
         u = leaf
         while u >= 0:
             if b.const_value(cons_of(u)) != 1:
                 bit = patch(u, k)
                 if bit is not None:
-                    terms.append(b.and_f(sel_of(u), bit))
+                    terms.append(b.and_(sel_of(u), bit))
             u = parent[u]
-        outputs.append(b.or_tree_f(terms))
+        outputs.append(b.or_tree(terms))
     return outputs

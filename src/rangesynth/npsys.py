@@ -161,8 +161,8 @@ def synth_co_sac(v: VerifierCircuit) -> Circuit:
     """w_i = x_i AND (all gates consistent) AND (claimed output is 1)."""
     b = CircuitBuilder(_proof_inputs(v))
     checks, z_out, xs = _gate_checks(b, v, want_consistent=True)
-    big = b.and_tree_f(checks + [z_out])
-    b.set_outputs([b.and_f(x, big) for x in xs])
+    big = b.and_tree(checks + [z_out])
+    b.set_outputs([b.and_(x, big) for x in xs])
     return b.build()
 
 
@@ -170,8 +170,8 @@ def synth_sac(v: VerifierCircuit) -> Circuit:
     """w_i = x_i OR (some gate inconsistent) OR (claimed output is 0)."""
     b = CircuitBuilder(_proof_inputs(v))
     checks, z_out, xs = _gate_checks(b, v, want_consistent=False)
-    big = b.or_tree_f(checks + [b.not_f(z_out)])
-    b.set_outputs([b.or_f(x, big) for x in xs])
+    big = b.or_tree(checks + [b.not_(z_out)])
+    b.set_outputs([b.or_(x, big) for x in xs])
     return b.build()
 
 
@@ -187,10 +187,10 @@ def pad_verifier(v: VerifierCircuit, n: int) -> VerifierCircuit:
     xs = [b.input(i) for i in range(n)]
     ys = [b.input(n + i) for i in range(v.num_y)]
     core = b.append_circuit(v.circuit, xs[1 : n - 1] + ys)[0]
-    framed = b.and_tree_f([xs[0], b.not_f(xs[-1]), core])
-    all0 = b.and_tree_f([b.not_f(x) for x in xs])
-    all1 = b.and_tree_f(xs)
-    b.set_outputs([b.or_tree_f([framed, all0, all1])])
+    framed = b.and_tree([xs[0], b.not_(xs[-1]), core])
+    all0 = b.and_tree([b.not_(x) for x in xs])
+    all1 = b.and_tree(xs)
+    b.set_outputs([b.or_tree([framed, all0, all1])])
     return VerifierCircuit(b.build(), n, v.num_y)
 
 

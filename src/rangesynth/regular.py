@@ -358,7 +358,7 @@ def _synth(bp: LayeredBp):
             )
         # children labels chain and everyone is feasible
         (lp, lq), (rp, rq) = pq[u + 1], pq[right[u]]
-        return b.and_tree_f([
+        return b.and_tree([
             eq(pw, lp, widths[lo[u]]), eq(lq, rp, widths[lo[right[u]]]),
             eq(qw, rq, widths[hi[u]]),
             feas[u], feas[u + 1], feas[right[u]],

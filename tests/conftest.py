@@ -193,15 +193,15 @@ def contains11_verifier():
     b = CircuitBuilder(5)
     x = [b.input(i) for i in range(3)]
     y = [b.input(i) for i in range(3, 5)]
-    pos0 = b.and_f(b.not_f(y[0]), b.not_f(y[1]))
-    at0 = b.and_f(x[0], x[1])
-    at1 = b.and_f(x[1], x[2])
-    b.set_outputs([b.or_f(b.and_f(pos0, at0), b.and_f(b.not_f(pos0), at1))])
+    pos0 = b.and_(b.not_(y[0]), b.not_(y[1]))
+    at0 = b.and_(x[0], x[1])
+    at1 = b.and_(x[1], x[2])
+    b.set_outputs([b.or_(b.and_(pos0, at0), b.and_(b.not_(pos0), at1))])
     return VerifierCircuit(b.build(), num_x=3, num_y=2)
 
 
 def tiny_and_verifier():
     """2-bit inner verifier accepting only 11; y is one ignored bit."""
     b = CircuitBuilder(3)
-    b.set_outputs([b.and_f(b.input(0), b.input(1))])
+    b.set_outputs([b.and_(b.input(0), b.input(1))])
     return VerifierCircuit(b.build(), num_x=2, num_y=1)

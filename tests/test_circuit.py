@@ -70,7 +70,7 @@ class TestEval:
     def test_batch_matches_single(self):
         b = CircuitBuilder(3)
         x = [b.input(i) for i in range(3)]
-        b.set_outputs([b.xor_f(b.xor_f(x[0], x[1]), x[2]), b.and_f(x[0], x[2])])
+        b.set_outputs([b.xor(b.xor(x[0], x[1]), x[2]), b.and_(x[0], x[2])])
         c = b.build()
         rows = np.array(list(itertools.product((0, 1), repeat=3)), dtype=np.uint8)
         batch = eval_batch(c, rows)
@@ -148,6 +148,54 @@ class TestTableLowering:
         g = table_to_subcircuit(b, [1], [])
         b.set_outputs([g])
         assert eval_circuit(b.build(), []) == [1]
+
+
+class TestFolding:
+    """Every gate constructor folds constant operands: a CONST operand never
+    costs a gate, except the shared NOT of a wire it leaves negated."""
+
+    OPS = {"not_": lambda a: 1 - a, "and_": lambda a, b: a & b,
+           "or_": lambda a, b: a | b, "xor": lambda a, b: a ^ b}
+    KINDS = {"not_": NOT, "and_": AND, "or_": OR, "xor": OR}
+
+    @pytest.mark.parametrize("name", list(OPS))
+    def test_fold_table(self, name):
+        op = self.OPS[name]
+        arity = 1 if name == "not_" else 2
+        X = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.uint8)
+        for operands in itertools.product("01xy", repeat=arity):
+            b = CircuitBuilder(2)
+            w = {"0": b.const(0), "1": b.const(1), "x": b.input(0), "y": b.input(1)}
+            n = len(b.kinds)
+            got = getattr(b, name)(*(w[o] for o in operands))
+            new = list(b.kinds[n:])
+            if set(operands) & set("01"):
+                assert new in ([], [NOT]), operands
+            else:
+                assert b.kinds[got] == self.KINDS[name] and got == len(b.kinds) - 1
+            b.set_outputs([got])
+            values = [[int(o) if o in "01" else row["xy".index(o)] for o in operands]
+                      for row in X]
+            assert eval_batch(b.build(), X)[:, 0].tolist() == [op(*v) for v in values]
+
+    def test_trees(self):
+        b = CircuitBuilder(2)
+        zero, one, x, y = b.const(0), b.const(1), b.input(0), b.input(1)
+        gates = len(b.kinds)
+        assert b.and_tree([zero, x]) == zero
+        assert b.and_tree([x, one, one]) == x
+        assert b.and_tree([one, one]) == one
+        assert b.and_tree([]) == one
+        assert b.or_tree([x, one, y]) == one
+        assert b.or_tree([zero, x, zero]) == x
+        assert b.or_tree([zero]) == zero
+        assert b.or_tree([]) == zero
+        assert b.xor_tree([]) == zero
+        assert b.xor_tree([zero, x]) == x
+        assert len(b.kinds) == gates  # no gate so far
+        g = b.and_tree([x, one, y])
+        assert (b.kinds[g], b.arg0[g], b.arg1[g]) == (AND, x, y)
+        assert len(b.kinds) == gates + 1
 
 
 class TestSerialization:
@@ -372,6 +420,15 @@ class TestStructure:
         with pytest.raises(StructureError) as ref:
             validate_reference(Circuit(*args, _validated=True))
         assert ref.value.gate == gate
+
+    @pytest.mark.parametrize("outputs", [[-1], [3], [99], [0, 1, -1]])
+    def test_build_refuses_missing_outputs(self, outputs):
+        """build() checks the outputs it hands to a circuit it does not
+        validate, so it cannot make a circuit that parse() would refuse."""
+        b = CircuitBuilder(1)
+        b.set_outputs([b.not_(b.input(0))] + outputs)
+        with pytest.raises(StructureError, match=f"output id {outputs[-1]} "):
+            b.build()
 
     def test_widest_proof_accepted(self):
         c = Circuit(MAX_INPUTS, [INPUT, CONST], [MAX_INPUTS - 1, 1], [0, 0], [0, 1])

@@ -281,11 +281,24 @@ def test_synth_malformed_structured_exit_2(edit, line, tmp_path, capsys):
     ("ustconn:3", "010000000"),  # asymmetric
     ("cycles:3", "100000000"),   # diagonal bit
     ("cycles:0", ""),            # empty graph word
+    ("cycles:2", "0000"),        # below every size synthesis accepts
+    ("cycles:1", "0"),
+    ("ustconn:1", "0"),
+    ("unreach:1", "0"),
 ])
 def test_witness_bad_encoding_exit_2(lang, word, capsys):
     assert run(["witness", "--lang", lang, "--word", word]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "error:" in captured.err
+
+
+@pytest.mark.parametrize("kind, n", [("cycles", "2"), ("ustconn", "1"),
+                                     ("unreach", "1")])
+def test_synth_size_too_small_exit_2(kind, n, tmp_path, capsys):
+    out = tmp_path / "c.circ"
+    assert run(["synth", kind, "--n", n, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"{kind} needs n >= " in captured.err and not out.exists()
 
 
 @pytest.mark.parametrize("lang, word", [

@@ -224,3 +224,28 @@ def test_malformed_undirected_encoding_rejected():
 def test_unreach_reachable_rejected():
     with pytest.raises(WitnessError):
         witness_graph("unreach", "010001000")  # 1 -> 2 -> 3
+
+
+@pytest.mark.parametrize("kind,n", [
+    ("cycles", 1), ("cycles", 2), ("ustconn", 1), ("unreach", 1),
+])
+def test_size_no_system_is_built_for_rejected(kind, n):
+    """Synthesis and witnesses refuse the same sizes, with one message."""
+    synth = {"cycles": synth_cycles, "ustconn": synth_ustconn,
+             "unreach": synth_unreach}[kind]
+    with pytest.raises(EncodingError, match=f"{kind} needs n >= "):
+        synth(n)
+    with pytest.raises(EncodingError, match=f"{kind} needs n >= "):
+        witness_graph(kind, [0] * (n * n))
+
+
+@pytest.mark.parametrize("kind,word", [("ustconn", "0110"), ("unreach", "0000")])
+def test_smallest_size_witnesses(kind, word):
+    c = synth_ustconn(2) if kind == "ustconn" else synth_unreach(2)
+    assert bytes(eval_circuit(c, witness_graph(kind, word))) == bytes(
+        int(ch) for ch in word)
+
+
+def test_unknown_kind_rejected():
+    with pytest.raises(EncodingError, match="unknown graph kind"):
+        witness_graph("paths", "0110")

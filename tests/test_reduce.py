@@ -120,7 +120,8 @@ def programs(draw):
 def _run(m, steps, outs) -> CircuitBuilder:
     """Replay a program: inputs, constants, NOT/AND/OR on earlier wires,
     re-emitted gates (duplicates, commuted operands, unshared NOT, INPUT and
-    CONST), folding variants; unpicked gates are dead."""
+    CONST), the folding constructors; unpicked gates are dead.  AND/OR go
+    through ``gate`` so that constant and repeated operands reach the pass."""
     b = CircuitBuilder(m)
     w = []  # every gate emitted so far
     for op, x, y in steps:
@@ -131,19 +132,18 @@ def _run(m, steps, outs) -> CircuitBuilder:
         elif op == 2:
             w.append(b.not_(w[x % len(w)]))
         elif op in (3, 4):
-            emit = b.and_ if op == 3 else b.or_
-            w.append(emit(w[x % len(w)], w[y % len(w)]))
+            w.append(b.gate(AND if op == 3 else OR, w[x % len(w)], w[y % len(w)]))
         elif op == 5:  # the same gate again, operands swapped
             g = w[x % len(w)]
             k, a0, a1 = b.kinds[g], b.arg0[g], b.arg1[g]
-            w.append(b._emit(k, a1, a0) if k >= AND else b._emit(k, a0))
+            w.append(b.gate(k, a1, a0) if k >= AND else b.gate(k, a0))
         elif op == 6:  # a chain of gates on one wire
             g = w[x % len(w)]
             for _ in range(y % 4):
                 g = b.and_(g, b.not_(g))
             w.append(g)
         else:
-            fold = (b.and_f, b.or_f, b.xor_f)[y % 3]
+            fold = (b.and_, b.or_, b.xor)[y % 3]
             w.append(fold(w[x % len(w)], w[(x + y) % len(w)]))
     b.set_outputs([w[o % len(w)] for o in outs] if w else [])
     return b
@@ -200,7 +200,7 @@ def test_empty_builder():
 def test_constants_only():
     b = CircuitBuilder(0)
     zero, one = b.const(0), b.const(1)
-    b._emit(CONST, 1)  # an unshared duplicate
+    b.gate(CONST, 1)  # an unshared duplicate
     b.set_outputs([one, zero, one])
     c = b.build()
     assert c.num_gates == 2 and eval_batch(c, np.zeros((1, 0), np.uint8)).tolist() == [[1, 0, 1]]
@@ -285,6 +285,22 @@ def test_family_matches_reference(kind, params, members):
         assert layout.to_text() == ref_layout.to_text()
 
 
+def _reads_a_constant(c) -> bool:
+    kinds, a0, a1 = c._arrays()
+    const = kinds == CONST
+    return bool(const[a0[kinds >= NOT]].any() or const[a1[kinds >= AND]].any())
+
+
+@pytest.mark.parametrize("kind,params,members", _family_cases(),
+                         ids=[f"{k}-{i}" for i, (k, _, _) in enumerate(_family_cases())])
+def test_family_gates_read_no_constant(kind, params, members):
+    """The constructors fold every constant, so even the unreduced build
+    holds no NOT/AND/OR gate that reads a CONST gate."""
+    with unreduced():
+        c = FAMILIES[kind].synth(*params)[0]
+    assert not _reads_a_constant(c)
+
+
 def test_every_family_is_covered():
     assert {kind for kind, _, _ in _family_cases()} | {"padded"} == set(FAMILIES)
 
@@ -355,6 +371,15 @@ def test_combinator_matches_reference(name):
     assert_reduced(red)
     assert_same_function(ref, red)
     assert exact_range(red) == exact_range(ref)
+
+
+@pytest.mark.parametrize("name", [n for n in COMBINATIONS if n != "upclose"])
+def test_combinator_gates_read_no_constant(name):
+    """As for the families; ``upclose`` alone ORs a mask bit into every
+    output with a real gate, constant outputs too."""
+    with unreduced():
+        c = COMBINATIONS[name]()
+    assert not _reads_a_constant(c)
 
 
 @pytest.mark.parametrize("name", ["union", "reverse", "upclose", "nested"])
