@@ -254,8 +254,7 @@ class CircuitBuilder:
             return b if va == 0 else self.not_(b)
         if vb is not None:
             return a if vb == 0 else self.not_(a)
-        return self.gate(OR, self.gate(AND, a, self.not_(b)),
-                         self.gate(AND, self.not_(a), b))
+        return self.or_(self.and_(a, self.not_(b)), self.and_(self.not_(a), b))
 
     # -- balanced trees ----------------------------------------------------
 
@@ -372,25 +371,27 @@ def _template(k: int, table: bytes) -> tuple:
     """A table's lowered cover as ``(gates, out)`` over local ids: ids
     0..k-1 are the wires, gate j of ``gates`` is id k + j, and ``out`` is
     the id that carries the table's value.  Implicants that share a literal
-    pair share its AND gate: :func:`_reduce`, called directly so that a
-    patched ``build`` cannot leave copies in the cache, maps every gate to
-    the copy that survives, and that copy keeps the operand order it was
-    emitted with, as ``build`` keeps it when nothing merges."""
+    pair share its AND gate; only ANDs can repeat, as NOTs and CONSTs are
+    shared by the builder and the OR tree joins distinct implicants."""
     on = np.frombuffer(table, dtype=bool)
     b = CircuitBuilder(k)
     wires = [b.input(i) for i in range(k)]
+    ands: dict = {}
+
+    def and_(a: int, c: int) -> int:
+        gid = ands.get((a, c))
+        if gid is None:
+            gid = ands[a, c] = b.and_(a, c)
+        return gid
+
     if not on.any():
         out = b.const(0)
     elif on.all():
         out = b.const(1)
     else:
-        out = b.or_tree([_slot_and_tree(b, wires, mask, value)
+        out = b.or_tree([_slot_and_tree(b, and_, wires, mask, value)
                          for mask, value in _cover(k, table)])
-    canon = _reduce(b.kinds, b.arg0, b.arg1, list(range(len(b.kinds))))[3]
-    gates: dict = {}  # surviving id -> its first copy, in id order
-    for g, kind, a, c in zip(canon[k:], b.kinds[k:], b.arg0[k:], b.arg1[k:]):
-        gates.setdefault(g, (kind, a if kind == CONST else canon[a], canon[c]))
-    return tuple(gates.values()), canon[out]
+    return tuple(zip(b.kinds[k:], b.arg0[k:], b.arg1[k:])), out
 
 
 def _cover(k: int, table: bytes) -> tuple:
@@ -472,9 +473,10 @@ def _bitset(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-def _slot_and_tree(builder: CircuitBuilder, wires: Sequence[int], mask: int,
-                   value: int) -> int:
-    """AND of an implicant's literals as a balanced tree over the wire slots.
+def _slot_and_tree(builder: CircuitBuilder, and_, wires: Sequence[int],
+                   mask: int, value: int) -> int:
+    """AND of an implicant's literals as a balanced tree over the wire slots,
+    its gates made by ``and_``.
 
     Slots pair (0, 1), (2, 3), ... at every level and a missing literal lets
     its partner through, so implicants that agree on a pair of wires emit
@@ -482,7 +484,7 @@ def _slot_and_tree(builder: CircuitBuilder, wires: Sequence[int], mask: int,
     the reduction pass across tables on the same wires.  A full minterm
     gives exactly :meth:`CircuitBuilder.and_tree` of its literals.
     """
-    return builder._tree(builder.and_, [
+    return builder._tree(and_, [
         (w if value >> i & 1 else builder.not_(w)) if mask >> i & 1 else None
         for i, w in enumerate(wires)
     ])

@@ -120,8 +120,9 @@ def programs(draw):
 def _run(m, steps, outs) -> CircuitBuilder:
     """Replay a program: inputs, constants, NOT/AND/OR on earlier wires,
     re-emitted gates (duplicates, commuted operands, unshared NOT, INPUT and
-    CONST), the folding constructors; unpicked gates are dead.  AND/OR go
-    through ``gate`` so that constant and repeated operands reach the pass."""
+    CONST), the folding constructors; unpicked gates are dead.  AND/OR, and
+    NOT and the chains on some draws, go through ``gate`` so that constant
+    and repeated operands reach the pass."""
     b = CircuitBuilder(m)
     w = []  # every gate emitted so far
     for op, x, y in steps:
@@ -130,7 +131,8 @@ def _run(m, steps, outs) -> CircuitBuilder:
         elif op == 1 or not w:
             w.append(b.const(x & 1))
         elif op == 2:
-            w.append(b.not_(w[x % len(w)]))
+            g = w[x % len(w)]
+            w.append(b.gate(NOT, g) if y & 1 else b.not_(g))
         elif op in (3, 4):
             w.append(b.gate(AND if op == 3 else OR, w[x % len(w)], w[y % len(w)]))
         elif op == 5:  # the same gate again, operands swapped
@@ -140,7 +142,8 @@ def _run(m, steps, outs) -> CircuitBuilder:
         elif op == 6:  # a chain of gates on one wire
             g = w[x % len(w)]
             for _ in range(y % 4):
-                g = b.and_(g, b.not_(g))
+                g = (b.gate(AND, g, b.gate(NOT, g)) if y & 4
+                     else b.and_(g, b.not_(g)))
             w.append(g)
         else:
             fold = (b.and_, b.or_, b.xor)[y % 3]
