@@ -15,6 +15,12 @@ smallest state that can still reach the target.  Over a node's combined
 (either-bit) relations the first product is the feasibility table and the
 walk gives the patch words; over a word's own relations :func:`witness_bp`
 reads membership from the product and the honest labels from the walk.
+
+A deterministic BP, where every row of every gap relation has exactly one
+successor (every DFA unrolling), needs neither: a word's only path is its
+run.  There the run replaces the walk: :func:`_successors` tabulates each
+gap's successor per state and bit, the honest labels are n lookups in that
+table, and membership is the accept bit of the last state.
 """
 
 from __future__ import annotations
@@ -86,10 +92,13 @@ class LayeredBp:
             raise StructureError(
                 f"gap variables {self.gap_var} are not a permutation of 1..{self.n}"
             )
-        for g in range(self.n):
-            want = (1 if g == 0 else self.width, self.width)
+        want = [(1, self.width)] + [(self.width, self.width)] * (self.n - 1)
+        shapes = [rel.shape for rel in self.rel0[: self.n]]
+        if shapes == want == [rel.shape for rel in self.rel1[: self.n]]:
+            return
+        for g in range(self.n):  # name the first gap that is off
             for rel in (self.rel0[g], self.rel1[g]):
-                if rel.shape != want:
+                if rel.shape != want[g]:
                     raise StructureError(f"gap {g + 1} relation has shape {rel.shape}")
 
     def accepts(self, word) -> bool:
@@ -396,17 +405,67 @@ def synth_structured(bp: LayeredBp):
 # witness generation
 
 
-def _witness(bp: LayeredBp, word) -> np.ndarray:
+def _successors(bp: LayeredBp):
+    """The run table of a deterministic BP, or None if it is not one.
+
+    A BP is deterministic when every row of every gap relation has exactly
+    one successor, as in every DFA unrolling.  ``succ[b, g, p]`` is then the
+    state that gap g+1 leads state p to on bit b; gap 1's single row fills
+    its whole row of the table.  One pass over all the relations' rows.
+    """
+    n, w = bp.n, bp.width
+    # an automaton unrolling repeats one relation pair over gaps 2..n, so
+    # its last gap refuses a nondeterministic one without the full pass
+    last0, last1 = bp.rel0[-1], bp.rel1[-1]
+    if np.count_nonzero(last0) + np.count_nonzero(last1) != 2 * len(last0):
+        return None
+    rows, succ = np.nonzero(np.concatenate(bp.rel0 + bp.rel1))
+    total = 2 * (1 + (n - 1) * w)
+    if len(rows) != total or not np.array_equal(rows, np.arange(total)):
+        return None  # some row has no successor or several
+    succ = succ.reshape(2, -1)
+    table = np.empty((2, n, w), dtype=np.intp)
+    table[:, 0] = succ[:, :1]
+    table[:, 1:] = succ[:, 1:].reshape(2, n - 1, w)
+    table.flags.writeable = False
+    return table
+
+
+def _run(succ, bits) -> list:
+    """The states at layers 0..n of the run on ``bits`` (in gap order)."""
+    state, states = 0, [0]
+    for row in succ[bits, np.arange(len(bits))].tolist():
+        state = row[state]
+        states.append(state)
+    return states
+
+
+def _as_word(word) -> np.ndarray:
+    """``word`` as a one-dimensional array of bits."""
     word = _as_bits(word, what="word")
+    if word.ndim != 1:
+        raise WitnessError(f"word must be one-dimensional, got shape {word.shape}")
+    return word
+
+
+def _witness(bp: LayeredBp, succ, word) -> np.ndarray:
+    """The proof for a coerced word; ``succ`` is the BP's run table or None."""
     if len(word) != bp.n:
         raise WitnessError(f"word length {len(word)} != {bp.n}")
     # lexicographically smallest accepting state sequence through the BP
-    rels = [(bp.rel1 if word[v - 1] else bp.rel0)[g] for g, v in enumerate(bp.gap_var)]
-    rels.append(bp.accept[:, None])
-    back = _back(rels)
-    if not back[0][0, 0]:
-        raise WitnessError("word is not in the language")
-    states = np.array(_walk(rels, back, 0, 0))
+    if succ is not None:  # deterministic: the run is the only path
+        states = _run(succ, word[np.fromiter(bp.gap_var, np.intp, bp.n) - 1])
+        if not bp.accept[states[-1]]:
+            raise WitnessError("word is not in the language")
+        states = np.array(states + [0])  # and the sink
+    else:
+        bits = word.tolist()
+        rels = [(bp.rel1 if bits[v - 1] else bp.rel0)[g] for g, v in enumerate(bp.gap_var)]
+        rels.append(bp.accept[:, None])
+        back = _back(rels)
+        if not back[0][0, 0]:
+            raise WitnessError("word is not in the language")
+        states = np.array(_walk(rels, back, 0, 0))
 
     plan, q_bits = _plan(bp.n, bp.width)
     proof = np.empty(plan.m, dtype=np.uint8)
@@ -418,17 +477,26 @@ def _witness(bp: LayeredBp, word) -> np.ndarray:
 def witness_bp(bp: LayeredBp, word) -> np.ndarray:
     """Proof vector whose evaluation reproduces the given member word."""
     bp.check_structured()
-    return _witness(bp, word)
+    word = _as_word(word)
+    return _witness(bp, _successors(bp), word)
 
 
 UNROLL_CACHE = 64
-_unrolled = lru_cache(maxsize=UNROLL_CACHE)(unroll)  # by value; never handed out
+
+
+@lru_cache(maxsize=UNROLL_CACHE)
+def _unrolled(automaton, n: int):
+    """The automaton's n-gap BP and its run table (None for a nondeterministic
+    one), shared by every equal automaton; never handed out."""
+    bp = unroll(automaton, n)
+    return bp, _successors(bp)
 
 
 def witness_regular(automaton, word) -> np.ndarray:
     """Proof vector for synth_regular(automaton, len(word))."""
+    word = _as_word(word)
     try:
-        bp = _unrolled(automaton, len(word))
+        bp, succ = _unrolled(automaton, len(word))
     except TypeError:  # unhashable, e.g. an automaton built with list fields
-        bp = unroll(automaton, len(word))
-    return _witness(bp, word)
+        bp, succ = _unrolled.__wrapped__(automaton, len(word))
+    return _witness(bp, succ, word)

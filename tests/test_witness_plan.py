@@ -236,3 +236,7 @@ def test_cached_plans_are_read_only():
               plan.owner, plan.shift, q_bits):
         assert not a.flags.writeable
     assert not counting._plan(9).owner.flags.writeable
+    succ = regular._unrolled(parse_dfa(MOD3_TXT), 5)[1]
+    assert not succ.flags.writeable
+    with pytest.raises(ValueError):
+        succ[0, 0, 0] = 1
