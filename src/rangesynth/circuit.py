@@ -565,8 +565,7 @@ def _reduce(kinds, arg0, arg1, outputs):
 
     Takes and returns ``(kinds, arg0, arg1, outputs)`` as a builder holds
     them.  Survivors keep their order, so operands still precede their
-    readers; a kept AND/OR lists its smaller operand first.  When nothing
-    merges and nothing is dead the arrays come back unchanged.
+    readers; a kept AND/OR lists its smaller operand first.
     """
     k = np.frombuffer(kinds, dtype=np.int8)
     n = len(k)
@@ -592,8 +591,6 @@ def _reduce(kinds, arg0, arg1, outputs):
     kept = (k < NOT) & (canon == np.arange(n, dtype=np.int32))  # not merged away
     del canon
     kept |= _sweep(lo, hi, live, out)
-    if kept.all():
-        return kinds, arg0, arg1, outputs
     new_id = np.cumsum(kept, dtype=np.int32)
     new_id -= 1
     outputs = new_id[out].tolist()
@@ -765,21 +762,32 @@ def _level_schedule(kinds, a0, a1) -> _Schedule:
 _CHUNK_BYTES = 1 << 19
 _ALL_ONES = np.uint64(2**64 - 1)
 _BINARY_OPS = {AND: np.bitwise_and, OR: np.bitwise_or}
+# _as_bits's names for a shape's dimension count and for each axis's length
+_DIMS = ("zero", "one", "two")
+_AXES = ("length", "row length")
 
 
-def _as_bits(x, length: int | None = None, what: str = "input") -> np.ndarray:
+def _as_bits(x, shape: tuple | None = None, what: str = "input",
+             error: type = InputArityError) -> np.ndarray:
     """``x`` (a 0/1 string or array-like) as a uint8 array of bits.
 
-    With ``length``, ``x`` must be one word of that length.  Any entry other
-    than 0 or 1 raises :class:`InputBitError`.
+    With ``shape``, ``x`` must have that many dimensions and each length
+    it names; its None entries, which come first, match any length.  A
+    mismatch raises ``error``.  Any entry other than 0 or 1 raises
+    :class:`InputBitError`.
     """
     if isinstance(x, str):
         bits = np.frombuffer(x.encode(), dtype=np.uint8) - np.uint8(ord("0"))
     else:
         bits = np.asarray(x)
-    if length is not None and (bits.ndim != 1 or len(bits) != length):
-        got = len(bits) if bits.ndim == 1 else f"shape {bits.shape}"
-        raise InputArityError(f"{what} must have length {length}, got {got}")
+    if shape is not None and bits.shape != shape:
+        if bits.ndim != len(shape):
+            raise error(f"{what} must be {_DIMS[len(shape)]}-dimensional, "
+                        f"got shape {bits.shape}")
+        free = shape.count(None)
+        if bits.shape[free:] != shape[free:]:
+            axis = next(a for a in range(free, len(shape)) if bits.shape[a] != shape[a])
+            raise error(f"{what} {_AXES[axis]} {bits.shape[axis]} != {shape[axis]}")
     if bits.size and not (
         bits.max() <= 1 if bits.dtype == np.uint8
         else ((bits == 0) | (bits == 1)).all()
@@ -790,7 +798,7 @@ def _as_bits(x, length: int | None = None, what: str = "input") -> np.ndarray:
 
 def eval_circuit(c: Circuit, x) -> list[int]:
     """Evaluate on a single input vector; returns the output bits."""
-    return eval_batch(c, _as_bits(x, c.num_inputs)[None])[0].tolist()
+    return eval_batch(c, _as_bits(x, (c.num_inputs,))[None])[0].tolist()
 
 
 def eval_batch(c: Circuit, X: np.ndarray) -> np.ndarray:
@@ -800,11 +808,7 @@ def eval_batch(c: Circuit, X: np.ndarray) -> np.ndarray:
     Rows are packed 64 to a machine word and evaluated level by level, in
     chunks of rows sized so the packed gate values stay near _CHUNK_BYTES.
     """
-    X = _as_bits(X, what="batch")
-    if X.ndim != 2 or X.shape[1] != c.num_inputs:
-        raise InputArityError(
-            f"batch must be (N, {c.num_inputs}), got {X.shape}"
-        )
+    X = _as_bits(X, (None, c.num_inputs), "batch")
     s = c._schedule()
     out = np.empty((len(X), len(c.outputs)), dtype=np.uint8)
     out_slots = s.slot[c.outputs]

@@ -86,8 +86,8 @@ def _np(variant: str, spec_cls, synth: str) -> Family:
 
 
 def _synth_padded(v, n, variant="co-sac"):
-    sac_c, cosac_c = npsys.pad_language(v, n)
-    return (cosac_c if variant == "co-sac" else sac_c), None
+    synth = npsys.synth_co_sac if variant == "co-sac" else npsys.synth_sac
+    return synth(npsys.pad_verifier(v, n)), None
 
 
 FAMILIES = {
@@ -297,7 +297,7 @@ def _cmd_stats(args) -> int:
 def _cmd_witness(args) -> int:
     fam, params = _family(*args.lang.split(":"))
     _, n = fam.spec(*params)
-    _as_bits(args.word, n, "word")  # wrong length or non-0/1 bits: exit 2
+    _as_bits(args.word, (n,), "word")  # wrong length or non-0/1 bits: exit 2
     fn = fam.witness(*params)
     try:
         proof = fn(args.word)

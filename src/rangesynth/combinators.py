@@ -29,7 +29,7 @@ __all__ = [
 
 
 def _word_bits(word) -> list:
-    return _as_bits(word, what=f"word {word!r}").tolist()
+    return _as_bits(word, (None,), f"word {word!r}", LanguageError).tolist()
 
 
 def union(circuits) -> Circuit:

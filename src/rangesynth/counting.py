@@ -235,9 +235,7 @@ def synth_exact_count(n: int, t: int):
 def witness_count(kind: str, n: int, t: int, word) -> np.ndarray:
     """Honest proof: the word plus true subword popcounts as labels."""
     _check_target(kind, n, t)
-    word = _as_bits(word, what="word")
-    if len(word) != n:
-        raise WitnessError(f"word length {len(word)} != {n}")
+    word = _as_bits(word, (n,), "word", WitnessError)
     prefix = np.concatenate(([0], np.cumsum(word, dtype=np.int64)))
     ones = int(prefix[-1])
     if kind == "threshold" and ones < t:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import InputArityError, _as_bits, all_inputs
+from .circuit import _as_bits, all_inputs
 
 
 class LanguageError(ValueError):
@@ -66,8 +66,8 @@ class Dfa:
 
     def accepts(self, word) -> bool:
         q = self.start
-        for b in word:
-            q = self.delta[q][int(b)]
+        for b in _as_bits(word, (None,), "word").tolist():
+            q = self.delta[q][b]
         return q in self.finals
 
 
@@ -95,12 +95,32 @@ class Nfa:
 
     def accepts(self, word) -> bool:
         cur = {self.start}
-        for b in word:
-            b = int(b)
+        for b in _as_bits(word, (None,), "word").tolist():
             cur = {q for p in cur for q in self.delta[p][b]}
             if not cur:
                 return False
         return bool(cur & self.finals)
+
+
+def _records(text: str, arity: dict, error: type):
+    """``(line number, key, int fields)`` for each line of a spec text.
+
+    ``#`` starts a comment and blank lines are skipped.  ``arity[key]`` is a
+    key's field count, or None for any count; another key or count, or a
+    field that is not an integer, raises ``error`` naming the line.
+    """
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, *fields = line.split()
+        if key not in arity or arity[key] not in (None, len(fields)):
+            raise error(f"line {lineno}: unrecognized line {line!r}")
+        try:
+            vals = [int(t) for t in fields]
+        except ValueError:
+            raise error(f"line {lineno}: non-integer field") from None
+        yield lineno, key, vals
 
 
 def parse_dfa(text: str):
@@ -114,27 +134,18 @@ def parse_dfa(text: str):
     num_states = start = None
     finals: set[int] = set()
     edges: list[tuple[int, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        try:
-            if toks[0] == "states" and len(toks) == 2:
-                num_states = int(toks[1])
-            elif toks[0] == "start" and len(toks) == 2:
-                start = int(toks[1])
-            elif toks[0] == "final":
-                finals.update(int(t) for t in toks[1:])
-            elif toks[0] == "trans" and len(toks) == 4:
-                p, b, q = int(toks[1]), int(toks[2]), int(toks[3])
-                if b not in (0, 1):
-                    raise LanguageError(f"line {lineno}: bit must be 0 or 1")
-                edges.append((p, b, q))
-            else:
-                raise LanguageError(f"line {lineno}: unrecognized line {line!r}")
-        except ValueError:
-            raise LanguageError(f"line {lineno}: non-integer field") from None
+    arity = {"states": 1, "start": 1, "final": None, "trans": 3}
+    for lineno, key, vals in _records(text, arity, LanguageError):
+        if key == "states":
+            num_states = vals[0]
+        elif key == "start":
+            start = vals[0]
+        elif key == "final":
+            finals.update(vals)
+        elif vals[1] not in (0, 1):  # trans p bit q
+            raise LanguageError(f"line {lineno}: bit must be 0 or 1")
+        else:
+            edges.append(tuple(vals))
     if num_states is None or start is None:
         raise LanguageError("missing 'states' or 'start' line")
     succ = [[set(), set()] for _ in range(num_states)]
@@ -312,7 +323,7 @@ def _reached(mats: np.ndarray) -> np.ndarray:
 
 def member(spec, word) -> int:
     """Ground-truth membership: 1 if the word is in the language."""
-    word = _as_bits(word, len(word), "word")
+    word = _as_bits(word, (None,), "word")
     if isinstance(spec, Regular):
         return int(spec.automaton.accepts(word))
     if isinstance(spec, Threshold):
@@ -382,8 +393,8 @@ def _member_combined(spec: Combined, word: np.ndarray) -> int:
         k = len(h0)
         if len(word) % k:
             return 0
-        img0 = _as_bits(h0, k, "h(0)")
-        img1 = _as_bits(h1, k, "h(1)")
+        img0 = _as_bits(h0, (k,), "h(0)")
+        img1 = _as_bits(h1, (k,), "h(1)")
         pre = []
         for i in range(0, len(word), k):
             block = word[i : i + k]
@@ -403,7 +414,7 @@ def _member_combined(spec: Combined, word: np.ndarray) -> int:
     if op == "inverse_morphism":
         h0, h1 = spec.params
         img = word_to_string(np.concatenate(
-            [_as_bits(h0 if b == 0 else h1, len(h0), "h") for b in word]
+            [_as_bits(h0 if b == 0 else h1, (len(h0),), "h") for b in word]
         )) if len(word) else ""
         return member(spec.specs[0], img)
     if op == "finite":
@@ -413,9 +424,7 @@ def _member_combined(spec: Combined, word: np.ndarray) -> int:
 
 def member_batch(spec, words: np.ndarray) -> np.ndarray:
     """Vectorized membership over a (N, n) 0/1 array; returns bool (N,)."""
-    words = _as_bits(words, what="words")
-    if words.ndim != 2:
-        raise InputArityError(f"words must be an (N, n) array, got shape {words.shape}")
+    words = _as_bits(words, (None, None), "words")
     if isinstance(spec, Regular) and isinstance(spec.automaton, (Dfa, Nfa)):
         a = spec.automaton
         dfa = a if isinstance(a, Dfa) else determinize(a)

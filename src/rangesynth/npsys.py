@@ -22,6 +22,7 @@ from .circuit import (
     lower_fields, parse, serialize, size,
 )
 from .languages import LanguageError
+from .regular import WitnessError
 
 __all__ = [
     "VerifierCircuit",
@@ -96,9 +97,7 @@ def _certificate(v: VerifierCircuit, x: np.ndarray) -> np.ndarray | None:
 
 def verifier_member(v: VerifierCircuit, x) -> bool:
     """Brute-force exists-y membership; meant for desk-scale verifiers."""
-    x = _as_bits(x, what="x")
-    if len(x) != v.num_x:
-        raise LanguageError(f"x must have length {v.num_x}")
+    x = _as_bits(x, (v.num_x,), "x", LanguageError)
     return _certificate(v, x) is not None
 
 
@@ -211,11 +210,7 @@ def witness_np(v: VerifierCircuit, variant: str, x) -> np.ndarray:
     variant (0^n for co-SAC, 1^n for SAC), which every proof system built
     here must also cover.
     """
-    from .regular import WitnessError
-
-    x = _as_bits(x, what="x")
-    if len(x) != v.num_x:
-        raise WitnessError(f"x must have length {v.num_x}")
+    x = _as_bits(x, (v.num_x,), "x", WitnessError)
     if variant not in ("cosac", "sac"):
         raise WitnessError(f"unknown variant {variant!r}; expected 'cosac' or 'sac'")
     c = v.circuit

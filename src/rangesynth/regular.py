@@ -32,7 +32,7 @@ import numpy as np
 
 from .circuit import CircuitBuilder, _as_bits, bits_for, lower_fields
 from .intervals import PLAN_CACHE, Plan, patched_outputs
-from .languages import Dfa, LanguageError, Nfa
+from .languages import Dfa, LanguageError, Nfa, _records
 
 __all__ = [
     "LayeredBp",
@@ -104,7 +104,7 @@ class LayeredBp:
     def accepts(self, word) -> bool:
         """Run the BP on a word given in variable order; a word of any
         length but n is not accepted."""
-        word = np.asarray(word, dtype=np.uint8)
+        word = _as_bits(word, (None,), "word")
         if len(word) != self.n:
             return False
         cur = np.ones(1, dtype=bool)
@@ -154,18 +154,8 @@ def parse_bp(text: str) -> LayeredBp:
     finals: dict[int, int] = {}  # state -> line
     var_lines: dict[int, tuple[int, int]] = {}  # gap -> (variable, line)
     edges: list[tuple[int, ...]] = []  # (line, gap, p, bit, q)
-    arity = {"gaps": 1, "states": 1, "start": 1, "var": 2, "edge": 4}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, *fields = line.split()
-        if key != "final" and arity.get(key) != len(fields):
-            raise StructureError(f"line {lineno}: unrecognized line {line!r}")
-        try:
-            vals = [int(t) for t in fields]
-        except ValueError:
-            raise StructureError(f"line {lineno}: non-integer field") from None
+    arity = {"gaps": 1, "states": 1, "start": 1, "final": None, "var": 2, "edge": 4}
+    for lineno, key, vals in _records(text, arity, StructureError):
         if key == "final":
             finals.update(dict.fromkeys(vals, lineno))
         elif key == "edge":
@@ -440,18 +430,9 @@ def _run(succ, bits) -> list:
     return states
 
 
-def _as_word(word) -> np.ndarray:
-    """``word`` as a one-dimensional array of bits."""
-    word = _as_bits(word, what="word")
-    if word.ndim != 1:
-        raise WitnessError(f"word must be one-dimensional, got shape {word.shape}")
-    return word
-
-
 def _witness(bp: LayeredBp, succ, word) -> np.ndarray:
-    """The proof for a coerced word; ``succ`` is the BP's run table or None."""
-    if len(word) != bp.n:
-        raise WitnessError(f"word length {len(word)} != {bp.n}")
+    """The proof for a coerced word of length n; ``succ`` is the BP's run
+    table or None."""
     # lexicographically smallest accepting state sequence through the BP
     if succ is not None:  # deterministic: the run is the only path
         states = _run(succ, word[np.fromiter(bp.gap_var, np.intp, bp.n) - 1])
@@ -477,7 +458,7 @@ def _witness(bp: LayeredBp, succ, word) -> np.ndarray:
 def witness_bp(bp: LayeredBp, word) -> np.ndarray:
     """Proof vector whose evaluation reproduces the given member word."""
     bp.check_structured()
-    word = _as_word(word)
+    word = _as_bits(word, (bp.n,), "word", WitnessError)
     return _witness(bp, _successors(bp), word)
 
 
@@ -494,7 +475,7 @@ def _unrolled(automaton, n: int):
 
 def witness_regular(automaton, word) -> np.ndarray:
     """Proof vector for synth_regular(automaton, len(word))."""
-    word = _as_word(word)
+    word = _as_bits(word, (None,), "word", WitnessError)
     try:
         bp, succ = _unrolled(automaton, len(word))
     except TypeError:  # unhashable, e.g. an automaton built with list fields

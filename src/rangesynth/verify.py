@@ -100,6 +100,9 @@ def check_soundness(c: Circuit, spec, budget: int = DEFAULT_BUDGET, seed: int = 
     1-3 bit mutations of the given honest proofs (when provided).
     """
     m = c.num_inputs
+    base = None
+    if base_proofs is not None and np.size(base_proofs):
+        base = _as_bits(base_proofs, (None, m), "base proofs")
     if m <= 62 and (1 << m) <= budget:
         report = Report("soundness", "exhaustive", 1 << m)
         for block in all_inputs(m):
@@ -113,9 +116,6 @@ def check_soundness(c: Circuit, spec, budget: int = DEFAULT_BUDGET, seed: int = 
         raise ValueError(f"sampled soundness needs trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     report = Report("soundness", "sampled", trials)
-    base = None
-    if base_proofs is not None and len(base_proofs):
-        base = np.asarray(base_proofs, dtype=np.uint8)
     done = 0
     while done < trials:
         take = min(_CHUNK, trials - done)
@@ -145,7 +145,7 @@ def check_completeness(c: Circuit, spec, n: int, witness_fn=None,
     """
     if members is None:
         members = enumerate_slice(spec, n, budget=budget)
-    members = np.asarray(members, dtype=np.uint8)
+    members = _as_bits(members, (None, n), "members")
 
     if witness_fn is not None:
         report = Report("completeness", "witness", len(members))
@@ -154,12 +154,12 @@ def check_completeness(c: Circuit, spec, n: int, witness_fn=None,
             proofs, errors = [], []
             for row in rows:
                 try:
-                    proof = np.asarray(witness_fn(row), dtype=np.uint8)
+                    proof = witness_fn(row)
                 except Exception as exc:  # witness failure is a finding, not a crash
                     errors.append(f"witness_fn: {exc}")
                     continue
                 errors.append(None)
-                proofs.append(_as_bits(proof, c.num_inputs, "proof"))
+                proofs.append(_as_bits(proof, (c.num_inputs,), "proof"))
             batch = np.array(proofs, dtype=np.uint8).reshape(len(proofs), c.num_inputs)
             results = zip(proofs, eval_batch(c, batch))
             for row, error in zip(rows, errors):  # violations in member order

@@ -46,6 +46,18 @@ class TestParseDfa:
         with pytest.raises(LanguageError):
             parse_dfa("states 2\nstart 0\nfinal 0\ntrans 0 0 5\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("bogus 1", "line 3: unrecognized line 'bogus 1'"),
+        ("trans 0 1", "line 3: unrecognized line 'trans 0 1'"),
+        ("trans 0 2 1", "line 3: bit must be 0 or 1"),
+        ("trans 0 x 1", "line 3: non-integer field"),
+    ])
+    def test_bad_line_is_named(self, line, message):
+        text = f"states 2\nstart 0  # comment\n{line}\nfinal 0\n"
+        with pytest.raises(LanguageError) as exc:
+            parse_dfa(text)
+        assert str(exc.value) == message
+
     def test_duplicate_transition_gives_nfa(self):
         a = parse_dfa(NFA1_TXT)
         assert isinstance(a, Nfa)

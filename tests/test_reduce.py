@@ -24,8 +24,8 @@ from rangesynth.circuit import (
 )
 from rangesynth.cli import FAMILIES
 from rangesynth.counting import synth_exact_count, synth_threshold
-from rangesynth.languages import member_batch, parse_dfa
-from rangesynth.regular import parse_bp
+from rangesynth.languages import Dfa, member_batch, parse_dfa
+from rangesynth.regular import SynthesisError, parse_bp, synth_regular
 from tests.circuit_reference import (
     append_circuit_reference, build_reference, eval_reference,
     validate_reference,
@@ -306,6 +306,26 @@ def test_family_gates_read_no_constant(kind, params, members):
 
 def test_every_family_is_covered():
     assert {kind for kind, _, _ in _family_cases()} | {"padded"} == set(FAMILIES)
+
+
+def test_operand_order_does_not_depend_on_merges():
+    """Every kept AND/OR lists its smaller operand first, also in a circuit
+    where nothing merged or died, so its ``.circ`` text does not hinge on
+    unrelated merges elsewhere in the circuit."""
+    seen = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        delta = tuple(tuple(int(q) for q in rng.integers(0, 5, 2)) for _ in range(5))
+        finals = frozenset(np.flatnonzero(rng.random(5) < 0.4).tolist())
+        try:
+            c, _ = synth_regular(Dfa(5, int(rng.integers(0, 5)), finals, delta), 1)
+        except SynthesisError:  # no member of length 1
+            continue
+        kinds, a0, a1 = c._arrays()
+        binary = kinds >= AND
+        assert (a0[binary] < a1[binary]).all(), seed
+        seen += 1
+    assert seen > 100
 
 
 @pytest.mark.parametrize("variant", ["co-sac", "sac"])

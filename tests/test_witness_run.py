@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from rangesynth import regular
+from rangesynth.circuit import _as_bits
 from rangesynth.languages import Dfa, Nfa, parse_dfa
 from rangesynth.regular import (LayeredBp, WitnessError, parse_bp, unroll, witness_bp,
                                 witness_regular)
@@ -48,7 +49,7 @@ def _random_structured_dfa(rng, n, w):
 
 def _walked(bp, word):
     """The walk's proof for ``word``, on any BP."""
-    return regular._witness(bp, None, regular._as_word(word))
+    return regular._witness(bp, None, _as_bits(word, (bp.n,), "word", WitnessError))
 
 
 # ---------------------------------------------------------------------------
