@@ -11,10 +11,12 @@ with s = 1 and t = n; words are row-major n x n adjacency matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .circuit import Circuit, CircuitBuilder, _as_bits
+from .intervals import PLAN_CACHE
 from .languages import EncodingError, _as_matrix, _bfs_dist
 from .regular import WitnessError
 
@@ -115,49 +117,68 @@ def synth_cycles(n: int) -> Circuit:
     return b.build()
 
 
-def _graph_edges(m: np.ndarray):
-    n = len(m)
-    return {(u + 1, v + 1) for u in range(n) for v in range(u + 1, n) if m[u, v]}
-
-
 def _graph_matrix(G, undirected: bool) -> np.ndarray:
     """The adjacency matrix of a graph word or of a v x v matrix."""
-    return _as_matrix(_as_bits(G, what="graph").reshape(-1), undirected)
+    bits = _as_bits(G, what="graph")
+    if bits.ndim == 2 and bits.shape[0] == bits.shape[1]:
+        bits = bits.reshape(-1)
+    elif bits.ndim != 1:
+        raise EncodingError("graph must be a word or a square matrix, "
+                            f"got shape {bits.shape}")
+    return _as_matrix(bits, undirected)
+
+
+@lru_cache(maxsize=PLAN_CACHE)
+def _diagonals(v: int) -> tuple:
+    """Read-only indexes of the diagonal sweep on v vertices.
+
+    ``gather[d, u]`` is the position of edge (u, u+d) in a flattened v x v
+    matrix (0-indexed; any position when u + d >= v), and ``order`` lists
+    the positions [d, u], in the flattened gathered array, of the longest
+    edges of the basis triangles (u, u + d//2, u+d) in basis order: by
+    base u, then by length d >= 2.
+    """
+    d, u = np.ogrid[:v, :v]
+    gather = u * v + np.minimum(u + d, v - 1)
+    order = np.array([d * v + u for u in range(v) for d in range(2, v - u)],
+                     dtype=np.intp)
+    gather.flags.writeable = order.flags.writeable = False
+    return gather, order
 
 
 def decompose_cycles(G, trace: list | None = None) -> np.ndarray:
-    """Coefficients c with eval(synth_cycles(n), c) = G, by greedy descent.
+    """Coefficients c with eval(synth_cycles(n), c) = G, by a diagonal sweep.
 
-    Repeatedly takes the longest edge (smallest endpoints on ties), XORs
-    away the unique/&canonical basis triangle having it as its longest edge,
-    and stops at the empty graph; the (longest length, multiplicity) pair
-    strictly decreases each round.  When ``trace`` is given, the potential
-    d(G) = (longest edge length, its multiplicity) is appended before each
-    step.
+    Greedy descent -- take the longest edge (u, u+d), XOR away the basis
+    triangle (u, u + d//2, u+d) that has it as its longest edge, repeat --
+    only ever toggles edges shorter than d, so the triangle's coefficient is
+    edge (u, u+d) once every longer edge has been cleared.  The sweep
+    gathers the edges into diagonals of one length each and clears them
+    from length n-1 down to 2, one slice XOR per side of the triangles; a
+    length-1 edge left over means G is not a sum of triangles.  When
+    ``trace`` is given it receives the greedy descent's potential d(G) =
+    (longest edge length, its multiplicity) before each step: (d, k),
+    (d, k-1), ..., (d, 1) for each length d with k edges, and (1, k) before
+    a length-1 residue is refused.
     """
     m = _graph_matrix(G, undirected=True)
-    n = len(m)
     if np.any(m.sum(axis=1) % 2):
         raise WitnessError("graph has an odd-degree vertex; not in Cycles")
-    basis = triangle_basis(n)
-    index = {t: i for i, t in enumerate(basis.triangles)}
-    coeffs = np.zeros(len(basis), dtype=np.uint8)
-    edges = _graph_edges(m)
-    while edges:
-        u, v = max(edges, key=lambda e: (e[1] - e[0], (-e[0], -e[1])))
-        d = v - u
+    v = len(m)
+    gather, order = _diagonals(v)
+    D = m.reshape(-1)[gather]  # a copy: D[d, u] is edge (u, u+d)
+    for d in range(v - 1, 1, -1):
+        c, h = D[d, : v - d], d // 2
         if trace is not None:
-            mult = sum(1 for a, b in edges if b - a == d)
-            trace.append((d, mult))
-        if d == 1:
-            raise WitnessError("length-1 longest edge cannot occur in Cycles")
-        tri = (u, u + d // 2, v)
-        i = index.get(tri)
-        assert i is not None, f"basis triangle {tri} missing"
-        coeffs[i] ^= 1
-        for e in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])):
-            edges.symmetric_difference_update({e})
-    return coeffs
+            trace.extend((d, k) for k in range(np.count_nonzero(c), 0, -1))
+        D[h, : v - d] ^= c  # (u, u+h)
+        D[d - h, h : h + v - d] ^= c  # (u+h, u+d)
+    residue = np.count_nonzero(D[1, : v - 1]) if v > 1 else 0
+    if residue:
+        if trace is not None:
+            trace.append((1, residue))
+        raise WitnessError("length-1 longest edge cannot occur in Cycles")
+    return D.reshape(-1)[order]
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +230,23 @@ def synth_unreach(n: int) -> Circuit:
 # witnesses
 
 
+@lru_cache(maxsize=PLAN_CACHE)
+def _upper(n: int) -> tuple:
+    """The (row, column) indexes of the unordered pairs, in ``_pairs`` order."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _shortest_path(m: np.ndarray, s: int, t: int):
     """Lexicographically smallest shortest s-t path (0-indexed vertices)."""
     dist = _bfs_dist(m, t)
     if dist[s] < 0:
         return None
     path = [s]
-    cur = s
-    while cur != t:
-        choices = [int(v) for v in np.nonzero(m[cur])[0] if dist[v] == dist[cur] - 1]
-        cur = min(choices)
-        path.append(cur)
+    while path[-1] != t:
+        cur = path[-1]
+        path.append(int(np.flatnonzero(m[cur] & (dist == dist[cur] - 1))[0]))
     return path
 
 
@@ -234,12 +261,15 @@ def witness_graph(kind: str, G) -> np.ndarray:
         path = _shortest_path(m, 0, n - 1)
         if path is None:
             raise WitnessError("vertices 1 and n are not connected")
-        rho = {(min(a, b) + 1, max(a, b) + 1) for a, b in zip(path, path[1:])}
-        cyc_m = np.zeros((n, n), dtype=np.uint8)
-        for u, v in rho ^ {(1, n)}:
-            cyc_m[u - 1, v - 1] = cyc_m[v - 1, u - 1] = 1
-        mask = [m[u - 1, v - 1] and (u, v) not in rho for u, v in _pairs(n)]
-        return np.concatenate([decompose_cycles(cyc_m), np.array(mask, dtype=np.uint8)])
+        a, b = np.array(path[:-1]), np.array(path[1:])
+        rho = np.zeros((n, n), dtype=np.uint8)  # the path's edges, u < v
+        rho[np.minimum(a, b), np.maximum(a, b)] = 1
+        cyc_m = rho.copy()
+        cyc_m[0, n - 1] ^= 1
+        cyc_m |= cyc_m.T
+        upper = _upper(n)
+        mask = m[upper] & (rho[upper] ^ 1)
+        return np.concatenate([decompose_cycles(cyc_m), mask])
     reached = _bfs_dist(m, 0) >= 0
     if reached[-1]:
         raise WitnessError("vertex n is reachable from vertex 1")

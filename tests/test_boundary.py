@@ -6,6 +6,7 @@ raises the entry's own error class and a bit other than 0 or 1 raises
 ``InputBitError``; nothing is cast first, so an int64 256 is not read as 0.
 """
 
+import re
 from functools import partial
 
 import numpy as np
@@ -15,8 +16,9 @@ from rangesynth.circuit import InputArityError, InputBitError, eval_batch, eval_
 from rangesynth.cli import run
 from rangesynth.combinators import finite_language
 from rangesynth.counting import witness_count
+from rangesynth.graphs import witness_graph
 from rangesynth.languages import (
-    LanguageError, Regular, Threshold, member, member_batch, parse_dfa,
+    EncodingError, LanguageError, Regular, Threshold, member, member_batch, parse_dfa,
 )
 from rangesynth.npsys import verifier_member, witness_np
 from rangesynth.regular import (
@@ -119,3 +121,21 @@ def test_cli_witness_exits_2(case, capsys):
     word = "".join(map(str, CASES[case](np.array([0, 1, 1, 0], dtype=np.uint8))))
     assert run(["witness", "--lang", "threshold:4:1", "--word", word]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["cycles", "ustconn", "unreach"])
+@pytest.mark.parametrize("shape", [(16, 1), (1, 16), (2, 2, 4), ()])
+def test_graph_of_another_shape_is_refused(kind, shape):
+    """A graph is a word or a square matrix; any other shape is refused by
+    name, though it holds the bits of a 4-vertex graph."""
+    G = np.zeros(16 if shape else (), dtype=np.uint8).reshape(shape)
+    with pytest.raises(EncodingError, match=re.escape(f"got shape {shape}")):
+        witness_graph(kind, G)
+
+
+@pytest.mark.parametrize("kind", ["cycles", "ustconn", "unreach"])
+def test_graph_word_and_square_matrix_agree(kind):
+    word = np.zeros(16, dtype=np.uint8)
+    word[[3, 12]] = 1 if kind == "ustconn" else 0  # the (1, 4) edge
+    assert np.array_equal(witness_graph(kind, word.reshape(4, 4)),
+                          witness_graph(kind, word))

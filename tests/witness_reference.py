@@ -8,6 +8,11 @@ plain Python sets and writes every label with its own most-significant-bit-
 first loop: no layout plan, no shared reach products.  The differential
 tests in ``test_witness_plan.py`` hold ``witness_bp``/``witness_regular``
 and ``witness_count`` to these, proof for proof and error for error.
+
+``decompose_cycles`` is the greedy descent over a Python edge set that the
+diagonal sweep of ``rangesynth.graphs`` replaces, and ``witness_ustconn``
+the set-based uSTConn witness built on it; ``test_graph_sweep.py`` holds
+``witness_graph`` and ``decompose_cycles`` to them.
 """
 
 from dataclasses import dataclass
@@ -15,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from rangesynth.circuit import _as_bits
-from rangesynth.languages import LanguageError
+from rangesynth.graphs import _graph_matrix, triangle_basis
+from rangesynth.languages import LanguageError, _bfs_dist
 from rangesynth.regular import WitnessError
 
 
@@ -156,3 +162,69 @@ def witness_count(kind, n, t, word):
     for lo, hi, off, bits in nodes:
         _encode(proof, off, bits, int(word[lo:hi].sum()))
     return proof
+
+
+def _graph_edges(m):
+    n = len(m)
+    return {(u + 1, v + 1) for u in range(n) for v in range(u + 1, n) if m[u, v]}
+
+
+def decompose_cycles(G, trace=None):
+    """Greedy descent: repeatedly XOR away the basis triangle whose longest
+    edge is the graph's longest (smallest endpoints on ties), appending the
+    potential (longest length, its multiplicity) to ``trace`` before each
+    step."""
+    m = _graph_matrix(G, undirected=True)
+    n = len(m)
+    if np.any(m.sum(axis=1) % 2):
+        raise WitnessError("graph has an odd-degree vertex; not in Cycles")
+    basis = triangle_basis(n)
+    index = {t: i for i, t in enumerate(basis.triangles)}
+    coeffs = np.zeros(len(basis), dtype=np.uint8)
+    edges = _graph_edges(m)
+    while edges:
+        u, v = max(edges, key=lambda e: (e[1] - e[0], (-e[0], -e[1])))
+        d = v - u
+        if trace is not None:
+            mult = sum(1 for a, b in edges if b - a == d)
+            trace.append((d, mult))
+        if d == 1:
+            raise WitnessError("length-1 longest edge cannot occur in Cycles")
+        tri = (u, u + d // 2, v)
+        i = index.get(tri)
+        assert i is not None, f"basis triangle {tri} missing"
+        coeffs[i] ^= 1
+        for e in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])):
+            edges.symmetric_difference_update({e})
+    return coeffs
+
+
+def shortest_path(m, s, t):
+    """Lexicographically smallest shortest s-t path (0-indexed vertices)."""
+    dist = _bfs_dist(m, t)
+    if dist[s] < 0:
+        return None
+    path = [s]
+    cur = s
+    while cur != t:
+        choices = [int(v) for v in np.nonzero(m[cur])[0] if dist[v] == dist[cur] - 1]
+        cur = min(choices)
+        path.append(cur)
+    return path
+
+
+def witness_ustconn(G):
+    """The greedy coefficients of path (+) edge (1, n), then one mask bit per
+    unordered pair: the edges of G off the path."""
+    m = _graph_matrix(G, undirected=True)
+    n = len(m)
+    path = shortest_path(m, 0, n - 1)
+    if path is None:
+        raise WitnessError("vertices 1 and n are not connected")
+    rho = {(min(a, b) + 1, max(a, b) + 1) for a, b in zip(path, path[1:])}
+    cyc_m = np.zeros((n, n), dtype=np.uint8)
+    for u, v in rho ^ {(1, n)}:
+        cyc_m[u - 1, v - 1] = cyc_m[v - 1, u - 1] = 1
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    mask = [m[u - 1, v - 1] and (u, v) not in rho for u, v in pairs]
+    return np.concatenate([decompose_cycles(cyc_m), np.array(mask, dtype=np.uint8)])
