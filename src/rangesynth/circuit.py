@@ -591,20 +591,16 @@ def _reduce(kinds, arg0, arg1, outputs):
     kept = (k < NOT) & (canon == np.arange(n, dtype=np.int32))  # not merged away
     del canon
     kept |= _sweep(lo, hi, live, out)
+    new_id = np.cumsum(kept, dtype=np.int32)
+    new_id -= 1
+    outputs = new_id[out].tolist()
     leaves = np.flatnonzero(kept & (k < NOT))  # the INPUT and CONST gates
-    if kept.all():  # nothing merged or died: every gate keeps its id
-        outputs = out.tolist()
-        leaf_at = leaves
-    else:
-        new_id = np.cumsum(kept, dtype=np.int32)
-        new_id -= 1
-        outputs = new_id[out].tolist()
-        leaf_at = new_id[leaves]
-        lo, hi, k = new_id[lo[kept]], new_id[hi[kept]], k[kept]
-        del new_id
+    leaf_at = new_id[leaves]
+    lo, hi = new_id[lo[kept]], new_id[hi[kept]]
+    del new_id
     # survivors go straight into the circuit's arrays
     kinds, kk = _zeros("b", len(lo))
-    kk[:] = k
+    kk[:] = k[kept]
     arg0, r0 = _zeros("q", len(lo))
     r0[:] = lo
     r0[leaf_at] = a0[leaves]

@@ -154,12 +154,10 @@ def decompose_cycles(G, trace: list | None = None) -> np.ndarray:
     only ever toggles edges shorter than d, so the triangle's coefficient is
     edge (u, u+d) once every longer edge has been cleared.  The sweep
     gathers the edges into diagonals of one length each and clears them
-    from length n-1 down to 2, one slice XOR per side of the triangles; a
-    length-1 edge left over means G is not a sum of triangles.  When
-    ``trace`` is given it receives the greedy descent's potential d(G) =
-    (longest edge length, its multiplicity) before each step: (d, k),
-    (d, k-1), ..., (d, 1) for each length d with k edges, and (1, k) before
-    a length-1 residue is refused.
+    from length n-1 down to 2, one slice XOR per side of the triangles.
+    When ``trace`` is given it receives the greedy descent's potential
+    d(G) = (longest edge length, its multiplicity) before each step: (d, k),
+    (d, k-1), ..., (d, 1) for each length d with k edges.
     """
     m = _graph_matrix(G, undirected=True)
     if np.any(m.sum(axis=1) % 2):
@@ -173,11 +171,9 @@ def decompose_cycles(G, trace: list | None = None) -> np.ndarray:
             trace.extend((d, k) for k in range(np.count_nonzero(c), 0, -1))
         D[h, : v - d] ^= c  # (u, u+h)
         D[d - h, h : h + v - d] ^= c  # (u+h, u+d)
-    residue = np.count_nonzero(D[1, : v - 1]) if v > 1 else 0
-    if residue:
-        if trace is not None:
-            trace.append((1, residue))
-        raise WitnessError("length-1 longest edge cannot occur in Cycles")
+    # Each step XORs a triangle, so every degree stays even, and a nonempty
+    # set of length-1 edges has a vertex of degree 1: none is left.
+    assert v < 2 or not D[1, : v - 1].any(), "length-1 residue in Cycles"
     return D.reshape(-1)[order]
 
 
@@ -230,14 +226,6 @@ def synth_unreach(n: int) -> Circuit:
 # witnesses
 
 
-@lru_cache(maxsize=PLAN_CACHE)
-def _upper(n: int) -> tuple:
-    """The (row, column) indexes of the unordered pairs, in ``_pairs`` order."""
-    rows, cols = np.triu_indices(n, 1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
 def _shortest_path(m: np.ndarray, s: int, t: int):
     """Lexicographically smallest shortest s-t path (0-indexed vertices)."""
     dist = _bfs_dist(m, t)
@@ -267,7 +255,7 @@ def witness_graph(kind: str, G) -> np.ndarray:
         cyc_m = rho.copy()
         cyc_m[0, n - 1] ^= 1
         cyc_m |= cyc_m.T
-        upper = _upper(n)
+        upper = np.triu_indices(n, 1)  # the unordered pairs in _pairs order
         mask = m[upper] & (rho[upper] ^ 1)
         return np.concatenate([decompose_cycles(cyc_m), mask])
     reached = _bfs_dist(m, 0) >= 0

@@ -4,8 +4,7 @@ These are the straightforward gate-by-gate loops that the levelized kernels,
 the whole-array structural check, the syntax-only parser and the reducing
 builder in ``rangesynth.circuit`` replaced: evaluation, depth, alternations,
 the structural rules, a parser that checks each gate line as it reads it, a
-build that keeps every emitted gate, a reduction that renumbers the survivors
-even when every gate survives, a per-gate ``append_circuit``, and the
+build that keeps every emitted gate, a per-gate ``append_circuit``, and the
 truth-table lowering that writes one full minterm per true row.
 They are slow but obviously follow the definitions in the circuit module
 docstring, so the differential tests compare the fast paths against them.
@@ -17,8 +16,7 @@ import numpy as np
 
 from rangesynth.circuit import (
     _NAME_TO_KIND, AND, CONST, INPUT, MAX_INPUTS, NOT, OR, Circuit,
-    CircuitError, InputArityError, ParseError, StructureError, _merge, _sweep,
-    _zeros,
+    CircuitError, InputArityError, ParseError, StructureError,
 )
 
 
@@ -87,45 +85,6 @@ def build_reference(b) -> Circuit:
     """A builder's gates exactly as emitted: nothing merged, nothing swept."""
     return Circuit(b.num_inputs, b.kinds, b.arg0, b.arg1, b.outputs,
                    _validated=True)
-
-
-def reduce_reference(kinds, arg0, arg1, outputs):
-    """``circuit._reduce`` with every survivor gathered through its new id,
-    the identity included when nothing merges or dies."""
-    k = np.frombuffer(kinds, dtype=np.int8)
-    n = len(k)
-    if n == 0:
-        return kinds, arg0, arg1, outputs
-    a0 = np.frombuffer(arg0, dtype=np.int64)
-    a1 = np.frombuffer(arg1, dtype=np.int64)
-    base = max(n, int(a0.max()) + 1)
-    if 5 * base * base >= 1 << 63:
-        raise CircuitError(f"cannot reduce: {base} gate ids or input indexes "
-                           "overflow the merge key")
-    unary = k < AND
-    lo = a0.astype(np.int32)
-    hi = a1.astype(np.int32)
-    hi[unary] = lo[unary]
-    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    canon, live = _merge(k, lo, hi, base)
-    out = np.asarray(outputs, dtype=np.int32)
-    nxt = canon[out]
-    while not np.array_equal(nxt, out):
-        out, nxt = nxt, canon[nxt]
-    kept = (k < NOT) & (canon == np.arange(n, dtype=np.int32))
-    kept |= _sweep(lo, hi, live, out)
-    new_id = np.cumsum(kept, dtype=np.int32) - 1
-    leaves = np.flatnonzero(kept & (k < NOT))
-    lo, hi = new_id[lo[kept]], new_id[hi[kept]]
-    kinds, kk = _zeros("b", len(lo))
-    kk[:] = k[kept]
-    arg0, r0 = _zeros("q", len(lo))
-    r0[:] = lo
-    r0[new_id[leaves]] = a0[leaves]
-    arg1, r1 = _zeros("q", len(lo))
-    r1[:] = hi
-    r1[kk < AND] = 0
-    return kinds, arg0, arg1, new_id[out].tolist()
 
 
 def append_circuit_reference(b, other, input_wires) -> list:

@@ -20,14 +20,14 @@ from hypothesis import strategies as st
 from rangesynth import circuit, combinators
 from rangesynth.circuit import (
     AND, CONST, INPUT, NOT, OR, Circuit, CircuitBuilder, CircuitError, _reduce,
-    alternations, depth, eval_batch, serialize, size, table_to_subcircuit,
+    alternations, depth, eval_batch, size, table_to_subcircuit,
 )
 from rangesynth.cli import FAMILIES
 from rangesynth.counting import synth_exact_count, synth_threshold
 from rangesynth.languages import Dfa, member_batch, parse_dfa
 from rangesynth.regular import SynthesisError, parse_bp, synth_regular
 from tests.circuit_reference import (
-    append_circuit_reference, build_reference, eval_reference, reduce_reference,
+    append_circuit_reference, build_reference, eval_reference,
     validate_reference,
 )
 from tests.conftest import (
@@ -306,44 +306,6 @@ def test_family_gates_read_no_constant(kind, params, members):
 
 def test_every_family_is_covered():
     assert {kind for kind, _, _ in _family_cases()} | {"padded"} == set(FAMILIES)
-
-
-def _renumbered(synth, *args, **kw):
-    """``synth(*args, **kw)[0]`` built through the reduction that renumbers
-    every survivor, even when all gates survive."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(circuit, "_reduce", reduce_reference)
-        return synth(*args, **kw)[0]
-
-
-def _unreduced_size(synth, *args, **kw):
-    with unreduced():
-        return synth(*args, **kw)[0].num_gates
-
-
-_SYNTH_CASES = [
-    *((kind, FAMILIES[kind].synth, params, {}) for kind, params, _ in _family_cases()),
-    *(("padded", FAMILIES["padded"].synth, (contains11_verifier(), 5),
-       {"variant": variant}) for variant in ("co-sac", "sac")),
-]
-
-
-@pytest.mark.parametrize("kind,synth,params,kw", _SYNTH_CASES,
-                         ids=[f"{k}-{i}" for i, (k, *_) in enumerate(_SYNTH_CASES)])
-def test_family_text_matches_the_renumbering_reduction(kind, synth, params, kw):
-    assert serialize(synth(*params, **kw)[0]) == serialize(
-        _renumbered(synth, *params, **kw))
-
-
-@pytest.mark.parametrize("kind", ["cycles", "ustconn", "unreach"])
-def test_graph_circuits_keep_every_gate_and_their_text(kind):
-    """No graph circuit merges or sweeps a gate, so each takes the reduction
-    that keeps every id; its text is the renumbering reduction's."""
-    fam = FAMILIES[kind]
-    for v in range(3, 25):
-        c = fam.synth(v)[0]
-        assert c.num_gates == _unreduced_size(fam.synth, v)
-        assert serialize(c) == serialize(_renumbered(fam.synth, v)), v
 
 
 def test_operand_order_does_not_depend_on_merges():
