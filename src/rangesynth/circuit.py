@@ -6,7 +6,9 @@ them) and an ordered list of output gate ids.  Circuits are immutable after
 construction and safe to share across threads read-only; evaluation keeps its
 scratch state local to the call.  Evaluation and the depth / alternation
 sweeps share one lazily built level schedule per circuit (see
-``_level_schedule``).
+``_level_schedule``).  Evaluation is bit-sliced: ``_eval_packed`` takes
+inputs packed 64 rows to a uint64 word, and the soundness sampler draws its
+proofs in that form; ``eval_batch`` checks and packs 0/1 rows around it.
 
 Conventions (documented because the choice matters to the metrics):
 
@@ -758,7 +760,8 @@ def _level_schedule(kinds, a0, a1) -> _Schedule:
 # ---------------------------------------------------------------------------
 # evaluation
 
-# Packed gate values held per chunk of rows; bounds eval_batch's memory.
+# Packed gate values held per chunk of words, and bits held per pack or
+# unpack block; bounds evaluation's memory.
 _CHUNK_BYTES = 1 << 19
 _ALL_ONES = np.uint64(2**64 - 1)
 _BINARY_OPS = {AND: np.bitwise_and, OR: np.bitwise_or}
@@ -805,23 +808,32 @@ def eval_batch(c: Circuit, X: np.ndarray) -> np.ndarray:
     """Evaluate many inputs at once.
 
     ``X`` is a (N, num_inputs) 0/1 array; returns (N, num_outputs) uint8.
-    Rows are packed 64 to a machine word and evaluated level by level, in
-    chunks of rows sized so the packed gate values stay near _CHUNK_BYTES.
+    The rows are checked, bit-sliced 64 to a machine word
+    (:func:`_pack_rows`), evaluated by :func:`_eval_packed` and unpacked.
     """
     X = _as_bits(X, (None, c.num_inputs), "batch")
+    return _unpack_rows(_eval_packed(c, _pack_rows(X)), len(X))
+
+
+def _eval_packed(c: Circuit, P: np.ndarray) -> np.ndarray:
+    """Evaluate bit-sliced inputs: the packed entry behind :func:`eval_batch`.
+
+    ``P`` is (num_inputs, words) uint64, and bit r % 64 of ``P[i, r // 64]``
+    is input i of row r; returns (num_outputs, words) uint64 in the same
+    layout.  Words go level by level, in chunks sized so the gate values
+    stay near _CHUNK_BYTES.  ``P`` is trusted: every bit is a row's bit.
+    """
     s = c._schedule()
-    out = np.empty((len(X), len(c.outputs)), dtype=np.uint8)
+    words = P.shape[1]
+    out = np.empty((len(c.outputs), words), dtype=np.uint64)
     out_slots = s.slot[c.outputs]
-    rows = 64 * max(1, _CHUNK_BYTES // (8 * max(1, c.num_gates)))
-    for start in range(0, len(X), rows):
-        chunk = X[start : start + rows]
-        r = len(chunk)
-        words = -(-r // 64)
-        packed = np.zeros((c.num_inputs, 8 * words), dtype=np.uint8)
-        packed[:, : -(-r // 8)] = np.packbits(chunk.T, axis=1, bitorder="little")
-        vals = np.empty((c.num_gates, words), dtype=np.uint64)
-        vals[: s.inputs_end] = packed.view(np.uint64)[s.src0[: s.inputs_end]]
-        const_bits = s.src0[s.inputs_end : s.consts_end]
+    in_slots = s.src0[: s.inputs_end]
+    const_bits = s.src0[s.inputs_end : s.consts_end]
+    step = max(1, _CHUNK_BYTES // (8 * max(1, c.num_gates)))
+    for start in range(0, words, step):
+        stop = min(start + step, words)
+        vals = np.empty((c.num_gates, stop - start), dtype=np.uint64)
+        vals[: s.inputs_end] = P[in_slots, start:stop]
         vals[s.inputs_end : s.consts_end] = np.where(const_bits == 1, _ALL_ONES, 0)[:, None]
         for kind, lo, hi in s.groups:
             a = vals[s.src0[lo:hi]]
@@ -829,10 +841,44 @@ def eval_batch(c: Circuit, X: np.ndarray) -> np.ndarray:
                 np.invert(a, out=vals[lo:hi])
             else:
                 _BINARY_OPS[kind](a, vals[s.src1[lo:hi]], out=vals[lo:hi])
-        bits = np.unpackbits(vals[out_slots].view(np.uint8), axis=1, count=r,
-                             bitorder="little")
-        out[start : start + r] = bits.T
+        out[:, start:stop] = vals[out_slots]
     return out
+
+
+def _block(width: int) -> int:
+    """Rows per pack or unpack step: a multiple of 64 whose bits, a byte
+    each, fill about _CHUNK_BYTES, so each transpose stays in cache."""
+    return 64 * max(1, _CHUNK_BYTES // (64 * max(1, width)))
+
+
+def _pack_rows(X: np.ndarray) -> np.ndarray:
+    """(N, m) bits as (m, ceil(N/64)) bit-sliced words, zero past row N."""
+    n, m = X.shape
+    packed = np.zeros((m, 8 * -(-n // 64)), dtype=np.uint8)
+    step = _block(m)
+    for start in range(0, n, step):
+        bits = np.ascontiguousarray(X[start : start + step].T)
+        packed[:, start // 8 : start // 8 + -(-bits.shape[1] // 8)] = np.packbits(
+            bits, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
+def _unpack_rows(P: np.ndarray, n: int) -> np.ndarray:
+    """The first n rows of bit-sliced words P as (n, len(P)) uint8 bits."""
+    raw = np.ascontiguousarray(P, dtype="<u8").view(np.uint8)
+    out = np.empty((n, len(P)), dtype=np.uint8)
+    step = _block(len(P))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        out[start:stop] = np.unpackbits(raw[:, start // 8 : -(-stop // 8)], axis=1,
+                                        count=stop - start, bitorder="little").T
+    return out
+
+
+def _packed_rows(P: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Just the given rows of bit-sliced words P, as (len(rows), len(P)) bits."""
+    shift = (rows % 64).astype(np.uint64)
+    return ((P[:, rows // 64] >> shift) & np.uint64(1)).T.astype(np.uint8)
 
 
 def all_inputs(m: int, chunk: int = 1 << 16) -> Iterator[np.ndarray]:
@@ -848,6 +894,29 @@ def all_inputs(m: int, chunk: int = 1 << 16) -> Iterator[np.ndarray]:
         yield ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
+# bit r of _LOW_INPUTS[i] is bit i of r: inputs 0-5 of any 64 consecutive rows
+_LOW_INPUTS = np.array([sum(1 << r for r in range(64) if r >> i & 1) for i in range(6)],
+                       dtype=np.uint64)
+
+
+def _all_packed(m: int, words: int = 1 << 10) -> Iterator[tuple]:
+    """Every length-m input in :func:`all_inputs` order, bit-sliced: yields
+    (P, rows) with P holding ``rows`` rows in up to ``words`` words.
+
+    Row 64w + r has inputs i < 6 from bit i of r, the same word for every
+    w, and inputs i >= 6 from bit i - 6 of w, a word of all ones or all
+    zeros.  For m < 6 there is one partial word.
+    """
+    total = 1 << m
+    shifts = np.arange(max(0, m - 6), dtype=np.uint64)[:, None]
+    for start in range(0, -(-total // 64), words):
+        w = np.arange(start, min(start + words, -(-total // 64)), dtype=np.uint64)
+        P = np.empty((m, len(w)), dtype=np.uint64)
+        P[:6] = _LOW_INPUTS[:m, None]
+        P[6:] = ((w >> shifts) & 1) * _ALL_ONES
+        yield P, min(total - 64 * start, 64 * len(w))
+
+
 def circuit_range(c: Circuit, budget: int = 1 << 24) -> set[bytes]:
     """Exhaustive range of the circuit as a set of packed output words."""
     if 1 << c.num_inputs > budget:
@@ -855,8 +924,8 @@ def circuit_range(c: Circuit, budget: int = 1 << 24) -> set[bytes]:
             f"range enumeration needs 2^{c.num_inputs} evaluations, over budget {budget}"
         )
     seen: set[bytes] = set()
-    for X in all_inputs(c.num_inputs):
-        Y = eval_batch(c, X)
+    for P, rows in _all_packed(c.num_inputs):
+        Y = _unpack_rows(_eval_packed(c, P), rows)
         for row in np.unique(Y, axis=0):
             seen.add(row.tobytes())
     return seen

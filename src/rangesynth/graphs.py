@@ -227,8 +227,12 @@ def synth_unreach(n: int) -> Circuit:
 
 
 def _shortest_path(m: np.ndarray, s: int, t: int):
-    """Lexicographically smallest shortest s-t path (0-indexed vertices)."""
-    dist = _bfs_dist(m, t)
+    """Lexicographically smallest shortest s-t path (0-indexed vertices).
+
+    Distances to t are levelled only until s is reached; each step then
+    reads vertices nearer to t than s, all of which are levelled.
+    """
+    dist = _bfs_dist(m, t, until=s)
     if dist[s] < 0:
         return None
     path = [s]

@@ -279,13 +279,17 @@ def degrees_even(m: np.ndarray) -> bool:
     return not np.any(m.sum(axis=1) % 2)
 
 
-def _bfs_dist(m: np.ndarray, src: int) -> np.ndarray:
-    """Hops from ``src`` along the rows of adjacency matrix m (-1: unreached)."""
+def _bfs_dist(m: np.ndarray, src: int, until: int | None = None) -> np.ndarray:
+    """Hops from ``src`` along the rows of adjacency matrix m (-1: unreached).
+
+    With ``until``, the search stops at the level that reaches that vertex:
+    every vertex nearer than it is levelled, farther ones may read -1.
+    """
     dist = np.full(len(m), -1, dtype=np.int64)
     dist[src] = 0
     frontier = np.array([src])
     hops = 0
-    while frontier.size:
+    while frontier.size and (until is None or dist[until] < 0):
         hops += 1
         frontier = np.flatnonzero(m[frontier].any(axis=0) & (dist < 0))
         dist[frontier] = hops

@@ -6,15 +6,26 @@ certify both exactly at desk scale; beyond the budget the harness samples
 uniform proofs plus mutation probes (honest witnesses with a few flipped
 bits), which exercise the almost-consistent regime where the constructions
 do their real work.
+
+Proofs are evaluated bit-sliced, 64 to a machine word.  A uniform chunk of
+``take`` proofs on m bits is drawn as ``rng.bytes(8 * m * ceil(take / 64))``
+read as little-endian uint64 words of shape (m, ceil(take / 64)): bit i of
+proof r is bit r % 64 of word [i, r // 64], and the bits past ``take`` are
+ignored.  The stream is deterministic per seed; it replaced a per-bit uint8
+draw, so a seed now samples different proofs than it did before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .circuit import Circuit, _as_bits, all_inputs, circuit_range, eval_batch, metrics
+from .circuit import (
+    Circuit, _all_packed, _as_bits, _eval_packed, _pack_rows, _packed_rows,
+    _unpack_rows, circuit_range, eval_batch, metrics,
+)
 from .languages import (
     BudgetError, candidate_count, enumerate_slice, member_batch,
     word_to_string as _bits_str, words_to_strings,
@@ -31,7 +42,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 1 << 24
 _MAX_RECORDED = 10
-_CHUNK = 1 << 14  # proofs per eval_batch call when sampling or checking witnesses
+_CHUNK = 1 << 14  # proofs per evaluation when sampling or checking witnesses
 
 
 @dataclass
@@ -82,14 +93,26 @@ def _note(report: Report, proof: str, out: str, reason: str):
         report.dropped += 1
 
 
-def _record(report: Report, proofs: np.ndarray, outs: np.ndarray, ok: np.ndarray,
-            reason: str):
-    """Store the first _MAX_RECORDED violations; only count the rest."""
-    bad = np.nonzero(~ok)[0]
-    room = max(0, _MAX_RECORDED - len(report.violations))
-    for i in bad[:room]:
-        report.violations.append((_bits_str(proofs[i]), _bits_str(outs[i]), reason))
-    report.dropped += max(0, len(bad) - room)
+def _record(report: Report, proofs, outs: np.ndarray, ok: np.ndarray, reason: str):
+    """Store the first _MAX_RECORDED violations; only count the rest.
+
+    ``proofs`` is the (N, m) proof bits, or a function from row indexes to
+    those rows' bits, so that a packed batch unpacks only the rows stored.
+    """
+    bad = np.flatnonzero(~ok)
+    keep = bad[: max(0, _MAX_RECORDED - len(report.violations))]
+    rows = proofs(keep) if callable(proofs) else proofs[keep]
+    for proof, i in zip(rows, keep):
+        report.violations.append((_bits_str(proof), _bits_str(outs[i]), reason))
+    report.dropped += len(bad) - len(keep)
+
+
+def _check_packed(report: Report, c: Circuit, spec, P: np.ndarray, rows: int):
+    """Record the first ``rows`` bit-sliced proofs in P whose output is no member."""
+    outs = _unpack_rows(_eval_packed(c, P), rows)
+    ok = member_batch(spec, outs)
+    if not ok.all():
+        _record(report, partial(_packed_rows, P), outs, ok, "output not in language")
 
 
 def check_soundness(c: Circuit, spec, budget: int = DEFAULT_BUDGET, seed: int = 0,
@@ -97,7 +120,9 @@ def check_soundness(c: Circuit, spec, budget: int = DEFAULT_BUDGET, seed: int = 
     """Every proof input must evaluate to a member word.
 
     Exhaustive when 2^m fits the budget; otherwise uniform sampling plus
-    1-3 bit mutations of the given honest proofs (when provided).
+    1-3 bit mutations of the given honest proofs (when provided), in
+    alternating chunks of _CHUNK proofs.  Uniform chunks are drawn packed
+    (see the module docstring) and never exist as a uint8 matrix.
     """
     m = c.num_inputs
     base = None
@@ -105,32 +130,26 @@ def check_soundness(c: Circuit, spec, budget: int = DEFAULT_BUDGET, seed: int = 
         base = _as_bits(base_proofs, (None, m), "base proofs")
     if m <= 62 and (1 << m) <= budget:
         report = Report("soundness", "exhaustive", 1 << m)
-        for block in all_inputs(m):
-            outs = eval_batch(c, block)
-            ok = member_batch(spec, outs)
-            if not ok.all():
-                _record(report, block, outs, ok, "output not in language")
+        for P, rows in _all_packed(m):
+            _check_packed(report, c, spec, P, rows)
         return report
 
     if trials < 1:
         raise ValueError(f"sampled soundness needs trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     report = Report("soundness", "sampled", trials)
-    done = 0
-    while done < trials:
+    for done in range(0, trials, _CHUNK):
         take = min(_CHUNK, trials - done)
         if base is not None and (done // _CHUNK) % 2 == 1:
             proofs = base[rng.integers(0, len(base), take)]
             flips = rng.integers(1, 4, take)
             hit = rng.integers(0, m, int(flips.sum()))
             proofs[np.repeat(np.arange(take), flips), hit] ^= 1
+            P = _pack_rows(proofs)
         else:
-            proofs = rng.integers(0, 2, (take, m), dtype=np.uint8)
-        outs = eval_batch(c, proofs)
-        ok = member_batch(spec, outs)
-        if not ok.all():
-            _record(report, proofs, outs, ok, "output not in language")
-        done += take
+            words = -(-take // 64)
+            P = np.frombuffer(rng.bytes(8 * m * words), dtype="<u8").reshape(m, words)
+        _check_packed(report, c, spec, P, take)
     return report
 
 

@@ -9,6 +9,11 @@ from hypothesis import strategies as st
 
 from rangesynth.circuit import (
     _CHUNK_BYTES,
+    _all_packed,
+    _eval_packed,
+    _pack_rows,
+    _packed_rows,
+    _unpack_rows,
     AND,
     CONST,
     INPUT,
@@ -23,6 +28,8 @@ from rangesynth.circuit import (
     ParseError,
     StructureError,
     alternations,
+    all_inputs,
+    circuit_range,
     cone_sizes,
     depth,
     eval_batch,
@@ -368,6 +375,84 @@ class TestDifferential:
         for g in range(0, c.num_gates, 7):
             sub = Circuit(c.num_inputs, c.kinds, c.arg0, c.arg1, [g])
             assert d[g] == depth_reference(sub)
+
+
+_SHIFTS = np.arange(64, dtype=np.uint64)
+
+
+def _slice_rows(X, rng=None):
+    """Bit-slice rows by arithmetic: bit r % 64 of word [i, r // 64] is
+    X[r, i].  The bits past the last row are zero, or random from ``rng``."""
+    r, m = X.shape
+    words = -(-r // 64)
+    pad = np.zeros((64 * words, m), dtype=np.uint64)
+    pad[:r] = X
+    if rng is not None:
+        pad[r:] = rng.integers(0, 2, (64 * words - r, m))
+    return (pad.reshape(words, 64, m) << _SHIFTS[None, :, None]).sum(axis=1).T
+
+
+def _rows_from_slices(P, r):
+    """The first r rows of bit-sliced words P, by shifting each bit out."""
+    bits = (P[:, :, None] >> _SHIFTS) & np.uint64(1)
+    return bits.reshape(len(P), 64 * P.shape[1])[:, :r].T.astype(np.uint8)
+
+
+class TestPacked:
+    """The bit-sliced entry and its pack / unpack against row-wise references."""
+
+    @given(random_circuits(), st.sampled_from([1, 63, 64, 65, (1 << 14) + 3]),
+           st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_circuits(self, c, rows, seed):
+        X = _random_rows(c, rows, seed)
+        want = eval_reference(c, X)
+        assert np.array_equal(eval_batch(c, X), want)
+        rng = np.random.default_rng(seed)
+        P = _slice_rows(X, rng)  # garbage past the last row must not matter
+        Y = _eval_packed(c, P)
+        assert Y.shape == (len(c.outputs), -(-rows // 64)) and Y.dtype == np.uint64
+        assert np.array_equal(_rows_from_slices(Y, rows), want)
+        assert np.array_equal(_unpack_rows(Y, rows), want)
+        packed = _pack_rows(X)
+        assert np.array_equal(_rows_from_slices(packed, rows), X)
+        assert np.array_equal(packed, _slice_rows(X))
+        pick = rng.integers(0, rows, 5)
+        assert np.array_equal(_packed_rows(P, pick), X[pick])
+
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 1000])
+    def test_small_blocks(self, rows, monkeypatch):
+        # at 1 KB the pack and unpack blocks hold 256 rows of 4 bits and the
+        # evaluation chunks 6 words, so every loop takes several steps
+        import rangesynth.circuit as circuit_module
+
+        monkeypatch.setattr(circuit_module, "_CHUNK_BYTES", 1024)
+        b = CircuitBuilder(4)
+        x = [b.input(i) for i in range(4)]
+        b.set_outputs([b.xor_tree(x), b.or_(b.not_(x[0]), x[3]), x[1], x[2]])
+        c = b.build()
+        X = _random_rows(c, rows, rows)
+        packed = _pack_rows(X)
+        assert np.array_equal(packed, _slice_rows(X))
+        assert np.array_equal(_unpack_rows(packed, rows), X)
+        assert np.array_equal(eval_batch(c, X), eval_reference(c, X))
+
+    @pytest.mark.parametrize("m", range(13))
+    def test_all_packed_matches_all_inputs(self, m):
+        b = CircuitBuilder(m)
+        x = [b.input(i) for i in range(m)]
+        b.set_outputs([b.xor_tree(x), b.and_tree(x[::3]), b.const(1)] + x[::-2])
+        c = b.build()
+        want = np.concatenate(list(all_inputs(m)))
+        for words in (1 << 10, 3):
+            chunks = list(_all_packed(m, words))
+            assert sum(rows for _, rows in chunks) == 1 << m
+            got = np.concatenate([_rows_from_slices(P, rows) for P, rows in chunks])
+            assert np.array_equal(got, want)
+            outs = np.concatenate([_unpack_rows(_eval_packed(c, P), rows)
+                                   for P, rows in chunks])
+            assert np.array_equal(outs, eval_batch(c, want))
+        assert circuit_range(c) == {row.tobytes() for row in eval_batch(c, want)}
 
 
 class TestBadBits:

@@ -151,6 +151,17 @@ def test_lexicographically_smallest_shortest_path(v):
     assert graphs._shortest_path(m, 0, v - 1) == ref.shortest_path(m, 0, v - 1)
 
 
+@pytest.mark.parametrize("v", [20, 40])
+def test_ustconn_benchmark_members_match_reference(v):
+    """The benchmark's members, where the search from t stops at s early."""
+    from perfbench.oracles import ustconn_members
+
+    for word in ustconn_members(np.random.default_rng(v), v, 20):
+        m = word.reshape(v, v)
+        assert graphs._shortest_path(m, 0, v - 1) == ref.shortest_path(m, 0, v - 1)
+        assert witness_graph("ustconn", word).tobytes() == ref.witness_ustconn(word).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # regression guards
 

@@ -5,7 +5,7 @@ import pytest
 
 from rangesynth import verify
 from rangesynth.circuit import (
-    CircuitBuilder, InputArityError, eval_batch, parse, serialize,
+    CircuitBuilder, InputArityError, eval_batch, eval_circuit, parse, serialize,
 )
 from rangesynth.counting import synth_threshold, witness_count
 from rangesynth.graphs import synth_cycles, synth_unreach, witness_graph
@@ -39,8 +39,19 @@ def _broken_cycles(n):
     return parse("\n".join(lines) + "\n")
 
 
+def _rows_of(P, take):
+    """The first ``take`` proofs of bit-sliced words P, one row at a time:
+    bit i of proof r is bit r % 64 of word [i, r // 64]."""
+    rows = np.empty((take, len(P)), dtype=np.uint8)
+    for r in range(take):
+        rows[r] = (P[:, r // 64] >> np.uint64(r % 64)) & np.uint64(1)
+    return rows
+
+
 def _sampled_soundness_reference(c, spec, seed, trials, base_proofs):
-    """check_soundness in sampled mode with a per-row mutation loop.
+    """check_soundness in sampled mode with a per-row mutation loop, the
+    uniform chunks unpacked row by row from the documented packed draw and
+    every chunk evaluated through eval_batch.
 
     Returns the report and the proof batches in evaluation order.
     """
@@ -60,7 +71,9 @@ def _sampled_soundness_reference(c, spec, seed, trials, base_proofs):
                 idx = rng.integers(0, m, int(flips[i]))
                 proofs[i, idx] ^= 1
         else:
-            proofs = rng.integers(0, 2, (take, m), dtype=np.uint8)
+            words = -(-take // 64)
+            raw = np.frombuffer(rng.bytes(8 * m * words), dtype="<u8")
+            proofs = _rows_of(raw.reshape(m, words), take)
         outs = eval_batch(c, proofs)
         ok = member_batch(spec, outs)
         if not ok.all():
@@ -173,22 +186,56 @@ class TestSoundness:
         trials = (1 << 14) + 3000  # one uniform chunk, then a mutated one
         want, want_batches = _sampled_soundness_reference(c, spec, 11, trials, base)
         batches = []
+        eval_packed = verify._eval_packed
 
-        def recording_eval_batch(circuit, proofs):
-            batches.append(proofs.copy())
-            return eval_batch(circuit, proofs)
+        def recording_eval_packed(circuit, P):
+            batches.append(P.copy())
+            return eval_packed(circuit, P)
 
-        monkeypatch.setattr(verify, "eval_batch", recording_eval_batch)
+        monkeypatch.setattr(verify, "_eval_packed", recording_eval_packed)
         got = check_soundness(c, spec, budget=0, seed=11, trials=trials,
                               base_proofs=base)
         assert len(batches) == len(want_batches) == 2
-        for a, b in zip(batches, want_batches):
-            assert np.array_equal(a, b)
+        for P, b in zip(batches, want_batches):
+            assert P.shape == (c.num_inputs, -(-len(b) // 64))
+            assert np.array_equal(_rows_of(P, len(b)), b)
         assert got.machine_line() == want.machine_line()
         assert got.violations == want.violations
         assert render_report(got) == render_report(want)
         if case == "broken_cycles":
             assert not got.passed
+
+    @pytest.mark.parametrize("budget", [0, 1 << 20])
+    @pytest.mark.parametrize("trials", [100, (1 << 14) + 3000])
+    def test_stored_proofs_evaluate_to_stored_outputs(self, budget, trials):
+        # checks the bit order of the packed draw, of the exhaustive
+        # enumeration and of the unpacking of stored rows
+        c = _broken_cycles(5)
+        base = [witness_graph("cycles", [0] * 25)]
+        r = check_soundness(c, Cycles(), budget=budget, seed=3, trials=trials,
+                            base_proofs=base)
+        assert r.mode == ("sampled" if budget == 0 else "exhaustive")
+        assert len(r.violations) == _MAX_RECORDED and r.dropped > 0
+        for proof, out, _ in r.violations:
+            assert "".join(map(str, eval_circuit(c, proof))) == out
+            assert not member_batch(Cycles(), np.array([list(map(int, out))],
+                                                       dtype=np.uint8))[0]
+
+    @pytest.mark.parametrize("trials", [1, 100, (1 << 14) + 3000])
+    def test_same_seed_same_report(self, trials):
+        c = _broken_cycles(5)
+        base = [witness_graph("cycles", [0] * 25)]
+        a, b = (render_report(check_soundness(c, Cycles(), budget=0, seed=5,
+                                              trials=trials, base_proofs=base))
+                for _ in range(2))
+        assert a == b
+
+    def test_seeds_draw_different_proofs(self):
+        c = _broken_cycles(5)
+        a, b = (check_soundness(c, Cycles(), budget=0, seed=seed, trials=1000)
+                for seed in (1, 2))
+        assert len(a.violations) == len(b.violations) == _MAX_RECORDED
+        assert [v[0] for v in a.violations] != [v[0] for v in b.violations]
 
     def test_mutated_witnesses_stay_sound(self):
         c, _ = synth_threshold(16, 8)
