@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rangesynth.circuit import (
@@ -403,6 +403,9 @@ class TestPacked:
 
     @given(random_circuits(), st.sampled_from([1, 63, 64, 65, (1 << 14) + 3]),
            st.integers(0, 2**31 - 1))
+    @example(Circuit(0, [CONST, CONST, NOT, AND, OR], [1, 0, 0, 0, 0], [0, 0, 0, 2, 1],
+                     [4, 3, 2]), 65, 0)  # no inputs, CONST gates
+    @example(Circuit(2, [INPUT, INPUT, AND], [0, 1, 0], [0, 0, 1], []), 63, 1)  # no outputs
     @settings(max_examples=60, deadline=None)
     def test_random_circuits(self, c, rows, seed):
         X = _random_rows(c, rows, seed)
