@@ -1,7 +1,7 @@
 """Constant-locality proof systems for graph languages.
 
 Cycles (all vertex degrees even) is the GF(2) span of a short-edge triangle
-basis in which every edge lies in at most six triangles, so each adjacency
+basis in which every edge lies in at most five triangles, so each adjacency
 bit is a bounded XOR of coefficient inputs.  uSTConn adds a mask bit per
 edge on top of the Cycles circuit with the (s,t) entry complemented, and
 UnReach gates each directed edge by a claimed cut.  Vertices are 1-indexed
@@ -15,8 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import Circuit, CircuitBuilder, _as_bits
-from .intervals import PLAN_CACHE
+from .circuit import MAX_INPUTS, Circuit, CircuitBuilder, _as_bits
 from .languages import EncodingError, _as_matrix, _bfs_dist
 from .regular import WitnessError
 
@@ -35,9 +34,14 @@ __all__ = [
 class TriangleBasis:
     """Short-edge triangle basis of the cycle space on [n].
 
-    Triples (u < v < w) whose sorted edge lengths are (i, i, 2i) or
-    (i, i+1, 2i+1), in lexicographic order; ``edge_incidence`` maps each
-    unordered edge to the indices of the triangles containing it.
+    The triangles (u, u + d//2, u + d) for 2 <= d <= n-1 and 1 <= u <= n-d,
+    in lexicographic order (by u, then by d); their sorted edge lengths are
+    (i, i, 2i) or (i, i+1, 2i+1).  ``edge_incidence`` maps each unordered
+    edge that lies in a triangle to the ascending indices of those
+    triangles: at most five, since edge (a, a+L) is the longest edge of one
+    triangle (L >= 2), the first side of those with d in {2L, 2L+1} starting
+    at a and the second side of those with d in {2L-1, 2L} starting at
+    a - d//2.
     """
 
     n: int
@@ -48,41 +52,44 @@ class TriangleBasis:
         return len(self.triangles)
 
 
-def _pattern_ok(u: int, v: int, w: int) -> bool:
-    a, b, c = sorted((v - u, w - v, w - u))
-    return (a == b and c == 2 * a) or (b == a + 1 and c == 2 * a + 1)
+@lru_cache(maxsize=4)  # a few vertex counts; each basis is about 52 v^2 bytes
+def _basis(v: int) -> tuple:
+    """:class:`TriangleBasis` on v vertices as read-only 0-indexed arrays.
+
+    ``tris`` is (k, 3), ``pairs`` the unordered pairs (rows, cols) in
+    row-major order and ``incidence[p]`` the triangles containing pair p,
+    ascending and padded in front with -1 to five.  ``gather[d, u]`` is the
+    position of edge (u, u+d) in a flattened v x v matrix (any position when
+    u + d >= v), and ``order`` the position [d, u] of each triangle's
+    longest edge in the flattened gathered array: the sweep's indexes.
+    """
+    u, w = np.triu_indices(v, 2)  # by u, then by d = w - u
+    tris = np.stack([u, u + (w - u) // 2, w], axis=1)
+    a, b = pairs = np.triu_indices(v, 1)
+    A, L = a[:, None], (b - a)[:, None]
+    # pair (a, a+L) is a side of the triangles (s, s + d//2, s + d) for these
+    s = np.hstack([A - L, A - L + 1, A, A, A])
+    d = np.hstack([2 * L, 2 * L - 1, L, 2 * L, 2 * L + 1])
+    ok = (d >= 2) & (s >= 0) & (s + d < v)
+    # bases 0..s-1 hold (v-2) + ... + (v-1-s) = s(2v-3-s)/2 triangles
+    incidence = np.sort(np.where(ok, s * (2 * v - 3 - s) // 2 + d - 2, -1), axis=1)
+    dd, uu = np.ogrid[:v, :v]
+    gather = uu * v + np.minimum(uu + dd, v - 1)
+    order = (w - u) * v + u
+    for arr in (tris, a, b, incidence, gather, order):
+        arr.flags.writeable = False
+    return tris, pairs, incidence, gather, order
 
 
 def triangle_basis(n: int) -> TriangleBasis:
-    if n < 3:
-        return TriangleBasis(n=n, triangles=[], edge_incidence={})
-    # For each base vertex, emit the compatible triples directly instead of
-    # scanning all O(n^3) triples: (u, u+i, u+2i) covers even longest edges,
-    # (u, u+i, u+2i+1) covers odd ones.  Only the left-edge-shorter spacing
-    # of the odd pattern is kept: it is the triangle decompose_cycles picks,
-    # and including the mirrored spacing would put even-length edges in 7
-    # triangles, breaking the <= 6 incidence bound.
-    tris = []
-    for u in range(1, n + 1):
-        max_i = (n - u) // 2
-        for i in range(1, max_i + 1):
-            tris.append((u, u + i, u + 2 * i))  # lengths (i, i, 2i)
-        for i in range(1, n):
-            w = u + 2 * i + 1
-            if w > n:
-                break
-            tris.append((u, u + i, w))  # lengths (i, i+1, 2i+1)
-    tris.sort()
-    incidence: dict = {}
-    for idx, (u, v, w) in enumerate(tris):
-        assert _pattern_ok(u, v, w)
-        for e in ((u, v), (v, w), (u, w)):
-            incidence.setdefault(e, []).append(idx)
-    for e, lst in incidence.items():
-        assert len(lst) <= 6, f"edge {e} lies in {len(lst)} triangles"
-    assert len(tris) <= 1.5 * n * n, f"|T|={len(tris)} exceeds (3/2)n^2"
-    # even-length edges must be the longest edge of exactly one triangle
-    return TriangleBasis(n=n, triangles=tris, edge_incidence=incidence)
+    tris, (a, b), incidence, _, _ = _basis(n)
+    inside = incidence >= 0
+    flat = incidence[inside].tolist()
+    ends = np.cumsum(inside.sum(axis=1)).tolist()
+    edge_incidence = {(u, v): flat[s:e] for u, v, s, e in zip(
+        (a + 1).tolist(), (b + 1).tolist(), [0] + ends, ends) if s < e}
+    return TriangleBasis(n=n, triangles=list(map(tuple, (tris + 1).tolist())),
+                         edge_incidence=edge_incidence)
 
 
 # ---------------------------------------------------------------------------
@@ -90,30 +97,33 @@ def triangle_basis(n: int) -> TriangleBasis:
 
 
 def _check_size(kind: str, n: int):
-    """Refuse a vertex count no proof system is built for, before any
-    circuit or witness is."""
-    least = {"cycles": 3, "ustconn": 2, "unreach": 2}.get(kind)
+    """Refuse a vertex count no proof system is built for, or whose proof
+    is wider than a circuit's ``MAX_INPUTS``, before any circuit, witness
+    or index array is sized."""
+    least, width = {"cycles": (3, (n - 1) * (n - 2) // 2),
+                    "ustconn": (2, (n - 1) ** 2),
+                    "unreach": (2, n * n + n - 2)}.get(kind, (None, None))
     if least is None:
         raise EncodingError(f"unknown graph kind {kind!r}")
     if n < least:
         raise EncodingError(f"{kind} needs n >= {least} vertices, got n={n}")
+    if width > MAX_INPUTS:
+        raise EncodingError(f"{kind} on n={n} vertices needs {width} proof "
+                            f"bits, more than the {MAX_INPUTS} a circuit takes")
 
 
 def synth_cycles(n: int) -> Circuit:
     """Inputs: one coefficient per basis triangle; output: their GF(2) sum."""
     _check_size("cycles", n)
-    basis = triangle_basis(n)
-    b = CircuitBuilder(len(basis))
-    coeff = [b.input(i) for i in range(len(basis))]
+    tris, pairs, incidence, _, _ = _basis(n)
+    b = CircuitBuilder(len(tris))
+    coeff = [b.input(i) for i in range(len(tris))]
     zero = b.const(0)
-    out = [[zero] * n for _ in range(n)]
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            incident = basis.edge_incidence.get((u, v), [])
-            wire = b.xor_tree([coeff[i] for i in incident])
-            out[u - 1][v - 1] = wire
-            out[v - 1][u - 1] = wire
-    b.set_outputs([out[i][j] for i in range(n) for j in range(n)])
+    edges = [b.xor_tree([coeff[i] for i in row if i >= 0])
+             for row in incidence.tolist()]
+    out = np.full((n, n), zero)
+    out[pairs] = out.T[pairs] = edges
+    b.set_outputs(out.reshape(-1).tolist())
     return b.build()
 
 
@@ -126,24 +136,6 @@ def _graph_matrix(G, undirected: bool) -> np.ndarray:
         raise EncodingError("graph must be a word or a square matrix, "
                             f"got shape {bits.shape}")
     return _as_matrix(bits, undirected)
-
-
-@lru_cache(maxsize=PLAN_CACHE)
-def _diagonals(v: int) -> tuple:
-    """Read-only indexes of the diagonal sweep on v vertices.
-
-    ``gather[d, u]`` is the position of edge (u, u+d) in a flattened v x v
-    matrix (0-indexed; any position when u + d >= v), and ``order`` lists
-    the positions [d, u], in the flattened gathered array, of the longest
-    edges of the basis triangles (u, u + d//2, u+d) in basis order: by
-    base u, then by length d >= 2.
-    """
-    d, u = np.ogrid[:v, :v]
-    gather = u * v + np.minimum(u + d, v - 1)
-    order = np.array([d * v + u for u in range(v) for d in range(2, v - u)],
-                     dtype=np.intp)
-    gather.flags.writeable = order.flags.writeable = False
-    return gather, order
 
 
 def decompose_cycles(G, trace: list | None = None) -> np.ndarray:
@@ -159,11 +151,15 @@ def decompose_cycles(G, trace: list | None = None) -> np.ndarray:
     d(G) = (longest edge length, its multiplicity) before each step: (d, k),
     (d, k-1), ..., (d, 1) for each length d with k edges.
     """
-    m = _graph_matrix(G, undirected=True)
+    return _sweep(_graph_matrix(G, undirected=True), trace)
+
+
+def _sweep(m: np.ndarray, trace: list | None = None) -> np.ndarray:
+    """:func:`decompose_cycles` of a matrix :func:`_graph_matrix` has read."""
     if np.any(m.sum(axis=1) % 2):
         raise WitnessError("graph has an odd-degree vertex; not in Cycles")
     v = len(m)
-    gather, order = _diagonals(v)
+    _, _, _, gather, order = _basis(v)
     D = m.reshape(-1)[gather]  # a copy: D[d, u] is edge (u, u+d)
     for d in range(v - 1, 1, -1):
         c, h = D[d, : v - d], d // 2
@@ -181,29 +177,24 @@ def decompose_cycles(G, trace: list | None = None) -> np.ndarray:
 # uSTConn and UnReach
 
 
-def _pairs(n: int):
-    return [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-
-
 def synth_ustconn(n: int) -> Circuit:
     """Inputs: cycles coefficients then one mask bit per unordered pair."""
     _check_size("ustconn", n)
-    basis = triangle_basis(n)
-    pairs = _pairs(n)
-    b = CircuitBuilder(len(basis) + len(pairs))
-    coeff = [b.input(i) for i in range(len(basis))]
-    mask = {e: b.input(len(basis) + i) for i, e in enumerate(pairs)}
+    tris, pairs, incidence, _, _ = _basis(n)
+    k = len(tris)
+    b = CircuitBuilder(k + len(incidence))
+    coeff = [b.input(i) for i in range(k)]
+    mask = [b.input(k + p) for p in range(len(incidence))]
     zero = b.const(0)
-    out = [[zero] * n for _ in range(n)]
-    for u, v in pairs:
-        incident = basis.edge_incidence.get((u, v), [])
-        cyc = b.xor_tree([coeff[i] for i in incident])
-        if (u, v) == (1, n):
+    edges = []
+    for p, row in enumerate(incidence.tolist()):
+        cyc = b.xor_tree([coeff[i] for i in row if i >= 0])
+        if p == n - 2:  # the pair (1, n), last of the first row
             cyc = b.not_(cyc)
-        wire = b.or_(cyc, mask[(u, v)])
-        out[u - 1][v - 1] = wire
-        out[v - 1][u - 1] = wire
-    b.set_outputs([out[i][j] for i in range(n) for j in range(n)])
+        edges.append(b.or_(cyc, mask[p]))
+    out = np.full((n, n), zero)
+    out[pairs] = out.T[pairs] = edges
+    b.set_outputs(out.reshape(-1).tolist())
     return b.build()
 
 
@@ -248,7 +239,7 @@ def witness_graph(kind: str, G) -> np.ndarray:
     n = len(m)
     _check_size(kind, n)
     if kind == "cycles":
-        return decompose_cycles(m)
+        return _sweep(m)
     if kind == "ustconn":
         path = _shortest_path(m, 0, n - 1)
         if path is None:
@@ -259,9 +250,9 @@ def witness_graph(kind: str, G) -> np.ndarray:
         cyc_m = rho.copy()
         cyc_m[0, n - 1] ^= 1
         cyc_m |= cyc_m.T
-        upper = np.triu_indices(n, 1)  # the unordered pairs in _pairs order
-        mask = m[upper] & (rho[upper] ^ 1)
-        return np.concatenate([decompose_cycles(cyc_m), mask])
+        pairs = _basis(n)[1]
+        mask = m[pairs] & (rho[pairs] ^ 1)
+        return np.concatenate([_sweep(cyc_m), mask])
     reached = _bfs_dist(m, 0) >= 0
     if reached[-1]:
         raise WitnessError("vertex n is reachable from vertex 1")

@@ -9,18 +9,24 @@ first loop: no layout plan, no shared reach products.  The differential
 tests in ``test_witness_plan.py`` hold ``witness_bp``/``witness_regular``
 and ``witness_count`` to these, proof for proof and error for error.
 
-``decompose_cycles`` is the greedy descent over a Python edge set that the
-diagonal sweep of ``rangesynth.graphs`` replaces, and ``witness_ustconn``
-the set-based uSTConn witness built on it; ``test_graph_sweep.py`` holds
-``witness_graph`` and ``decompose_cycles`` to them.
+``triangle_basis`` builds the short-edge triangle basis by per-vertex loops,
+a sort and per-triangle checks, and ``synth_cycles``/``synth_ustconn`` walk
+every vertex pair and look it up in that basis's incidence dict; they are
+what the cached closed-form basis of ``rangesynth.graphs`` replaces, and
+``test_graph_basis.py`` holds ``triangle_basis`` and the serialized
+circuits to them.  ``decompose_cycles`` is the greedy descent over a Python
+edge set, on this reference basis, that the diagonal sweep replaces, and
+``witness_ustconn`` the set-based uSTConn witness built on it;
+``test_graph_sweep.py`` holds ``witness_graph`` and ``decompose_cycles`` to
+them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from rangesynth.circuit import _as_bits
-from rangesynth.graphs import _graph_matrix, triangle_basis
+from rangesynth.circuit import CircuitBuilder, _as_bits
+from rangesynth.graphs import TriangleBasis, _graph_matrix
 from rangesynth.languages import LanguageError, _bfs_dist
 from rangesynth.regular import WitnessError
 
@@ -162,6 +168,78 @@ def witness_count(kind, n, t, word):
     for lo, hi, off, bits in nodes:
         _encode(proof, off, bits, int(word[lo:hi].sum()))
     return proof
+
+
+def _pattern_ok(u, v, w):
+    a, b, c = sorted((v - u, w - v, w - u))
+    return (a == b and c == 2 * a) or (b == a + 1 and c == 2 * a + 1)
+
+
+def triangle_basis(n):
+    """For each base vertex u, the triples (u, u+i, u+2i) (even longest
+    edge) and (u, u+i, u+2i+1) (odd longest edge, left edge shorter),
+    sorted; each edge's incidence list in triangle order."""
+    if n < 3:
+        return TriangleBasis(n=n, triangles=[], edge_incidence={})
+    tris = []
+    for u in range(1, n + 1):
+        for i in range(1, (n - u) // 2 + 1):
+            tris.append((u, u + i, u + 2 * i))
+        for i in range(1, n):
+            w = u + 2 * i + 1
+            if w > n:
+                break
+            tris.append((u, u + i, w))
+    tris.sort()
+    incidence = {}
+    for idx, (u, v, w) in enumerate(tris):
+        assert _pattern_ok(u, v, w)
+        for e in ((u, v), (v, w), (u, w)):
+            incidence.setdefault(e, []).append(idx)
+    for e, lst in incidence.items():
+        assert len(lst) <= 6, f"edge {e} lies in {len(lst)} triangles"
+    assert len(tris) <= 1.5 * n * n, f"|T|={len(tris)} exceeds (3/2)n^2"
+    return TriangleBasis(n=n, triangles=tris, edge_incidence=incidence)
+
+
+def synth_cycles(n):
+    """One coefficient input per reference triangle; each adjacency bit the
+    XOR tree of its edge's triangles, pair by pair."""
+    basis = triangle_basis(n)
+    b = CircuitBuilder(len(basis))
+    coeff = [b.input(i) for i in range(len(basis))]
+    zero = b.const(0)
+    out = [[zero] * n for _ in range(n)]
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            incident = basis.edge_incidence.get((u, v), [])
+            wire = b.xor_tree([coeff[i] for i in incident])
+            out[u - 1][v - 1] = wire
+            out[v - 1][u - 1] = wire
+    b.set_outputs([out[i][j] for i in range(n) for j in range(n)])
+    return b.build()
+
+
+def synth_ustconn(n):
+    """The Cycles coefficients then one mask bit per unordered pair; each
+    pair's bit is its XOR tree, complemented at (1, n), OR its mask bit."""
+    basis = triangle_basis(n)
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    b = CircuitBuilder(len(basis) + len(pairs))
+    coeff = [b.input(i) for i in range(len(basis))]
+    mask = {e: b.input(len(basis) + i) for i, e in enumerate(pairs)}
+    zero = b.const(0)
+    out = [[zero] * n for _ in range(n)]
+    for u, v in pairs:
+        incident = basis.edge_incidence.get((u, v), [])
+        cyc = b.xor_tree([coeff[i] for i in incident])
+        if (u, v) == (1, n):
+            cyc = b.not_(cyc)
+        wire = b.or_(cyc, mask[(u, v)])
+        out[u - 1][v - 1] = wire
+        out[v - 1][u - 1] = wire
+    b.set_outputs([out[i][j] for i in range(n) for j in range(n)])
+    return b.build()
 
 
 def _graph_edges(m):
