@@ -7,23 +7,29 @@ encodings with :class:`EncodingError`.  Vertices are 1-indexed with s = 1 and
 t = n.
 
 ``member`` is the single source of truth the verification harness trusts.
-``member_batch`` answers a whole (N, n) batch for every spec: automata,
-counting and graph specs in whole-array operations, with s-t reachability
-decided by a batched frontier closure from s, and every other spec (NP
-verifiers, structured BPs, combinator trees) by one ``member`` call per
-distinct word.  ``enumerate_slice`` produces entire length-n slices by
-filtering all candidates through the same predicate.
+``member_batch`` answers a whole (N, n) batch for every spec.  Automata,
+structured BPs and graph specs are decided on bit-sliced words, 64 to a
+uint64 as the circuit evaluator lays them out: one walk over boolean
+relations for DFAs, NFAs and BPs alike, and XOR/OR reductions plus a
+bit-sliced frontier closure from s for the graphs.  Sampled soundness hands
+the evaluator's words straight to that packed oracle; ``member_batch`` packs
+its rows first.  Counting specs are summed row by row, and every other spec
+(NP verifiers, combinator trees) takes one ``member`` call per distinct word.
+``enumerate_slice`` produces entire length-n slices by filtering all
+candidates through the same predicate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
 
-from .circuit import _as_bits, all_inputs
+from . import circuit
+from .circuit import _ALL_ONES, _as_bits, _pack_rows, _unpack_rows, all_inputs
 
 
 class LanguageError(ValueError):
@@ -165,28 +171,6 @@ def parse_dfa(text: str):
     return Dfa(num_states, start, frozenset(finals), delta)
 
 
-def determinize(a: Nfa) -> Dfa:
-    """Subset construction; used only for vectorized membership."""
-    start = frozenset((a.start,))
-    index = {start: 0}
-    order = [start]
-    delta = []
-    i = 0
-    while i < len(order):
-        cur = order[i]
-        row = []
-        for b in (0, 1):
-            nxt = frozenset(q for p in cur for q in a.delta[p][b])
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-            row.append(index[nxt])
-        delta.append(tuple(row))
-        i += 1
-    finals = frozenset(i for i, s in enumerate(order) if s & a.finals)
-    return Dfa(len(order), 0, finals, tuple(delta))
-
-
 # ---------------------------------------------------------------------------
 # language specs
 
@@ -296,35 +280,6 @@ def _bfs_dist(m: np.ndarray, src: int, until: int | None = None) -> np.ndarray:
     return dist
 
 
-# float32 adjacency matrices held per chunk of words; bounds member_batch's memory.
-_CHUNK_BYTES = 1 << 20
-
-
-def _reached(mats: np.ndarray) -> np.ndarray:
-    """(N, v) bool: the vertices reachable from vertex 0 in each matrix.
-
-    A batched BFS: each hop pushes every frontier through its adjacency
-    matrix with one float32 product (exact, as no sum exceeds v) and keeps
-    the vertices not reached before, until no frontier is left -- at most
-    diameter + 1 hops.  Matrices go in chunks of about _CHUNK_BYTES.
-    """
-    n, v = mats.shape[:2]
-    reach = np.zeros((n, v), dtype=bool)
-    reach[:, 0] = True
-    rows = max(1, _CHUNK_BYTES // (4 * v * v))
-    for start in range(0, n, rows):
-        adj = mats[start : start + rows].astype(np.float32)
-        seen = reach[start : start + rows]
-        frontier = seen.astype(np.float32)
-        while True:
-            new = (np.matmul(frontier[:, None, :], adj)[:, 0] > 0) & ~seen
-            if not new.any():
-                break
-            seen |= new
-            frontier = new.astype(np.float32)
-    return reach
-
-
 def member(spec, word) -> int:
     """Ground-truth membership: 1 if the word is in the language."""
     word = _as_bits(word, (None,), "word")
@@ -429,37 +384,157 @@ def _member_combined(spec: Combined, word: np.ndarray) -> int:
 def member_batch(spec, words: np.ndarray) -> np.ndarray:
     """Vectorized membership over a (N, n) 0/1 array; returns bool (N,)."""
     words = _as_bits(words, (None, None), "words")
-    if isinstance(spec, Regular) and isinstance(spec.automaton, (Dfa, Nfa)):
-        a = spec.automaton
-        dfa = a if isinstance(a, Dfa) else determinize(a)
-        tab = np.array(dfa.delta, dtype=np.int64)  # (w, 2)
-        state = np.full(len(words), dfa.start, dtype=np.int64)
-        for j in range(words.shape[1]):
-            state = tab[state, words[:, j].astype(np.int64)]
-        finals = np.zeros(dfa.num_states, dtype=bool)
-        for f in dfa.finals:
-            finals[f] = True
-        return finals[state]
+    if _packed_decider(spec, words.shape[1]) is not None:
+        return _member_packed(spec, _pack_rows(words), len(words))
     if isinstance(spec, Threshold):
         return words.sum(axis=1, dtype=np.int64) >= spec.t
     if isinstance(spec, ExactCount):
         return words.sum(axis=1, dtype=np.int64) == spec.t
-    if isinstance(spec, GRAPH_SPECS):
-        v = _graph_side(words.shape[1])
-        mats = words.reshape(-1, v, v)
-        ok = np.ones(len(words), dtype=bool)
-        if isinstance(spec, UNDIRECTED):
-            ok &= ~mats[:, np.arange(v), np.arange(v)].any(axis=1)
-            ok &= (mats == mats.transpose(0, 2, 1)).all(axis=(1, 2))
-        if isinstance(spec, Cycles):
-            return ok & ~(mats.sum(axis=2) % 2).any(axis=1)
-        t_reached = _reached(mats)[:, v - 1]
-        if isinstance(spec, USTConn):
-            return ok & t_reached
-        return ~t_reached
     distinct, inverse = np.unique(words, axis=0, return_inverse=True)
     answers = np.array([bool(member(spec, w)) for w in distinct], dtype=bool)
     return answers[inverse.reshape(-1)]
+
+
+# ---------------------------------------------------------------------------
+# membership on bit-sliced words
+
+
+def _member_packed(spec, Q: np.ndarray, rows: int) -> np.ndarray:
+    """Membership of the first ``rows`` words held bit-sliced in Q.
+
+    ``Q`` is (n, words) uint64 in the evaluator's layout: bit r % 64 of
+    ``Q[i, r // 64]`` is bit i of word r, and bits past ``rows`` are
+    ignored.  Returns bool (rows,).  Automata, structured BPs and graph specs
+    are decided on the words, in blocks that keep each temporary near
+    ``circuit._CHUNK_BYTES``; every other spec unpacks its rows for
+    :func:`member_batch`.
+    """
+    decider = _packed_decider(spec, len(Q))
+    if decider is None:
+        return member_batch(spec, _unpack_rows(Q, rows))
+    decide, temp_rows = decider
+    step = max(1, circuit._CHUNK_BYTES // (8 * temp_rows))
+    ok = [np.zeros(0, dtype=np.uint64)]
+    ok += [decide(Q[:, start : start + step]) for start in range(0, Q.shape[1], step)]
+    raw = np.ascontiguousarray(np.concatenate(ok), dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, count=rows, bitorder="little").astype(bool)
+
+
+def _packed_decider(spec, n: int):
+    """``(decide, temp_rows)`` for a spec decided on packed words, else None.
+
+    ``decide`` maps a (n, words) uint64 block to its (words,) accept bits,
+    and its temporaries hold at most ``temp_rows`` uint64 rows.
+    """
+    if isinstance(spec, GRAPH_SPECS):
+        v = _graph_side(n)
+        return partial(_graph_accepts, spec, v), v * v
+    if not isinstance(spec, Regular):
+        return None
+    from .regular import LayeredBp
+
+    a = spec.automaton
+    if isinstance(a, (Dfa, Nfa)):
+        try:
+            start, step, accept = _automaton_walk(a)
+        except TypeError:  # unhashable, e.g. an automaton built with list fields
+            start, step, accept = _automaton_walk.__wrapped__(a)
+        steps = [(j, *step) for j in range(n)]
+    elif isinstance(a, LayeredBp) and _standard_widths(a):
+        if n != a.n:
+            return (lambda Q: np.zeros(Q.shape[1], dtype=np.uint64)), 1
+        start, accept = np.ones(1, dtype=bool), np.asarray(a.accept, dtype=bool)
+        steps = [(a.gap_var[g] - 1, *_edges(a.rel0[g], a.rel1[g])) for g in range(a.n)]
+    else:
+        return None
+    temp_rows = max([2 * len(accept) + 1] + [len(src) for _, src, _ in steps])
+    return partial(_walk, start, steps, accept), temp_rows
+
+
+@lru_cache(maxsize=64)
+def _automaton_walk(a) -> tuple:
+    """``(start, (src, starts), accept)`` of an automaton's walk; shared by
+    every equal automaton."""
+    w = a.num_states
+    rel = np.zeros((2, w, w), dtype=bool)
+    for p, succ in enumerate(a.delta):
+        for bit, qs in enumerate(succ):
+            rel[bit, p, list(qs if isinstance(a, Nfa) else {qs})] = True
+    start, accept = np.zeros(w, dtype=bool), np.zeros(w, dtype=bool)
+    start[a.start] = True
+    accept[list(a.finals)] = True
+    return start, _edges(rel[0], rel[1]), accept
+
+
+def _standard_widths(bp) -> bool:
+    """Whether the BP's relations and accept vector have widths (1, w, ..., w, 1)."""
+    shapes = [(1, bp.width)] + [(bp.width, bp.width)] * (bp.n - 1)
+    return (bp.n >= 1 and np.shape(bp.accept) == (bp.width,)
+            and [np.shape(r) for r in bp.rel0[: bp.n]] == shapes
+            and [np.shape(r) for r in bp.rel1[: bp.n]] == shapes)
+
+
+def _edges(rel0, rel1) -> tuple:
+    """One step's relations as the ``(src, starts)`` of :func:`_walk`.
+
+    New state q ORs rows ``src[starts[q] : starts[q + 1]]`` of the stacked
+    (S & ~x, S & x, 0): p for each ``rel0[p, q]``, w + p for each
+    ``rel1[p, q]``, and the zero row 2w, which keeps every segment non-empty.
+    """
+    rel0, rel1 = np.asarray(rel0, dtype=bool), np.asarray(rel1, dtype=bool)
+    into = np.concatenate([rel0, rel1, np.ones((1, rel0.shape[1]), dtype=bool)])
+    q, src = np.nonzero(into.T)
+    return src, np.searchsorted(q, np.arange(rel0.shape[1]))
+
+
+def _walk(start, steps, accept, Q: np.ndarray) -> np.ndarray:
+    """(words,) accept bits of a relation walk over bit-sliced words Q.
+
+    The state set S holds a (words,) row per state, bit r set when word r
+    can be in that state.  A step ``(col, src, starts)`` reads x = Q[col]:
+    S'[q] = OR_p ((S[p] & ~x) & R0[p, q]) | ((S[p] & x) & R1[p, q]).
+    """
+    S = np.zeros((len(start), Q.shape[1]), dtype=np.uint64)
+    S[start] = _ALL_ONES
+    zero = np.zeros((1, Q.shape[1]), dtype=np.uint64)
+    for col, src, starts in steps:
+        x = Q[col]
+        S = np.bitwise_or.reduceat(np.concatenate((S & ~x, S & x, zero))[src], starts, axis=0)
+    return np.bitwise_or.reduce(S[accept], axis=0)
+
+
+def _graph_accepts(spec, v: int, Q: np.ndarray) -> np.ndarray:
+    """(words,) accept bits of a graph spec on bit-sliced v x v matrices Q."""
+    A = Q.reshape(v, v, -1)
+    if isinstance(spec, UnReach):
+        return ~_reaches_last(A)
+    diag = np.arange(v)
+    bad = (np.bitwise_or.reduce(A[diag, diag], axis=0)
+           | np.bitwise_or.reduce(A ^ A.transpose(1, 0, 2), axis=(0, 1)))
+    if isinstance(spec, Cycles):  # an odd degree is an odd row
+        return ~(bad | np.bitwise_or.reduce(np.bitwise_xor.reduce(A, axis=1), axis=0))
+    return _reaches_last(A) & ~bad
+
+
+def _reaches_last(A: np.ndarray) -> np.ndarray:
+    """(words,) bits: vertex v - 1 is reachable from vertex 0 along A's rows.
+
+    A bit-sliced frontier closure: each hop ORs ``front[i] & A[i, :]`` over
+    the frontier vertices i and keeps what was not seen; a word that has
+    reached vertex v - 1 drops its frontier, and the closure stops when no
+    frontier is left -- at most diameter + 1 hops.
+    """
+    v, _, words = A.shape
+    seen = np.zeros((v, words), dtype=np.uint64)
+    seen[0] = _ALL_ONES
+    live, front = np.zeros(1, dtype=np.intp), seen[:1]
+    while len(live):
+        new = np.bitwise_or.reduce(front[:, None] & A[live], axis=0) & ~seen
+        seen |= new
+        new &= ~seen[-1]
+        live = np.flatnonzero(new.any(axis=1))
+        front = new[live]
+    return seen[-1]
 
 
 def word_shape(spec) -> str:

@@ -13,6 +13,11 @@ read as little-endian uint64 words of shape (m, ceil(take / 64)): bit i of
 proof r is bit r % 64 of word [i, r // 64], and the bits past ``take`` are
 ignored.  The stream is deterministic per seed; it replaced a per-bit uint8
 draw, so a seed now samples different proofs than it did before.
+
+Membership is decided on the evaluator's packed output words as well
+(``languages._member_packed``).  Outputs are unpacked only for the rows
+stored as violations, and for the specs whose oracle reads rows (counting,
+NP and combinator specs).
 """
 
 from __future__ import annotations
@@ -24,10 +29,10 @@ import numpy as np
 
 from .circuit import (
     Circuit, _all_packed, _as_bits, _eval_packed, _pack_rows, _packed_rows,
-    _unpack_rows, circuit_range, eval_batch, metrics,
+    circuit_range, eval_batch, metrics,
 )
 from .languages import (
-    BudgetError, candidate_count, enumerate_slice, member_batch,
+    BudgetError, _member_packed, candidate_count, enumerate_slice,
     word_to_string as _bits_str, words_to_strings,
 )
 
@@ -93,26 +98,28 @@ def _note(report: Report, proof: str, out: str, reason: str):
         report.dropped += 1
 
 
-def _record(report: Report, proofs, outs: np.ndarray, ok: np.ndarray, reason: str):
+def _record(report: Report, proofs, outs, ok: np.ndarray, reason: str):
     """Store the first _MAX_RECORDED violations; only count the rest.
 
-    ``proofs`` is the (N, m) proof bits, or a function from row indexes to
-    those rows' bits, so that a packed batch unpacks only the rows stored.
+    ``proofs`` and ``outs`` are the (N, m) proof and (N, n) output bits, or
+    functions from row indexes to those rows' bits, so that a packed batch
+    unpacks only the rows stored.
     """
     bad = np.flatnonzero(~ok)
     keep = bad[: max(0, _MAX_RECORDED - len(report.violations))]
-    rows = proofs(keep) if callable(proofs) else proofs[keep]
-    for proof, i in zip(rows, keep):
-        report.violations.append((_bits_str(proof), _bits_str(outs[i]), reason))
+    rows = [x(keep) if callable(x) else x[keep] for x in (proofs, outs)]
+    for proof, out in zip(*rows):
+        report.violations.append((_bits_str(proof), _bits_str(out), reason))
     report.dropped += len(bad) - len(keep)
 
 
 def _check_packed(report: Report, c: Circuit, spec, P: np.ndarray, rows: int):
     """Record the first ``rows`` bit-sliced proofs in P whose output is no member."""
-    outs = _unpack_rows(_eval_packed(c, P), rows)
-    ok = member_batch(spec, outs)
+    Q = _eval_packed(c, P)
+    ok = _member_packed(spec, Q, rows)
     if not ok.all():
-        _record(report, partial(_packed_rows, P), outs, ok, "output not in language")
+        _record(report, partial(_packed_rows, P), partial(_packed_rows, Q), ok,
+                "output not in language")
 
 
 def check_soundness(c: Circuit, spec, budget: int = DEFAULT_BUDGET, seed: int = 0,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangesynth import languages
+from rangesynth import circuit, languages
 from rangesynth.circuit import InputArityError, InputBitError
 from rangesynth.languages import (
     BudgetError,
@@ -23,7 +23,6 @@ from rangesynth.languages import (
     Threshold,
     UnReach,
     USTConn,
-    determinize,
     enumerate_slice,
     member,
     member_batch,
@@ -32,8 +31,9 @@ from rangesynth.languages import (
     word_to_string,
     words_to_strings,
 )
-from rangesynth.regular import parse_bp, unroll
-from tests.conftest import NFA1_TXT, PARITY_TXT, XX_BP, contains11_verifier
+from rangesynth.regular import unroll
+from tests.conftest import NFA1_TXT, PARITY_TXT, contains11_verifier
+from tests.membership_reference import determinize
 
 
 class TestParseDfa:
@@ -236,12 +236,21 @@ class TestMemberBatchDifferential:
     @pytest.mark.parametrize("spec", GRAPHS, ids=lambda s: type(s).__name__)
     def test_rows_span_several_chunks(self, spec, monkeypatch):
         v = 7
-        monkeypatch.setattr(languages, "_CHUNK_BYTES", 3 * 4 * v * v)  # 3 rows
+        monkeypatch.setattr(circuit, "_CHUNK_BYTES", 8 * v * v)  # 64 rows a block
+        blocks = []
+        graph_accepts = languages._graph_accepts
+
+        def counting_graph_accepts(spec, v, Q):
+            blocks.append(Q.shape[1])
+            return graph_accepts(spec, v, Q)
+
+        monkeypatch.setattr(languages, "_graph_accepts", counting_graph_accepts)
         rng = np.random.default_rng(5)
         paths = _directed_paths(rng, v, 20).reshape(-1, v * v)
-        words = np.concatenate([_graph_words(rng, v, 100), paths])
+        words = np.concatenate([_graph_words(rng, v, 300), paths])
         words = words[rng.permutation(len(words))]
         _assert_batch_matches_member(spec, words)
+        assert blocks == [1] * 5
 
     def test_np_and_combined_specs_with_duplicates(self, parity, monkeypatch):
         verifier = contains11_verifier()  # num_x = 3
@@ -250,7 +259,6 @@ class TestMemberBatchDifferential:
             (NpCoSac(verifier), 3),
             (NpSac(verifier), 3),
             (Combined("union", (Threshold(3), Regular(parity))), 5),
-            (Regular(parse_bp(XX_BP)), 4),  # a structured BP, not an automaton
         ]
         rng = np.random.default_rng(7)
         calls = []

@@ -1,0 +1,205 @@
+"""The packed membership oracle against the per-word ``member``.
+
+``_member_packed`` decides automata, structured BPs and graph specs on
+bit-sliced words, 64 rows to a uint64, and ``member_batch`` packs its rows
+and calls it.  Each case draws a pool of words whose per-word answers are
+known, then checks both entry points on batches of 0, 1, 63, 64, 65 and
+16387 rows drawn from the pool, with random bits past the last row.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from rangesynth import languages
+from rangesynth.circuit import _pack_rows
+from rangesynth.languages import (
+    Dfa, Nfa, Regular, UnReach, _member_packed, member, member_batch, parse_dfa,
+)
+from rangesynth.regular import LayeredBp, parse_bp
+from tests.conftest import NFA1_TXT, XX_BP
+from tests.membership_reference import automaton_member_batch, reached
+from tests.test_languages import GRAPHS, _directed_paths, _graph_words, _member_or_reject
+
+ROWS = [0, 1, 63, 64, 65, 16387]
+
+
+def _packed_with_garbage(rng, words) -> np.ndarray:
+    """``_pack_rows(words)`` with random bits past the last row."""
+    Q = _pack_rows(words)
+    tail = len(words) % 64
+    if tail:
+        junk = np.frombuffer(rng.bytes(8 * len(Q)), dtype="<u8")
+        Q[:, -1] |= junk & ~np.uint64((1 << tail) - 1)
+    return Q
+
+
+def _check(spec, pool, truth, rows, seed):
+    """Both entry points on ``rows`` words drawn from ``pool``, whose
+    per-word answers are ``truth``; returns the drawn words and answers."""
+    rng = np.random.default_rng(seed)
+    pick = rng.integers(0, len(pool), rows)
+    words, want = pool[pick], truth[pick]
+    got = member_batch(spec, words)
+    assert got.dtype == bool and got.shape == (rows,)
+    assert np.array_equal(got, want)
+    got = _member_packed(spec, _packed_with_garbage(rng, words), rows)
+    assert got.dtype == bool and got.shape == (rows,)
+    assert np.array_equal(got, want)
+    return words, want
+
+
+def _word_pool(rng, n, size=512):
+    """Every length-n word when there are at most ``size``, else a sample."""
+    if 1 << n <= size:
+        return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+    return rng.integers(0, 2, (size, n), dtype=np.uint8)
+
+
+# ---------------------------------------------------------------------------
+# automata and structured BPs
+
+
+def _random_automaton(rng, nondeterministic: bool):
+    w = int(rng.integers(1, 5))
+    start = int(rng.integers(0, w))
+    finals = frozenset(np.flatnonzero(rng.random(w) < 0.5).tolist())
+    if not nondeterministic:
+        delta = tuple(tuple(int(q) for q in rng.integers(0, w, 2)) for _ in range(w))
+        return Dfa(w, start, finals, delta)
+    # sparse successor sets, so that empty transitions are common
+    delta = tuple(
+        tuple(frozenset(np.flatnonzero(rng.random(w) < 0.3).tolist()) for _ in range(2))
+        for _ in range(w)
+    )
+    return Nfa(w, start, finals, delta)
+
+
+AUTOMATA = [(_random_automaton(np.random.default_rng(s), s % 2 == 1), n)
+            for s in range(12) for n in (0, 1, 3, 6, 11)]
+
+
+@pytest.mark.parametrize("rows", ROWS)
+def test_automata(rows):
+    rng = np.random.default_rng(rows)
+    for k, (a, n) in enumerate(AUTOMATA):
+        spec = Regular(a)
+        pool = _word_pool(rng, n)
+        truth = np.array([bool(member(spec, w)) for w in pool])
+        words, want = _check(spec, pool, truth, rows, seed=k)
+        assert np.array_equal(automaton_member_batch(a, words), want)
+
+
+def test_automata_include_empty_transitions():
+    nfas = [a for a, _ in AUTOMATA if isinstance(a, Nfa)]
+    assert any(not s for a in nfas for row in a.delta for s in row)
+    assert any(len(s) > 1 for a in nfas for row in a.delta for s in row)
+
+
+@pytest.mark.parametrize("rows", ROWS)
+def test_parsed_nfa(rows):
+    spec = Regular(parse_dfa(NFA1_TXT))
+    pool = _word_pool(np.random.default_rng(0), 7)
+    _check(spec, pool, np.array([bool(member(spec, w)) for w in pool]), rows, seed=1)
+
+
+def _random_bp(rng, n, width) -> LayeredBp:
+    shapes = [(1, width)] + [(width, width)] * (n - 1)
+    return LayeredBp(
+        n=n, width=width, gap_var=tuple(int(v) + 1 for v in rng.permutation(n)),
+        rel0=[rng.random(s) < 0.5 for s in shapes],
+        rel1=[rng.random(s) < 0.5 for s in shapes],
+        accept=rng.random(width) < 0.5,
+    )
+
+
+BPS = [parse_bp(XX_BP)] + [_random_bp(np.random.default_rng(s), n, w)
+                           for s, (n, w) in enumerate([(1, 1), (2, 2), (6, 3), (9, 4)])]
+
+
+@pytest.mark.parametrize("rows", ROWS)
+def test_structured_bps(rows):
+    rng = np.random.default_rng(rows)
+    for k, bp in enumerate(BPS):
+        spec = Regular(bp)
+        for n in (bp.n, bp.n + 1):  # a word of any other length is no member
+            pool = _word_pool(rng, n)
+            truth = np.array([bool(member(spec, w)) for w in pool])
+            _check(spec, pool, truth, rows, seed=k)
+            assert n == bp.n or not truth.any()
+
+
+def test_bp_gap_variables_are_permuted():
+    assert all(list(bp.gap_var) != sorted(bp.gap_var) for bp in BPS if bp.n > 2)
+
+
+def test_structured_bp_takes_the_walk(monkeypatch):
+    def no_member(spec, word):
+        raise AssertionError("per-word member called")
+
+    spec = Regular(parse_bp(XX_BP))
+    words = _word_pool(np.random.default_rng(0), 4)
+    want = [bool(member(spec, w)) for w in words]
+    monkeypatch.setattr(languages, "member", no_member)
+    assert member_batch(spec, words).tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# graphs
+
+
+@lru_cache(maxsize=None)
+def _graph_pool(v):
+    """Random v-vertex words (directed, undirected, with a diagonal bit, with
+    a one-way edge, with two one-way edges out of one vertex, which keep
+    every degree's parity) and full-diameter paths, whole and cut, both ways."""
+    rng = np.random.default_rng(100 + v)
+    parts = [_graph_words(rng, v, 400)]
+    if v > 2:
+        pairs = parts[0][-100:].reshape(-1, v, v).copy()  # undirected words
+        i = rng.integers(0, v, len(pairs))
+        j = (i + rng.integers(1, v, len(pairs))) % v
+        k = (j + rng.integers(1, v - 1, len(pairs))) % v
+        k = np.where(k == i, (k + 1) % v, k)
+        pairs[np.arange(len(pairs)), i, j] ^= 1
+        pairs[np.arange(len(pairs)), i, k] ^= 1
+        parts.append(pairs)
+    if v > 1:
+        paths = _directed_paths(rng, v, 30)
+        cut = paths.copy()
+        for m in cut:
+            i, j = np.argwhere(m)[rng.integers(0, v - 1)]
+            m[i, j] = 0
+        both = np.concatenate([paths, cut])
+        parts += [both, both | both.transpose(0, 2, 1)]
+    pool = np.concatenate([p.reshape(-1, v * v) for p in parts])
+    return pool, {type(s): np.array([_member_or_reject(s, w) for w in pool])
+                  for s in GRAPHS}
+
+
+@pytest.mark.parametrize("rows", ROWS)
+@pytest.mark.parametrize("v", [1, 2, 3, 4, 5, 6, 7, 8, 20, 40])
+def test_graph_specs(v, rows):
+    pool, truth = _graph_pool(v)
+    for spec in GRAPHS:
+        _check(spec, pool, truth[type(spec)], rows, seed=v)
+
+
+@pytest.mark.parametrize("v", [2, 8, 20, 40])
+def test_reach_matches_matmul_reference(v):
+    pool, truth = _graph_pool(v)
+    t_reached = reached(pool.reshape(-1, v, v))[:, -1]
+    assert np.array_equal(truth[UnReach], ~t_reached)
+    assert truth[UnReach].any() and not truth[UnReach].all()
+
+
+@pytest.mark.parametrize("v", [3, 8, 20])
+def test_graph_pool_covers_malformed_encodings(v):
+    pool, _ = _graph_pool(v)
+    mats = pool.reshape(-1, v, v)
+    asym = (mats != mats.transpose(0, 2, 1)).any(axis=(1, 2))
+    diag = mats[:, np.arange(v), np.arange(v)].any(axis=1)
+    even = ~(mats.sum(axis=2) % 2).any(axis=1)
+    assert (asym & ~diag & even).any()  # one-way edges that keep degrees even
+    assert (diag & ~asym).any()
