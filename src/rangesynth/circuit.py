@@ -881,6 +881,55 @@ def _packed_rows(P: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return ((P[:, rows // 64] >> shift) & np.uint64(1)).T.astype(np.uint8)
 
 
+# (j, mask) per round of a 64 x 64 bit transpose; the mask holds the low j
+# bits of every 2j-bit group
+_TRANSPOSE_ROUNDS = [(j, np.uint64(mask)) for j, mask in (
+    (32, 0x00000000FFFFFFFF), (16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+    (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333), (1, 0x5555555555555555))]
+
+
+def _row_keys(P: np.ndarray, rows: int) -> np.ndarray:
+    """The first ``rows`` rows of bit-sliced words P as (rows, ceil(n/64))
+    uint64 keys: bit i % 64 of key word i // 64 is bit i of the row.
+
+    Each 64 x 64 bit block of P (64 bits of 64 rows) is transposed in six
+    rounds; round j swaps the off-diagonal j x j blocks of every 2j x 2j
+    block, on all words at once.
+    """
+    n, words = P.shape
+    k = -(-n // 64)
+    A = np.zeros((64 * k, words), dtype=np.uint64)
+    A[:n] = P
+    for j, mask in _TRANSPOSE_ROUNDS:
+        pairs = A.reshape(32 * k // j, 2, j, words)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        t = ((lo >> j) ^ hi) & mask
+        lo ^= t << j
+        hi ^= t
+    return A.reshape(k, 64, words).transpose(2, 1, 0).reshape(64 * words, k)[:rows]
+
+
+def _distinct_rows(P: np.ndarray, rows: int) -> tuple:
+    """``(words, inverse)``: the distinct rows among the first ``rows`` of
+    bit-sliced words P as (d, len(P)) uint8 bits, and each row's index
+    into them.
+
+    Rows are grouped by their :func:`_row_keys` with 1-D ``np.unique``, one
+    key word at a time; only the d distinct words are unpacked.
+    """
+    keys = _row_keys(P, rows)
+    inverse = np.zeros(rows, dtype=np.intp)
+    for j, col in enumerate(keys.T):  # split every class by the next key word
+        values, split = np.unique(col, return_inverse=True)
+        inverse = inverse * len(values) + split
+        if j:  # renumber the classes 0, 1, ...
+            inverse = np.unique(inverse, return_inverse=True)[1]
+    first = np.zeros(inverse.max() + 1 if rows else 0, dtype=np.intp)
+    first[inverse] = np.arange(rows)
+    raw = np.ascontiguousarray(keys[first], dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=len(P), bitorder="little"), inverse
+
+
 def all_inputs(m: int, chunk: int = 1 << 16) -> Iterator[np.ndarray]:
     """Yield every length-m input vector in numeric order, in chunks.
 
@@ -918,16 +967,20 @@ def _all_packed(m: int, words: int = 1 << 10) -> Iterator[tuple]:
 
 
 def circuit_range(c: Circuit, budget: int = 1 << 24) -> set[bytes]:
-    """Exhaustive range of the circuit as a set of packed output words."""
+    """Exhaustive range of the circuit: each output word as the bytes of its
+    bits, one 0/1 byte per output.
+
+    Every input is evaluated bit-sliced, and only each chunk's distinct
+    output words (:func:`_distinct_rows`) are unpacked.
+    """
     if 1 << c.num_inputs > budget:
         raise CircuitError(
             f"range enumeration needs 2^{c.num_inputs} evaluations, over budget {budget}"
         )
     seen: set[bytes] = set()
     for P, rows in _all_packed(c.num_inputs):
-        Y = _unpack_rows(_eval_packed(c, P), rows)
-        for row in np.unique(Y, axis=0):
-            seen.add(row.tobytes())
+        words, _ = _distinct_rows(_eval_packed(c, P), rows)
+        seen.update(row.tobytes() for row in words)
     return seen
 
 

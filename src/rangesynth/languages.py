@@ -7,16 +7,16 @@ encodings with :class:`EncodingError`.  Vertices are 1-indexed with s = 1 and
 t = n.
 
 ``member`` is the single source of truth the verification harness trusts.
-``member_batch`` answers a whole (N, n) batch for every spec.  Automata,
-structured BPs and graph specs are decided on bit-sliced words, 64 to a
-uint64 as the circuit evaluator lays them out: one walk over boolean
-relations for DFAs, NFAs and BPs alike, and XOR/OR reductions plus a
-bit-sliced frontier closure from s for the graphs.  Sampled soundness hands
+``member_batch`` answers a whole (N, n) batch for every spec, through one
+oracle on bit-sliced words, 64 to a uint64 as the circuit evaluator lays
+them out: one walk over boolean relations for DFAs, NFAs and BPs alike, a
+bit-sliced adder tree compared with t for the counting specs, and XOR/OR
+reductions plus a bit-sliced frontier closure from s for the graphs.  Every
+other spec (NP verifiers, combinator trees) takes one ``member`` call per
+distinct word, the words keyed as packed uint64s.  Sampled soundness hands
 the evaluator's words straight to that packed oracle; ``member_batch`` packs
-its rows first.  Counting specs are summed row by row, and every other spec
-(NP verifiers, combinator trees) takes one ``member`` call per distinct word.
-``enumerate_slice`` produces entire length-n slices by filtering all
-candidates through the same predicate.
+its rows first.  ``enumerate_slice`` produces entire length-n slices by
+filtering all candidates through the same predicate.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import circuit
-from .circuit import _ALL_ONES, _as_bits, _pack_rows, _unpack_rows, all_inputs
+from .circuit import _ALL_ONES, _as_bits, _distinct_rows, _pack_rows, all_inputs
 
 
 class LanguageError(ValueError):
@@ -382,17 +382,13 @@ def _member_combined(spec: Combined, word: np.ndarray) -> int:
 
 
 def member_batch(spec, words: np.ndarray) -> np.ndarray:
-    """Vectorized membership over a (N, n) 0/1 array; returns bool (N,)."""
+    """Vectorized membership over a (N, n) 0/1 array; returns bool (N,).
+
+    The rows are checked, bit-sliced (:func:`circuit._pack_rows`) and
+    decided by :func:`_member_packed`.
+    """
     words = _as_bits(words, (None, None), "words")
-    if _packed_decider(spec, words.shape[1]) is not None:
-        return _member_packed(spec, _pack_rows(words), len(words))
-    if isinstance(spec, Threshold):
-        return words.sum(axis=1, dtype=np.int64) >= spec.t
-    if isinstance(spec, ExactCount):
-        return words.sum(axis=1, dtype=np.int64) == spec.t
-    distinct, inverse = np.unique(words, axis=0, return_inverse=True)
-    answers = np.array([bool(member(spec, w)) for w in distinct], dtype=bool)
-    return answers[inverse.reshape(-1)]
+    return _member_packed(spec, _pack_rows(words), len(words))
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +400,16 @@ def _member_packed(spec, Q: np.ndarray, rows: int) -> np.ndarray:
 
     ``Q`` is (n, words) uint64 in the evaluator's layout: bit r % 64 of
     ``Q[i, r // 64]`` is bit i of word r, and bits past ``rows`` are
-    ignored.  Returns bool (rows,).  Automata, structured BPs and graph specs
-    are decided on the words, in blocks that keep each temporary near
-    ``circuit._CHUNK_BYTES``; every other spec unpacks its rows for
-    :func:`member_batch`.
+    ignored.  Returns bool (rows,).  Automata, structured BPs, counting and
+    graph specs are decided on the words, in blocks that keep each temporary
+    near ``circuit._CHUNK_BYTES``.  Every other spec (NP verifiers,
+    combinator trees) takes one :func:`member` call per distinct word, and
+    only those words are unpacked (:func:`circuit._distinct_rows`).
     """
     decider = _packed_decider(spec, len(Q))
     if decider is None:
-        return member_batch(spec, _unpack_rows(Q, rows))
+        words, inverse = _distinct_rows(Q, rows)
+        return np.array([bool(member(spec, w)) for w in words], dtype=bool)[inverse]
     decide, temp_rows = decider
     step = max(1, circuit._CHUNK_BYTES // (8 * temp_rows))
     ok = [np.zeros(0, dtype=np.uint64)]
@@ -429,6 +427,8 @@ def _packed_decider(spec, n: int):
     if isinstance(spec, GRAPH_SPECS):
         v = _graph_side(n)
         return partial(_graph_accepts, spec, v), v * v
+    if isinstance(spec, (Threshold, ExactCount)):
+        return partial(_count_accepts, spec), 3 * (n + 1)
     if not isinstance(spec, Regular):
         return None
     from .regular import LayeredBp
@@ -501,6 +501,50 @@ def _walk(start, steps, accept, Q: np.ndarray) -> np.ndarray:
         x = Q[col]
         S = np.bitwise_or.reduceat(np.concatenate((S & ~x, S & x, zero))[src], starts, axis=0)
     return np.bitwise_or.reduce(S[accept], axis=0)
+
+
+def _count_planes(Q: np.ndarray) -> np.ndarray:
+    """(b, words) bit planes, least significant first, of how many of the n
+    rows of bit-sliced words Q have each bit set; b = 0 when n = 0.
+
+    A tree of ripple-carry adders: each level adds the numbers in pairs,
+    every pair at once, and gains one plane.
+    """
+    X = Q[:, None, :]  # (numbers, planes, words)
+    while len(X) > 1:
+        if len(X) % 2:
+            X = np.concatenate([X, np.zeros_like(X[:1])])
+        a, b = X[0::2], X[1::2]
+        out = np.empty((len(a), a.shape[1] + 1, X.shape[2]), dtype=np.uint64)
+        carry = np.zeros_like(a[:, 0])
+        for i in range(a.shape[1]):
+            x = a[:, i] ^ b[:, i]
+            out[:, i] = x ^ carry
+            carry = (a[:, i] & b[:, i]) | (x & carry)
+        out[:, -1] = carry
+        X = out
+    return X[0] if len(X) else np.zeros((0, Q.shape[1]), dtype=np.uint64)
+
+
+def _count_accepts(spec, Q: np.ndarray) -> np.ndarray:
+    """(words,) accept bits of a Threshold or ExactCount spec on bit-sliced
+    words Q: the count's planes against the constant t, from the top plane
+    down."""
+    t, exact = spec.t, isinstance(spec, ExactCount)
+    if t > len(Q) or (exact and t < 0):
+        return np.zeros(Q.shape[1], dtype=np.uint64)
+    eq = np.full(Q.shape[1], _ALL_ONES)  # count and t agree on the planes so far
+    if t <= 0 and not exact:
+        return eq
+    gt = np.zeros_like(eq)  # count > t on the planes so far
+    planes = _count_planes(Q)
+    for i in reversed(range(len(planes))):  # t < 2^len(planes), as t <= n
+        if t >> i & 1:
+            eq &= planes[i]
+        else:
+            gt |= eq & planes[i]
+            eq &= ~planes[i]
+    return eq if exact else gt | eq
 
 
 def _graph_accepts(spec, v: int, Q: np.ndarray) -> np.ndarray:

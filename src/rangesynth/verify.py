@@ -16,8 +16,8 @@ draw, so a seed now samples different proofs than it did before.
 
 Membership is decided on the evaluator's packed output words as well
 (``languages._member_packed``).  Outputs are unpacked only for the rows
-stored as violations, and for the specs whose oracle reads rows (counting,
-NP and combinator specs).
+stored as violations and, for NP and combinator specs, for the distinct
+output words handed to the per-word oracle.
 """
 
 from __future__ import annotations

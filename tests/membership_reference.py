@@ -2,15 +2,19 @@
 
 These are the vectorized row paths that the packed oracle in
 ``rangesynth.languages`` replaced: the subset construction, a DFA walked one
-column of an (N, n) batch at a time, and s-t reachability by a batched BFS
-whose hops are float32 matrix products.  The differential tests compare the
-packed walk and the bit-sliced frontier closure against them and against the
-per-word ``member``.
+column of an (N, n) batch at a time, s-t reachability by a batched BFS
+whose hops are float32 matrix products, counting by row sums, and the
+row-wise ``np.unique`` that found the distinct words for per-word ``member``
+calls and for ``circuit_range``.  The differential tests compare the packed
+deciders, the bit-sliced counting and the keyed distinct words against them
+and against the per-word ``member``.
 """
 
 import numpy as np
 
-from rangesynth.languages import Dfa, Nfa
+from rangesynth import languages
+from rangesynth.circuit import _all_packed, _eval_packed, _unpack_rows
+from rangesynth.languages import Dfa, ExactCount, Nfa
 
 
 def determinize(a: Nfa) -> Dfa:
@@ -67,3 +71,29 @@ def reached(mats) -> np.ndarray:
             return seen
         seen |= new
         frontier = new.astype(np.float32)
+
+
+def count_member_batch(spec, words) -> np.ndarray:
+    """bool (N,): a Threshold or ExactCount spec on each row of an (N, n)
+    batch, by its row sum."""
+    ones = np.asarray(words, dtype=np.uint8).sum(axis=1, dtype=np.int64)
+    return ones == spec.t if isinstance(spec, ExactCount) else ones >= spec.t
+
+
+def distinct_member_batch(spec, words) -> np.ndarray:
+    """bool (N,): one ``languages.member`` call per distinct row of an
+    (N, n) batch, the rows found by ``np.unique(words, axis=0)``."""
+    words = np.asarray(words, dtype=np.uint8)
+    distinct, inverse = np.unique(words, axis=0, return_inverse=True)
+    answers = np.array([bool(languages.member(spec, w)) for w in distinct], dtype=bool)
+    return answers[inverse.reshape(-1)]
+
+
+def circuit_range(c) -> set[bytes]:
+    """The exhaustive range as ``circuit.circuit_range`` gives it, each
+    chunk's outputs unpacked and deduplicated with ``np.unique(axis=0)``."""
+    seen: set[bytes] = set()
+    for P, rows in _all_packed(c.num_inputs):
+        for row in np.unique(_unpack_rows(_eval_packed(c, P), rows), axis=0):
+            seen.add(row.tobytes())
+    return seen

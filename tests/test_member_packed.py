@@ -1,10 +1,13 @@
 """The packed membership oracle against the per-word ``member``.
 
-``_member_packed`` decides automata, structured BPs and graph specs on
-bit-sliced words, 64 rows to a uint64, and ``member_batch`` packs its rows
-and calls it.  Each case draws a pool of words whose per-word answers are
-known, then checks both entry points on batches of 0, 1, 63, 64, 65 and
-16387 rows drawn from the pool, with random bits past the last row.
+``_member_packed`` decides automata, structured BPs, counting and graph
+specs on bit-sliced words, 64 rows to a uint64, and takes one ``member``
+call per distinct word for every other spec; ``member_batch`` packs its
+rows and calls it.  Each case draws a pool of words whose per-word answers
+are known, then checks both entry points on batches of 0, 1, 63, 64, 65 and
+16387 rows drawn from the pool, with random bits past the last row.  The
+counting specs are also checked against row sums, and the distinct words
+against the row-wise ``np.unique``.
 """
 
 from functools import lru_cache
@@ -13,13 +16,17 @@ import numpy as np
 import pytest
 
 from rangesynth import languages
-from rangesynth.circuit import _pack_rows
+from rangesynth.circuit import CircuitBuilder, _distinct_rows, _pack_rows
 from rangesynth.languages import (
-    Dfa, Nfa, Regular, UnReach, _member_packed, member, member_batch, parse_dfa,
+    Combined, Dfa, ExactCount, Nfa, NpCoSac, NpPadded, NpSac, Regular, Threshold,
+    UnReach, _member_packed, member, member_batch, parse_dfa, word_to_string,
 )
+from rangesynth.npsys import VerifierCircuit
 from rangesynth.regular import LayeredBp, parse_bp
-from tests.conftest import NFA1_TXT, XX_BP
-from tests.membership_reference import automaton_member_batch, reached
+from tests.conftest import NFA1_TXT, PARITY_TXT, XX_BP
+from tests.membership_reference import (
+    automaton_member_batch, count_member_batch, distinct_member_batch, reached,
+)
 from tests.test_languages import GRAPHS, _directed_paths, _graph_words, _member_or_reject
 
 ROWS = [0, 1, 63, 64, 65, 16387]
@@ -203,3 +210,145 @@ def test_graph_pool_covers_malformed_encodings(v):
     even = ~(mats.sum(axis=2) % 2).any(axis=1)
     assert (asym & ~diag & even).any()  # one-way edges that keep degrees even
     assert (diag & ~asym).any()
+
+
+# ---------------------------------------------------------------------------
+# counting specs
+
+
+def _packed_with_ones(words) -> np.ndarray:
+    """``_pack_rows(words)`` with every bit past the last row set, in the
+    last word and in one extra word."""
+    Q = _pack_rows(words)
+    tail = len(words) % 64
+    if tail:
+        Q[:, -1] |= ~np.uint64((1 << tail) - 1)
+    return np.concatenate([Q, np.full((len(Q), 1), 2**64 - 1, dtype=np.uint64)], axis=1)
+
+
+@lru_cache(maxsize=None)
+def _count_words(n, rows):
+    """Rows whose densities spread the counts over 0..n, with all-zero and
+    all-one rows among them."""
+    rng = np.random.default_rng(1000 * n + rows)
+    words = (rng.random((rows, n)) < rng.random((rows, 1))).astype(np.uint8)
+    words[:1], words[1:2] = 0, 1
+    return words
+
+
+@pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 17408])
+@pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 130])
+def test_counting_specs(n, rows):
+    words = _count_words(n, rows)
+    Q = _packed_with_ones(words)
+    for t in range(-1, n + 3):
+        for spec in (Threshold(t), ExactCount(t)):
+            want = count_member_batch(spec, words)
+            got = _member_packed(spec, Q, rows)
+            assert got.dtype == bool and got.shape == (rows,)
+            assert np.array_equal(got, want), (spec, n, rows)
+            assert np.array_equal(member_batch(spec, words), want)
+            if rows <= 65:
+                assert want.tolist() == [bool(member(spec, w)) for w in words]
+
+
+def test_count_words_spread_over_every_count():
+    words = _count_words(130, 17408)
+    assert set(words.sum(axis=1).tolist()) == set(range(131))
+
+
+def test_counting_takes_no_member_call(monkeypatch):
+    def no_member(spec, word):
+        raise AssertionError("per-word member called")
+
+    words = _count_words(65, 200)
+    want = count_member_batch(Threshold(30), words)
+    monkeypatch.setattr(languages, "member", no_member)
+    assert np.array_equal(member_batch(Threshold(30), words), want)
+
+
+# ---------------------------------------------------------------------------
+# NP and combinator specs: one member call per distinct word
+
+
+def _pair_verifier(num_x: int) -> VerifierCircuit:
+    """x is in L when its first two or its last two bits are both set; the
+    one certificate bit says which pair."""
+    b = CircuitBuilder(num_x + 1)
+    x, y = [b.input(i) for i in range(num_x)], b.input(num_x)
+    b.set_outputs([b.or_(b.and_(y, b.and_(x[0], x[1])),
+                         b.and_(b.not_(y), b.and_(x[-2], x[-1])))])
+    return VerifierCircuit(b.build(), num_x=num_x, num_y=1)
+
+
+def _keyed_pool(n):
+    """Up to 40 distinct length-n words, all zeros and all ones among them,
+    and a finite set holding every third one."""
+    rng = np.random.default_rng(n)
+    pool = np.unique(np.concatenate([
+        np.zeros((1, n), dtype=np.uint8), np.ones((1, n), dtype=np.uint8),
+        (rng.random((38, n)) < rng.random((38, 1))).astype(np.uint8),
+    ]), axis=0)
+    return pool, tuple(word_to_string(w) for w in pool[::3])
+
+
+def _keyed_specs(n):
+    pool, chosen = _keyed_pool(n)
+    finite = Combined("finite", (), (chosen,))
+    specs = [finite, Combined("union", (finite, Threshold(n // 2 + 1))),
+             Combined("union", (Regular(parse_dfa(PARITY_TXT)), finite))]
+    if n == 6:
+        specs += [NpPadded(_pair_verifier(4)), NpCoSac(_pair_verifier(6)),
+                  NpSac(_pair_verifier(6))]
+    return pool, specs
+
+
+@pytest.mark.parametrize("rows", ROWS)
+@pytest.mark.parametrize("n", [0, 6, 64, 65, 130])
+def test_keyed_specs(n, rows, monkeypatch):
+    pool, specs = _keyed_specs(n)
+    real_member = languages.member
+    for k, spec in enumerate(specs):
+        truth = np.array([bool(member(spec, w)) for w in pool])
+        rng = np.random.default_rng(k)
+        pick = rng.integers(0, len(pool), rows)
+        words, want = pool[pick], truth[pick]
+        assert np.array_equal(distinct_member_batch(spec, words), want)
+        calls = []
+
+        def counting_member(spec, word):
+            calls.append(spec)
+            return real_member(spec, word)
+
+        monkeypatch.setattr(languages, "member", counting_member)
+        for decide in (lambda: member_batch(spec, words),
+                       lambda: _member_packed(spec, _packed_with_garbage(rng, words), rows),
+                       lambda: _member_packed(spec, _packed_with_ones(words), rows)):
+            calls.clear()
+            got = decide()
+            assert got.dtype == bool and np.array_equal(got, want)
+            # the pool's words are distinct, so its distinct picks are the distinct words
+            assert len([c for c in calls if c is spec]) == len(np.unique(pick))
+        monkeypatch.undo()
+
+
+def test_keyed_pools_have_members_and_non_members():
+    for n in (6, 64, 65, 130):
+        pool, specs = _keyed_specs(n)
+        for spec in specs:
+            truth = [member(spec, w) for w in pool]
+            assert 0 < sum(truth) < len(pool), (n, spec)
+
+
+@pytest.mark.parametrize("rows", ROWS)
+@pytest.mark.parametrize("n", [0, 6, 64, 65, 130])
+def test_distinct_rows_match_row_unique(n, rows):
+    pool, _ = _keyed_pool(n)
+    rng = np.random.default_rng(rows)
+    words = pool[rng.integers(0, len(pool), rows)]
+    distinct, inverse = _distinct_rows(_packed_with_ones(words), rows)
+    assert distinct.dtype == np.uint8 and distinct.shape[1] == n
+    assert np.array_equal(distinct[inverse], words)
+    want = np.unique(words, axis=0)
+    assert len(distinct) == len(want)
+    assert {w.tobytes() for w in distinct} == {w.tobytes() for w in want}
