@@ -1098,71 +1098,251 @@ def metrics(c: Circuit, with_cones: bool = True) -> CircuitMetrics:
 # outputs <id...>
 
 
+# the bytes a canonical gate line is made of
+_GATE_BYTES = b"0123456789 \n" + bytes(sorted(set("".join(_KIND_NAMES).encode())))
+# each kind's name length; its name, padded with spaces to one little-endian
+# 8-byte word; and the mask of the word's bytes that hold the name and the
+# space after it
+_NAME_LENS = np.array([len(n) for n in _KIND_NAMES])
+_NAME_WORDS = np.array([int.from_bytes(n.ljust(8).encode(), "little")
+                        for n in _KIND_NAMES], dtype=np.uint64)
+_NAME_MASKS = np.array([(1 << 8 * (len(n) + 1)) - 1 for n in _KIND_NAMES],
+                       dtype=np.uint64)
+# the kind a name starts with each byte, or -1
+_KIND_OF_BYTE = np.full(256, -1, dtype=np.int8)
+_KIND_OF_BYTE[[ord(n[0]) for n in _KIND_NAMES]] = range(len(_KIND_NAMES))
+# 10, 100, ..., 10^9: a number below 2^32 has 1 + searchsorted(v, "right")
+# digits
+_POW10 = 10 ** np.arange(1, 10, dtype=np.uint32)
+# longest number the scan reads, as one 8-byte word: every input index
+# (MAX_INPUTS < 10^8) and the ids of the first 10^8 gates; a longer number
+# is left to _gate_line
+_SCAN_DIGITS = 8
+# byte masks for _read_number, over the bytes of a little-endian word
+_ZERO_BYTES = np.uint64(int.from_bytes(b"0" * 8, "little"))
+_BIT_0X40 = np.uint64(int.from_bytes(b"\x40" * 8, "little"))
+# (scale, shift, mask): join digit pairs, then pairs of pairs, then quads
+_DIGIT_JOINS = tuple((np.uint64(10 ** k), np.uint64(8 * k), np.uint64(mask))
+                     for k, mask in ((1, 0x00FF00FF00FF00FF),
+                                     (2, 0x0000FFFF0000FFFF),
+                                     (4, 0x00000000FFFFFFFF)))
+
+
 def serialize(c: Circuit) -> str:
-    lines = [f"circuit {c.num_inputs} {c.num_gates} {len(c.outputs)}"]
-    for i in range(c.num_gates):
-        k = c.kinds[i]
-        if k in (AND, OR):
-            lines.append(f"{i} {_KIND_NAMES[k]} {c.arg0[i]} {c.arg1[i]}")
-        else:
-            lines.append(f"{i} {_KIND_NAMES[k]} {c.arg0[i]}")
-    lines.append(("outputs " + " ".join(str(o) for o in c.outputs)).rstrip())
-    return "\n".join(lines) + "\n"
+    """The text format of a structurally valid circuit.
+
+    The text is laid out in one byte buffer of spaces: each gate line's
+    length comes from its digit counts and kind, one ``cumsum`` places the
+    lines, and the kind names, then the digits, then the newlines, header
+    and outputs line are scattered in.
+    """
+    kinds, a0, a1 = c._arrays()
+    g = len(kinds)
+    if g > 1 << 32:
+        raise CircuitError(f"{g} gates: serialize writes at most 2^32")
+    head = f"circuit {c.num_inputs} {g} {len(c.outputs)}\n".encode()
+    tail = (("outputs " + " ".join(map(str, c.outputs))).rstrip() + "\n").encode()
+    binary = kinds >= AND
+    # ids, first and second operands; all are below max(g, MAX_INPUTS)
+    nums = np.stack([np.arange(g), a0, np.where(binary, a1, 0)],
+                    dtype=np.uint32, casting="unsafe")
+    digits = np.searchsorted(_POW10, nums, side="right") + 1
+    digits[2] *= binary  # a unary gate has no second operand
+    name_lens = _NAME_LENS[kinds]
+    lens = digits.sum(axis=0) + binary + name_lens + 3  # with spaces and \n
+    ends = np.cumsum(lens) + len(head)
+    size = (int(ends[-1]) if g else len(head)) + len(tail)
+    names = ends - lens + digits[0] + 1
+    # the last digit of each id, first operand and second operand
+    at = np.stack([names - 2, names + name_lens + digits[1], ends - 2])
+    # 8 spare bytes take the digits a number does not have and the last
+    # name's word; a name's word runs at most into the next line's id, whose
+    # digits are written after it
+    buf = np.full(size + 8, ord(" "), dtype=np.uint8)
+    np.ndarray((size + 1,), dtype="<u8", buffer=buf, strides=(1,))[
+        names] = _NAME_WORDS[kinds]
+    for row, count, pos in zip(nums, digits, at):
+        for j in range(int(count.max(initial=0))):
+            higher = row // 10
+            buf[np.where(count > j, pos - j, size)] = row - higher * 10 + ord("0")
+            row = higher
+    buf[ends - 1] = ord("\n")
+    buf[:len(head)] = np.frombuffer(head, dtype=np.uint8)
+    buf[size - len(tail):size] = np.frombuffer(tail, dtype=np.uint8)
+    return str(buf[:size].data, "ascii")
 
 
 def parse(text: str) -> Circuit:
     """Read the text format.  Only its syntax is checked here; a structural
     fault found by :class:`Circuit` is re-raised naming its line (gate i is
-    on line i + 2)."""
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty circuit text")
-    head = lines[0].split()
+    on line i + 2).
+
+    Gate lines made only of digits, kind-name letters, spaces and newlines
+    are read in one whole-array pass (:func:`_scan_gates`); any other text
+    is read line by line, as ``str.splitlines`` and ``str.split`` see it.
+    """
+    split = _canonical_split(text)
+    if split is None:
+        lines = text.splitlines()
+        if not lines:
+            raise ParseError("empty circuit text")
+        head, body, tail = lines[0], lines[1:-1], lines[-1]
+        count = len(lines) - 2
+    else:
+        head, body, tail = split
+        count = body.count(b"\n")
+    head = head.split()
     if len(head) != 4 or head[0] != "circuit":
         raise ParseError("expected 'circuit <inputs> <gates> <outputs>'", 1)
     try:
         num_inputs, num_gates, num_outputs = map(int, head[1:])
     except ValueError:
         raise ParseError("non-integer header field", 1) from None
-    if len(lines) != num_gates + 2:
+    if count != num_gates:
         raise ParseError(
-            f"expected {num_gates} gate lines plus outputs, got {len(lines) - 2}"
-        )
-    kinds, arg0, arg1 = array("b"), array("q"), array("q")
-    for gid, line in enumerate(lines[1:-1]):
-        toks = line.split()
-        kind = _NAME_TO_KIND.get(toks[1]) if len(toks) > 1 else None
-        if kind is None:
-            raise ParseError(f"expected '<id> <kind> <operands>', kind one of "
-                             f"{', '.join(_KIND_NAMES)}", gid + 2)
-        binary = kind >= AND
-        if len(toks) != 3 + binary:
-            raise ParseError(f"{toks[1]} takes {1 + binary} operand(s)", gid + 2)
-        try:
-            idx = int(toks[0])
-            arg0.append(int(toks[2]))
-            arg1.append(int(toks[3]) if binary else 0)
-        except (ValueError, OverflowError):
-            raise ParseError("gate id and operands must be 64-bit integers",
-                             gid + 2) from None
-        if idx != gid:
-            raise ParseError(f"expected gate id {gid}, got {idx}", gid + 2)
-        kinds.append(kind)
-    out_toks = lines[-1].split()
+            f"expected {num_gates} gate lines plus outputs, got {count}")
+    if split is None:
+        kinds, arg0, arg1 = array("b"), array("q"), array("q")
+        for gid, line in enumerate(body):
+            k, a, b = _gate_line(line, gid)
+            kinds.append(k)
+            arg0.append(a)
+            arg1.append(b)
+    else:
+        kinds, arg0, arg1 = _scan_gates(body, count)
+    last = num_gates + 2  # the outputs line
+    out_toks = tail.split()
     if not out_toks or out_toks[0] != "outputs":
-        raise ParseError("expected final 'outputs' line", len(lines))
+        raise ParseError("expected final 'outputs' line", last)
     try:
         outputs = [int(t) for t in out_toks[1:]]
     except ValueError:
-        raise ParseError("non-integer output id", len(lines)) from None
+        raise ParseError("non-integer output id", last) from None
     if len(outputs) != num_outputs:
         raise ParseError(
-            f"header promised {num_outputs} outputs, got {len(outputs)}", len(lines)
-        )
+            f"header promised {num_outputs} outputs, got {len(outputs)}", last)
     try:
         return Circuit(num_inputs, kinds, arg0, arg1, outputs)
     except StructureError as exc:
         # a fault outside the gates lies in the input count or the outputs
         line = (exc.gate + 2 if exc.gate is not None
-                else 1 if not 0 <= num_inputs <= MAX_INPUTS else len(lines))
+                else 1 if not 0 <= num_inputs <= MAX_INPUTS else last)
         raise StructureError(f"line {line}: {exc}") from None
+
+
+def _canonical_split(text: str):
+    """``(first line, gate lines as bytes, last line)`` when the gate lines
+    hold only the bytes of canonical gate lines and the first and last lines
+    hold no line break, so that newlines alone end the lines; else None."""
+    first = text.find("\n")
+    last = text.rfind("\n", 0, len(text) - 1)
+    if first < 0 or last < first:
+        return None
+    head, tail = text[:first], text[last + 1:]
+    body = text[first + 1:last + 1].encode()
+    if (head.splitlines() != [head]
+            or tail.splitlines() != [tail.removesuffix("\n")]
+            or body.translate(None, _GATE_BYTES)):
+        return None
+    return head, body, tail
+
+
+def _gate_line(line: str, gid: int) -> tuple:
+    """Gate ``gid``'s line as ``(kind, a, b)``, read token by token, or the
+    ParseError the line earns."""
+    toks = line.split()
+    kind = _NAME_TO_KIND.get(toks[1]) if len(toks) > 1 else None
+    if kind is None:
+        raise ParseError(f"expected '<id> <kind> <operands>', kind one of "
+                         f"{', '.join(_KIND_NAMES)}", gid + 2)
+    binary = kind >= AND
+    if len(toks) != 3 + binary:
+        raise ParseError(f"{toks[1]} takes {1 + binary} operand(s)", gid + 2)
+    try:
+        idx, a, b = int(toks[0]), int(toks[2]), int(toks[3]) if binary else 0
+    except ValueError:
+        idx = a = None
+    if a is None or not all(-(1 << 63) <= v < 1 << 63 for v in (a, b)):
+        raise ParseError("gate id and operands must be 64-bit integers",
+                         gid + 2)
+    if idx != gid:
+        raise ParseError(f"expected gate id {gid}, got {idx}", gid + 2)
+    return kind, a, b
+
+
+def _scan_gates(body: bytes, g: int) -> tuple:
+    """The gate arrays of ``body``: ``g`` gate lines, each ended by a
+    newline, made only of digits, kind-name letters and spaces.
+
+    One pass over the bytes finds the tokens (the runs between spaces and
+    newlines) and decides every canonical line: an id equal to its line's
+    gate number, a kind name, one or two operands, single spaces and numbers
+    of at most 8 digits.  Any other line is handed to :func:`_gate_line`,
+    in order, so the first bad line raises just as a line-by-line read would.
+    """
+    if not g:
+        return array("b"), array("q"), array("q")
+    n = len(body)
+    # padded so that no word read below leaves the buffer
+    b = np.frombuffer(body + bytes(8), dtype=np.uint8)
+    # words[i]: the 8 bytes from offset i as one little-endian word
+    words = np.ndarray((n + 1,), dtype="<u8", buffer=b, strides=(1,))
+    seps = np.flatnonzero(b[:n] <= ord(" "))  # one ends each token
+    nl_tok = np.flatnonzero(b[seps] == ord("\n"))  # each line's last token
+    first = np.concatenate(([0], nl_tok[:-1] + 1))  # each line's id token
+    line_ends = seps[nl_tok]
+
+    def token_end(k):  # where each line's token k ends, if it has one
+        return seps[np.minimum(first + k, len(seps) - 1)]
+
+    # the id, then the kind: a name its first byte picks, then a space
+    end = token_end(0)
+    starts = np.concatenate(([0], line_ends[:-1] + 1))
+    ids, bad = _read_number(words, starts, end - starts)
+    kinds = _KIND_OF_BYTE[b[end + 1]]
+    binary = kinds >= AND
+    ok = (((words[end + 1] ^ _NAME_WORDS[kinds]) & _NAME_MASKS[kinds]) == 0) & (
+        nl_tok - first == 2 + binary) & ~bad & (ids == np.arange(g))
+    # the operands
+    starts = token_end(1) + 1
+    end = token_end(2)
+    arg0, bad = _read_number(words, starts, end - starts)
+    ok &= ~bad
+    arg1, bad = _read_number(words, end + 1, token_end(3) - end - 1)
+    ok &= ~(bad & binary)
+    arg1[~binary] = 0
+    for gid in np.flatnonzero(~ok).tolist():
+        start = int(line_ends[gid - 1]) + 1 if gid else 0
+        line = body[start:int(line_ends[gid])].decode()
+        kinds[gid], arg0[gid], arg1[gid] = _gate_line(line, gid)
+    gates = array("b"), array("q"), array("q")
+    for column, values in zip(gates, (kinds, arg0, arg1)):
+        column.frombytes(memoryview(values).cast("B"))
+    return gates
+
+
+def _read_number(words: np.ndarray, starts: np.ndarray, lens: np.ndarray):
+    """The numbers of ``lens`` digits that start at ``starts``, and a mask of
+    the tokens that are not 1 to 8 digits.
+
+    Each token's word is shifted so that its digits fill the top bytes, with
+    zero bytes below as leading zeros, and XOR-ed with '0' bytes: a digit
+    byte then holds its value and a kind-name letter has bit 0x40 set.
+    Three multiply-adds join neighbouring digits into 2-, 4- and 8-digit
+    values.  The steps work in place, on two arrays of the input's size.
+    """
+    bad = (lens < 1) | (lens > _SCAN_DIGITS)
+    shift = (-lens & 7).astype(np.uint64)  # 8 - lens bytes, for 1 to 8
+    shift <<= np.uint64(3)
+    d = words[starts]
+    d <<= shift
+    np.left_shift(_ZERO_BYTES, shift, out=shift)
+    d ^= shift
+    np.bitwise_and(d, _BIT_0X40, out=shift)
+    bad |= shift != 0
+    for scale, width, mask in _DIGIT_JOINS:
+        np.right_shift(d, width, out=shift)
+        d *= scale
+        d += shift
+        d &= mask
+    return d.view(np.int64), bad

@@ -22,9 +22,8 @@ filtering all candidates through the same predicate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Sequence
 
 import numpy as np
 
@@ -686,8 +685,11 @@ def sample_members(spec, n: int, count: int, seed: int = 0) -> np.ndarray:
 
 
 def word_to_string(word) -> str:
-    """A word of 0/1 values as a '0'/'1' string."""
-    return "".join(str(int(b)) for b in word)
+    """A word of 0/1 values (a sequence, an array or bytes) as a '0'/'1'
+    string."""
+    bits = (np.frombuffer(word, dtype=np.uint8) if isinstance(word, bytes)
+            else np.asarray(word, dtype=np.uint8))
+    return (bits + ord("0")).tobytes().decode("ascii")
 
 
 def words_to_strings(words: np.ndarray) -> list[str]:

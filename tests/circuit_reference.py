@@ -3,9 +3,11 @@
 These are the straightforward gate-by-gate loops that the levelized kernels,
 the whole-array structural check, the syntax-only parser and the reducing
 builder in ``rangesynth.circuit`` replaced: evaluation, depth, alternations,
-the structural rules, a parser that checks each gate line as it reads it, a
-build that keeps every emitted gate, a per-gate ``append_circuit``, and the
-truth-table lowering that writes one full minterm per true row.
+the structural rules, a parser that checks each gate line as it reads it, the
+line-by-line text reader and writer that the whole-array ``parse`` and
+``serialize`` replaced, a build that keeps every emitted gate, a per-gate
+``append_circuit``, and the truth-table lowering that writes one full minterm
+per true row.
 They are slow but obviously follow the definitions in the circuit module
 docstring, so the differential tests compare the fast paths against them.
 """
@@ -15,7 +17,7 @@ from array import array
 import numpy as np
 
 from rangesynth.circuit import (
-    _NAME_TO_KIND, AND, CONST, INPUT, MAX_INPUTS, NOT, OR, Circuit,
+    _KIND_NAMES, _NAME_TO_KIND, AND, CONST, INPUT, MAX_INPUTS, NOT, OR, Circuit,
     CircuitError, InputArityError, ParseError, StructureError,
 )
 
@@ -211,6 +213,75 @@ def parse_reference(text: str):
         if not (0 <= o < num_gates):
             raise StructureError(f"output id {o} does not exist")
     return Circuit(num_inputs, kinds, arg0, arg1, outputs, _validated=True)
+
+
+def serialize_reference(c) -> str:
+    """The text format, one f-string per gate line."""
+    lines = [f"circuit {c.num_inputs} {c.num_gates} {len(c.outputs)}"]
+    for i in range(c.num_gates):
+        k = c.kinds[i]
+        if k in (AND, OR):
+            lines.append(f"{i} {_KIND_NAMES[k]} {c.arg0[i]} {c.arg1[i]}")
+        else:
+            lines.append(f"{i} {_KIND_NAMES[k]} {c.arg0[i]}")
+    lines.append(("outputs " + " ".join(str(o) for o in c.outputs)).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def parse_lines_reference(text: str):
+    """The text format read line by line, syntax only; the structure is left
+    to :class:`Circuit`, whose fault is re-raised naming its line."""
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty circuit text")
+    head = lines[0].split()
+    if len(head) != 4 or head[0] != "circuit":
+        raise ParseError("expected 'circuit <inputs> <gates> <outputs>'", 1)
+    try:
+        num_inputs, num_gates, num_outputs = map(int, head[1:])
+    except ValueError:
+        raise ParseError("non-integer header field", 1) from None
+    if len(lines) != num_gates + 2:
+        raise ParseError(
+            f"expected {num_gates} gate lines plus outputs, got {len(lines) - 2}"
+        )
+    kinds, arg0, arg1 = array("b"), array("q"), array("q")
+    for gid, line in enumerate(lines[1:-1]):
+        toks = line.split()
+        kind = _NAME_TO_KIND.get(toks[1]) if len(toks) > 1 else None
+        if kind is None:
+            raise ParseError(f"expected '<id> <kind> <operands>', kind one of "
+                             f"{', '.join(_KIND_NAMES)}", gid + 2)
+        binary = kind >= AND
+        if len(toks) != 3 + binary:
+            raise ParseError(f"{toks[1]} takes {1 + binary} operand(s)", gid + 2)
+        try:
+            idx = int(toks[0])
+            arg0.append(int(toks[2]))
+            arg1.append(int(toks[3]) if binary else 0)
+        except (ValueError, OverflowError):
+            raise ParseError("gate id and operands must be 64-bit integers",
+                             gid + 2) from None
+        if idx != gid:
+            raise ParseError(f"expected gate id {gid}, got {idx}", gid + 2)
+        kinds.append(kind)
+    out_toks = lines[-1].split()
+    if not out_toks or out_toks[0] != "outputs":
+        raise ParseError("expected final 'outputs' line", len(lines))
+    try:
+        outputs = [int(t) for t in out_toks[1:]]
+    except ValueError:
+        raise ParseError("non-integer output id", len(lines)) from None
+    if len(outputs) != num_outputs:
+        raise ParseError(
+            f"header promised {num_outputs} outputs, got {len(outputs)}", len(lines)
+        )
+    try:
+        return Circuit(num_inputs, kinds, arg0, arg1, outputs)
+    except StructureError as exc:
+        line = (exc.gate + 2 if exc.gate is not None
+                else 1 if not 0 <= num_inputs <= MAX_INPUTS else len(lines))
+        raise StructureError(f"line {line}: {exc}") from None
 
 
 def table_to_subcircuit_reference(builder, table, wires) -> int:

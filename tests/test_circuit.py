@@ -45,7 +45,9 @@ from tests.circuit_reference import (
     alternations_reference,
     depth_reference,
     eval_reference,
+    parse_lines_reference,
     parse_reference,
+    serialize_reference,
     validate_reference,
 )
 
@@ -553,9 +555,16 @@ class TestStructure:
 
 
 # tokens a corrupted circuit text may gain: numbers in and out of range,
-# numbers no gate array can hold, non-numbers, kind names and keywords
+# numbers no gate array can hold, numbers int() reads in a form serialize
+# never writes (19 digits that fit, a non-ASCII digit), non-numbers, kind
+# names and keywords
 _JUNK = ["-1", "-7", "0", "1", "2", "3", "99", "+1", "007", str(2**63), str(2**70),
-         "1.5", "x", "INPUT", "CONST", "NOT", "AND", "OR", "XOR", "circuit", "outputs"]
+         str(2**63 - 1), "0" * 18 + "1", "\u0663", "1_0", "1.5", "x", "1O", "I0",
+         "INPUT", "CONST", "NOT", "AND", "OR", "XOR", "circuit", "outputs"]
+# spacing and line ends str.split and str.splitlines accept besides the
+# single spaces and newlines serialize writes; "" joins two lines
+_SPACES = ["  ", "\t", " \t ", "\x0b", "\x0c", "\u3000"]
+_ENDS = ["\r\n", "\r", "\n\n", "\x0c", "\x1e", "\x85", "\u2028", ""]
 
 
 @st.composite
@@ -586,7 +595,92 @@ def mutated_texts(draw):
             del lines[i]
         elif op == "duplicate-line":
             lines.insert(i, list(toks))
-    return "\n".join(" ".join(toks) for toks in lines) + "\n"
+    spaces, ends = [" "] * len(lines), ["\n"] * len(lines)
+    for _ in range(draw(st.integers(0, 2))):  # then respace the text
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["space", "leading", "trailing", "end"]))
+        if op == "space":
+            spaces[i] = draw(st.sampled_from(_SPACES))
+        elif op == "leading":
+            lines[i] = [""] + lines[i]
+        elif op == "trailing":
+            lines[i] = lines[i] + [""]
+        else:
+            ends[i] = draw(st.sampled_from(_ENDS))
+    return "".join(sp.join(toks) + end
+                   for toks, sp, end in zip(lines, spaces, ends))
+
+
+@st.composite
+def wide_circuits(draw):
+    """Valid circuits of up to 2,000 gates drawn as whole arrays, over up to
+    MAX_INPUTS inputs, so that ids and input indices run to many digits."""
+    m = draw(st.sampled_from([0, 1, 3, 1000, MAX_INPUTS]))
+    g = draw(st.integers(0, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = rng.integers(INPUT if m else CONST, OR + 1, g)
+    kinds[:1] = CONST  # gate 0 has no earlier gate to read
+    earlier = (rng.random((2, g)) * np.arange(g)).astype(np.int64)
+    a0 = np.where(kinds == INPUT, rng.integers(0, max(m, 1), g),
+                  np.where(kinds == CONST, rng.integers(0, 2, g), earlier[0]))
+    a0[np.flatnonzero(kinds == INPUT)[-1:]] = m - 1  # the widest index
+    a1 = np.where(kinds >= AND, earlier[1], 0)
+    outputs = draw(st.lists(st.integers(0, g - 1), max_size=6)) if g else []
+    return Circuit(m, kinds.tolist(), a0.tolist(), a1.tolist(), outputs)
+
+
+def _parsed(fn, text):
+    """What a parser makes of ``text``: its circuit, or its error's class
+    and message (which names the line)."""
+    try:
+        return fn(text)
+    except CircuitError as exc:
+        return type(exc), str(exc)
+
+
+class TestTextDifferential:
+    """The whole-array serialize and parse against the line-by-line ones."""
+
+    @given(st.one_of(random_circuits(), wide_circuits()))
+    @settings(max_examples=200, deadline=None)
+    @example(Circuit(0, [], [], [], []))
+    @example(Circuit(MAX_INPUTS, [INPUT, CONST], [MAX_INPUTS - 1, 1], [0, 0], []))
+    def test_serialize_matches_reference(self, c):
+        text = serialize(c)
+        assert text == serialize_reference(c)
+        assert parse(text) == c
+
+    @given(mutated_texts())
+    @settings(max_examples=500, deadline=None)
+    def test_parse_matches_reference(self, text):
+        assert _parsed(parse, text) == _parsed(parse_lines_reference, text)
+
+    @pytest.mark.parametrize("text", [
+        "circuit 1 2 1\n0 INPUT 0\n1\tNOT 0\noutputs 1\n",
+        "circuit 1 2 1\n0 INPUT 0\n1  NOT 0\noutputs 1\n",
+        "circuit 1 2 1\n0 INPUT 0 \n1 NOT 0\noutputs 1\n",
+        "circuit 1 2 1\n 0 INPUT 0\n1 NOT 0\noutputs 1\n",
+        "circuit 1 2 1\r\n0 INPUT 0\r\n1 NOT 0\r\noutputs 1\r\n",
+        "circuit 1 2 1\n0 INPUT 0\n\n1 NOT 0\noutputs 1\n",
+        "circuit 1 2 1\n0 INPUT 0\x0c1 NOT 0\noutputs 1\n",
+        "circuit 1 2 1\n0 INPUT 0\n1 NOT \u0660\noutputs 1\n",
+        "circuit 1 2 1\n0 INPUT 0\n1 NOT +0\noutputs 1\n",
+        "circuit 1 2 1\n0 INPUT 0\n001 NOT 000\noutputs 1\n",
+        "circuit 1 2 1\n0 INPUT 0\n1 NOT 0000000000000000000\noutputs 1\n",
+        f"circuit 1 2 1\n0 INPUT 0\n1 NOT {2**63}\noutputs 1\n",
+        "circuit 1 2 1\n0 INPUT 0\n1 NOT 1O\noutputs 1\n",
+        "circuit 1 2 1\n0 INPUT 0\n1 AND 0 \noutputs 1\n",
+        "circuit 1 2 1\n0 INPUT 0\n1 NOR 0\noutputs 1\n",
+        "circuit 1 2 1\n0 INPUT 0\n1 NOT 0 0\noutputs 1\n",
+        "circuit 1 2 1\n0 INPUT 0\n2 NOT 0\noutputs 1\n",
+        "circuit 1 2 1\n0 INPUT 0\n1 NOT 0\noutputs 1",
+        "circuit 1 2 1\n0 INPUT 0\n1 NOT 0\noutputs 1\n\n",
+        "circuit 1 2 1\r0 INPUT 0\n1 NOT 0\noutputs 1\n",
+        "circuit 1 0 0\n\n",
+        "circuit -1 0 0\n",
+    ])
+    def test_noncanonical_text_matches_reference(self, text):
+        assert _parsed(parse, text) == _parsed(parse_lines_reference, text)
 
 
 class TestParseBoundary:

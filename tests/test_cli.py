@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rangesynth import cli
+from rangesynth import circuit, cli
 from rangesynth.circuit import CircuitBuilder, parse, serialize
 from rangesynth.cli import FAMILIES, run
 from rangesynth.npsys import pad_verifier, serialize_verifier, witness_np
+from tests.circuit_reference import serialize_reference
 from tests.conftest import PARITY_TXT, XX_BP, contains11_verifier
 
 
@@ -231,11 +232,21 @@ def test_layout_emitted(tmp_path, parity_file):
 
 
 @pytest.mark.parametrize("kind", list(FAMILIES))
-def test_parse_inverts_serialize(kind, family_cases):
+def test_parse_inverts_serialize(kind, family_cases, monkeypatch):
+    """Every family's text is canonical: serialize writes what the
+    line-by-line writer wrote, and parse reads it without one call into the
+    per-line reader."""
     flags, _, _ = family_cases[kind]
     fam, params = cli._family(kind, *flags[1::2])
     c = fam.synth(*params)[0]
-    assert parse(serialize(c)) == c
+    lines_read = []
+    gate_line = circuit._gate_line
+    monkeypatch.setattr(circuit, "_gate_line", lambda line, gid: (
+        lines_read.append(gid) or gate_line(line, gid)))
+    text = serialize(c)
+    assert text == serialize_reference(c)
+    assert parse(text) == c
+    assert lines_read == []
 
 
 @pytest.mark.parametrize("text, line", [

@@ -374,6 +374,9 @@ class TestWordStrings:
         assert word_to_string([1, 0, 1]) == "101"
         assert word_to_string(np.array([0, 1], dtype=np.uint8)) == "01"
         assert word_to_string([]) == ""
+        assert word_to_string(np.array([True, False, True])) == "101"
+        assert word_to_string(b"\x00\x01") == "01"
+        assert word_to_string(b"") == ""
 
     def test_rows_match_one_word(self):
         words = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8)
