@@ -930,27 +930,16 @@ def _distinct_rows(P: np.ndarray, rows: int) -> tuple:
     return np.unpackbits(raw, axis=1, count=len(P), bitorder="little"), inverse
 
 
-def all_inputs(m: int, chunk: int = 1 << 16) -> Iterator[np.ndarray]:
-    """Yield every length-m input vector in numeric order, in chunks.
-
-    Bit i of the row index is input i, so rows come out in order of the
-    integer whose LSB is input 0.
-    """
-    total = 1 << m
-    shifts = np.arange(m, dtype=np.uint64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        yield ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-
-
 # bit r of _LOW_INPUTS[i] is bit i of r: inputs 0-5 of any 64 consecutive rows
 _LOW_INPUTS = np.array([sum(1 << r for r in range(64) if r >> i & 1) for i in range(6)],
                        dtype=np.uint64)
 
 
 def _all_packed(m: int, words: int = 1 << 10) -> Iterator[tuple]:
-    """Every length-m input in :func:`all_inputs` order, bit-sliced: yields
-    (P, rows) with P holding ``rows`` rows in up to ``words`` words.
+    """Every length-m input in numeric order, bit-sliced: yields (P, rows)
+    with P holding ``rows`` rows in up to ``words`` words.  Bit i of the row
+    index is input i, so rows come out in order of the integer whose LSB is
+    input 0.
 
     Row 64w + r has inputs i < 6 from bit i of r, the same word for every
     w, and inputs i >= 6 from bit i - 6 of w, a word of all ones or all
@@ -964,6 +953,13 @@ def _all_packed(m: int, words: int = 1 << 10) -> Iterator[tuple]:
         P[:6] = _LOW_INPUTS[:m, None]
         P[6:] = ((w >> shifts) & 1) * _ALL_ONES
         yield P, min(total - 64 * start, 64 * len(w))
+
+
+def all_inputs(m: int) -> Iterator[np.ndarray]:
+    """Every length-m input vector in :func:`_all_packed` order, as (rows, m)
+    uint8 chunks of up to 2^16 rows."""
+    for P, rows in _all_packed(m):
+        yield _unpack_rows(P, rows)
 
 
 def circuit_range(c: Circuit, budget: int = 1 << 24) -> set[bytes]:
@@ -1035,32 +1031,22 @@ def alternations(c: Circuit) -> int:
 def cone_sizes(c: Circuit) -> list[int]:
     """Per-output count of distinct reachable INPUT gates.
 
-    Memoizes per-gate cones as sets; cost scales with the total cone mass,
-    so this is meant for circuits with small cones (the NC0 families) or
-    moderate overall size.
+    One pass in gate-id order, which is topological, builds every gate's
+    cone as a frozenset; a NOT shares its operand's set.  The cost scales
+    with the cone mass of all gates, read or not (a parsed circuit may hold
+    gates no output reads), so this is meant for circuits with small cones
+    (the NC0 families) or moderate overall size.
     """
-    kinds, a0, a1 = c.kinds, c.arg0, c.arg1
-    needed = set(c.outputs)
-    stack = list(c.outputs)
-    while stack:
-        g = stack.pop()
-        k = kinds[g]
-        srcs = (a0[g], a1[g]) if k >= AND else (a0[g],) if k == NOT else ()
-        for s in srcs:
-            if s not in needed:
-                needed.add(s)
-                stack.append(s)
-    cones: dict[int, frozenset] = {}
-    for g in sorted(needed):
-        k = kinds[g]
+    cones = []
+    for k, a, b in zip(c.kinds, c.arg0, c.arg1):
         if k == INPUT:
-            cones[g] = frozenset((a0[g],))
+            cones.append(frozenset((a,)))
         elif k == CONST:
-            cones[g] = frozenset()
+            cones.append(frozenset())
         elif k == NOT:
-            cones[g] = cones[a0[g]]
+            cones.append(cones[a])
         else:
-            cones[g] = cones[a0[g]] | cones[a1[g]]
+            cones.append(cones[a] | cones[b])
     return [len(cones[o]) for o in c.outputs]
 
 
@@ -1181,53 +1167,64 @@ def parse(text: str) -> Circuit:
     are read in one whole-array pass (:func:`_scan_gates`); any other text
     is read line by line, as ``str.splitlines`` and ``str.split`` see it.
     """
-    split = _canonical_split(text)
-    if split is None:
-        lines = text.splitlines()
-        if not lines:
-            raise ParseError("empty circuit text")
-        head, body, tail = lines[0], lines[1:-1], lines[-1]
-        count = len(lines) - 2
-    else:
-        head, body, tail = split
-        count = body.count(b"\n")
-    head = head.split()
-    if len(head) != 4 or head[0] != "circuit":
-        raise ParseError("expected 'circuit <inputs> <gates> <outputs>'", 1)
+    return _parse(text, 0)
+
+
+def _parse(text: str, cut: int) -> Circuit:
+    """:func:`parse` of a text that had its line ``cut`` (from 1; 0 for none)
+    taken out: every error names its line in the text before the cut."""
     try:
-        num_inputs, num_gates, num_outputs = map(int, head[1:])
-    except ValueError:
-        raise ParseError("non-integer header field", 1) from None
-    if count != num_gates:
-        raise ParseError(
-            f"expected {num_gates} gate lines plus outputs, got {count}")
-    if split is None:
-        kinds, arg0, arg1 = array("b"), array("q"), array("q")
-        for gid, line in enumerate(body):
-            k, a, b = _gate_line(line, gid)
-            kinds.append(k)
-            arg0.append(a)
-            arg1.append(b)
-    else:
-        kinds, arg0, arg1 = _scan_gates(body, count)
-    last = num_gates + 2  # the outputs line
-    out_toks = tail.split()
-    if not out_toks or out_toks[0] != "outputs":
-        raise ParseError("expected final 'outputs' line", last)
-    try:
-        outputs = [int(t) for t in out_toks[1:]]
-    except ValueError:
-        raise ParseError("non-integer output id", last) from None
-    if len(outputs) != num_outputs:
-        raise ParseError(
-            f"header promised {num_outputs} outputs, got {len(outputs)}", last)
-    try:
-        return Circuit(num_inputs, kinds, arg0, arg1, outputs)
-    except StructureError as exc:
-        # a fault outside the gates lies in the input count or the outputs
-        line = (exc.gate + 2 if exc.gate is not None
-                else 1 if not 0 <= num_inputs <= MAX_INPUTS else last)
-        raise StructureError(f"line {line}: {exc}") from None
+        split = _canonical_split(text)
+        if split is None:
+            lines = text.splitlines()
+            if not lines:
+                raise ParseError("empty circuit text")
+            head, body, tail = lines[0], lines[1:-1], lines[-1]
+            count = len(lines) - 2
+        else:
+            head, body, tail = split
+            count = body.count(b"\n")
+        head = head.split()
+        if len(head) != 4 or head[0] != "circuit":
+            raise ParseError("expected 'circuit <inputs> <gates> <outputs>'", 1)
+        try:
+            num_inputs, num_gates, num_outputs = map(int, head[1:])
+        except ValueError:
+            raise ParseError("non-integer header field", 1) from None
+        if count != num_gates:
+            raise ParseError(
+                f"expected {num_gates} gate lines plus outputs, got {count}")
+        if split is None:
+            kinds, arg0, arg1 = array("b"), array("q"), array("q")
+            for gid, line in enumerate(body):
+                k, a, b = _gate_line(line, gid)
+                kinds.append(k)
+                arg0.append(a)
+                arg1.append(b)
+        else:
+            kinds, arg0, arg1 = _scan_gates(body, count)
+        last = num_gates + 2  # the outputs line
+        out_toks = tail.split()
+        if not out_toks or out_toks[0] != "outputs":
+            raise ParseError("expected final 'outputs' line", last)
+        try:
+            outputs = [int(t) for t in out_toks[1:]]
+        except ValueError:
+            raise ParseError("non-integer output id", last) from None
+        if len(outputs) != num_outputs:
+            raise ParseError(
+                f"header promised {num_outputs} outputs, got {len(outputs)}", last)
+        try:
+            return Circuit(num_inputs, kinds, arg0, arg1, outputs)
+        except StructureError as exc:
+            # a fault outside the gates lies in the input count or the outputs
+            line = (exc.gate + 2 if exc.gate is not None
+                    else 1 if not 0 <= num_inputs <= MAX_INPUTS else last)
+            raise StructureError(f"line {line + (0 < cut <= line)}: {exc}") from None
+    except ParseError as exc:
+        if not 0 < cut <= (exc.line or 0):
+            raise
+        raise ParseError(str(exc).partition(": ")[2], exc.line + 1) from None
 
 
 def _canonical_split(text: str):

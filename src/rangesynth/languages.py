@@ -15,8 +15,9 @@ reductions plus a bit-sliced frontier closure from s for the graphs.  Every
 other spec (NP verifiers, combinator trees) takes one ``member`` call per
 distinct word, the words keyed as packed uint64s.  Sampled soundness hands
 the evaluator's words straight to that packed oracle; ``member_batch`` packs
-its rows first.  ``enumerate_slice`` produces entire length-n slices by
-filtering all candidates through the same predicate.
+its rows first.  ``enumerate_slice`` and ``sample_members`` lay their
+candidates out bit-sliced as well, through one map from an encoding's free
+bits to its words (``_space``), and decide them with the same oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import circuit
-from .circuit import _ALL_ONES, _as_bits, _distinct_rows, _pack_rows, all_inputs
+from .circuit import (
+    _ALL_ONES, _all_packed, _as_bits, _distinct_rows, _pack_rows, _unpack_rows,
+)
 
 
 class LanguageError(ValueError):
@@ -234,7 +237,6 @@ class Combined:
     params: tuple = ()
 
 
-UNDIRECTED = (Cycles, USTConn)
 GRAPH_SPECS = (Cycles, USTConn, UnReach)
 
 
@@ -580,75 +582,57 @@ def _reaches_last(A: np.ndarray) -> np.ndarray:
     return seen[-1]
 
 
-def word_shape(spec) -> str:
-    """'word' for plain bit words, 'undirected' / 'directed' for graphs."""
-    if isinstance(spec, UNDIRECTED):
-        return "undirected"
-    if isinstance(spec, UnReach):
-        return "directed"
-    return "word"
+def _space(spec, n: int) -> tuple:
+    """``(bits, place)``: how many bits of a valid length-n encoding are
+    free, and ``place``, which maps bit-sliced free bits (bits, words) to
+    the bit-sliced words (n, words) they encode.
 
-
-def candidate_count(spec, n: int) -> int:
-    """log2-free count of length-n candidate encodings."""
-    shape = word_shape(spec)
-    if shape == "word":
-        return 1 << n
-    v = _graph_side(n)
-    if shape == "undirected":
-        return 1 << (v * (v - 1) // 2)
-    return 1 << n
-
-
-def _symmetric(tri: np.ndarray, v: int) -> np.ndarray:
-    """Undirected words (symmetric, zero diagonal, v x v row-major) from
-    rows of upper-triangle bits in row-major pair order."""
+    Every bit of a plain word or a directed graph is free, and ``place`` is
+    the identity.  An undirected graph is free in its upper triangle, pairs
+    (i, j) with i < j in row-major order; ``place`` gathers both halves of
+    the matrix from those rows and the diagonal from one zero row.
+    """
+    v = _graph_side(n) if isinstance(spec, GRAPH_SPECS) else 0
+    if not isinstance(spec, (Cycles, USTConn)):
+        return n, lambda F: F
     iu, ju = np.triu_indices(v, k=1)
-    mats = np.zeros((len(tri), v, v), dtype=np.uint8)
-    mats[:, iu, ju] = tri
-    mats[:, ju, iu] = tri
-    return mats.reshape(len(tri), v * v)
+    at = np.full((v, v), len(iu))  # the zero row
+    at[iu, ju] = at[ju, iu] = np.arange(len(iu))
+    at = at.ravel()
 
-
-def _candidates(spec, n: int):
-    """Yield all valid length-n encodings for the spec, in lexicographic
-    order of the word (MSB = first bit), chunked."""
-    if word_shape(spec) != "undirected":
-        for rows in all_inputs(n):
-            yield rows[:, ::-1]
-        return
-    v = _graph_side(n)  # the first pair, entry (0, 1), is the MSB
-    for tri in all_inputs(v * (v - 1) // 2):
-        yield _symmetric(tri[:, ::-1], v)
+    def place(F):
+        return np.concatenate([F, np.zeros((1, F.shape[1]), dtype=np.uint64)])[at]
+    return len(iu), place
 
 
 def enumerate_slice(spec, n: int, budget: int = 1 << 24) -> np.ndarray:
     """All length-n members in lexicographic order, as a (K, n) uint8 array.
 
-    Refuses when the candidate space exceeds the budget.
+    Every valid encoding (:func:`_space`) is walked bit-sliced, the free
+    bits in :func:`circuit._all_packed` order with the first one most
+    significant, and decided by :func:`_member_packed`.  Refuses when the
+    candidate space exceeds the budget.
     """
-    count = candidate_count(spec, n)
-    if count > budget:
+    bits, place = _space(spec, n)
+    if 1 << bits > budget:
         raise BudgetError(
-            f"enumerating length {n} needs {count} candidates, over budget {budget}"
+            f"enumerating length {n} needs {1 << bits} candidates, over budget {budget}"
         )
-    rows = []
-    for cand in _candidates(spec, n):
-        keep = member_batch(spec, cand)
-        if keep.any():
-            rows.append(cand[keep])
-    if not rows:
-        return np.zeros((0, n), dtype=np.uint8)
-    return np.concatenate(rows, axis=0)
+    found = [np.zeros((0, n), dtype=np.uint8)]
+    for F, rows in _all_packed(bits):
+        Q = place(F[::-1])
+        found.append(_unpack_rows(Q, rows)[_member_packed(spec, Q, rows)])
+    return np.concatenate(found)
 
 
 def sample_members(spec, n: int, count: int, seed: int = 0) -> np.ndarray:
     """Deterministic sample of length-n members, for over-budget slices.
 
     Counting specs are sampled directly (shuffled 1-blocks) and refused when
-    no length-n word qualifies; everything else uses rejection sampling
-    against member_batch, which is fine for the graph and regular languages
-    used here (member density is not tiny).
+    no length-n word qualifies; everything else uses rejection sampling of
+    uniform free bits (:func:`_space`) against :func:`_member_packed`, which
+    is fine for the graph and regular languages used here (member density
+    is not tiny).
     """
     rng = np.random.default_rng(seed)
     if isinstance(spec, (Threshold, ExactCount)):
@@ -662,7 +646,7 @@ def sample_members(spec, n: int, count: int, seed: int = 0) -> np.ndarray:
             idx = rng.permutation(n)[: ones[i]]
             rows[i, idx] = 1
         return rows
-    shape = word_shape(spec)
+    bits, place = _space(spec, n)
     out = [np.zeros((0, n), dtype=np.uint8)]
     have = 0
     tries = 0
@@ -671,13 +655,8 @@ def sample_members(spec, n: int, count: int, seed: int = 0) -> np.ndarray:
         if tries > 1000:
             raise LanguageError(f"rejection sampling for {spec!r} is not converging")
         batch = max(64, 2 * (count - have))
-        if shape == "undirected":
-            v = _graph_side(n)
-            cand = _symmetric(rng.integers(0, 2, (batch, v * (v - 1) // 2),
-                                           dtype=np.uint8), v)
-        else:
-            cand = rng.integers(0, 2, (batch, n), dtype=np.uint8)
-        keep = cand[member_batch(spec, cand)]
+        Q = place(_pack_rows(rng.integers(0, 2, (batch, bits), dtype=np.uint8)))
+        keep = _unpack_rows(Q, batch)[_member_packed(spec, Q, batch)]
         if len(keep):
             out.append(keep[: count - have])
             have += len(out[-1])

@@ -12,14 +12,15 @@ appear only on input literals.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import (
-    AND, CONST, INPUT, NOT,
-    Circuit, CircuitBuilder, ParseError, _as_bits, all_inputs, eval_batch,
-    lower_fields, parse, serialize, size,
+    _ALL_ONES, AND, CONST, INPUT, NOT,
+    Circuit, CircuitBuilder, ParseError, _all_packed, _as_bits, _eval_packed,
+    _packed_rows, _parse, _unpack_rows, eval_batch, lower_fields, serialize, size,
 )
 from .languages import LanguageError
 from .regular import WitnessError
@@ -55,43 +56,49 @@ class VerifierCircuit:
 
 
 def serialize_verifier(v: VerifierCircuit) -> str:
-    """Circuit text format with a `split <n> <p>` line after the header."""
-    lines = serialize(v.circuit).splitlines()
-    lines.insert(1, f"split {v.num_x} {v.num_y}")
-    return "\n".join(lines) + "\n"
+    """Circuit text format with a ``split <num_x> <num_y>`` line after the
+    header, so gate i is on line i + 3."""
+    text = serialize(v.circuit)
+    head = text.index("\n") + 1
+    return f"{text[:head]}split {v.num_x} {v.num_y}\n{text[head:]}"
+
+
+# a line break, as str.splitlines sees one; and the first line, in that
+# sense, whose first token is "split"
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_SPLIT_LINE = re.compile(rf"(?:^|(?<=[{_BREAKS}]))[^\S{_BREAKS}]*split"
+                         rf"(?:[^\S{_BREAKS}][^{_BREAKS}]*)?(?:\r\n|[{_BREAKS}]|\Z)")
 
 
 def parse_verifier(text: str) -> VerifierCircuit:
-    lines = text.splitlines()
-    split_at = None
-    split_vals = None
-    for i, line in enumerate(lines):
-        toks = line.split()
-        if toks and toks[0] == "split":
-            if len(toks) != 3:
-                raise ParseError("split line needs two integers", i + 1)
-            try:
-                split_vals = (int(toks[1]), int(toks[2]))
-            except ValueError:
-                raise ParseError("split line needs two integers", i + 1) from None
-            split_at = i
-            break
-    if split_at is None:
+    """Read a verifier: circuit text plus one ``split <num_x> <num_y>`` line
+    anywhere.  The split line is cut out and the rest parsed; every error
+    names its line in ``text``."""
+    found = _SPLIT_LINE.search(text)
+    if found is None:
         raise ParseError("missing 'split <n> <p>' header line")
-    del lines[split_at]
-    circuit = parse("\n".join(lines) + "\n")
-    return VerifierCircuit(circuit, split_vals[0], split_vals[1])
+    line = len(text[: found.start()].splitlines()) + 1
+    try:
+        num_x, num_y = map(int, found.group().split()[1:])
+    except ValueError:  # not two fields, or not integers
+        raise ParseError("split line needs two integers", line) from None
+    circuit = _parse(text[: found.start()] + text[found.end():], line)
+    return VerifierCircuit(circuit, num_x, num_y)
 
 
 def _certificate(v: VerifierCircuit, x: np.ndarray) -> np.ndarray | None:
-    """The first y, in all_inputs order, with V(x, y) = 1; None if there is none."""
-    for ys in all_inputs(v.num_y):
-        batch = np.concatenate(
-            [np.broadcast_to(x, (len(ys), v.num_x)), ys], axis=1
-        )
-        hits = np.flatnonzero(eval_batch(v.circuit, batch)[:, 0])
+    """The first y, in :func:`_all_packed` order, with V(x, y) = 1; None if
+    there is none.
+
+    Each x bit is a word of all ones or all zeros over the bit-sliced ys,
+    and each chunk of ys takes one :func:`_eval_packed` call.
+    """
+    X = np.where(x == 1, _ALL_ONES, np.uint64(0))[:, None]
+    for Y, rows in _all_packed(v.num_y):
+        P = np.concatenate([np.broadcast_to(X, (v.num_x, Y.shape[1])), Y])
+        hits = np.flatnonzero(_unpack_rows(_eval_packed(v.circuit, P), rows))
         if len(hits):
-            return ys[hits[0]]
+            return _packed_rows(Y, hits[:1])[0]
     return None
 
 

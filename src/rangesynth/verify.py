@@ -32,8 +32,7 @@ from .circuit import (
     circuit_range, eval_batch, metrics,
 )
 from .languages import (
-    BudgetError, _member_packed, candidate_count, enumerate_slice,
-    word_to_string as _bits_str, words_to_strings,
+    BudgetError, _member_packed, enumerate_slice, word_to_string as _bits_str,
 )
 
 __all__ = [
@@ -203,13 +202,15 @@ def check_completeness(c: Circuit, spec, n: int, witness_fn=None,
         raise BudgetError(
             f"full-range completeness needs 2^{m} evaluations, over budget"
         )
-    have = {_bits_str(word) for word in circuit_range(c, budget)}
-    want = set(words_to_strings(members))
+    have = circuit_range(c, budget)
+    want = {row.tobytes() for row in members}
     report = Report("completeness", "exhaustive", 1 << m)
-    for word in sorted(want - have):
-        _note(report, "<none>", word, "member not in range")
-    for word in sorted(have - want):
-        _note(report, "<unknown>", word, "range word not a member")
+    for proof, words, reason in (("<none>", want - have, "member not in range"),
+                                 ("<unknown>", have - want, "range word not a member")):
+        words = sorted(words)  # bytes of 0/1 values sort like their strings
+        room = max(0, _MAX_RECORDED - len(report.violations))
+        report.violations += [(proof, _bits_str(w), reason) for w in words[:room]]
+        report.dropped += len(words[room:])
     return report
 
 

@@ -5,9 +5,11 @@ the whole-array structural check, the syntax-only parser and the reducing
 builder in ``rangesynth.circuit`` replaced: evaluation, depth, alternations,
 the structural rules, a parser that checks each gate line as it reads it, the
 line-by-line text reader and writer that the whole-array ``parse`` and
-``serialize`` replaced, a build that keeps every emitted gate, a per-gate
-``append_circuit``, and the truth-table lowering that writes one full minterm
-per true row.
+``serialize`` replaced, the verifier reader that re-joins the text around
+``parse``, a build that keeps every emitted gate, a per-gate
+``append_circuit``, the truth-table lowering that writes one full minterm
+per true row, the row-index enumeration of every input, and the cone sweep
+that first finds the gates the outputs read.
 They are slow but obviously follow the definitions in the circuit module
 docstring, so the differential tests compare the fast paths against them.
 """
@@ -18,7 +20,7 @@ import numpy as np
 
 from rangesynth.circuit import (
     _KIND_NAMES, _NAME_TO_KIND, AND, CONST, INPUT, MAX_INPUTS, NOT, OR, Circuit,
-    CircuitError, InputArityError, ParseError, StructureError,
+    CircuitError, InputArityError, ParseError, StructureError, parse,
 )
 
 
@@ -81,6 +83,44 @@ def alternations_reference(c) -> int:
                 blocks[i][pol] = best
                 types[i][pol] = t
     return max((blocks[o][0] for o in c.outputs), default=0)
+
+
+def all_inputs_reference(m: int, chunk: int = 1 << 16):
+    """Yield every length-m input vector in numeric order, in chunks: bit i
+    of the row index is input i."""
+    total = 1 << m
+    shifts = np.arange(m, dtype=np.uint64)
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+        yield ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+
+
+def cone_sizes_reference(c) -> list:
+    """Per-output cone sizes: a DFS from the outputs finds the gates they
+    read, and only those get a cone, in id order, memoized in a dict."""
+    kinds, a0, a1 = c.kinds, c.arg0, c.arg1
+    needed = set(c.outputs)
+    stack = list(c.outputs)
+    while stack:
+        g = stack.pop()
+        k = kinds[g]
+        srcs = (a0[g], a1[g]) if k >= AND else (a0[g],) if k == NOT else ()
+        for s in srcs:
+            if s not in needed:
+                needed.add(s)
+                stack.append(s)
+    cones = {}
+    for g in sorted(needed):
+        k = kinds[g]
+        if k == INPUT:
+            cones[g] = frozenset((a0[g],))
+        elif k == CONST:
+            cones[g] = frozenset()
+        elif k == NOT:
+            cones[g] = cones[a0[g]]
+        else:
+            cones[g] = cones[a0[g]] | cones[a1[g]]
+    return [len(cones[o]) for o in c.outputs]
 
 
 def build_reference(b) -> Circuit:
@@ -213,6 +253,26 @@ def parse_reference(text: str):
         if not (0 <= o < num_gates):
             raise StructureError(f"output id {o} does not exist")
     return Circuit(num_inputs, kinds, arg0, arg1, outputs, _validated=True)
+
+
+def parse_verifier_reference(text: str):
+    """``(circuit, num_x, num_y)`` of a verifier text: the first line whose
+    first token is ``split`` is deleted from the text's lines, and the rest,
+    re-joined with newlines, is parsed, so errors past the split line name
+    the line after theirs."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        toks = line.split()
+        if toks and toks[0] == "split":
+            if len(toks) != 3:
+                raise ParseError("split line needs two integers", i + 1)
+            try:
+                num_x, num_y = int(toks[1]), int(toks[2])
+            except ValueError:
+                raise ParseError("split line needs two integers", i + 1) from None
+            del lines[i]
+            return parse("\n".join(lines) + "\n"), num_x, num_y
+    raise ParseError("missing 'split <n> <p>' header line")
 
 
 def serialize_reference(c) -> str:

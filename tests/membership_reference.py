@@ -5,16 +5,24 @@ These are the vectorized row paths that the packed oracle in
 column of an (N, n) batch at a time, s-t reachability by a batched BFS
 whose hops are float32 matrix products, counting by row sums, and the
 row-wise ``np.unique`` that found the distinct words for per-word ``member``
-calls and for ``circuit_range``.  The differential tests compare the packed
-deciders, the bit-sliced counting and the keyed distinct words against them
-and against the per-word ``member``.
+calls and for ``circuit_range``; and the uint8 candidate paths that the
+packed enumeration replaced: ``enumerate_slice`` and ``sample_members`` on
+candidate matrices decided by ``member_batch``, and the NP certificate search
+on one ``eval_batch`` call per chunk of certificates.  The differential tests
+compare the packed deciders, the bit-sliced counting, the keyed distinct
+words and the packed enumeration against them and against the per-word
+``member``.
 """
 
 import numpy as np
 
+from tests.circuit_reference import all_inputs_reference
 from rangesynth import languages
-from rangesynth.circuit import _all_packed, _eval_packed, _unpack_rows
-from rangesynth.languages import Dfa, ExactCount, Nfa
+from rangesynth.circuit import _all_packed, _eval_packed, _unpack_rows, eval_batch
+from rangesynth.languages import (
+    BudgetError, Cycles, Dfa, ExactCount, LanguageError, Nfa, Threshold, UnReach,
+    USTConn, _graph_side, member_batch,
+)
 
 
 def determinize(a: Nfa) -> Dfa:
@@ -97,3 +105,104 @@ def circuit_range(c) -> set[bytes]:
         for row in np.unique(_unpack_rows(_eval_packed(c, P), rows), axis=0):
             seen.add(row.tobytes())
     return seen
+
+
+def word_shape(spec) -> str:
+    """'word' for plain bit words, 'undirected' / 'directed' for graphs."""
+    if isinstance(spec, (Cycles, USTConn)):
+        return "undirected"
+    if isinstance(spec, UnReach):
+        return "directed"
+    return "word"
+
+
+def candidate_count(spec, n: int) -> int:
+    """How many length-n candidate encodings there are."""
+    shape = word_shape(spec)
+    if shape == "word":
+        return 1 << n
+    v = _graph_side(n)
+    if shape == "undirected":
+        return 1 << (v * (v - 1) // 2)
+    return 1 << n
+
+
+def symmetric(tri, v: int) -> np.ndarray:
+    """Undirected words (symmetric, zero diagonal, v x v row-major) from
+    rows of upper-triangle bits in row-major pair order."""
+    iu, ju = np.triu_indices(v, k=1)
+    mats = np.zeros((len(tri), v, v), dtype=np.uint8)
+    mats[:, iu, ju] = tri
+    mats[:, ju, iu] = tri
+    return mats.reshape(len(tri), v * v)
+
+
+def candidates(spec, n: int):
+    """Yield all valid length-n encodings for the spec, in lexicographic
+    order of the word (MSB = first bit), chunked."""
+    if word_shape(spec) != "undirected":
+        for rows in all_inputs_reference(n):
+            yield rows[:, ::-1]
+        return
+    v = _graph_side(n)  # the first pair, entry (0, 1), is the MSB
+    for tri in all_inputs_reference(v * (v - 1) // 2):
+        yield symmetric(tri[:, ::-1], v)
+
+
+def enumerate_slice(spec, n: int, budget: int = 1 << 24) -> np.ndarray:
+    """All length-n members in lexicographic order: every candidate matrix
+    filtered by ``member_batch``."""
+    count = candidate_count(spec, n)
+    if count > budget:
+        raise BudgetError(
+            f"enumerating length {n} needs {count} candidates, over budget {budget}"
+        )
+    rows = []
+    for cand in candidates(spec, n):
+        keep = member_batch(spec, cand)
+        if keep.any():
+            rows.append(cand[keep])
+    if not rows:
+        return np.zeros((0, n), dtype=np.uint8)
+    return np.concatenate(rows, axis=0)
+
+
+def sample_members(spec, n: int, count: int, seed: int = 0) -> np.ndarray:
+    """Rejection sampling of uint8 candidate matrices against ``member_batch``
+    (the counting specs' direct sampler is unchanged and not repeated)."""
+    assert not isinstance(spec, (Threshold, ExactCount))
+    rng = np.random.default_rng(seed)
+    shape = word_shape(spec)
+    out = [np.zeros((0, n), dtype=np.uint8)]
+    have = 0
+    tries = 0
+    while have < count:
+        tries += 1
+        if tries > 1000:
+            raise LanguageError(f"rejection sampling for {spec!r} is not converging")
+        batch = max(64, 2 * (count - have))
+        if shape == "undirected":
+            v = _graph_side(n)
+            cand = symmetric(rng.integers(0, 2, (batch, v * (v - 1) // 2),
+                                          dtype=np.uint8), v)
+        else:
+            cand = rng.integers(0, 2, (batch, n), dtype=np.uint8)
+        keep = cand[member_batch(spec, cand)]
+        if len(keep):
+            out.append(keep[: count - have])
+            have += len(out[-1])
+    return np.concatenate(out, axis=0)
+
+
+def certificate(v, x):
+    """The first y, in numeric order, with V(x, y) = 1, from one
+    ``eval_batch`` call per chunk of uint8 certificate rows; None if there
+    is none."""
+    for ys in all_inputs_reference(v.num_y):
+        batch = np.concatenate(
+            [np.broadcast_to(x, (len(ys), v.num_x)), ys], axis=1
+        )
+        hits = np.flatnonzero(eval_batch(v.circuit, batch)[:, 0])
+        if len(hits):
+            return ys[hits[0]]
+    return None

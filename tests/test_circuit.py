@@ -28,7 +28,6 @@ from rangesynth.circuit import (
     ParseError,
     StructureError,
     alternations,
-    all_inputs,
     circuit_range,
     cone_sizes,
     depth,
@@ -42,7 +41,9 @@ from rangesynth.circuit import (
     table_to_subcircuit,
 )
 from tests.circuit_reference import (
+    all_inputs_reference,
     alternations_reference,
+    cone_sizes_reference,
     depth_reference,
     eval_reference,
     parse_lines_reference,
@@ -303,6 +304,12 @@ class TestDifferential:
         assert depth(c) == depth_reference(c)
         assert alternations(c) == alternations_reference(c)
 
+    @given(random_circuits(max_inputs=12, max_gates=120))
+    @settings(max_examples=100, deadline=None)
+    def test_cone_sizes(self, c):
+        """Random circuits, most with gates that no output reads."""
+        assert cone_sizes(c) == cone_sizes_reference(c)
+
     def test_rows_span_several_chunks(self):
         from rangesynth.counting import synth_exact_count
 
@@ -448,7 +455,7 @@ class TestPacked:
         x = [b.input(i) for i in range(m)]
         b.set_outputs([b.xor_tree(x), b.and_tree(x[::3]), b.const(1)] + x[::-2])
         c = b.build()
-        want = np.concatenate(list(all_inputs(m)))
+        want = np.concatenate(list(all_inputs_reference(m)))
         for words in (1 << 10, 3):
             chunks = list(_all_packed(m, words))
             assert sum(rows for _, rows in chunks) == 1 << m

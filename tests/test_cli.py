@@ -10,7 +10,7 @@ from rangesynth import circuit, cli
 from rangesynth.circuit import CircuitBuilder, parse, serialize
 from rangesynth.cli import FAMILIES, run
 from rangesynth.npsys import pad_verifier, serialize_verifier, witness_np
-from tests.circuit_reference import serialize_reference
+from tests.circuit_reference import cone_sizes_reference, serialize_reference
 from tests.conftest import PARITY_TXT, XX_BP, contains11_verifier
 
 
@@ -247,6 +247,14 @@ def test_parse_inverts_serialize(kind, family_cases, monkeypatch):
     assert text == serialize_reference(c)
     assert parse(text) == c
     assert lines_read == []
+
+
+@pytest.mark.parametrize("kind", list(FAMILIES))
+def test_cone_sizes_match_reference(kind, family_cases):
+    flags, _, _ = family_cases[kind]
+    fam, params = cli._family(kind, *flags[1::2])
+    c = fam.synth(*params)[0]
+    assert circuit.cone_sizes(c) == cone_sizes_reference(c)
 
 
 @pytest.mark.parametrize("text, line", [

@@ -1,13 +1,14 @@
 """SAC/co-SAC proof systems built from NP verifier circuits."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from rangesynth.circuit import (
     AND, CONST, INPUT, NOT, OR,
-    CircuitBuilder, eval_circuit,
+    CircuitBuilder, ParseError, StructureError, eval_circuit,
 )
 from rangesynth.npsys import (
     VerifierCircuit,
@@ -22,6 +23,7 @@ from rangesynth.npsys import (
     verifier_member,
     witness_np,
 )
+from tests.circuit_reference import parse_verifier_reference
 from tests.conftest import contains11_verifier, exact_range, tiny_and_verifier
 
 
@@ -50,6 +52,100 @@ class TestVerifier:
         assert v2.num_x == v.num_x and v2.num_y == v.num_y
         assert serialize_verifier(v2) == serialize_verifier(v)
         assert "split 3 2" in serialize_verifier(v)
+
+
+GOOD_VERIFIER = ["circuit 2 3 1", "split 1 1", "0 INPUT 0", "1 INPUT 1", "2 AND 0 1",
+                 "outputs 2"]
+
+
+def _verifier_text(lines, split_at=1, end="\n"):
+    """GOOD_VERIFIER's lines with the split line moved to index ``split_at``."""
+    lines = [line for line in lines if not line.startswith("split")]
+    lines.insert(split_at, "split 1 1")
+    return end.join(lines) + end
+
+
+def _outcome(fn, text):
+    try:
+        return fn(text)
+    except (ParseError, StructureError) as exc:
+        return type(exc), str(exc)
+
+
+class TestVerifierText:
+    """Errors name their line in the verifier text: the split line is line
+    2 of a serialized verifier, so gate i is on line i + 3."""
+
+    @pytest.mark.parametrize("gate, fault, error", [
+        ("2 AND 0 5", "gate 2: operands (0,5) not earlier gates", StructureError),
+        ("2 AND 0", "AND takes 2 operand(s)", ParseError),
+        ("2 XOR 0 1", "expected '<id> <kind> <operands>'", ParseError),
+        ("7 AND 0 1", "expected gate id 2, got 7", ParseError),
+    ])
+    def test_bad_gate_line(self, gate, fault, error):
+        text = _verifier_text(GOOD_VERIFIER[:4] + [gate, "outputs 2"])
+        with pytest.raises(error, match=f"^line 5: {re.escape(fault)}"):
+            parse_verifier(text)
+
+    @pytest.mark.parametrize("outputs, fault, error", [
+        ("outputs x", "non-integer output id", ParseError),
+        ("outputs 2 1", "header promised 1 outputs, got 2", ParseError),
+        ("outputs 9", "output id 9 does not exist", StructureError),
+        ("output 2", "expected final 'outputs' line", ParseError),
+    ])
+    def test_bad_outputs_line(self, outputs, fault, error):
+        text = _verifier_text(GOOD_VERIFIER[:5] + [outputs])
+        with pytest.raises(error, match=f"^line 6: {re.escape(fault)}"):
+            parse_verifier(text)
+
+    def test_header_and_split_lines(self):
+        with pytest.raises(ParseError, match="^line 1: non-integer header"):
+            parse_verifier(_verifier_text(["circuit 2 x 1"] + GOOD_VERIFIER[2:]))
+        with pytest.raises(ParseError, match="^line 1: non-integer header"):
+            parse_verifier(_verifier_text(["circuit 2 x 1"] + GOOD_VERIFIER[2:], 4))
+        with pytest.raises(ParseError, match="^line 2: non-integer header"):
+            parse_verifier(_verifier_text(["circuit 2 x 1"] + GOOD_VERIFIER[2:], 0))
+        for bad in ("split 1", "split 1 x", "split 1 1 1"):
+            text = "\n".join(GOOD_VERIFIER).replace("split 1 1", bad)
+            with pytest.raises(ParseError, match="^line 2: split line needs two"):
+                parse_verifier(text)
+        with pytest.raises(ParseError, match="missing 'split"):
+            parse_verifier("\n".join(GOOD_VERIFIER).replace("split", "splits"))
+
+    def test_round_trip_numbers_every_gate(self):
+        v = contains11_verifier()
+        text = serialize_verifier(v)
+        lines = text.splitlines()
+        assert lines[1] == "split 3 2" and text.endswith("\n")
+        assert parse_verifier(text).circuit == v.circuit
+        for gid in range(v.circuit.num_gates):
+            assert lines[gid + 2].split()[0] == str(gid)  # line gid + 3
+            bad = lines[: gid + 2] + [f"{gid} XOR 0 1"] + lines[gid + 3:]
+            with pytest.raises(ParseError, match=f"^line {gid + 3}: "):
+                parse_verifier("\n".join(bad))
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\x0c"])
+    @pytest.mark.parametrize("split_at", range(7))
+    def test_same_texts_as_the_line_rejoining_reader(self, end, split_at):
+        """Every text the old reader took still parses to the same verifier,
+        and every error is the old one, its line counted in the given text."""
+        variants = [GOOD_VERIFIER]
+        for i, line in enumerate(GOOD_VERIFIER):
+            if not line.startswith("split"):
+                variants += [GOOD_VERIFIER[:i] + [bad] + GOOD_VERIFIER[i + 1:]
+                             for bad in ("", "1 INPUT", "2 AND 0 9", "outputs 7", "x")]
+        for lines in variants:
+            text = _verifier_text(lines, split_at, end)
+            got, want = (_outcome(parse_verifier, text),
+                         _outcome(parse_verifier_reference, text))
+            if isinstance(want, tuple) and isinstance(want[0], type):
+                kind, message = want
+                line = re.match(r"line (\d+): ", message)
+                if line and int(line[1]) > split_at:  # past the split line
+                    message = message.replace(line[0], f"line {int(line[1]) + 1}: ", 1)
+                assert got == (kind, message)
+            else:
+                assert (got.circuit, got.num_x, got.num_y) == want
 
 
 class TestCoSac:

@@ -5,7 +5,8 @@ import pytest
 
 from rangesynth import verify
 from rangesynth.circuit import (
-    CircuitBuilder, InputArityError, eval_batch, eval_circuit, parse, serialize,
+    CircuitBuilder, InputArityError, circuit_range, eval_batch, eval_circuit, parse,
+    serialize,
 )
 from rangesynth.counting import synth_threshold, witness_count
 from rangesynth.graphs import synth_cycles, synth_unreach, witness_graph
@@ -98,6 +99,20 @@ def _witness_completeness_reference(c, spec, members, witness_fn):
         if not np.array_equal(out, row):
             verify._note(report, verify._bits_str(proof), verify._bits_str(out),
                          f"wanted {word}")
+    return report
+
+
+def _exhaustive_completeness_reference(c, members):
+    """check_completeness in exhaustive mode on '0'/'1' strings: the range
+    and the members formatted, compared as string sets, and every violation
+    formatted before it is stored or counted."""
+    have = {verify._bits_str(word) for word in circuit_range(c)}
+    want = {verify._bits_str(row) for row in members}
+    report = Report("completeness", "exhaustive", 1 << c.num_inputs)
+    for word in sorted(want - have):
+        verify._note(report, "<none>", word, "member not in range")
+    for word in sorted(have - want):
+        verify._note(report, "<unknown>", word, "range word not a member")
     return report
 
 
@@ -339,6 +354,21 @@ class TestCompleteness:
         r = check_completeness(b.build(), Threshold(1), 12,
                                members=enumerate_slice(Threshold(1), 12)[:-1])
         assert r.violation_count == 4095
+
+    @pytest.mark.parametrize("case", ["exact", "missing", "extra", "both", "width"])
+    def test_exhaustive_reports_match_string_reference(self, case):
+        c, _ = synth_threshold(7, 3)
+        spec, n = {"exact": (Threshold(3), 7), "missing": (Threshold(2), 7),
+                   "extra": (Threshold(5), 7), "both": (Threshold(3), 7),
+                   "width": (Threshold(3), 6)}[case]
+        members = enumerate_slice(spec, n)
+        if case == "both":  # a few members dropped, one non-member added
+            members = np.concatenate([members[3:], np.zeros((1, n), dtype=np.uint8)])
+        got = check_completeness(c, spec, n, members=members)
+        want = _exhaustive_completeness_reference(c, members)
+        assert got.violations == want.violations and got.dropped == want.dropped
+        assert render_report(got) == render_report(want)
+        assert got.passed == (case == "exact")
 
     def test_missing_member_detected(self):
         # a constant circuit misses most threshold words
