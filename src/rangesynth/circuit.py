@@ -760,9 +760,19 @@ def _level_schedule(kinds, a0, a1) -> _Schedule:
 # ---------------------------------------------------------------------------
 # evaluation
 
-# Packed gate values held per chunk of words, and bits held per pack or
-# unpack block; bounds evaluation's memory.
-_CHUNK_BYTES = 1 << 19
+# Packed gate values held per chunk of words by _eval_packed (and uint64
+# temporaries per block of languages._member_packed).  Every numpy call of a
+# level group also pays a dispatch and per-row gather cost that only a
+# chunk of about 16 words or more amortises: 512 KB is 3-9 words on
+# 4k-17k-gate circuits.  2 MB, about one core's L2, is 15-40 words there; in
+# a sweep of 0.5, 1, 1.5 and 2 MB it was fastest on every perfbench circuit
+# (256 words on a 2-vCPU Xeon with 2 MB L2 a core: parity n=256 23.4 -> 10.2
+# ms, threshold n=256 65.5 -> 18.0 ms).  A circuit too large for one word in
+# 2 MB still takes one word a chunk.
+_CHUNK_BYTES = 1 << 21
+# Bits, a byte each, per _pack_rows or _unpack_rows block.  Transposes of
+# 2 MB blocks unpacked up to 2.6x slower than 512 KB ones, so this stays.
+_BLOCK_BYTES = 1 << 19
 _ALL_ONES = np.uint64(2**64 - 1)
 _BINARY_OPS = {AND: np.bitwise_and, OR: np.bitwise_or}
 # _as_bits's names for a shape's dimension count and for each axis's length
@@ -847,8 +857,8 @@ def _eval_packed(c: Circuit, P: np.ndarray) -> np.ndarray:
 
 def _block(width: int) -> int:
     """Rows per pack or unpack step: a multiple of 64 whose bits, a byte
-    each, fill about _CHUNK_BYTES, so each transpose stays in cache."""
-    return 64 * max(1, _CHUNK_BYTES // (64 * max(1, width)))
+    each, fill about _BLOCK_BYTES, so each transpose stays in cache."""
+    return 64 * max(1, _BLOCK_BYTES // (64 * max(1, width)))
 
 
 def _pack_rows(X: np.ndarray) -> np.ndarray:

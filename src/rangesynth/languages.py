@@ -403,7 +403,8 @@ def _member_packed(spec, Q: np.ndarray, rows: int) -> np.ndarray:
     ``Q[i, r // 64]`` is bit i of word r, and bits past ``rows`` are
     ignored.  Returns bool (rows,).  Automata, structured BPs, counting and
     graph specs are decided on the words, in blocks that keep each temporary
-    near ``circuit._CHUNK_BYTES``.  Every other spec (NP verifiers,
+    near ``circuit._CHUNK_BYTES``, and so is ``upclose`` over the inner
+    slice, enumerated once per call.  Every other spec (NP verifiers, other
     combinator trees) takes one :func:`member` call per distinct word, and
     only those words are unpacked (:func:`circuit._distinct_rows`).
     """
@@ -430,6 +431,8 @@ def _packed_decider(spec, n: int):
         return partial(_graph_accepts, spec, v), v * v
     if isinstance(spec, (Threshold, ExactCount)):
         return partial(_count_accepts, spec), 3 * (n + 1)
+    if isinstance(spec, Combined) and spec.op == "upclose":
+        return _upclose_decider(enumerate_slice(spec.specs[0], n))
     if not isinstance(spec, Regular):
         return None
     from .regular import LayeredBp
@@ -443,13 +446,39 @@ def _packed_decider(spec, n: int):
         steps = [(j, *step) for j in range(n)]
     elif isinstance(a, LayeredBp) and _standard_widths(a):
         if n != a.n:
-            return (lambda Q: np.zeros(Q.shape[1], dtype=np.uint64)), 1
+            return _reject_all, 1
         start, accept = np.ones(1, dtype=bool), np.asarray(a.accept, dtype=bool)
         steps = [(a.gap_var[g] - 1, *_edges(a.rel0[g], a.rel1[g])) for g in range(a.n)]
     else:
         return None
     temp_rows = max([2 * len(accept) + 1] + [len(src) for _, src, _ in steps])
     return partial(_walk, start, steps, accept), temp_rows
+
+
+def _upclose_decider(members: np.ndarray) -> tuple:
+    """``(decide, temp_rows)`` of the upward closure of the (K, n) members:
+    a word is accepted when some member's ones are all ones of the word.
+
+    Each member ANDs the rows of Q at its ones; the words OR over members.
+    A member with no ones accepts every word; an empty slice accepts none.
+    """
+    if not len(members):
+        return _reject_all, 1
+    if not members.any(axis=1).all():
+        return (lambda Q: np.full(Q.shape[1], _ALL_ONES)), 1
+    cand, col = np.nonzero(members)
+    starts = np.searchsorted(cand, np.arange(len(members)))
+    return partial(_dominates, col, starts), len(col) + len(starts)
+
+
+def _reject_all(Q: np.ndarray) -> np.ndarray:
+    return np.zeros(Q.shape[1], dtype=np.uint64)
+
+
+def _dominates(col, starts, Q: np.ndarray) -> np.ndarray:
+    """(words,) bits: OR over segments ``col[starts[k] : starts[k + 1]]`` of
+    the AND of Q's rows at that segment."""
+    return np.bitwise_or.reduce(np.bitwise_and.reduceat(Q[col], starts, axis=0), axis=0)
 
 
 @lru_cache(maxsize=64)

@@ -8,11 +8,14 @@ bits), which exercise the almost-consistent regime where the constructions
 do their real work.
 
 Proofs are evaluated bit-sliced, 64 to a machine word.  A uniform chunk of
-``take`` proofs on m bits is drawn as ``rng.bytes(8 * m * ceil(take / 64))``
-read as little-endian uint64 words of shape (m, ceil(take / 64)): bit i of
-proof r is bit r % 64 of word [i, r // 64], and the bits past ``take`` are
-ignored.  The stream is deterministic per seed; it replaced a per-bit uint8
-draw, so a seed now samples different proofs than it did before.
+``take`` proofs on m bits is drawn as ``2 * m * ceil(take / 64)`` uniform
+uint32 values, viewed without a copy as little-endian uint64 words of shape
+(m, ceil(take / 64)): bit i of proof r is bit r % 64 of word [i, r // 64],
+and the bits past ``take`` are ignored.  That is the same stream, byte for
+byte, as ``rng.bytes(8 * m * ceil(take / 64))``, which numpy draws the same
+way and then copies twice.  The stream is deterministic per seed; it
+replaced a per-bit uint8 draw, so a seed now samples different proofs than
+it did before.
 
 Membership is decided on the evaluator's packed output words as well
 (``languages._member_packed``).  Outputs are unpacked only for the rows
@@ -121,6 +124,14 @@ def _check_packed(report: Report, c: Circuit, spec, P: np.ndarray, rows: int):
                 "output not in language")
 
 
+def _uniform_words(rng, m: int, words: int) -> np.ndarray:
+    """(m, words) uniform uint64 words: ``rng.bytes(8 * m * words)`` read as
+    little-endian uint64, without its copies.  (At m = 0, ``rng.bytes(0)``
+    still draws one value, and this draws none.)"""
+    draw = rng.integers(0, 1 << 32, 2 * m * words, dtype=np.uint32)
+    return draw.astype("<u4", copy=False).view("<u8").reshape(m, words)
+
+
 def check_soundness(c: Circuit, spec, budget: int = DEFAULT_BUDGET, seed: int = 0,
                     trials: int = 1_000_000, base_proofs=None) -> Report:
     """Every proof input must evaluate to a member word.
@@ -153,8 +164,7 @@ def check_soundness(c: Circuit, spec, budget: int = DEFAULT_BUDGET, seed: int = 
             proofs[np.repeat(np.arange(take), flips), hit] ^= 1
             P = _pack_rows(proofs)
         else:
-            words = -(-take // 64)
-            P = np.frombuffer(rng.bytes(8 * m * words), dtype="<u8").reshape(m, words)
+            P = _uniform_words(rng, m, -(-take // 64))
         _check_packed(report, c, spec, P, take)
     return report
 

@@ -310,13 +310,28 @@ class TestDifferential:
         """Random circuits, most with gates that no output reads."""
         assert cone_sizes(c) == cone_sizes_reference(c)
 
-    def test_rows_span_several_chunks(self):
+    def test_rows_span_several_chunks(self, monkeypatch):
+        import rangesynth.circuit as circuit_module
         from rangesynth.counting import synth_exact_count
 
         c, _ = synth_exact_count(33, 5)
         per_chunk = 64 * max(1, _CHUNK_BYTES // (8 * c.num_gates))
         X = _random_rows(c, 2 * per_chunk + 77, 11)
+        calls = []
+
+        def counted(op):
+            def run(*args, **kwargs):
+                calls.append(op)
+                return op(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(circuit_module, "_BINARY_OPS", {
+            kind: counted(op) for kind, op in circuit_module._BINARY_OPS.items()})
         assert np.array_equal(eval_batch(c, X), eval_reference(c, X))
+        # every chunk takes one call per AND or OR level group
+        binary_groups = sum(kind >= AND for kind, _, _ in c._schedule().groups)
+        assert len(calls) % binary_groups == 0
+        assert len(calls) // binary_groups == 3
 
     def test_zero_inputs(self):
         c = Circuit(0, [CONST, CONST, NOT, AND, OR], [1, 0, 0, 0, 0], [0, 0, 0, 2, 1],
@@ -439,6 +454,7 @@ class TestPacked:
         import rangesynth.circuit as circuit_module
 
         monkeypatch.setattr(circuit_module, "_CHUNK_BYTES", 1024)
+        monkeypatch.setattr(circuit_module, "_BLOCK_BYTES", 1024)
         b = CircuitBuilder(4)
         x = [b.input(i) for i in range(4)]
         b.set_outputs([b.xor_tree(x), b.or_(b.not_(x[0]), x[3]), x[1], x[2]])

@@ -1,13 +1,14 @@
 """The packed membership oracle against the per-word ``member``.
 
 ``_member_packed`` decides automata, structured BPs, counting and graph
-specs on bit-sliced words, 64 rows to a uint64, and takes one ``member``
-call per distinct word for every other spec; ``member_batch`` packs its
-rows and calls it.  Each case draws a pool of words whose per-word answers
-are known, then checks both entry points on batches of 0, 1, 63, 64, 65 and
-16387 rows drawn from the pool, with random bits past the last row.  The
-counting specs are also checked against row sums, and the distinct words
-against the row-wise ``np.unique``.
+specs, and ``upclose`` over an enumerated inner slice, on bit-sliced words,
+64 rows to a uint64, and takes one ``member`` call per distinct word for
+every other spec; ``member_batch`` packs its rows and calls it.  Each case
+draws a pool of words whose per-word answers are known, then checks both
+entry points on batches of 0, 1, 63, 64, 65 and 16387 rows drawn from the
+pool, with random bits past the last row.  The counting specs are also
+checked against row sums, and the distinct words against the row-wise
+``np.unique``.
 """
 
 from functools import lru_cache
@@ -265,6 +266,57 @@ def test_counting_takes_no_member_call(monkeypatch):
     want = count_member_batch(Threshold(30), words)
     monkeypatch.setattr(languages, "member", no_member)
     assert np.array_equal(member_batch(Threshold(30), words), want)
+
+
+# ---------------------------------------------------------------------------
+# upclose: one enumeration of the inner slice per call
+
+
+@lru_cache(maxsize=None)
+def _upclose_cases(n):
+    """A pool of length-n words and ``(spec, truth)`` per upclose spec: over
+    slices with and without the all-zero word, and over an empty one."""
+    rng = np.random.default_rng(n)
+    pool = _word_pool(rng, n)
+    if n > 9:  # every density, so that both answers occur
+        pool = (rng.random((128, n)) < rng.random((128, 1))).astype(np.uint8)
+    odd = Dfa(2, 0, frozenset({1}), ((0, 1), (1, 0)))
+    inner = [ExactCount(2), ExactCount(n // 2), Threshold(n - 1), Regular(odd),
+             Regular(parse_dfa(NFA1_TXT)), ExactCount(n + 1), Threshold(0)]
+    specs = [Combined("upclose", (spec,)) for spec in inner]
+    return pool, [(spec, np.array([bool(member(spec, w)) for w in pool]))
+                  for spec in specs]
+
+
+@pytest.mark.parametrize("rows", ROWS)
+@pytest.mark.parametrize("n", [0, 1, 5, 9, 14])
+def test_upclose(n, rows, monkeypatch):
+    pool, cases = _upclose_cases(n)
+    enumerate_slice = languages.enumerate_slice
+    enumerated = []
+
+    def counting_enumerate(spec, n, budget=1 << 24):
+        enumerated.append(spec)
+        return enumerate_slice(spec, n, budget)
+
+    def no_member(spec, word):
+        raise AssertionError("per-word member called")
+
+    monkeypatch.setattr(languages, "enumerate_slice", counting_enumerate)
+    monkeypatch.setattr(languages, "member", no_member)
+    for k, (spec, truth) in enumerate(cases):
+        enumerated.clear()
+        _check(spec, pool, truth, rows, seed=k)
+        # member_batch and _member_packed: one _member_packed call each
+        assert enumerated == [spec.specs[0]] * 2
+
+
+@pytest.mark.parametrize("n", [5, 9, 14])
+def test_upclose_pools_have_members_and_non_members(n):
+    _, cases = _upclose_cases(n)
+    for spec, truth in cases[:5]:  # the last two accept no word and every word
+        assert 0 < truth.sum() < len(truth), spec
+    assert not cases[5][1].any() and cases[6][1].all()
 
 
 # ---------------------------------------------------------------------------

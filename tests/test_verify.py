@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from rangesynth import verify
+from rangesynth import circuit, verify
 from rangesynth.circuit import (
     CircuitBuilder, InputArityError, circuit_range, eval_batch, eval_circuit, parse,
     serialize,
 )
-from rangesynth.counting import synth_threshold, witness_count
+from rangesynth.counting import synth_exact_count, synth_threshold, witness_count
 from rangesynth.graphs import synth_cycles, synth_unreach, witness_graph
 from rangesynth.languages import (
-    BudgetError, Cycles, Regular, Threshold, enumerate_slice, member_batch,
+    BudgetError, Cycles, ExactCount, Regular, Threshold, enumerate_slice, member_batch,
 )
 from rangesynth.regular import synth_regular, witness_regular
 from rangesynth.verify import (
@@ -25,19 +25,18 @@ from rangesynth.verify import (
 )
 
 
-def _broken_cycles(n):
-    """Cycles circuit with one XOR dropped: emits odd-degree graphs."""
-    c = synth_cycles(n)
-    text = serialize(c)
-    lines = text.strip("\n").split("\n")
+def _output_to_input(c, k):
+    """``c`` with output k rewired straight to its first proof bit."""
+    lines = serialize(c).strip("\n").split("\n")
     outs = lines[-1].split()[1:]
-    # rewire one off-diagonal output straight to an input coefficient
-    for k, o in enumerate(outs):
-        if k % (n + 1) != 0:  # skip the diagonal
-            outs[k] = "0"    # gate 0 is an INPUT in the serialized order
-            break
+    outs[k] = "0"  # gate 0 is an INPUT in the serialized order
     lines[-1] = "outputs " + " ".join(outs)
     return parse("\n".join(lines) + "\n")
+
+
+def _broken_cycles(n):
+    """Cycles circuit with one XOR dropped: emits odd-degree graphs."""
+    return _output_to_input(synth_cycles(n), 1)  # the first off-diagonal output
 
 
 def _rows_of(P, take):
@@ -251,6 +250,42 @@ class TestSoundness:
                 for seed in (1, 2))
         assert len(a.violations) == len(b.violations) == _MAX_RECORDED
         assert [v[0] for v in a.violations] != [v[0] for v in b.violations]
+
+    @pytest.mark.parametrize("case", ["honest", "broken"])
+    @pytest.mark.parametrize("mode", ["sampled", "exhaustive"])
+    def test_report_does_not_depend_on_chunk_bounds(self, case, mode, monkeypatch):
+        # 1 KB is one word per evaluation chunk and a few per membership and
+        # pack block; 8 MB is one chunk for every batch here
+        n = 16 if mode == "sampled" else 6
+        c, _ = synth_exact_count(n, n // 2)
+        if case == "broken":
+            c = _output_to_input(c, 0)
+        base = [witness_count("exact", n, n // 2, [1, 0] * (n // 2)),
+                witness_count("exact", n, n // 2, [0] * (n // 2) + [1] * (n // 2))]
+        texts = []
+        for bound in (1 << 10, None, 1 << 23):
+            with monkeypatch.context() as patch:
+                if bound is not None:
+                    patch.setattr(circuit, "_CHUNK_BYTES", bound)
+                    patch.setattr(circuit, "_BLOCK_BYTES", bound)
+                r = check_soundness(c, ExactCount(n // 2), budget=0 if mode == "sampled"
+                                    else 1 << 20, seed=7, trials=(1 << 14) + 3000,
+                                    base_proofs=base)
+            texts.append(render_report(r))
+            assert r.mode == mode
+            assert r.passed == (case == "honest")
+            assert (r.dropped > 0) == (case == "broken")
+        assert texts[0] == texts[1] == texts[2]
+
+    @pytest.mark.parametrize("m", [0, 1, 63, 1263])
+    @pytest.mark.parametrize("words", [1, 3, 256])
+    def test_uniform_words_are_the_rng_bytes_stream(self, m, words):
+        got_rng, want_rng = (np.random.default_rng(m + words) for _ in range(2))
+        got = verify._uniform_words(got_rng, m, words)
+        want = np.frombuffer(want_rng.bytes(8 * m * words), "<u8").reshape(m, words)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        if m:  # rng.bytes(0) still draws one value
+            assert got_rng.bytes(64) == want_rng.bytes(64)
 
     def test_mutated_witnesses_stay_sound(self):
         c, _ = synth_threshold(16, 8)
