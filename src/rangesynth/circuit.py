@@ -186,11 +186,13 @@ class CircuitBuilder:
     One constructor per gate kind; each folds constant operands (an AND
     with 0 is that 0, an AND with 1 its other operand, and so on), which is
     always exact.  :meth:`gate` emits a gate as given, for the few callers
-    that need the gate itself.  :meth:`build` then merges structurally
-    equal gates and drops logic gates that no output reads
-    (:func:`_reduce`), so synthesizers need not share subcircuits
-    themselves.  CONST and NOT gates are still shared as they are emitted,
-    which keeps the gate arrays and the reduction small.
+    that need the gate itself.  :meth:`stamp` appends a small template once
+    per row of an array of wires, folding the same way, and :meth:`inputs`
+    a run of INPUT gates.  :meth:`build` then merges structurally equal
+    gates and drops logic gates that no output reads (:func:`_reduce`), so
+    synthesizers need not share subcircuits themselves.  CONST gates, and
+    the NOTs of :meth:`not_`, are still shared as they are emitted, which
+    keeps the gate arrays and the reduction small.
     """
 
     def __init__(self, num_inputs: int):
@@ -214,6 +216,20 @@ class CircuitBuilder:
         if not (0 <= index < self.num_inputs):
             raise StructureError(f"input index {index} out of range")
         return self.gate(INPUT, index)
+
+    def inputs(self, start: int, count: int) -> list[int]:
+        """INPUT gates for indexes ``start .. start + count - 1``, in order:
+        the gates ``[input(i) for i in range(start, start + count)]`` emits,
+        refusing the same first index, but nothing when it refuses."""
+        count = max(count, 0)
+        if count and not (0 <= start and start + count <= self.num_inputs):
+            bad = start if start < 0 else max(start, self.num_inputs)
+            raise StructureError(f"input index {bad} out of range")
+        gid = len(self.kinds)
+        self.kinds.frombytes(bytes([INPUT]) * count)
+        self.arg0.frombytes(np.arange(start, start + count, dtype=np.int64).tobytes())
+        self.arg1.frombytes(bytes(8 * count))
+        return list(range(gid, gid + count))
 
     def const(self, bit: int) -> int:
         bit = int(bit)
@@ -287,6 +303,103 @@ class CircuitBuilder:
     def xor_tree(self, wires: Sequence[int]) -> int:
         return self._tree(self.xor, list(wires) or [self.const(0)])
 
+    # -- blocks ------------------------------------------------------------
+
+    def stamp(self, template, leaves, which=None) -> np.ndarray:
+        """Append one copy of a template per row of ``leaves`` and return
+        each row's root wire.
+
+        A template is a tuple ``(gates, root)``.  Gate j of the tuple
+        ``gates`` is ``(kind, op0, op1)`` with kind NOT (op1 unused), AND or
+        OR; an op >= 0 names an earlier template gate and an op < 0 names
+        leaf column ``-1 - op``, and ``root`` is such an op.  ``leaves`` is
+        a (rows, k) array of existing wire ids.  With ``which``,
+        ``template`` is a sequence of templates and row r stamps
+        ``template[which[r]]``.
+
+        The rows' gates are appended in row order, each row's in template
+        order.  Constants fold in whole-array passes, one per template gate,
+        to exactly the wires :meth:`not_`, :meth:`and_` and :meth:`or_`
+        would return: a folded gate is not emitted and its readers get that
+        wire.  A constant the builder does not hold yet is emitted before
+        the block, CONST 0 before CONST 1, where the scalar constructors
+        would emit it at the row that first needs it.  NOTs are not looked
+        up in or added to the ones :meth:`not_` shares; :meth:`build` merges
+        each duplicate into its first occurrence.
+        """
+        leaves = np.asarray(leaves, dtype=np.int64)
+        if leaves.ndim != 2:
+            raise CircuitError(f"leaves must be (rows, k), got shape {leaves.shape}")
+        if leaves.size and not (0 <= leaves.min() and leaves.max() < len(self.kinds)):
+            raise StructureError("stamp leaves must be existing wires")
+        if which is None:
+            template, which = [template], np.zeros(len(leaves), dtype=np.intp)
+        which = np.asarray(which, dtype=np.intp)
+        if which.shape != (len(leaves),) or not np.isin(which, range(len(template))).all():
+            raise CircuitError("which needs one template index per row")
+        # each leaf's constant bit, or -1
+        const = np.frombuffer(self.kinds, dtype=np.int8)[leaves] == CONST
+        const = np.where(const, np.frombuffer(self.arg0, dtype=np.int64)[leaves], -1)
+        groups = []  # (rows, template columns, emit flags, wires) per template
+        counts = np.zeros(len(leaves), dtype=np.int64)  # gates each row emits
+        for i, t in enumerate(template):
+            rows = np.flatnonzero(which == i)
+            if len(rows):
+                cols = _template_columns(t, leaves.shape[1])
+                emit, wire = self._fold(*cols[:3], leaves[rows], const[rows])
+                groups.append((rows, cols, emit, wire))
+                counts[rows] = emit.sum(axis=1)
+        for v in (0, 1):  # the constants folded NOTs stand in for
+            marks = [wire == _FOLDED_CONST - v for *_, wire in groups]
+            if any(m.any() for m in marks):
+                c = self.const(v)
+                for (*_, wire), m in zip(groups, marks):
+                    wire[m] = c
+        start = np.cumsum(counts) - counts + len(self.kinds)
+        block = np.zeros((3, int(counts.sum())), dtype=np.int64)
+        roots = np.empty(len(leaves), dtype=np.int64)
+        for rows, (kinds, c0, c1, root), emit, wire in groups:
+            ids = start[rows, None] + np.cumsum(emit, axis=1) - 1
+            new = np.nonzero(wire < 0)  # operands and roots among the new gates
+            wire[new] = ids[new[0], -1 - wire[new]]
+            at = ids[emit] - len(self.kinds)
+            block[0, at] = np.broadcast_to(kinds, emit.shape)[emit]
+            block[1, at] = wire[:, c0][emit]
+            block[2, at] = np.where(kinds == NOT, 0, wire[:, c1])[emit]
+            roots[rows] = wire[:, root]
+        self.kinds.frombytes(block[0].astype(np.int8).tobytes())
+        self.arg0.frombytes(block[1].tobytes())
+        self.arg1.frombytes(block[2].tobytes())
+        return roots
+
+    def _fold(self, kinds, c0, c1, leaves, const):
+        """One template's gates over rows of leaves, before they have ids:
+        returns each (row, gate) cell's emit flag and the row's wires over
+        columns leaves + gates, where ``-1 - j`` stands for its gate j and
+        ``_FOLDED_CONST - v`` for a CONST v that a NOT folds to."""
+        k, own = leaves.shape[1], -1 - np.arange(len(kinds))
+        wire = np.concatenate([leaves, np.broadcast_to(own, (len(leaves), len(kinds)))],
+                              axis=1)
+        reads = np.concatenate([c0, c1])
+        if (const[:, reads[reads < k]] >= 0).any():
+            bit = np.concatenate([const, np.full((len(leaves), len(kinds)), -1)], axis=1)
+            rows = np.arange(len(leaves))
+            for j, (kind, a, b) in enumerate(zip(kinds.tolist(), c0.tolist(), c1.tolist())):
+                out = k + j
+                if kind == NOT:
+                    hit = np.flatnonzero(bit[:, a] >= 0)
+                    bit[hit, out] = 1 - bit[hit, a]
+                    wire[hit, out] = _FOLDED_CONST - bit[hit, out]
+                    continue
+                # and_/or_: a constant first operand decides, else the second;
+                # the unit (1 for AND, 0 for OR) passes the other operand
+                unit = int(kind == AND)
+                ca, cb = bit[:, a], bit[:, b]
+                pick = np.where(ca >= 0, np.where(ca == unit, b, a),
+                                np.where(cb >= 0, np.where(cb == unit, a, b), out))
+                wire[:, out], bit[:, out] = wire[rows, pick], bit[rows, pick]
+        return wire[:, k:] == own, wire
+
     def set_outputs(self, outputs: Sequence[int]):
         self.outputs = list(outputs)
 
@@ -324,6 +437,44 @@ class CircuitBuilder:
             self.kinds, self.arg0, self.arg1, self.outputs)
         return Circuit(self.num_inputs, kinds, arg0, arg1, outputs,
                        _validated=True)
+
+
+# Below every ``-1 - j`` of a template gate: _fold's stand-in for the id of
+# CONST 0, and one less for CONST 1, until stamp knows the builder holds them.
+_FOLDED_CONST = -(1 << 62)
+
+
+@lru_cache(maxsize=256)
+def _template_columns(template, k: int) -> tuple:
+    """A stamp template over k leaf columns as (kinds, op0 columns, op1
+    columns, root column) in the wire layout of ``CircuitBuilder._fold``:
+    leaf columns first, then gate j at column k + j."""
+    gates, root = template
+    kinds = np.array([g[0] for g in gates], dtype=np.int8)
+    ops = np.array([g[1:] for g in gates], dtype=np.int64).reshape(-1, 2)
+    ops[kinds == NOT, 1] = ops[kinds == NOT, 0]
+    ok = np.isin(kinds, (NOT, AND, OR))[:, None] & (-k <= ops) & (
+        ops < np.arange(len(gates))[:, None])
+    if not ok.all() or not -k <= root < len(gates):
+        raise StructureError("template gates must read earlier gates or leaf columns")
+    c0, c1 = np.where(ops >= 0, k + ops, -1 - ops).T
+    return kinds, c0, c1, k + root if root >= 0 else -1 - root
+
+
+@lru_cache(maxsize=None)
+def _xor_template(k: int, first: int = 0) -> tuple:
+    """Stamp template of the balanced XOR tree over leaf columns first ..
+    first + k - 1 (k >= 1), paired as ``CircuitBuilder._tree`` pairs them;
+    each XOR is ``or_(and_(a, not_(b)), and_(not_(a), b))``, in that order."""
+    gates = []
+
+    def xor(a, b):
+        gates.extend([(NOT, b, 0), (AND, a, len(gates)), (NOT, a, 0),
+                      (AND, len(gates) + 2, b), (OR, len(gates) + 1, len(gates) + 3)])
+        return len(gates) - 1
+
+    root = CircuitBuilder._tree(xor, [-1 - first - i for i in range(k)])
+    return tuple(gates), root
 
 
 def bits_for(k: int) -> int:
@@ -377,7 +528,7 @@ def _template(k: int, table: bytes) -> tuple:
     shared by the builder and the OR tree joins distinct implicants."""
     on = np.frombuffer(table, dtype=bool)
     b = CircuitBuilder(k)
-    wires = [b.input(i) for i in range(k)]
+    wires = b.inputs(0, k)
     ands: dict = {}
 
     def and_(a: int, c: int) -> int:

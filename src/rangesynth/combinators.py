@@ -43,12 +43,12 @@ def union(circuits) -> Circuit:
     k = len(circuits)
     sel_bits = bits_for(k)
     b = CircuitBuilder(sel_bits + sum(c.num_inputs for c in circuits))
-    sel = [b.input(i) for i in range(sel_bits)]  # MSB first; k or more picks the last
+    sel = b.inputs(0, sel_bits)  # MSB first; k or more picks the last
     ind = [lower_fields(b, [(sel, k)], lambda v, i=i: v == i) for i in range(k)]
     branch_outs = []
     off = sel_bits
     for c in circuits:
-        wires = [b.input(off + i) for i in range(c.num_inputs)]
+        wires = b.inputs(off, c.num_inputs)
         branch_outs.append(b.append_circuit(c, wires))
         off += c.num_inputs
     outs = [
@@ -72,12 +72,10 @@ def concat_finite(words, c: Circuit, side: str = "left") -> Circuit:
     s = len(words)
     sel_bits = bits_for(s)
     b = CircuitBuilder(sel_bits + c.num_inputs)
-    sel = [b.input(i) for i in range(sel_bits)]
+    sel = b.inputs(0, sel_bits)
     cols = np.array(words, dtype=np.uint8).T  # cols[j][v]: bit j of word v
     word_outs = [lower_fields(b, [(sel, s)], col.__getitem__) for col in cols]
-    inner = b.append_circuit(
-        c, [b.input(sel_bits + i) for i in range(c.num_inputs)]
-    )
+    inner = b.append_circuit(c, b.inputs(sel_bits, c.num_inputs))
     b.set_outputs(word_outs + inner if side == "left" else inner + word_outs)
     return b.build()
 
@@ -85,7 +83,7 @@ def concat_finite(words, c: Circuit, side: str = "left") -> Circuit:
 def reverse(c: Circuit) -> Circuit:
     """Range = reversed words of range(c)."""
     b = CircuitBuilder(c.num_inputs)
-    outs = b.append_circuit(c, [b.input(i) for i in range(c.num_inputs)])
+    outs = b.append_circuit(c, b.inputs(0, c.num_inputs))
     b.set_outputs(outs[::-1])
     return b.build()
 
@@ -96,7 +94,7 @@ def morphism(h0, h1, c: Circuit) -> Circuit:
     if len(h0) != len(h1) or not h0:
         raise LanguageError("morphism images must share a positive length")
     b = CircuitBuilder(c.num_inputs)
-    inner = b.append_circuit(c, [b.input(i) for i in range(c.num_inputs)])
+    inner = b.append_circuit(c, b.inputs(0, c.num_inputs))
     outs = []
     for o in inner:
         for bit0, bit1 in zip(h0, h1):
@@ -130,10 +128,10 @@ def inverse_morphism(h0, h1, c: Circuit) -> Circuit:
     blocks = n_out // k
     ambiguous = h0 == h1
     b = CircuitBuilder(c.num_inputs + (blocks if ambiguous else 0))
-    inner = b.append_circuit(c, [b.input(i) for i in range(c.num_inputs)])
+    inner = b.append_circuit(c, b.inputs(0, c.num_inputs))
     outs = []
     if ambiguous:
-        outs = [b.input(c.num_inputs + j) for j in range(blocks)]
+        outs = b.inputs(c.num_inputs, blocks)
     else:
         d = next(i for i in range(k) if h0[i] != h1[i])
         for j in range(blocks):
@@ -151,7 +149,7 @@ def upclose(c: Circuit) -> Circuit:
     """
     n = len(c.outputs)
     b = CircuitBuilder(c.num_inputs + n)
-    inner = b.append_circuit(c, [b.input(i) for i in range(c.num_inputs)])
+    inner = b.append_circuit(c, b.inputs(0, c.num_inputs))
     b.set_outputs([
         b.gate(OR, o, b.input(c.num_inputs + i)) for i, o in enumerate(inner)
     ])
@@ -170,7 +168,7 @@ def finite_language(words) -> Circuit:
     s = len(words)
     sel_bits = bits_for(s)
     b = CircuitBuilder(sel_bits)
-    sel = [b.input(i) for i in range(sel_bits)]
+    sel = b.inputs(0, sel_bits)
     cols = np.array(words, dtype=np.uint8).T  # cols[j][v]: bit j of word v
     b.set_outputs([lower_fields(b, [(sel, s)], col.__getitem__) for col in cols])
     return b.build()

@@ -175,7 +175,7 @@ def _build(kind: str, n: int, t: int):
         plan.lo, plan.hi, plan.parent, plan.right, plan.offset, plan.bits))
 
     b = CircuitBuilder(plan.m)
-    word = [b.input(i) for i in range(n)]
+    word = b.inputs(0, n)
 
     def clamped_label(u: int):
         if parent[u] < 0:

@@ -15,7 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import MAX_INPUTS, Circuit, CircuitBuilder, _as_bits
+from .circuit import (AND, MAX_INPUTS, NOT, OR, Circuit, CircuitBuilder, _as_bits,
+                      _xor_template)
 from .languages import EncodingError, _as_matrix, _bfs_dist
 from .regular import WitnessError
 
@@ -112,18 +113,35 @@ def _check_size(kind: str, n: int):
                             f"bits, more than the {MAX_INPUTS} a circuit takes")
 
 
+# Stamp templates of an edge's XOR over its row of ``_basis``'s incidence,
+# by arity: a row's k coefficients sit in its last k columns.
+_EDGE_XOR = [_xor_template(k, 5 - k) for k in range(1, 6)]
+
+
+def _edge_rows(coeff: list, zero: int, incidence: np.ndarray) -> tuple:
+    """Each pair's incidence row as wires, its padding as the zero wire,
+    and the index of its template in ``_EDGE_XOR``.  An empty row (uSTConn's
+    one pair at n = 2) takes the one-leaf template, over its zero padding."""
+    arity = (incidence >= 0).sum(axis=1)
+    return np.array(coeff + [zero])[incidence], np.maximum(arity, 1) - 1
+
+
+def _symmetric(n: int, pairs, edges, zero: int) -> list:
+    """Outputs of the symmetric zero-diagonal matrix with these pair wires."""
+    out = np.full((n, n), zero)
+    out[pairs] = out.T[pairs] = edges
+    return out.reshape(-1).tolist()
+
+
 def synth_cycles(n: int) -> Circuit:
     """Inputs: one coefficient per basis triangle; output: their GF(2) sum."""
     _check_size("cycles", n)
     tris, pairs, incidence, _, _ = _basis(n)
     b = CircuitBuilder(len(tris))
-    coeff = [b.input(i) for i in range(len(tris))]
+    coeff = b.inputs(0, len(tris))
     zero = b.const(0)
-    edges = [b.xor_tree([coeff[i] for i in row if i >= 0])
-             for row in incidence.tolist()]
-    out = np.full((n, n), zero)
-    out[pairs] = out.T[pairs] = edges
-    b.set_outputs(out.reshape(-1).tolist())
+    edges = b.stamp(_EDGE_XOR, *_edge_rows(coeff, zero, incidence))
+    b.set_outputs(_symmetric(n, pairs, edges, zero))
     return b.build()
 
 
@@ -177,39 +195,47 @@ def _sweep(m: np.ndarray, trace: list | None = None) -> np.ndarray:
 # uSTConn and UnReach
 
 
+def _or_mask(template, negate: bool) -> tuple:
+    """A template's root, negated if asked, ORed with leaf column 5."""
+    gates, root = template
+    if negate:
+        gates, root = gates + ((NOT, root, 0),), len(gates)
+    return gates + ((OR, root, -6),), len(gates)
+
+
+# uSTConn's edge templates: _EDGE_XOR's, then the same complemented
+_MASKED_XOR = [_or_mask(t, negate) for negate in (False, True) for t in _EDGE_XOR]
+
+
 def synth_ustconn(n: int) -> Circuit:
     """Inputs: cycles coefficients then one mask bit per unordered pair."""
     _check_size("ustconn", n)
     tris, pairs, incidence, _, _ = _basis(n)
     k = len(tris)
     b = CircuitBuilder(k + len(incidence))
-    coeff = [b.input(i) for i in range(k)]
-    mask = [b.input(k + p) for p in range(len(incidence))]
+    coeff = b.inputs(0, k)
+    mask = b.inputs(k, len(incidence))
     zero = b.const(0)
-    edges = []
-    for p, row in enumerate(incidence.tolist()):
-        cyc = b.xor_tree([coeff[i] for i in row if i >= 0])
-        if p == n - 2:  # the pair (1, n), last of the first row
-            cyc = b.not_(cyc)
-        edges.append(b.or_(cyc, mask[p]))
-    out = np.full((n, n), zero)
-    out[pairs] = out.T[pairs] = edges
-    b.set_outputs(out.reshape(-1).tolist())
+    rows, which = _edge_rows(coeff, zero, incidence)
+    which[n - 2] += len(_EDGE_XOR)  # the pair (1, n), last of the first row
+    edges = b.stamp(_MASKED_XOR, np.column_stack([rows, mask]), which)
+    b.set_outputs(_symmetric(n, pairs, edges, zero))
     return b.build()
+
+
+# an UnReach output over leaf columns (X[i], X[j], A[i][j]):
+# and_(A[i][j], not_(and_(X[i], not_(X[j]))))
+_CUT_GATE = (((NOT, -2, 0), (AND, -1, 0), (NOT, 1, 0), (AND, -3, 2)), 3)
 
 
 def synth_unreach(n: int) -> Circuit:
     """Inputs: n^2 adjacency bits then cut bits X_2..X_{n-1}; s=1, t=n."""
     _check_size("unreach", n)
     b = CircuitBuilder(n * n + n - 2)
-    A = [[b.input(i * n + j) for j in range(n)] for i in range(n)]
-    X = [b.const(1)] + [b.input(n * n + i) for i in range(n - 2)] + [b.const(0)]
-    outs = []
-    for i in range(n):
-        for j in range(n):
-            cut = b.and_(X[i], b.not_(X[j]))
-            outs.append(b.and_(A[i][j], b.not_(cut)))
-    b.set_outputs(outs)
+    A = b.inputs(0, n * n)
+    X = np.array([b.const(1)] + b.inputs(n * n, n - 2) + [b.const(0)])
+    i, j = np.divmod(np.arange(n * n), n)
+    b.set_outputs(b.stamp(_CUT_GATE, np.column_stack([X[i], X[j], A])).tolist())
     return b.build()
 
 

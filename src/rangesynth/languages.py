@@ -455,20 +455,53 @@ def _packed_decider(spec, n: int):
     return partial(_walk, start, steps, accept), temp_rows
 
 
+# Widest slices _minimal reduces: its table of every word takes 2^n bytes,
+# twice, and the default enumeration budget walks no wider space.
+_DENSE_BITS = 24
+
+
 def _upclose_decider(members: np.ndarray) -> tuple:
     """``(decide, temp_rows)`` of the upward closure of the (K, n) members:
     a word is accepted when some member's ones are all ones of the word.
 
     Each member ANDs the rows of Q at its ones; the words OR over members.
     A member with no ones accepts every word; an empty slice accepts none.
+    Up to ``_DENSE_BITS`` bits, a slice whose members hold at least 2^n / 64
+    bits is first reduced to its minimal members (:func:`_minimal`), whose
+    table passes then cost about what one enumeration of the slice did;
+    sparser slices are gathered as they are.
     """
     if not len(members):
         return _reject_all, 1
     if not members.any(axis=1).all():
         return (lambda Q: np.full(Q.shape[1], _ALL_ONES)), 1
+    n = members.shape[1]
+    if n <= _DENSE_BITS and 64 * members.size >= 1 << n:
+        members = _minimal(members)
     cand, col = np.nonzero(members)
     starts = np.searchsorted(cand, np.arange(len(members)))
     return partial(_dominates, col, starts), len(col) + len(starts)
+
+
+def _minimal(members: np.ndarray) -> np.ndarray:
+    """The members, each with a one, that lie above no other member, in
+    their order: two passes per bit over a table of every word mark the
+    words some member lies below or at, then those with such a word one bit
+    below."""
+    weight = members.sum(axis=1)
+    if weight.min() == weight.max():  # none lies above another
+        return members
+    n = members.shape[1]
+    key = np.packbits(members, axis=1, bitorder="little") @ (
+        1 << 8 * np.arange(-(-n // 8), dtype=np.int64))
+    up, above = np.zeros((2, 1 << n), dtype=bool)
+    up[key] = True
+    for i in range(n):
+        u = up.reshape(-1, 2, 1 << i)
+        u[:, 1] |= u[:, 0]
+    for i in range(n):
+        above.reshape(-1, 2, 1 << i)[:, 1] |= up.reshape(-1, 2, 1 << i)[:, 0]
+    return members[~above[key]]
 
 
 def _reject_all(Q: np.ndarray) -> np.ndarray:

@@ -190,8 +190,8 @@ def pad_verifier(v: VerifierCircuit, n: int) -> VerifierCircuit:
             f"padded length {n} must be core length {v.num_x} plus 2"
         )
     b = CircuitBuilder(n + v.num_y)
-    xs = [b.input(i) for i in range(n)]
-    ys = [b.input(n + i) for i in range(v.num_y)]
+    xs = b.inputs(0, n)
+    ys = b.inputs(n, v.num_y)
     core = b.append_circuit(v.circuit, xs[1 : n - 1] + ys)[0]
     framed = b.and_tree([xs[0], b.not_(xs[-1]), core])
     all0 = b.and_tree([b.not_(x) for x in xs])

@@ -326,10 +326,10 @@ def _synth(bp: LayeredBp):
     lo, hi, right = (a.tolist() for a in (plan.lo, plan.hi, plan.right))
 
     b = CircuitBuilder(layout.m)
-    word = [b.input(i) for i in range(n)]  # a_1..a_n in variable order
+    word = b.inputs(0, n)  # a_1..a_n in variable order
     pq = []  # each node's (p wires, q wires)
     for _, _, off, pb, qb in layout.labels:
-        ws = [b.input(off + i) for i in range(pb + qb)]
+        ws = b.inputs(off, pb + qb)
         pq.append((ws[:pb], ws[pb:]))
 
     def label_table(u: int, fn):

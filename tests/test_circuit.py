@@ -208,6 +208,169 @@ class TestFolding:
         assert len(b.kinds) == gates + 1
 
 
+@st.composite
+def stamp_cases(draw):
+    """A builder recipe and one to three random NOT/AND/OR templates over k
+    leaf columns, with rows of leaves drawn from its wires: inputs, both
+    CONST ids and a few logic gates, one of them a NOT.  Each CONST is the
+    builder's shared ``const()`` or, so that the stamp may have to make it,
+    a raw ``gate(CONST, v)``."""
+    m, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    shared = draw(st.tuples(st.booleans(), st.booleans()))
+    templates = []
+    for _ in range(draw(st.integers(1, 3))):
+        gates = []
+        for j in range(draw(st.integers(0, 8))):
+            kind = draw(st.sampled_from([NOT, AND, OR]))
+            ops = [draw(st.integers(-k, j - 1)) for _ in range(2)]
+            gates.append((kind, ops[0], 0 if kind == NOT else ops[1]))
+        templates.append((tuple(gates), draw(st.integers(-k, len(gates) - 1))))
+    rows = draw(st.integers(0, 6))
+    # wires: m inputs, CONST 0, CONST 1, NOT input 0, AND of inputs 0 and m-1
+    leaves = draw(st.lists(st.lists(st.integers(0, m + 3), min_size=k, max_size=k),
+                           min_size=rows, max_size=rows))
+    which = draw(st.lists(st.integers(0, len(templates) - 1), min_size=rows,
+                          max_size=rows))
+    return (m, shared), templates, np.array(leaves, dtype=np.int64).reshape(rows, k), which
+
+
+def _stamp_builder(m) -> CircuitBuilder:
+    """m inputs, CONST 0, CONST 1, NOT input 0, AND of inputs 0 and m-1;
+    with ``m = (m, shared)``, CONST v is a raw gate unless ``shared[v]``."""
+    m, shared = m if isinstance(m, tuple) else (m, (True, True))
+    b = CircuitBuilder(m)
+    b.inputs(0, m)
+    for v in (0, 1):
+        b.const(v) if shared[v] else b.gate(CONST, v)
+    b.not_(0)
+    b.and_(0, m - 1)
+    return b
+
+
+def _scalar_row(b: CircuitBuilder, template, row) -> int:
+    """One template row through the scalar constructors."""
+    gates, root = template
+    wires = []
+
+    def wire(op):
+        return wires[op] if op >= 0 else int(row[-1 - op])
+
+    for kind, a, c in gates:
+        if kind == NOT:
+            wires.append(b.not_(wire(a)))
+        else:
+            wires.append((b.and_ if kind == AND else b.or_)(wire(a), wire(c)))
+    return wire(root)
+
+
+class TestStamp:
+    """``stamp`` builds what the scalar constructors build row by row."""
+
+    @given(stamp_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_rows(self, case):
+        m, templates, leaves, which = case
+        stamped, scalar, trial = _stamp_builder(m), _stamp_builder(m), _stamp_builder(m)
+        first = len(stamped.kinds)
+        roots = stamped.stamp(templates, leaves, which).tolist()
+        # the constants the rows make come first in the stamp, CONST 0 first
+        for t, row in zip(which, leaves):
+            _scalar_row(trial, templates[t], row)
+        made = sorted(trial._const_ids.keys() - scalar._const_ids.keys())
+        assert [(stamped.kinds[g], stamped.arg0[g])
+                for g in range(first, first + len(made))] == [(CONST, v) for v in made]
+        for v in made:
+            scalar.const(v)
+        want = [_scalar_row(scalar, templates[t], row) for t, row in zip(which, leaves)]
+        # the builders' NOTs of input 0 differ in sharing, not after build
+        for b, outs in ((stamped, roots), (scalar, want)):
+            b.set_outputs(outs + [b.not_(0)])
+        assert stamped.build() == scalar.build()
+        for root, w in zip(roots, want):  # folded rows name the same wire
+            if scalar.kinds[w] < NOT:
+                assert root == w
+
+    def test_one_template(self):
+        b = _stamp_builder(2)
+        xor = ((NOT, -2, 0), (AND, -1, 0), (NOT, -1, 0), (AND, 2, -2), (OR, 1, 3)), 4
+        roots = b.stamp(xor, [[0, 1], [1, 0], [0, 2], [3, 1]])  # 2, 3: CONST 0, 1
+        assert roots[2] == 0  # x XOR 0 folds to x
+        b.set_outputs(roots.tolist())
+        X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
+        x, y = X.T
+        assert eval_batch(b.build(), X).tolist() == np.stack(
+            [x ^ y, x ^ y, x, 1 - y], axis=1).tolist()
+
+    def test_rows_in_row_order(self):
+        b = CircuitBuilder(3)
+        b.inputs(0, 3)
+        first = len(b.kinds)
+        roots = b.stamp((((NOT, -1, 0), (AND, 0, -2)), 1), [[0, 1], [2, 0]])
+        assert roots.tolist() == [first + 1, first + 3]
+        assert list(b.kinds[first:]) == [NOT, AND, NOT, AND]
+        assert list(b.arg0[first:]) == [0, first, 2, first + 2]
+        assert list(b.arg1[first:]) == [0, 1, 0, 0]
+
+    def test_empty_and_identity(self):
+        b = CircuitBuilder(2)
+        x = b.inputs(0, 2)
+        assert b.stamp(((), -2), [x, x[::-1]]).tolist() == [1, 0]
+        assert b.stamp((((NOT, -1, 0),), 0), np.zeros((0, 1), dtype=np.int64)).size == 0
+        assert len(b.kinds) == 2
+
+    def test_missing_constant_comes_first(self):
+        b = CircuitBuilder(1)
+        x, zero = b.input(0), b.const(0)
+        roots = b.stamp((((NOT, -1, 0), (AND, 0, -2)), 1), [[zero, x]])
+        assert roots.tolist() == [x]
+        assert b.kinds[2] == CONST and b.arg0[2] == 1 and len(b.kinds) == 3
+
+    @pytest.mark.parametrize("template, leaves", [
+        ((((NOT, 0, 0),), 0), [[0]]),  # reads itself
+        ((((AND, -1, -3),), 0), [[0, 0]]),  # leaf column 2 of 2
+        ((((NOT, -1, 0),), 1), [[0]]),  # root past the gates
+        ((((INPUT, 0, 0),), 0), [[0]]),  # not a logic gate
+        ((((NOT, -1, 0),), 0), [[5]]),  # leaf is no wire
+        ((((NOT, -1, 0),), 0), [[-1]]),
+    ])
+    def test_refuses(self, template, leaves):
+        b = CircuitBuilder(1)
+        b.input(0)
+        with pytest.raises(StructureError):
+            b.stamp(template, leaves)
+        assert len(b.kinds) == 1
+
+    @pytest.mark.parametrize("which", [[0], [0, 2], [-1, 0], [[0, 1]]])
+    def test_refuses_which(self, which):
+        """One template index per row of two, each naming one of two templates."""
+        b = CircuitBuilder(1)
+        b.input(0)
+        with pytest.raises(CircuitError, match="which"):
+            b.stamp([((), -1), ((), -1)], [[0], [0]], which)
+        assert len(b.kinds) == 1
+
+
+class TestInputs:
+    @pytest.mark.parametrize("start, count", [(0, 0), (0, 5), (2, 3), (4, 1), (9, 0)])
+    def test_same_gates_as_input_calls(self, start, count):
+        blocks, singles = CircuitBuilder(5), CircuitBuilder(5)
+        blocks.const(1), singles.const(1)
+        assert blocks.inputs(start, count) == [singles.input(i)
+                                                for i in range(start, start + count)]
+        assert (blocks.kinds, blocks.arg0, blocks.arg1) == (
+            singles.kinds, singles.arg0, singles.arg1)
+
+    @pytest.mark.parametrize("start, count", [(-1, 2), (4, 2), (5, 1), (7, 3), (-3, 9)])
+    def test_refuses_as_input_does(self, start, count):
+        b = CircuitBuilder(5)
+        with pytest.raises(StructureError) as block:
+            b.inputs(start, count)
+        assert len(b.kinds) == 0
+        with pytest.raises(StructureError) as single:
+            [b.input(i) for i in range(start, start + count)]
+        assert str(block.value) == str(single.value)
+
+
 class TestSerialization:
     def test_empty_circuit_two_lines(self):
         b = CircuitBuilder(0)

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from rangesynth.circuit import cone_sizes, eval_circuit
+from rangesynth.circuit import CONST, CircuitBuilder, cone_sizes, eval_circuit, serialize
 from rangesynth.graphs import (
     decompose_cycles,
     synth_cycles,
@@ -16,7 +16,10 @@ from rangesynth.graphs import (
 )
 from rangesynth.languages import Cycles, EncodingError, UnReach, USTConn, member
 from rangesynth.regular import WitnessError
+from tests import graph_reference
 from tests.conftest import directed_words, exact_range, undirected_words
+
+SYNTH = {"cycles": synth_cycles, "ustconn": synth_ustconn, "unreach": synth_unreach}
 
 
 class TestTriangleBasis:
@@ -231,8 +234,7 @@ def test_unreach_reachable_rejected():
 ])
 def test_size_no_system_is_built_for_rejected(kind, n):
     """Synthesis and witnesses refuse the same sizes, with one message."""
-    synth = {"cycles": synth_cycles, "ustconn": synth_ustconn,
-             "unreach": synth_unreach}[kind]
+    synth = SYNTH[kind]
     with pytest.raises(EncodingError, match=f"{kind} needs n >= "):
         synth(n)
     with pytest.raises(EncodingError, match=f"{kind} needs n >= "):
@@ -249,3 +251,38 @@ def test_smallest_size_witnesses(kind, word):
 def test_unknown_kind_rejected():
     with pytest.raises(EncodingError, match="unknown graph kind"):
         witness_graph("paths", "0110")
+
+
+# ---------------------------------------------------------------------------
+# block emission: the stamped synthesizers against the per-gate ones
+
+
+@pytest.mark.parametrize("kind,n", [(kind, n) for kind in SYNTH for n in [
+    *range(3 if kind == "cycles" else 2, 13), 20, 40]])
+def test_serialize_matches_per_gate_reference(kind, n):
+    want = getattr(graph_reference, f"synth_{kind}")(n)
+    assert serialize(SYNTH[kind](n)) == serialize(want)
+
+
+@pytest.mark.parametrize("kind", list(SYNTH))
+def test_no_per_gate_emission(kind, monkeypatch):
+    """Each family is stamped in blocks: no scalar gate constructor runs
+    (``const()`` appends its shared CONST through ``gate``, which is not
+    counted)."""
+    calls = []
+    for name in ("gate", "input", "not_", "and_", "or_", "xor"):
+        scalar = getattr(CircuitBuilder, name)
+
+        def counted(self, *args, _name=name, _scalar=scalar):
+            if not (_name == "gate" and args[0] == CONST):
+                calls.append(_name)
+            return _scalar(self, *args)
+
+        monkeypatch.setattr(CircuitBuilder, name, counted)
+    synth_ustconn(5)  # the counters do count
+    assert "not_" not in calls and "gate" not in calls
+    graph_reference.synth_ustconn(5)
+    assert {"gate", "input", "not_", "and_", "or_", "xor"} <= set(calls)
+    calls.clear()
+    SYNTH[kind](20)
+    assert calls == []

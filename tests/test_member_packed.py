@@ -319,6 +319,60 @@ def test_upclose_pools_have_members_and_non_members(n):
     assert not cases[5][1].any() and cases[6][1].all()
 
 
+def _random_inner(rng, n):
+    """A threshold, exact count or random 1-4 state DFA spec for length n."""
+    pick = rng.integers(3)
+    if pick < 2:
+        return (Threshold, ExactCount)[pick](int(rng.integers(0, n + 2)))
+    w = int(rng.integers(1, 5))
+    delta = tuple(tuple(int(q) for q in rng.integers(0, w, 2)) for _ in range(w))
+    finals = frozenset(np.flatnonzero(rng.random(w) < 0.5).tolist())
+    return Regular(Dfa(w, 0, finals, delta))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_minimal_members(seed):
+    """The members no other member lies below, against all pairs."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 11))
+    words = (rng.random((int(rng.integers(2, 200)), n)) < rng.random()).astype(np.uint8)
+    words[0] = 1  # at least one member
+    members = words[words.any(axis=1)]
+    members = members[np.sort(np.unique(members, axis=0, return_index=True)[1])]
+    below = (members[:, None, :] <= members[None, :, :]).all(axis=2)  # [j, i]: j below i
+    np.fill_diagonal(below, False)
+    want = members[~below.any(axis=0)]
+    assert np.array_equal(languages._minimal(members), want)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_upclose_random_inner(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 13))
+    spec = Combined("upclose", (_random_inner(rng, n),))
+    pool = (rng.random((256, n)) < rng.random((256, 1))).astype(np.uint8)
+    truth = np.array([bool(member(spec, w)) for w in pool])
+    _check(spec, pool, truth, 256, seed)
+
+
+def test_upclose_reads_minimal_members_only():
+    """upclose(Th_t) gathers its C(n, t) minimal words, not all members."""
+    for t, n, minimal in [(1, 16, 16), (2, 12, 66), (3, 9, 84)]:
+        _, temp_rows = languages._packed_decider(Combined("upclose", (Threshold(t),)), n)
+        assert temp_rows == minimal * (t + 1)
+
+
+def test_upclose_gathers_a_sparse_slice_as_it_is(monkeypatch):
+    """upclose(Th_{n-1}) at n = 20 has 21 members, too few for the 2^20-word
+    table: all 21 are gathered, at 19 or 20 rows each plus a segment start."""
+    def no_table(members):
+        raise AssertionError("_minimal called")
+
+    monkeypatch.setattr(languages, "_minimal", no_table)
+    _, temp_rows = languages._packed_decider(Combined("upclose", (Threshold(19),)), 20)
+    assert temp_rows == 20 * 19 + 20 + 21
+
+
 # ---------------------------------------------------------------------------
 # NP and combinator specs: one member call per distinct word
 
