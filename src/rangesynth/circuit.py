@@ -312,10 +312,13 @@ class CircuitBuilder:
         A template is a tuple ``(gates, root)``.  Gate j of the tuple
         ``gates`` is ``(kind, op0, op1)`` with kind NOT (op1 unused), AND or
         OR; an op >= 0 names an earlier template gate and an op < 0 names
-        leaf column ``-1 - op``, and ``root`` is such an op.  ``leaves`` is
-        a (rows, k) array of existing wire ids.  With ``which``,
-        ``template`` is a sequence of templates and row r stamps
-        ``template[which[r]]``.
+        leaf column ``-1 - op``, and ``root`` is such an op, or a tuple of
+        them for a template with several roots, when stamp returns a (rows,
+        r) array.  ``leaves`` is a (rows, k) array of existing wire ids.
+        With ``which``, ``template`` is a sequence of templates, all with
+        one root or all with a tuple of roots, and row r stamps
+        ``template[which[r]]``; a row whose template has fewer roots than
+        the most any has is padded with -1.
 
         The rows' gates are appended in row order, each row's in template
         order.  Constants fold in whole-array passes, one per template gate,
@@ -335,8 +338,11 @@ class CircuitBuilder:
         if which is None:
             template, which = [template], np.zeros(len(leaves), dtype=np.intp)
         which = np.asarray(which, dtype=np.intp)
-        if which.shape != (len(leaves),) or not np.isin(which, range(len(template))).all():
+        if which.shape != (len(leaves),) or len(which) and not (
+                0 <= which.min() and which.max() < len(template)):
             raise CircuitError("which needs one template index per row")
+        if len({isinstance(t[1], tuple) for t in template}) > 1:
+            raise CircuitError("templates in one stamp need one root each or a tuple each")
         # each leaf's constant bit, or -1
         const = np.frombuffer(self.kinds, dtype=np.int8)[leaves] == CONST
         const = np.where(const, np.frombuffer(self.arg0, dtype=np.int64)[leaves], -1)
@@ -357,16 +363,21 @@ class CircuitBuilder:
                     wire[m] = c
         start = np.cumsum(counts) - counts + len(self.kinds)
         block = np.zeros((3, int(counts.sum())), dtype=np.int64)
-        roots = np.empty(len(leaves), dtype=np.int64)
+        shape = max((np.shape(t[1]) for t in template), default=())
+        roots = np.full((len(leaves),) + shape, -1, dtype=np.int64)
         for rows, (kinds, c0, c1, root), emit, wire in groups:
             ids = start[rows, None] + np.cumsum(emit, axis=1) - 1
             new = np.nonzero(wire < 0)  # operands and roots among the new gates
             wire[new] = ids[new[0], -1 - wire[new]]
-            at = ids[emit] - len(self.kinds)
-            block[0, at] = np.broadcast_to(kinds, emit.shape)[emit]
-            block[1, at] = wire[:, c0][emit]
-            block[2, at] = np.where(kinds == NOT, 0, wire[:, c1])[emit]
-            roots[rows] = wire[:, root]
+            r, j = np.nonzero(emit)
+            at = ids[r, j] - len(self.kinds)
+            block[0, at] = kinds[j]
+            block[1, at] = wire[r, c0[j]]
+            block[2, at] = np.where(kinds[j] == NOT, 0, wire[r, c1[j]])
+            if roots.ndim == 1:
+                roots[rows] = wire[:, root]
+            else:
+                roots[rows, :root.size] = wire[:, root]
         self.kinds.frombytes(block[0].astype(np.int8).tobytes())
         self.arg0.frombytes(block[1].tobytes())
         self.arg1.frombytes(block[2].tobytes())
@@ -447,18 +458,20 @@ _FOLDED_CONST = -(1 << 62)
 @lru_cache(maxsize=256)
 def _template_columns(template, k: int) -> tuple:
     """A stamp template over k leaf columns as (kinds, op0 columns, op1
-    columns, root column) in the wire layout of ``CircuitBuilder._fold``:
-    leaf columns first, then gate j at column k + j."""
+    columns, root column or columns) in the wire layout of
+    ``CircuitBuilder._fold``: leaf columns first, then gate j at column
+    k + j."""
     gates, root = template
+    root = np.array(root, dtype=np.int64)
     kinds = np.array([g[0] for g in gates], dtype=np.int8)
     ops = np.array([g[1:] for g in gates], dtype=np.int64).reshape(-1, 2)
     ops[kinds == NOT, 1] = ops[kinds == NOT, 0]
     ok = np.isin(kinds, (NOT, AND, OR))[:, None] & (-k <= ops) & (
         ops < np.arange(len(gates))[:, None])
-    if not ok.all() or not -k <= root < len(gates):
+    if not ok.all() or not ((-k <= root) & (root < len(gates))).all():
         raise StructureError("template gates must read earlier gates or leaf columns")
     c0, c1 = np.where(ops >= 0, k + ops, -1 - ops).T
-    return kinds, c0, c1, k + root if root >= 0 else -1 - root
+    return kinds, c0, c1, np.where(root >= 0, k + root, -1 - root)
 
 
 @lru_cache(maxsize=None)

@@ -8,17 +8,24 @@ sum.  An inconsistent path patches with all ones (threshold) or with
 1^l 0^* from the topmost inconsistent node's label l (exact count).
 
 Carry-lookahead arithmetic over doubling-table range-ANDs keeps the depth
-logarithmic in the label width, hence O(log log n).
+logarithmic in the label width, hence O(log log n).  Exact count's patch
+reads one thermometer per node, the wires [l >= j] for every j, built by
+splitting l into a high and a low half: O(|u|) AND/OR gates for node u and
+depth +2 per halving.  The gadgets (clamp, children's sum with the consistency
+check, thermometer) are written once, gate by gate; each distinct shape is
+recorded as a :meth:`CircuitBuilder.stamp` template, and every node of that
+shape is one row of a stamp.  The root, whose label is the constant t, runs
+the gadget code on the builder itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .circuit import CircuitBuilder, _as_bits, bits_for
+from .circuit import NOT, CircuitBuilder, _as_bits, bits_for
 from .intervals import PLAN_CACHE, Plan, chain_ands, patched_outputs
 from .languages import LanguageError
 from .regular import WitnessError
@@ -156,9 +163,76 @@ def _clamp(b: CircuitBuilder, xs, cap: int):
     ]
 
 
-def _ge_const(b: CircuitBuilder, xs, k: int) -> int:
-    """xs >= k for a constant k."""
-    return _leq(b, _const_bits(b, k, max(len(xs), k.bit_length())), xs)
+def _thermometer(b: CircuitBuilder, xs) -> list:
+    """[x >= j] for j = 1 .. 2^w - 1, the w-bit number x being xs: x splits
+    into its low w // 2 bits l and the rest h, and [x >= j] is [h >= j_h]
+    when j's low part j_l is 0, else [h > j_h] OR ([h >= j_h] AND
+    [l >= j_l])."""
+    if len(xs) == 1:
+        return list(xs)
+    cut = len(xs) // 2
+    low, high = _thermometer(b, xs[:cut]), _thermometer(b, xs[cut:])
+    ge = [b.const(1)] + high + [b.const(0)]  # ge[c] = [h >= c], c = 0 .. 2^(w - cut)
+    mask = (1 << cut) - 1
+    return [ge[j >> cut] if j & mask == 0
+            else b.or_(ge[(j >> cut) + 1], b.and_(ge[j >> cut], low[(j & mask) - 1]))
+            for j in range(1, 1 << len(xs))]
+
+
+# ---------------------------------------------------------------------------
+# the gadgets as stamp templates
+
+
+def _record(k: int, gadget) -> tuple:
+    """The stamp template of ``gadget(b, wires)`` over k wires, run once on a
+    fresh builder: leaf columns 0 and 1 are CONST 0 and CONST 1, columns
+    2 .. k + 1 the wires and columns k + 2 .. 2k + 1 their NOTs, which the
+    caller takes from :meth:`CircuitBuilder.not_` so that they stay shared.
+    A gadget that returns a list of wires gives a template with a tuple of
+    roots."""
+    b = CircuitBuilder(k)
+    b.const(0), b.const(1)
+    wires = b.inputs(0, k)
+    for w in wires:
+        b.not_(w)
+    out = gadget(b, wires)
+    first = 2 * k + 2
+
+    def op(g: int) -> int:
+        return g - first if g >= first else -1 - g
+
+    gates = tuple((kind, op(a), 0 if kind == NOT else op(c))
+                  for kind, a, c in zip(b.kinds[first:], b.arg0[first:], b.arg1[first:]))
+    return gates, tuple(map(op, out)) if isinstance(out, list) else op(out)
+
+
+@lru_cache(maxsize=256)
+def _clamp_template(stride: int, w: int, cap: int) -> tuple:
+    """A w-bit label clamped to cap, read from the first of ``stride`` wires."""
+    return _record(stride, lambda b, xs: _clamp(b, xs[:w], cap))
+
+
+@lru_cache(maxsize=256)
+def _cons_template(kind: str, stride: int, w: int, left: int, right: int) -> tuple:
+    """A w-bit label against the sum of its children's, the three read from
+    blocks of ``stride`` wires."""
+    rel = _leq if kind == "threshold" else _eq
+    return _record(3 * stride, lambda b, x: rel(
+        b, x[:w], _add(b, x[stride:stride + left], x[2 * stride:2 * stride + right])))
+
+
+@lru_cache(maxsize=64)
+def _thermometer_template(w: int) -> tuple:
+    return _record(w, _thermometer)
+
+
+def _stamp_by_key(b: CircuitBuilder, template, keys, leaves) -> np.ndarray:
+    """Stamp row r of ``leaves`` with ``template(*keys[r])``, all rows in one
+    call and in order; keys are rows of nonnegative ints."""
+    dims = tuple(keys.max(axis=0) + 1)
+    distinct, which = np.unique(np.ravel_multi_index(keys.T, dims), return_inverse=True)
+    return b.stamp([template(*key) for key in zip(*np.unravel_index(distinct, dims))],
+                   leaves, which)
 
 
 # ---------------------------------------------------------------------------
@@ -171,34 +245,60 @@ def _build(kind: str, n: int, t: int):
     slotted = plan.bits > 0
     layout = CountLayout(n=n, m=plan.m, counts=list(zip(*(
         a[slotted].tolist() for a in (plan.lo, plan.hi, plan.offset, plan.bits)))))
-    lo, hi, parent, right, offset, bits = (a.tolist() for a in (
-        plan.lo, plan.hi, plan.parent, plan.right, plan.offset, plan.bits))
+    lo, parent = plan.lo.tolist(), plan.parent.tolist()
 
     b = CircuitBuilder(plan.m)
     word = b.inputs(0, n)
+    zero, one = b.const(0), b.const(1)
+    # proof bit p >= n is wire proof[p - n], and proof[-1] is CONST 0
+    proof = np.asarray(b.inputs(n, plan.m - n) + [zero], dtype=np.int64)
+    nodes = np.flatnonzero(slotted)  # the non-root internal nodes, in pre-order
+    width = np.where(plan.right < 0, 1, plan.bits)  # label bits; not the root's
+    stride = max(1, int(plan.bits.max()))
 
-    def clamped_label(u: int):
-        if parent[u] < 0:
-            return _const_bits(b, t, max(1, bits_for(n + 1)))
-        if right[u] < 0:
-            return [word[lo[u]]]
-        raw = [b.input(offset[u] + bits[u] - 1 - i) for i in range(bits[u])]
-        return _clamp(b, raw, hi[u] - lo[u])
+    def negate(wires):
+        """The NOT of every wire, shared as :meth:`CircuitBuilder.not_` shares it."""
+        nots = np.full(wires.shape, one)
+        real = wires != zero
+        nots[real] = [b.not_(w) for w in wires[real].tolist()]
+        return nots
 
-    labels = [clamped_label(u) for u in range(len(lo))]
+    def literals(wires, nots):
+        """Rows of template leaves (see :func:`_record`)."""
+        return np.column_stack([np.full(len(wires), zero), np.full(len(wires), one),
+                                wires, nots])
 
+    # labels as rows of wires, LSB first and padded with CONST 0: a leaf's
+    # is its word bit, a slotted node's its proof bits clamped to its length
+    labels = np.full((len(lo), stride), zero, dtype=np.int64)
+    leaves = np.flatnonzero(plan.right < 0)
+    labels[leaves, 0] = np.asarray(word)[plan.lo[leaves]]
     # a label against its children's sum, or a one-leaf root against its
     # word bit; every other leaf is its word bit and always consistent
-    rel = _leq if kind == "threshold" else _eq
     cons: list = [None] * len(lo)
-    for u in range(len(lo)):
-        if right[u] >= 0:
-            total = _add(b, labels[u + 1], labels[right[u]])
-        elif parent[u] < 0:
-            total = [word[0]]
-        else:
-            continue
-        cons[u] = rel(b, labels[u], total)
+    if len(nodes):
+        bit = np.arange(stride)
+        raw = proof[np.where(bit < plan.bits[nodes, None],
+                             (plan.offset + plan.bits - 1 - n)[nodes, None] - bit, -1)]
+        cap = (plan.hi - plan.lo)[nodes]
+        clamped = _stamp_by_key(b, partial(_clamp_template, stride),
+                                np.column_stack([plan.bits[nodes], cap]),
+                                literals(raw, negate(raw)))
+        labels[nodes] = np.where(clamped < 0, zero, clamped)
+        negated = negate(labels)
+        kids = np.column_stack([nodes, nodes + 1, plan.right[nodes]])
+        verdicts = _stamp_by_key(
+            b, partial(_cons_template, kind, stride), width[kids],
+            literals(*(x[kids].reshape(len(nodes), 3 * stride) for x in (labels, negated))))
+        for u, c in zip(nodes.tolist(), verdicts.tolist()):
+            cons[u] = c
+    root_label = _const_bits(b, t, max(1, bits_for(n + 1)))
+    rel = _leq if kind == "threshold" else _eq
+    if n == 1:
+        cons[0] = rel(b, root_label, word)
+    else:
+        cons[0] = rel(b, root_label, _add(
+            b, *(labels[u, :width[u]].tolist() for u in (1, plan.right[0]))))
 
     if kind == "threshold":
         # all-ones patch: a position is 1 unless its whole path is consistent
@@ -206,13 +306,19 @@ def _build(kind: str, n: int, t: int):
         checked = [u for u in range(len(lo)) if cons[u] is not None]
         pathand = chain_ands(b, parent, checked, cons)
         outputs = [b.or_(word[lo[u]], b.not_(pathand[u if parent[u] < 0 else parent[u]]))
-                   for u in np.flatnonzero(plan.right < 0).tolist()]
+                   for u in leaves.tolist()]
     else:
-        # 1^l 0^* patch from the topmost inconsistent node's label l
-        one = b.const(1)
+        # 1^l 0^* patch from the topmost inconsistent node's label l:
+        # position k under node u reads [l >= k - lo[u]] off u's thermometer
+        ge: list = [None] * len(lo)
+        for w in sorted(set(plan.bits[nodes].tolist())):
+            at = nodes[plan.bits[nodes] == w]
+            rows = b.stamp(_thermometer_template(w), literals(labels[at, :w], negated[at, :w]))
+            for u, row in zip(at.tolist(), rows.tolist()):
+                ge[u] = row
         outputs = patched_outputs(
             b, plan, lambda u: one if cons[u] is None else cons[u], word,
-            lambda u, k: _ge_const(b, labels[u], k - lo[u]),
+            lambda u, k: b.const(int(t >= k)) if u == 0 else ge[u][k - lo[u] - 1],
         )
     b.set_outputs(outputs)
     return b.build(), layout

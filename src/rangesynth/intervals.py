@@ -29,7 +29,8 @@ with its children's (for a leaf, with its word bit); the constant 1 marks a
 node that cannot be inconsistent.  ``patch(u, k)`` is the wire for position
 k when u is the topmost inconsistent node, or None when that bit is always
 0.  Regular passes its state-pair chaining and feasibility checks and its
-witness-word tables; exact count passes ``label(u) >= k - lo[u]``.
+witness-word tables; exact count passes ``label(u) >= k - lo[u]``, one
+wire of node u's thermometer.
 Threshold's all-ones patch needs no selection: it ORs each word bit with
 NOT :func:`chain_ands` of its path, which is shallower than per-node ``sel``.
 """

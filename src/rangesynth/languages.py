@@ -404,9 +404,10 @@ def _member_packed(spec, Q: np.ndarray, rows: int) -> np.ndarray:
     ignored.  Returns bool (rows,).  Automata, structured BPs, counting and
     graph specs are decided on the words, in blocks that keep each temporary
     near ``circuit._CHUNK_BYTES``, and so is ``upclose`` over the inner
-    slice, enumerated once per call.  Every other spec (NP verifiers, other
-    combinator trees) takes one :func:`member` call per distinct word, and
-    only those words are unpacked (:func:`circuit._distinct_rows`).
+    slice, enumerated once per (inner spec, n).  Every other spec (NP
+    verifiers, other combinator trees) takes one :func:`member` call per
+    distinct word, and only those words are unpacked
+    (:func:`circuit._distinct_rows`).
     """
     decider = _packed_decider(spec, len(Q))
     if decider is None:
@@ -432,7 +433,10 @@ def _packed_decider(spec, n: int):
     if isinstance(spec, (Threshold, ExactCount)):
         return partial(_count_accepts, spec), 3 * (n + 1)
     if isinstance(spec, Combined) and spec.op == "upclose":
-        return _upclose_decider(enumerate_slice(spec.specs[0], n))
+        try:
+            return _upclose_decider(spec.specs[0], n)
+        except TypeError:  # an unhashable inner spec
+            return _upclose_decider.__wrapped__(spec.specs[0], n)
     if not isinstance(spec, Regular):
         return None
     from .regular import LayeredBp
@@ -460,9 +464,11 @@ def _packed_decider(spec, n: int):
 _DENSE_BITS = 24
 
 
-def _upclose_decider(members: np.ndarray) -> tuple:
-    """``(decide, temp_rows)`` of the upward closure of the (K, n) members:
-    a word is accepted when some member's ones are all ones of the word.
+@lru_cache(maxsize=16)
+def _upclose_decider(inner, n: int) -> tuple:
+    """``(decide, temp_rows)`` of the upward closure of the inner spec's
+    length-n members, enumerated once for every equal (inner, n): a word is
+    accepted when some member's ones are all ones of the word.
 
     Each member ANDs the rows of Q at its ones; the words OR over members.
     A member with no ones accepts every word; an empty slice accepts none.
@@ -471,6 +477,7 @@ def _upclose_decider(members: np.ndarray) -> tuple:
     table passes then cost about what one enumeration of the slice did;
     sparser slices are gathered as they are.
     """
+    members = enumerate_slice(inner, n)
     if not len(members):
         return _reject_all, 1
     if not members.any(axis=1).all():
@@ -691,10 +698,11 @@ def sample_members(spec, n: int, count: int, seed: int = 0) -> np.ndarray:
     """Deterministic sample of length-n members, for over-budget slices.
 
     Counting specs are sampled directly (shuffled 1-blocks) and refused when
-    no length-n word qualifies; everything else uses rejection sampling of
-    uniform free bits (:func:`_space`) against :func:`_member_packed`, which
-    is fine for the graph and regular languages used here (member density
-    is not tiny).
+    no length-n word qualifies.  Cycles is sampled directly too
+    (:func:`_sample_cycles`): its members are a 2^-(v-1) share of the
+    graphs.  Everything else uses rejection sampling of uniform free bits (:func:`_space`) against
+    :func:`_member_packed`, which is fine for the other graph and regular
+    languages used here (member density is not tiny).
     """
     rng = np.random.default_rng(seed)
     if isinstance(spec, (Threshold, ExactCount)):
@@ -708,6 +716,8 @@ def sample_members(spec, n: int, count: int, seed: int = 0) -> np.ndarray:
             idx = rng.permutation(n)[: ones[i]]
             rows[i, idx] = 1
         return rows
+    if isinstance(spec, Cycles):
+        return _sample_cycles(rng, _graph_side(n), count)
     bits, place = _space(spec, n)
     out = [np.zeros((0, n), dtype=np.uint8)]
     have = 0
@@ -723,6 +733,19 @@ def sample_members(spec, n: int, count: int, seed: int = 0) -> np.ndarray:
             out.append(keep[: count - have])
             have += len(out[-1])
     return np.concatenate(out, axis=0)
+
+
+def _sample_cycles(rng, v: int, count: int) -> np.ndarray:
+    """``count`` uniform members of the cycle space on v vertices: uniform
+    XORs of the star triangles (0, i, j), 1 <= i < j < v, a basis of it.
+    The coefficients are edge (i, j) itself, and edge (0, i) is the parity
+    of vertex i's degree among the others."""
+    iu, ju = np.triu_indices(v - 1, k=1)
+    graphs = np.zeros((count, v, v), dtype=np.uint8)
+    rest = graphs[:, 1:, 1:]
+    rest[:, iu, ju] = rest[:, ju, iu] = rng.integers(0, 2, (count, len(iu)), dtype=np.uint8)
+    graphs[:, 0, 1:] = graphs[:, 1:, 0] = rest.sum(axis=2) & 1
+    return graphs.reshape(count, v * v)
 
 
 def word_to_string(word) -> str:

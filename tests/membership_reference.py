@@ -169,9 +169,22 @@ def enumerate_slice(spec, n: int, budget: int = 1 << 24) -> np.ndarray:
 
 def sample_members(spec, n: int, count: int, seed: int = 0) -> np.ndarray:
     """Rejection sampling of uint8 candidate matrices against ``member_batch``
-    (the counting specs' direct sampler is unchanged and not repeated)."""
+    (the counting specs' direct sampler is unchanged and not repeated), and
+    Cycles as XORs of star triangles, one triangle at a time."""
     assert not isinstance(spec, (Threshold, ExactCount))
     rng = np.random.default_rng(seed)
+    if isinstance(spec, Cycles):
+        v = _graph_side(n)
+        pairs = [(i, j) for i in range(1, v) for j in range(i + 1, v)]
+        coeff = rng.integers(0, 2, (count, len(pairs)), dtype=np.uint8)
+        out = np.zeros((count, v, v), dtype=np.uint8)
+        for graph, row in zip(out, coeff):
+            for (i, j), c in zip(pairs, row):
+                if c:
+                    for a, b in ((0, i), (0, j), (i, j)):
+                        graph[a, b] ^= 1
+                        graph[b, a] ^= 1
+        return out.reshape(count, n)
     shape = word_shape(spec)
     out = [np.zeros((0, n), dtype=np.uint8)]
     have = 0

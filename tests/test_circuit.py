@@ -214,9 +214,11 @@ def stamp_cases(draw):
     leaf columns, with rows of leaves drawn from its wires: inputs, both
     CONST ids and a few logic gates, one of them a NOT.  Each CONST is the
     builder's shared ``const()`` or, so that the stamp may have to make it,
-    a raw ``gate(CONST, v)``."""
+    a raw ``gate(CONST, v)``.  Either every template has one root or each
+    has a tuple of zero to three."""
     m, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     shared = draw(st.tuples(st.booleans(), st.booleans()))
+    several = draw(st.booleans())
     templates = []
     for _ in range(draw(st.integers(1, 3))):
         gates = []
@@ -224,7 +226,9 @@ def stamp_cases(draw):
             kind = draw(st.sampled_from([NOT, AND, OR]))
             ops = [draw(st.integers(-k, j - 1)) for _ in range(2)]
             gates.append((kind, ops[0], 0 if kind == NOT else ops[1]))
-        templates.append((tuple(gates), draw(st.integers(-k, len(gates) - 1))))
+        root = st.integers(-k, len(gates) - 1)
+        templates.append((tuple(gates), draw(st.tuples(*[root] * draw(st.integers(0, 3)))
+                                              if several else root)))
     rows = draw(st.integers(0, 6))
     # wires: m inputs, CONST 0, CONST 1, NOT input 0, AND of inputs 0 and m-1
     leaves = draw(st.lists(st.lists(st.integers(0, m + 3), min_size=k, max_size=k),
@@ -247,8 +251,9 @@ def _stamp_builder(m) -> CircuitBuilder:
     return b
 
 
-def _scalar_row(b: CircuitBuilder, template, row) -> int:
-    """One template row through the scalar constructors."""
+def _scalar_row(b: CircuitBuilder, template, row):
+    """One template row through the scalar constructors: its root wire, or
+    the tuple of them."""
     gates, root = template
     wires = []
 
@@ -260,7 +265,7 @@ def _scalar_row(b: CircuitBuilder, template, row) -> int:
             wires.append(b.not_(wire(a)))
         else:
             wires.append((b.and_ if kind == AND else b.or_)(wire(a), wire(c)))
-    return wire(root)
+    return tuple(map(wire, root)) if isinstance(root, tuple) else wire(root)
 
 
 class TestStamp:
@@ -272,7 +277,7 @@ class TestStamp:
         m, templates, leaves, which = case
         stamped, scalar, trial = _stamp_builder(m), _stamp_builder(m), _stamp_builder(m)
         first = len(stamped.kinds)
-        roots = stamped.stamp(templates, leaves, which).tolist()
+        roots = stamped.stamp(templates, leaves, which)
         # the constants the rows make come first in the stamp, CONST 0 first
         for t, row in zip(which, leaves):
             _scalar_row(trial, templates[t], row)
@@ -282,9 +287,16 @@ class TestStamp:
         for v in made:
             scalar.const(v)
         want = [_scalar_row(scalar, templates[t], row) for t, row in zip(which, leaves)]
+        if roots.ndim > 1:  # each row's roots, then -1 up to the most any has
+            assert roots.shape[1] == max(len(t[1]) for t in templates)
+            for root, w in zip(roots, want):
+                assert root[len(w):].tolist() == [-1] * (len(root) - len(w))
+            roots = [g for root, w in zip(roots, want) for g in root[:len(w)]]
+            want = [g for w in want for g in w]
+        roots = list(roots)
         # the builders' NOTs of input 0 differ in sharing, not after build
         for b, outs in ((stamped, roots), (scalar, want)):
-            b.set_outputs(outs + [b.not_(0)])
+            b.set_outputs([int(g) for g in outs] + [b.not_(0)])
         assert stamped.build() == scalar.build()
         for root, w in zip(roots, want):  # folded rows name the same wire
             if scalar.kinds[w] < NOT:
@@ -325,10 +337,41 @@ class TestStamp:
         assert roots.tolist() == [x]
         assert b.kinds[2] == CONST and b.arg0[2] == 1 and len(b.kinds) == 3
 
+    def test_several_roots(self):
+        """A root per output, CONST leaves folding as the scalar calls fold."""
+        b = _stamp_builder(2)  # 2, 3: CONST 0, 1
+        half_adder = ((NOT, -2, 0), (AND, -1, 0), (NOT, -1, 0), (AND, 2, -2), (OR, 1, 3),
+                      (AND, -1, -2)), (4, 5, -1)
+        roots = b.stamp(half_adder, [[0, 1], [0, 2], [3, 1], [2, 3]])
+        assert roots.shape == (4, 3)
+        assert roots[1].tolist() == [0, 2, 0]  # x + 0: the sum is x, the carry 0
+        assert roots[3].tolist() == [3, 2, 2]  # 0 + 1
+        b.set_outputs(roots[:3].ravel().tolist())
+        X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
+        x, y = X.T
+        assert eval_batch(b.build(), X).tolist() == np.stack(
+            [x ^ y, x & y, x, x, 0 * x, x, 1 - y, y, 0 * x + 1], axis=1).tolist()
+
+    def test_roots_padded_per_template(self):
+        b = _stamp_builder(2)
+        templates = [(((AND, -1, -2),), (0,)), (((OR, -1, -2), (NOT, 0, 0)), (0, 1, -2))]
+        roots = b.stamp(templates, [[0, 1], [0, 1], [1, 0]], [1, 0, 0])
+        first = len(b.kinds) - 4
+        assert roots.tolist() == [[first, first + 1, 1], [first + 2, -1, -1],
+                                  [first + 3, -1, -1]]
+
+    def test_refuses_mixed_roots(self):
+        b = _stamp_builder(2)
+        with pytest.raises(CircuitError, match="root"):
+            b.stamp([((), -1), ((), (-1,))], [[0], [0]], [0, 1])
+        assert len(b.kinds) == 6
+
     @pytest.mark.parametrize("template, leaves", [
         ((((NOT, 0, 0),), 0), [[0]]),  # reads itself
         ((((AND, -1, -3),), 0), [[0, 0]]),  # leaf column 2 of 2
         ((((NOT, -1, 0),), 1), [[0]]),  # root past the gates
+        ((((NOT, -1, 0),), (0, 1)), [[0]]),  # one of several roots past them
+        ((((NOT, -1, 0),), (-2, 0)), [[0]]),  # one of several roots no leaf column
         ((((INPUT, 0, 0),), 0), [[0]]),  # not a logic gate
         ((((NOT, -1, 0),), 0), [[5]]),  # leaf is no wire
         ((((NOT, -1, 0),), 0), [[-1]]),

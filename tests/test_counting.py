@@ -5,11 +5,27 @@ import itertools
 import numpy as np
 import pytest
 
-from rangesynth.circuit import eval_batch, eval_circuit
+from rangesynth.circuit import alternations, depth, eval_batch, eval_circuit, size
 from rangesynth.counting import synth_exact_count, synth_threshold, witness_count
 from rangesynth.regular import WitnessError
 from tests.conftest import exact_range, random_proofs
+from tests.counting_reference import build as reference_build
 from tests.witness_reference import build_tree, path_to_leaf
+
+
+def _honest(kind, n, t, count, rng):
+    """``count`` honest proofs of random members (threshold: random weight)."""
+    proofs = []
+    for _ in range(count):
+        ones = t if kind == "exact" else int(rng.integers(t, n + 1))
+        w = np.zeros(n, dtype=np.uint8)
+        w[rng.choice(n, size=ones, replace=False)] = 1
+        proofs.append(witness_count(kind, n, t, w))
+    return proofs
+
+
+def _synth(kind):
+    return synth_threshold if kind == "threshold" else synth_exact_count
 
 
 def _decode_counts(layout, proof):
@@ -43,17 +59,10 @@ def test_circuit_matches_reference_decoder(kind, n, t):
 @pytest.mark.parametrize("kind", ["threshold", "exact"])
 @pytest.mark.parametrize("n", [7, 16, 33])
 def test_random_proofs_match_reference_decoder(kind, n):
-    synth = synth_threshold if kind == "threshold" else synth_exact_count
     rng = np.random.default_rng(n)
     for t in sorted({1 if kind == "threshold" else 0, n // 2, n}):
-        c, layout = synth(n, t)
-        honest = []
-        for _ in range(32):
-            ones = t if kind == "exact" else int(rng.integers(t, n + 1))
-            w = np.zeros(n, dtype=np.uint8)
-            w[rng.choice(n, size=ones, replace=False)] = 1
-            honest.append(witness_count(kind, n, t, w))
-        rows = random_proofs(c.num_inputs, honest, seed=n * 100 + t)
+        c, layout = _synth(kind)(n, t)
+        rows = random_proofs(c.num_inputs, _honest(kind, n, t, 32, rng), seed=n * 100 + t)
         for proof, out in zip(rows, eval_batch(c, rows)):
             decoded = _decode_counts(layout, proof)
             word, *_ = _reference_with_labels(kind, n, t, proof, decoded)
@@ -189,3 +198,56 @@ class TestSubwordRealization:
                 if not node.is_leaf:
                     stack.append((node.left, path_ok))
                     stack.append((node.right, path_ok))
+
+
+class TestAgainstPerNodeReference:
+    """The stamped build against the per-node build of
+    ``tests/counting_reference.py``, whose exact count patches through one
+    carry-lookahead comparison per position."""
+
+    @pytest.mark.parametrize("kind", ["threshold", "exact"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_proof(self, kind, n):
+        for t in range(kind == "threshold", n + 1):
+            c, layout = _synth(kind)(n, t)
+            ref, ref_layout = reference_build(kind, n, t)
+            assert layout == ref_layout
+            rows = np.array(list(itertools.product((0, 1), repeat=c.num_inputs)),
+                            dtype=np.uint8)
+            assert np.array_equal(eval_batch(c, rows), eval_batch(ref, rows))
+
+    @pytest.mark.parametrize("kind, n", [("exact", 5), ("exact", 8), ("exact", 13),
+                                         ("exact", 31), ("exact", 64), ("threshold", 13),
+                                         ("threshold", 64)])
+    def test_random_and_mutated_proofs_every_t(self, kind, n):
+        rng = np.random.default_rng(n)
+        for t in range(kind == "threshold", n + 1):
+            c, _ = _synth(kind)(n, t)
+            ref, _ = reference_build(kind, n, t)
+            rows = random_proofs(c.num_inputs, _honest(kind, n, t, 8, rng), 64, seed=t)
+            assert np.array_equal(eval_batch(c, rows), eval_batch(ref, rows)), t
+
+    @pytest.mark.parametrize("kind, t", [("exact", 0), ("exact", 1), ("exact", 511),
+                                         ("exact", 512), ("exact", 1024),
+                                         ("threshold", 512)])
+    def test_random_and_mutated_proofs_n1024(self, kind, t):
+        rng = np.random.default_rng(t)
+        c, _ = _synth(kind)(1024, t)
+        ref, _ = reference_build(kind, 1024, t)
+        rows = random_proofs(c.num_inputs, _honest(kind, 1024, t, 16, rng), 512, seed=t)
+        assert np.array_equal(eval_batch(c, rows), eval_batch(ref, rows))
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 13, 16, 33, 64, 100, 128, 256, 512, 1024])
+    def test_structure(self, n):
+        """No deeper and no more alternations than the reference, exact count
+        smaller from n = 8 on, and the very metrics of the same construction
+        emitted gate by gate."""
+        for kind in ("threshold", "exact"):
+            c, _ = _synth(kind)(n, n // 2)
+            ref, _ = reference_build(kind, n, n // 2)
+            assert depth(c) <= depth(ref) and alternations(c) <= alternations(ref)
+            if kind == "exact" and n >= 8:
+                assert size(c) < size(ref)
+            per_gate, _ = reference_build(kind, n, n // 2, patch="thermometer")
+            assert ((size(c), depth(c), alternations(c))
+                    == (size(per_gate), depth(per_gate), alternations(per_gate)))

@@ -1,9 +1,13 @@
-"""Source hygiene: every module under ``src/`` uses what it imports.
+"""Source hygiene: every module under ``src/`` uses what it imports, and
+every private function and class it defines.
 
-An AST scan, with no linter needed: a name bound by an import must be read
+AST scans, with no linter needed.  A name bound by an import must be read
 somewhere in its module (as a name, or as the base of an attribute) or be
 listed in the module's ``__all__``.  The package's ``__init__.py`` is left
-out: its imports are the package's public names.
+out: its imports are the package's public names.  A module-level function
+or class whose name starts with ``_`` must be named somewhere in ``src/``
+outside its own definition: as a name, an attribute or an imported name.
+Code kept only for the tests belongs in ``tests/``.
 """
 
 import ast
@@ -51,3 +55,43 @@ def test_scan_catches_an_unused_import():
               "def f(it: Iterator) -> int:\n"
               "    return os.sep and a\n")
     assert unused_imports(source) == ["line 2: system", "line 3: Sequence"]
+
+
+def unreferenced_privates(sources: dict) -> list[str]:
+    """The private module-level functions and classes of ``sources`` (module
+    name -> source) that no statement but their own definition names."""
+    defined, named = [], []  # (module, name, statement); (statement, names)
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and stmt.name.startswith("_") and not stmt.name.startswith("__")):
+                defined.append((module, stmt.name, stmt))
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            named.append((stmt, names))
+    return [f"{module}: {name}" for module, name, stmt in defined
+            if not any(name in names for other, names in named if other is not stmt)]
+
+
+def test_no_unreferenced_private_definitions():
+    assert unreferenced_privates({p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}) == []
+
+
+def test_scan_catches_an_unreferenced_private():
+    sources = {"a.py": ("def _used(): pass\n"
+                        "def _recursive(k): return _recursive(k - 1)\n"
+                        "class _Orphan: pass\n"
+                        "def _imported(): pass\n"
+                        "def _attribute(): pass\n"
+                        "def __dunder__(): pass\n"
+                        "def public(): return _used()\n"),
+               "b.py": ("from .a import _imported\n"
+                        "from . import a\n"
+                        "x = a._attribute\n")}
+    assert unreferenced_privates(sources) == ["a.py: _recursive", "a.py: _Orphan"]

@@ -351,6 +351,16 @@ class TestSampleMembers:
         words = sample_members(Regular(parity), 8, 30, seed=2)
         assert all(member(Regular(parity), w) for w in words)
 
+    def test_cycles_sampler(self):
+        """Members at any size, v = 20 included, and at v = 4 every member of
+        the 8-element cycle space turns up."""
+        for v in (1, 2, 3, 4, 7, 20, 40):
+            words = sample_members(Cycles(), v * v, 400, seed=v)
+            assert words.shape == (400, v * v) and words.dtype == np.uint8
+            assert member_batch(Cycles(), words).all()
+        seen = {w.tobytes() for w in sample_members(Cycles(), 16, 400, seed=3)}
+        assert seen == {w.tobytes() for w in enumerate_slice(Cycles(), 16)}
+
     def test_empty_counting_slice_refused(self):
         for spec in (ExactCount(5), Threshold(5), ExactCount(-1)):
             with pytest.raises(LanguageError, match="no members of length 3"):

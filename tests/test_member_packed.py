@@ -306,9 +306,27 @@ def test_upclose(n, rows, monkeypatch):
     monkeypatch.setattr(languages, "member", no_member)
     for k, (spec, truth) in enumerate(cases):
         enumerated.clear()
+        languages._upclose_decider.cache_clear()
         _check(spec, pool, truth, rows, seed=k)
-        # member_batch and _member_packed: one _member_packed call each
-        assert enumerated == [spec.specs[0]] * 2
+        # member_batch and _member_packed share one decider per (inner, n)
+        assert enumerated == [spec.specs[0]]
+
+
+def test_upclose_unhashable_inner_is_decided_uncached(monkeypatch):
+    """An inner automaton with list fields has no cache key: each call
+    enumerates its slice again and decides as the hashable one does."""
+    listed = Combined("upclose", (Regular(Dfa(2, 0, frozenset({1}), [[0, 1], [1, 0]])),))
+    hashed = Combined("upclose", (Regular(Dfa(2, 0, frozenset({1}), ((0, 1), (1, 0)))),))
+    words = _word_pool(np.random.default_rng(0), 6)
+    want = member_batch(hashed, words)
+    assert 0 < want.sum() < len(words)
+    calls = []
+    enumerate_slice = languages.enumerate_slice
+    monkeypatch.setattr(languages, "enumerate_slice",
+                        lambda *args: calls.append(args) or enumerate_slice(*args))
+    for _ in range(2):
+        assert np.array_equal(member_batch(listed, words), want)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("n", [5, 9, 14])
