@@ -244,6 +244,12 @@ class CircuitBuilder:
         """Return the bit a gate is a CONST of, or None."""
         return self.arg0[g] if self.kinds[g] == CONST else None
 
+    def const_values(self, wires) -> np.ndarray:
+        """:meth:`const_value` of every wire of an array, -1 for None."""
+        wires = np.asarray(wires, dtype=np.int64)
+        const = np.frombuffer(self.kinds, dtype=np.int8)[wires] == CONST
+        return np.where(const, np.frombuffer(self.arg0, dtype=np.int64)[wires], -1)
+
     def not_(self, a: int) -> int:
         if self.kinds[a] == CONST:
             return self.const(1 - self.arg0[a])
@@ -251,6 +257,28 @@ class CircuitBuilder:
         if gid is None:
             gid = self._not_ids[a] = self.gate(NOT, a)
         return gid
+
+    def nots(self, wires) -> np.ndarray:
+        """:meth:`not_` of every wire of an array, shared as it shares
+        them: the NOTs the builder lacks are appended in one block, in order
+        of first appearance, and a CONST's NOT is the other CONST (made
+        first, CONST 0 before CONST 1, if the builder lacks it)."""
+        wires = np.asarray(wires, dtype=np.int64)
+        bit = self.const_values(wires)
+        out = np.empty(wires.shape, dtype=np.int64)
+        for v in (1, 0):
+            if (bit == v).any():
+                out[bit == v] = self.const(1 - v)
+        real = bit < 0
+        flat = wires[real].tolist()
+        shared = self._not_ids
+        fresh = list(dict.fromkeys(w for w in flat if w not in shared))
+        shared.update(zip(fresh, range(len(self.kinds), len(self.kinds) + len(fresh))))
+        self.kinds.frombytes(bytes([NOT]) * len(fresh))
+        self.arg0.frombytes(np.array(fresh, dtype=np.int64).tobytes())
+        self.arg1.frombytes(bytes(8 * len(fresh)))
+        out[real] = [shared[w] for w in flat]
+        return out
 
     def and_(self, a: int, b: int) -> int:
         if self.kinds[a] == CONST:
@@ -303,6 +331,26 @@ class CircuitBuilder:
     def xor_tree(self, wires: Sequence[int]) -> int:
         return self._tree(self.xor, list(wires) or [self.const(0)])
 
+    def trees(self, kind: int, wires) -> np.ndarray:
+        """:meth:`and_tree` (kind AND) or :meth:`or_tree` (kind OR) of
+        every row of ``wires``, a (rows, c) array holding each row's wires
+        first, at least one, and -1 after them; c is at most 31.  One
+        :meth:`stamp`: the rows whose constants sit in the same columns
+        share a template, the tree the scalar call builds around them."""
+        wires = np.asarray(wires, dtype=np.int64)
+        if wires.ndim != 2 or wires.shape[1] > 31:
+            raise CircuitError(f"trees takes rows of at most 31 wires, got {wires.shape}")
+        absent = wires < 0
+        leaves = np.where(absent, wires[:, :1], wires)
+        cls = absent * np.int64(3)  # 0 a wire, 1 CONST 0, 2 CONST 1, 3 no leaf
+        const = np.frombuffer(self.kinds, dtype=np.int8)[leaves] == CONST
+        if const.any():
+            cls = np.where(absent | ~const, cls, np.frombuffer(self.arg0, dtype=np.int64)[leaves] + 1)
+        digit = 2 * np.arange(wires.shape[1], dtype=np.int64)
+        distinct, which = np.unique((cls << digit).sum(axis=1), return_inverse=True)
+        return self.stamp([_tree_template(kind, tuple(p)) for p in
+                           ((distinct[:, None] >> digit) & 3).tolist()], leaves, which)
+
     # -- blocks ------------------------------------------------------------
 
     def stamp(self, template, leaves, which=None) -> np.ndarray:
@@ -321,67 +369,129 @@ class CircuitBuilder:
         the most any has is padded with -1.
 
         The rows' gates are appended in row order, each row's in template
-        order.  Constants fold in whole-array passes, one per template gate,
-        to exactly the wires :meth:`not_`, :meth:`and_` and :meth:`or_`
-        would return: a folded gate is not emitted and its readers get that
-        wire.  A constant the builder does not hold yet is emitted before
-        the block, CONST 0 before CONST 1, where the scalar constructors
-        would emit it at the row that first needs it.  NOTs are not looked
-        up in or added to the ones :meth:`not_` shares; :meth:`build` merges
-        each duplicate into its first occurrence.
+        order.  Constants fold to exactly the wires :meth:`not_`,
+        :meth:`and_` and :meth:`or_` would return: a folded gate is not
+        emitted and its readers get that wire.  A constant the builder does
+        not hold yet is emitted before the block, CONST 0 before CONST 1,
+        where the scalar constructors would emit it at the row that first
+        needs it.  NOTs are not looked up in or added to the ones
+        :meth:`not_` shares; :meth:`build` merges each duplicate into its
+        first occurrence.
+
+        Rows whose templates read no CONST leaf are laid out together, in
+        whole-array steps over all their gates whatever their templates;
+        the rows that do are folded one template at a time, in one pass per
+        template gate.
         """
         leaves = np.asarray(leaves, dtype=np.int64)
         if leaves.ndim != 2:
             raise CircuitError(f"leaves must be (rows, k), got shape {leaves.shape}")
-        if leaves.size and not (0 <= leaves.min() and leaves.max() < len(self.kinds)):
-            raise StructureError("stamp leaves must be existing wires")
+        rows, k = leaves.shape
+        if leaves.size and leaves.view(np.uint64).max() >= len(self.kinds):
+            raise StructureError("stamp leaves must be existing wires")  # or negative
         if which is None:
-            template, which = [template], np.zeros(len(leaves), dtype=np.intp)
-        which = np.asarray(which, dtype=np.intp)
-        if which.shape != (len(leaves),) or len(which) and not (
-                0 <= which.min() and which.max() < len(template)):
-            raise CircuitError("which needs one template index per row")
-        if len({isinstance(t[1], tuple) for t in template}) > 1:
-            raise CircuitError("templates in one stamp need one root each or a tuple each")
-        # each leaf's constant bit, or -1
+            template, which = (template,), np.zeros(rows, dtype=np.intp)
+        else:
+            which = np.asarray(which, dtype=np.intp)
+            if which.shape != (rows,) or rows and which.view(np.uintp).max() >= len(template):
+                raise CircuitError("which needs one template index per row")
+        ts = _template_set(tuple(template), k)
+        base = len(self.kinds)
         const = np.frombuffer(self.kinds, dtype=np.int8)[leaves] == CONST
-        const = np.where(const, np.frombuffer(self.arg0, dtype=np.int64)[leaves], -1)
-        groups = []  # (rows, template columns, emit flags, wires) per template
-        counts = np.zeros(len(leaves), dtype=np.int64)  # gates each row emits
-        for i, t in enumerate(template):
-            rows = np.flatnonzero(which == i)
-            if len(rows):
-                cols = _template_columns(t, leaves.shape[1])
-                emit, wire = self._fold(*cols[:3], leaves[rows], const[rows])
-                groups.append((rows, cols, emit, wire))
-                counts[rows] = emit.sum(axis=1)
-        for v in (0, 1):  # the constants folded NOTs stand in for
-            marks = [wire == _FOLDED_CONST - v for *_, wire in groups]
-            if any(m.any() for m in marks):
-                c = self.const(v)
-                for (*_, wire), m in zip(groups, marks):
-                    wire[m] = c
+        fold = (const & ts.reads[which]).any(axis=1) if const.any() else None
+        if fold is None and len(template) == 1:  # nothing to fold: one layout
+            kinds, c0, c1, root = ts.columns(0)
+            size = len(kinds)
+            wire = np.concatenate([leaves, np.arange(
+                base, base + rows * size, dtype=np.int64).reshape(rows, size)], axis=1)
+            arg1 = wire[:, c1]
+            arg1[:, kinds == NOT] = 0
+            self.kinds.frombytes(kinds.tobytes() * rows)
+            self.arg0.frombytes(wire[:, c0].tobytes())
+            self.arg1.frombytes(arg1.tobytes())
+            return wire[:, root]
+        counts = ts.size[which]  # gates each row emits
+        groups = []  # (rows, template columns, emit flags, wires) per folded template
+        if fold is not None and fold.any():
+            const = np.where(const, np.frombuffer(self.arg0, dtype=np.int64)[leaves], -1)
+            part = np.flatnonzero(fold)
+            part = part[np.argsort(which[part], kind="stable")]
+            for rs in np.split(part, np.flatnonzero(np.diff(which[part])) + 1):
+                c = ts.columns(which[rs[0]])
+                emit, wire = self._fold(*c[:3], leaves[rs], const[rs])
+                groups.append((rs, c, emit, wire))
+                counts[rs] = emit.sum(axis=1)
+            for v in (0, 1):  # the constants folded NOTs stand in for
+                marks = [wire == _FOLDED_CONST - v for *_, wire in groups]
+                if any(m.any() for m in marks):
+                    c = self.const(v)
+                    for (*_, wire), m in zip(groups, marks):
+                        wire[m] = c
         start = np.cumsum(counts) - counts + len(self.kinds)
+        roots = np.full((rows,) + ts.root.shape[1:], -1, dtype=np.int64)
+        if not groups:  # no row folds: every run of rows appends as it is laid out
+            for _, _, kinds, operands in self._lay_out(ts, which, leaves, start,
+                                                       np.arange(rows), roots):
+                self.kinds.frombytes(kinds.tobytes())
+                self.arg0.frombytes(operands[0].tobytes())
+                self.arg1.frombytes(operands[1].tobytes())
+            return roots
         block = np.zeros((3, int(counts.sum())), dtype=np.int64)
-        shape = max((np.shape(t[1]) for t in template), default=())
-        roots = np.full((len(leaves),) + shape, -1, dtype=np.int64)
-        for rows, (kinds, c0, c1, root), emit, wire in groups:
-            ids = start[rows, None] + np.cumsum(emit, axis=1) - 1
+        for part, n, kinds, operands in self._lay_out(ts, which, leaves, start,
+                                                      np.flatnonzero(~fold), roots):
+            at = np.repeat(start[part] - start[0], n) + (
+                np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n))
+            block[0, at] = kinds
+            block[1:, at] = operands
+        for rs, (kinds, c0, c1, root), emit, wire in groups:
+            ids = start[rs, None] + np.cumsum(emit, axis=1) - 1
             new = np.nonzero(wire < 0)  # operands and roots among the new gates
             wire[new] = ids[new[0], -1 - wire[new]]
             r, j = np.nonzero(emit)
-            at = ids[r, j] - len(self.kinds)
+            at = ids[r, j] - start[0]
             block[0, at] = kinds[j]
             block[1, at] = wire[r, c0[j]]
             block[2, at] = np.where(kinds[j] == NOT, 0, wire[r, c1[j]])
             if roots.ndim == 1:
-                roots[rows] = wire[:, root]
+                roots[rs] = wire[:, root]
             else:
-                roots[rows, :root.size] = wire[:, root]
+                roots[rs, :root.size] = wire[:, root]
         self.kinds.frombytes(block[0].astype(np.int8).tobytes())
         self.arg0.frombytes(block[1].tobytes())
         self.arg1.frombytes(block[2].tobytes())
         return roots
+
+    @staticmethod
+    def _lay_out(ts, which, leaves, start, plain, roots):
+        """Lay out the rows ``plain``, which fold nothing, in runs of at most
+        ``_LAY_OUT_WIRES`` layout cells, which bounds the work arrays.  Row
+        r's wire layout (see :class:`_TemplateSet`) is its leaves, then ids
+        ``start[r]``, ``start[r] + 1``, ... for its template's gates.  Writes
+        the rows' roots and yields, per run, its rows, their gate counts,
+        and their gates' kinds and operands in row order."""
+        k = leaves.shape[1]
+        width = k + int(ts.size.max(initial=0))
+        step = max(1, _LAY_OUT_WIRES // width)
+        for lo in range(0, len(plain), step):
+            part = plain[lo:lo + step]
+            t = which[part]
+            n = ts.size[t]
+            wire = np.empty((len(part), width), dtype=np.int64)
+            wire[:, :k] = leaves[part]
+            wire[:, k:] = start[part, None] + np.arange(width - k)
+            row = np.arange(0, len(part) * width, width)
+            wire = wire.ravel()
+            rc = ts.root[t]
+            if roots.ndim == 1:
+                roots[part] = wire[row + rc]
+            else:
+                r, c = np.nonzero(rc >= 0)
+                roots[part[r], c] = wire[row[r] + rc[r, c]]
+            g = np.arange(n.sum()) + np.repeat(ts.first[t] - (np.cumsum(n) - n), n)
+            kinds = ts.kinds[g]
+            operands = wire[np.repeat(row, n) + ts.ops[:, g]]
+            operands[1, kinds == NOT] = 0
+            yield part, n, kinds, operands
 
     def _fold(self, kinds, c0, c1, leaves, const):
         """One template's gates over rows of leaves, before they have ids:
@@ -450,28 +560,74 @@ class CircuitBuilder:
                        _validated=True)
 
 
+# Wire-layout cells (a row's leaves and gates) a stamp lays out in one run.
+_LAY_OUT_WIRES = 1 << 18
+
 # Below every ``-1 - j`` of a template gate: _fold's stand-in for the id of
 # CONST 0, and one less for CONST 1, until stamp knows the builder holds them.
 _FOLDED_CONST = -(1 << 62)
 
 
-@lru_cache(maxsize=256)
-def _template_columns(template, k: int) -> tuple:
-    """A stamp template over k leaf columns as (kinds, op0 columns, op1
-    columns, root column or columns) in the wire layout of
-    ``CircuitBuilder._fold``: leaf columns first, then gate j at column
-    k + j."""
+class _TemplateSet(NamedTuple):
+    """The templates of one stamp call over k leaf columns, laid out once in
+    the wire layout of ``CircuitBuilder._fold`` (leaf columns first, then
+    gate j at column k + j): each template's gate count and first gate in
+    the flat ``kinds``, ``c0``, ``c1`` (operand columns), its root columns
+    (a row padded with -1 for tuple roots) and the leaf columns its gates
+    read."""
+
+    size: np.ndarray
+    first: np.ndarray
+    kinds: np.ndarray
+    ops: np.ndarray  # (2, gates): each gate's two operand columns
+    root: np.ndarray
+    reads: np.ndarray
+
+    def columns(self, i: int) -> tuple:
+        """Template i's (kinds, op0 columns, op1 columns, root columns)."""
+        at = slice(self.first[i], self.first[i] + self.size[i])
+        root = self.root[i]
+        return (self.kinds[at], *self.ops[:, at],
+                root[root >= 0] if root.ndim else root)
+
+
+@lru_cache(maxsize=1024)
+def _template_arrays(template) -> tuple:
+    """One template's gate kinds, its gates' two operand ops (a NOT's
+    second is its first) and its roots, as arrays."""
     gates, root = template
-    root = np.array(root, dtype=np.int64)
-    kinds = np.array([g[0] for g in gates], dtype=np.int8)
-    ops = np.array([g[1:] for g in gates], dtype=np.int64).reshape(-1, 2)
+    gates = np.array(gates, dtype=np.int64).reshape(-1, 3)
+    kinds, ops = gates[:, 0].astype(np.int8), gates[:, 1:]
     ops[kinds == NOT, 1] = ops[kinds == NOT, 0]
-    ok = np.isin(kinds, (NOT, AND, OR))[:, None] & (-k <= ops) & (
-        ops < np.arange(len(gates))[:, None])
-    if not ok.all() or not ((-k <= root) & (root < len(gates))).all():
+    return kinds, ops, np.array(root, dtype=np.int64).reshape(-1)
+
+
+@lru_cache(maxsize=256)
+def _template_set(templates: tuple, k: int) -> _TemplateSet:
+    several = {isinstance(t[1], tuple) for t in templates}
+    if len(several) > 1:
+        raise CircuitError("templates in one stamp need one root each or a tuple each")
+    kinds, ops, roots = zip(*map(_template_arrays, templates)) if templates else ((),) * 3
+    size = np.array([len(g) for g in kinds], dtype=np.int64)
+    first = np.cumsum(size) - size
+    kinds = np.concatenate(kinds or [np.zeros(0, dtype=np.int8)])
+    ops = np.concatenate(ops or [np.zeros((0, 2), dtype=np.int64)])
+    owner = np.repeat(np.arange(len(size)), size)
+    ok = ((NOT <= kinds) & (kinds <= OR))[:, None] & (-k <= ops) & (
+        ops < (np.arange(len(kinds)) - first[owner])[:, None])
+    count = np.array([len(r) for r in roots], dtype=np.int64)
+    pad = np.arange(count.max(initial=several != {True})) >= count[:, None]  # rows of roots
+    root = np.zeros(pad.shape, dtype=np.int64)
+    root[~pad] = np.concatenate(roots or [np.zeros(0, dtype=np.int64)])
+    if not ok.all() or not (((-k <= root) & (root < size[:, None])) | pad).all():
         raise StructureError("template gates must read earlier gates or leaf columns")
-    c0, c1 = np.where(ops >= 0, k + ops, -1 - ops).T
-    return kinds, c0, c1, np.where(root >= 0, k + root, -1 - root)
+    cols = np.where(ops >= 0, k + ops, -1 - ops).T
+    reads = np.zeros((len(size), k), dtype=bool)
+    for c in cols:
+        reads[owner[c < k], c[c < k]] = True
+    root = np.where(pad, -1, np.where(root >= 0, k + root, -1 - root))
+    return _TemplateSet(size, first, kinds, cols, root if several == {True} else root[:, 0],
+                        reads)
 
 
 @lru_cache(maxsize=None)
@@ -487,6 +643,27 @@ def _xor_template(k: int, first: int = 0) -> tuple:
         return len(gates) - 1
 
     root = CircuitBuilder._tree(xor, [-1 - first - i for i in range(k)])
+    return tuple(gates), root
+
+
+@lru_cache(maxsize=None)
+def _tree_template(kind: int, pattern: tuple) -> tuple:
+    """Stamp template of ``CircuitBuilder._fold_tree`` for AND or OR over
+    leaf columns of the given classes: 0 a wire, 1 CONST 0, 2 CONST 1, 3
+    no leaf.  The unit constant drops out, and the other one is the root."""
+    unit = 1 + (kind == AND)
+    present = [c for c, p in enumerate(pattern) if p != 3]
+    kept = [c for c in present if pattern[c] != unit]
+    absorbing = [c for c in kept if pattern[c]]
+    if absorbing or not kept:
+        return (), -1 - (absorbing or present)[0]
+    gates = []
+
+    def op(a, b):
+        gates.append((kind, a, b))
+        return len(gates) - 1
+
+    root = CircuitBuilder._tree(op, [-1 - c for c in kept])
     return tuple(gates), root
 
 
@@ -515,49 +692,106 @@ def table_to_subcircuit(builder: CircuitBuilder, table: Sequence[int], wires: Se
     tree joins them.  There are at most as many implicants as true rows, so
     the local depth is at most ``ceil(log2 k) + ceil(log2 #true_rows) + 1``.
     A constant table collapses to a CONST gate.  Each distinct table is
-    lowered once (:func:`_template`); a call replays its gates on ``wires``.
+    lowered once (:func:`_template`); a call replays its gates on ``wires``,
+    taking each literal's NOT from :meth:`CircuitBuilder.not_`.
     """
     k = len(wires)
+    gates, root = _template(k, _table_bytes(table, k))
+    leaf: list = [None, None] + list(wires) + [None] * k  # _record's columns
+
+    def wire(op: int) -> int:
+        if op >= 0:
+            return ids[op]
+        c = -1 - op
+        if leaf[c] is None:
+            leaf[c] = builder.const(c) if c < 2 else builder.not_(wires[c - 2 - k])
+        return leaf[c]
+
+    ids: list = []
+    for kind, a, b in gates:
+        ids.append(builder.not_(wire(a)) if kind == NOT
+                   else builder.gate(kind, wire(a), wire(b)))
+    return wire(root)
+
+
+def stamp_tables(builder: CircuitBuilder, tables, wires, which, nots) -> np.ndarray:
+    """:func:`table_to_subcircuit` for many rows in one
+    :meth:`CircuitBuilder.stamp`: row r computes ``tables[which[r]]`` over
+    the wires of row r of ``wires``, a (rows, c) array holding them first,
+    least significant index bit first, and -1 after them.  ``nots[w]`` is
+    the NOT of wire w, for every wire in ``wires``; the rows share those
+    NOTs rather than each emitting its own."""
+    wires = np.asarray(wires, dtype=np.int64)
+    which = np.asarray(which, dtype=np.intp)
+    ks = np.array([max(len(t), 1).bit_length() - 1 for t in tables], dtype=np.intp)
+    templates = [_template(int(k), _table_bytes(t, int(k))) for t, k in zip(tables, ks)]
+    rows, width = len(wires), int(ks.max(initial=0))
+    # _record's leaf columns per row: CONST 0, CONST 1, the wires, their
+    # NOTs; only a constant table reads a CONST, as its root
+    const = [builder.const(v) if ((), -1 - v) in templates else -1 for v in (0, 1)]
+    fill = max(const[0], const[1], int(wires.max(initial=0)))
+    leaves = np.full((rows, 2 + 2 * width), fill, dtype=np.int64)
+    leaves[:, :2] = np.where(np.array(const) < 0, fill, const)
+    k = ks[which]
+    r, c = np.nonzero(np.arange(width) < k[:, None])
+    leaves[r, 2 + c] = wires[r, c]
+    leaves[r, 2 + k[r] + c] = np.asarray(nots)[wires[r, c]]
+    return builder.stamp(templates, leaves, which)
+
+
+def _table_bytes(table, k: int) -> bytes:
+    """A truth table over k wires as the bytes :func:`_template` keys on."""
     if len(table) != 1 << k:
         raise CircuitError(f"table needs {1 << k} entries, got {len(table)}")
-    gates, out = _template(k, np.asarray(table, dtype=bool).tobytes())
-    ids = list(wires)
-    for kind, a, b in gates:
-        if kind == NOT:
-            ids.append(builder.not_(ids[a]))
-        elif kind == CONST:
-            ids.append(builder.const(a))
-        else:
-            ids.append(builder.gate(kind, ids[a], ids[b]))
-    return ids[out]
+    return np.asarray(table, dtype=bool).tobytes()
+
+
+def _record(k: int, gadget) -> tuple:
+    """The stamp template of ``gadget(b, wires)`` over k wires, run once on a
+    fresh builder: leaf columns 0 and 1 are CONST 0 and CONST 1, columns
+    2 .. k + 1 the wires and columns k + 2 .. 2k + 1 their NOTs, which the
+    gadget gets from :meth:`CircuitBuilder.not_` and the caller supplies, so
+    that the rows of a stamp share them.  A gadget that returns a list of
+    wires gives a template with a tuple of roots."""
+    b = CircuitBuilder(k)
+    b.const(0), b.const(1)
+    wires = b.inputs(0, k)
+    for w in wires:
+        b.not_(w)
+    out = gadget(b, wires)
+    first = 2 * k + 2
+
+    def op(g: int) -> int:
+        return g - first if g >= first else -1 - g
+
+    gates = tuple((kind, op(a), 0 if kind == NOT else op(c))
+                  for kind, a, c in zip(b.kinds[first:], b.arg0[first:], b.arg1[first:]))
+    return gates, tuple(map(op, out)) if isinstance(out, list) else op(out)
 
 
 @lru_cache(maxsize=COVER_CACHE)
 def _template(k: int, table: bytes) -> tuple:
-    """A table's lowered cover as ``(gates, out)`` over local ids: ids
-    0..k-1 are the wires, gate j of ``gates`` is id k + j, and ``out`` is
-    the id that carries the table's value.  Implicants that share a literal
-    pair share its AND gate; only ANDs can repeat, as NOTs and CONSTs are
-    shared by the builder and the OR tree joins distinct implicants."""
+    """A table's lowered cover as a stamp template over the leaf columns of
+    :func:`_record`; the one source of the gates every table lowers to.
+    Implicants that share a literal pair share its AND gate; a constant
+    table's root is its CONST column."""
     on = np.frombuffer(table, dtype=bool)
-    b = CircuitBuilder(k)
-    wires = b.inputs(0, k)
-    ands: dict = {}
 
-    def and_(a: int, c: int) -> int:
-        gid = ands.get((a, c))
-        if gid is None:
-            gid = ands[a, c] = b.and_(a, c)
-        return gid
+    def cover(b: CircuitBuilder, wires: list) -> int:
+        if not on.any() or on.all():
+            return b.const(int(on.all()))
+        ands: dict = {}
 
-    if not on.any():
-        out = b.const(0)
-    elif on.all():
-        out = b.const(1)
-    else:
-        out = b.or_tree([_slot_and_tree(b, and_, wires, mask, value)
-                         for mask, value in _cover(k, table)])
-    return tuple(zip(b.kinds[k:], b.arg0[k:], b.arg1[k:])), out
+        def and_(a: int, c: int) -> int:
+            gid = ands.get((a, c))
+            if gid is None:
+                gid = ands[a, c] = b.and_(a, c)
+            return gid
+
+        return b.or_tree([_slot_and_tree(b, and_, wires, mask, value)
+                          for mask, value in _cover(k, table)])
+
+    return _record(k, cover)
 
 
 def _cover(k: int, table: bytes) -> tuple:

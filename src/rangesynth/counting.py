@@ -25,7 +25,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .circuit import NOT, CircuitBuilder, _as_bits, bits_for
+from .circuit import OR, CircuitBuilder, _as_bits, _record, bits_for
 from .intervals import PLAN_CACHE, Plan, chain_ands, patched_outputs
 from .languages import LanguageError
 from .regular import WitnessError
@@ -183,29 +183,6 @@ def _thermometer(b: CircuitBuilder, xs) -> list:
 # the gadgets as stamp templates
 
 
-def _record(k: int, gadget) -> tuple:
-    """The stamp template of ``gadget(b, wires)`` over k wires, run once on a
-    fresh builder: leaf columns 0 and 1 are CONST 0 and CONST 1, columns
-    2 .. k + 1 the wires and columns k + 2 .. 2k + 1 their NOTs, which the
-    caller takes from :meth:`CircuitBuilder.not_` so that they stay shared.
-    A gadget that returns a list of wires gives a template with a tuple of
-    roots."""
-    b = CircuitBuilder(k)
-    b.const(0), b.const(1)
-    wires = b.inputs(0, k)
-    for w in wires:
-        b.not_(w)
-    out = gadget(b, wires)
-    first = 2 * k + 2
-
-    def op(g: int) -> int:
-        return g - first if g >= first else -1 - g
-
-    gates = tuple((kind, op(a), 0 if kind == NOT else op(c))
-                  for kind, a, c in zip(b.kinds[first:], b.arg0[first:], b.arg1[first:]))
-    return gates, tuple(map(op, out)) if isinstance(out, list) else op(out)
-
-
 @lru_cache(maxsize=256)
 def _clamp_template(stride: int, w: int, cap: int) -> tuple:
     """A w-bit label clamped to cap, read from the first of ``stride`` wires."""
@@ -224,6 +201,9 @@ def _cons_template(kind: str, stride: int, w: int, left: int, right: int) -> tup
 @lru_cache(maxsize=64)
 def _thermometer_template(w: int) -> tuple:
     return _record(w, _thermometer)
+
+
+_OR = (((OR, -1, -2),), 0)
 
 
 def _stamp_by_key(b: CircuitBuilder, template, keys, leaves) -> np.ndarray:
@@ -245,7 +225,6 @@ def _build(kind: str, n: int, t: int):
     slotted = plan.bits > 0
     layout = CountLayout(n=n, m=plan.m, counts=list(zip(*(
         a[slotted].tolist() for a in (plan.lo, plan.hi, plan.offset, plan.bits)))))
-    lo, parent = plan.lo.tolist(), plan.parent.tolist()
 
     b = CircuitBuilder(plan.m)
     word = b.inputs(0, n)
@@ -256,26 +235,19 @@ def _build(kind: str, n: int, t: int):
     width = np.where(plan.right < 0, 1, plan.bits)  # label bits; not the root's
     stride = max(1, int(plan.bits.max()))
 
-    def negate(wires):
-        """The NOT of every wire, shared as :meth:`CircuitBuilder.not_` shares it."""
-        nots = np.full(wires.shape, one)
-        real = wires != zero
-        nots[real] = [b.not_(w) for w in wires[real].tolist()]
-        return nots
-
     def literals(wires, nots):
-        """Rows of template leaves (see :func:`_record`)."""
+        """Rows of template leaves (see :func:`circuit._record`)."""
         return np.column_stack([np.full(len(wires), zero), np.full(len(wires), one),
                                 wires, nots])
 
     # labels as rows of wires, LSB first and padded with CONST 0: a leaf's
     # is its word bit, a slotted node's its proof bits clamped to its length
-    labels = np.full((len(lo), stride), zero, dtype=np.int64)
+    labels = np.full((len(plan.lo), stride), zero, dtype=np.int64)
     leaves = np.flatnonzero(plan.right < 0)
     labels[leaves, 0] = np.asarray(word)[plan.lo[leaves]]
     # a label against its children's sum, or a one-leaf root against its
     # word bit; every other leaf is its word bit and always consistent
-    cons: list = [None] * len(lo)
+    cons = np.full(len(plan.lo), -1, dtype=np.int64)  # -1: no check
     if len(nodes):
         bit = np.arange(stride)
         raw = proof[np.where(bit < plan.bits[nodes, None],
@@ -283,15 +255,13 @@ def _build(kind: str, n: int, t: int):
         cap = (plan.hi - plan.lo)[nodes]
         clamped = _stamp_by_key(b, partial(_clamp_template, stride),
                                 np.column_stack([plan.bits[nodes], cap]),
-                                literals(raw, negate(raw)))
+                                literals(raw, b.nots(raw)))
         labels[nodes] = np.where(clamped < 0, zero, clamped)
-        negated = negate(labels)
+        negated = b.nots(labels)
         kids = np.column_stack([nodes, nodes + 1, plan.right[nodes]])
-        verdicts = _stamp_by_key(
+        cons[nodes] = _stamp_by_key(
             b, partial(_cons_template, kind, stride), width[kids],
             literals(*(x[kids].reshape(len(nodes), 3 * stride) for x in (labels, negated))))
-        for u, c in zip(nodes.tolist(), verdicts.tolist()):
-            cons[u] = c
     root_label = _const_bits(b, t, max(1, bits_for(n + 1)))
     rel = _leq if kind == "threshold" else _eq
     if n == 1:
@@ -303,24 +273,25 @@ def _build(kind: str, n: int, t: int):
     if kind == "threshold":
         # all-ones patch: a position is 1 unless its whole path is consistent
         # (the path of a one-leaf root is the root alone)
-        checked = [u for u in range(len(lo)) if cons[u] is not None]
-        pathand = chain_ands(b, parent, checked, cons)
-        outputs = [b.or_(word[lo[u]], b.not_(pathand[u if parent[u] < 0 else parent[u]]))
-                   for u in leaves.tolist()]
+        pathand = chain_ands(b, plan, np.flatnonzero(cons >= 0), cons)
+        own = pathand[np.where(plan.parent[leaves] < 0, leaves, plan.parent[leaves])]
+        outputs = b.stamp(_OR, np.column_stack([labels[leaves, 0], b.nots(own)]))
     else:
         # 1^l 0^* patch from the topmost inconsistent node's label l:
-        # position k under node u reads [l >= k - lo[u]] off u's thermometer
-        ge: list = [None] * len(lo)
+        # position k under node u reads [l >= k - lo[u]] off u's thermometer,
+        # and the root's constant label gives CONST [t >= k]
+        k = np.arange(1, n + 1)
+        node, pos, bits = [np.zeros(n, dtype=np.int64)], [k], [np.where(t >= k, one, zero)]
         for w in sorted(set(plan.bits[nodes].tolist())):
             at = nodes[plan.bits[nodes] == w]
-            rows = b.stamp(_thermometer_template(w), literals(labels[at, :w], negated[at, :w]))
-            for u, row in zip(at.tolist(), rows.tolist()):
-                ge[u] = row
-        outputs = patched_outputs(
-            b, plan, lambda u: one if cons[u] is None else cons[u], word,
-            lambda u, k: b.const(int(t >= k)) if u == 0 else ge[u][k - lo[u] - 1],
-        )
-    b.set_outputs(outputs)
+            ge = b.stamp(_thermometer_template(w), literals(labels[at, :w], negated[at, :w]))
+            r, j = np.nonzero(np.arange(ge.shape[1]) < (plan.hi - plan.lo)[at, None])
+            node.append(at[r])
+            pos.append(plan.lo[at[r]] + j + 1)
+            bits.append(ge[r, j])
+        cons[cons < 0] = one
+        outputs = patched_outputs(b, plan, cons, word, *map(np.concatenate, (node, pos, bits)))
+    b.set_outputs(outputs.tolist())
     return b.build(), layout
 
 

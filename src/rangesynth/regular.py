@@ -21,6 +21,17 @@ successor (every DFA unrolling), needs neither: a word's only path is its
 run.  There the run replaces the walk: :func:`_successors` tabulates each
 gap's successor per state and bit, the honest labels are n lookups in that
 table, and membership is the accept bit of the last state.
+
+Synthesis is a handful of block emissions over all nodes.  Every label
+predicate (feasibility, the leaf's edge check, the three label equalities
+of an internal node, each patch bit) is a truth table over a node's label
+bits, and the distinct tables are few: one per ``_Engine`` entry and kind.
+Each is lowered once (``circuit._template``) and one
+:func:`~rangesynth.circuit.stamp_tables` call emits every node's rows; one
+:meth:`~rangesynth.circuit.CircuitBuilder.trees` call ANDs each internal
+node's checks, and :func:`~rangesynth.intervals.patched_outputs` the rest.
+``tests/regular_reference.py`` keeps the gate-by-gate construction, and the
+two give circuits of equal size, depth and alternations.
 """
 
 from __future__ import annotations
@@ -30,7 +41,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import CircuitBuilder, _as_bits, bits_for, lower_fields
+from .circuit import (AND, NOT, CircuitBuilder, _as_bits, _field_values, bits_for,
+                      stamp_tables)
 from .intervals import PLAN_CACHE, Plan, patched_outputs
 from .languages import Dfa, LanguageError, Nfa, _records
 
@@ -279,8 +291,9 @@ class _Engine:
 
     def __init__(self, bp: LayeredBp):
         self.bp = bp
-        self.uniform = all(
-            np.array_equal(r0, bp.rel0[1]) and np.array_equal(r1, bp.rel1[1])
+        self.uniform = all(  # an unrolling repeats one array: skip the compare
+            (r0 is bp.rel0[1] or np.array_equal(r0, bp.rel0[1]))
+            and (r1 is bp.rel1[1] or np.array_equal(r1, bp.rel1[1]))
             for r0, r1 in zip(bp.rel0[1:], bp.rel1[1:]))
         self._tables: dict = {}
 
@@ -306,8 +319,13 @@ class _Engine:
             p, q = np.nonzero(back[0])
             states = _walk(rels, back, p, q)
             words = np.zeros(back[0].shape + (len(gaps),), dtype=np.uint8)
-            for t, g in enumerate(gaps):
-                words[p, q, t] = ~bp.rel0[g - 1][states[t], states[t + 1]]
+            # gap by gap, but in one gather where gaps 2..n share a relation
+            alone = int(lo == 0) if self.uniform else len(gaps)
+            for t in range(alone):
+                words[p, q, t] = ~bp.rel0[gaps[t] - 1][states[t], states[t + 1]]
+            if alone < len(gaps):
+                path = np.array(states[alone:len(gaps) + 1])
+                words[p, q, alone:] = ~bp.rel0[gaps[alone] - 1][path[:-1], path[1:]].T
             nontrivial = set(np.flatnonzero(words[p, q].any(axis=0)).tolist())
             got = self._tables[key] = (back[0], words, nontrivial)
         return got
@@ -317,66 +335,96 @@ class _Engine:
 # synthesis
 
 
+_NOT = (((NOT, -1, 0),), 0)
+
+
 def _synth(bp: LayeredBp):
-    n, widths = bp.n, bp.widths
+    """The circuit and its layout, stamped over all nodes at once (see the
+    module docstring)."""
+    n, w = bp.n, bp.width
     eng = _Engine(bp)
     plan, layout = _layout(bp)
     if not eng.tables(0, n + 1)[0].any():
         raise SynthesisError(f"language slice at length {n} is empty")
-    lo, hi, right = (a.tolist() for a in (plan.lo, plan.hi, plan.right))
-
+    lo, hi, right = plan.lo, plan.hi, plan.right
     b = CircuitBuilder(layout.m)
-    word = b.inputs(0, n)  # a_1..a_n in variable order
-    pq = []  # each node's (p wires, q wires)
-    for _, _, off, pb, qb in layout.labels:
-        ws = b.inputs(off, pb + qb)
-        pq.append((ws[:pb], ws[pb:]))
+    b.inputs(0, layout.m)  # proof bit i is wire i: a_1..a_n, then the labels
+    nots = b.stamp(_NOT, np.arange(layout.m)[:, None])
+    # each node's p and q wires, least significant first, -1 past its bits
+    q_bits = _plan(n, w)[1]
+    p_bits = plan.bits - q_bits
+    bit = np.arange(bits_for(w))
+    p = np.where(bit < p_bits[:, None], (plan.offset + p_bits - 1)[:, None] - bit, -1)
+    q = np.where(bit < q_bits[:, None], (plan.offset + plan.bits - 1)[:, None] - bit, -1)
+    label = np.where(p_bits[:, None] > 0, np.concatenate([p, q], axis=1),
+                     np.concatenate([q, p], axis=1))  # no p at layer 0
 
-    def label_table(u: int, fn):
-        """A predicate of node u's own (p, q) label."""
-        pw, qw = pq[u]
-        return lower_fields(b, [(pw, widths[lo[u]]), (qw, widths[hi[u]])], fn)
+    catalog: dict = {}  # table bytes -> table index
 
-    feas = [label_table(u, lambda p, q, r=eng.tables(lo[u], hi[u])[0]: r[p, q])
-            for u in range(len(lo))]
+    def table_id(table) -> int:
+        return catalog.setdefault(np.asarray(table, dtype=bool).tobytes(), len(catalog))
 
-    def eq(xs, ys, width):
-        return lower_fields(b, [(xs, width), (ys, width)], lambda x, y: x == y)
+    def eq_id(nv: int) -> int:
+        """x == y over two boundary states of a layer of nv states."""
+        x, y = _field_values(((bits_for(nv), nv),) * 2)
+        return table_id(x == y)
 
-    def cons(u: int) -> int:
-        pw, qw = pq[u]
-        if right[u] < 0 and hi[u] > n:  # acceptance gap: feasibility alone
-            return feas[u]
-        if right[u] < 0:  # gap k reads word bit a_{gap_var[k-1]}
-            rel0, rel1 = bp.rel0[hi[u] - 1], bp.rel1[hi[u] - 1]
-            return lower_fields(
-                b,
-                [([word[bp.gap_var[hi[u] - 1] - 1]], None),
-                 (pw, widths[lo[u]]), (qw, widths[hi[u]])],
-                lambda a, p, q: np.where(a, rel1[p, q], rel0[p, q]),
-            )
-        # children labels chain and everyone is feasible
-        (lp, lq), (rp, rq) = pq[u + 1], pq[right[u]]
-        return b.and_tree([
-            eq(pw, lp, widths[lo[u]]), eq(lq, rp, widths[lo[right[u]]]),
-            eq(qw, rq, widths[hi[u]]),
-            feas[u], feas[u + 1], feas[right[u]],
-        ])
+    # nodes with equal tables share a key
+    code = (hi - lo) * 4 + (lo == 0) * 2 + (hi == n + 1) if eng.uniform else np.arange(len(lo))
+    _, first, key = np.unique(code, return_index=True, return_inverse=True)
+    feas_id, leaf_id = np.zeros((2, len(first)), dtype=np.int64)
+    rels, patch_ids = [], []  # per key: nontrivial positions and their tables
+    for j, u in enumerate(first.tolist()):
+        a, c = int(lo[u]), int(hi[u])
+        feas, words, nontrivial = eng.tables(a, c)
+        fields = ((int(p_bits[u]), 1 if a == 0 else w), (int(q_bits[u]), 1 if c == n + 1 else w))
+        pv, qv = _field_values(fields)
+        feas_id[j] = table_id(feas[pv, qv])
+        if c - a == 1 and c <= n:  # gap c reads its word bit
+            av, pv2, qv2 = _field_values(((1, None),) + fields)
+            leaf_id[j] = table_id(np.where(av, bp.rel1[c - 1][pv2, qv2], bp.rel0[c - 1][pv2, qv2]))
+        rels.append(sorted(nontrivial))
+        patch_ids.append([table_id(words[pv, qv, t]) for t in rels[-1]])
+    # patch rows: one per node and nontrivial position of its key, read
+    # from the keys' lists laid end to end
+    size = np.array([len(r) for r in rels], dtype=np.int64)
+    count = size[key]
+    pnode = np.repeat(np.arange(len(lo)), count)
+    flat = np.arange(len(pnode)) + np.repeat(
+        (np.cumsum(size) - size)[key] - (np.cumsum(count) - count), count)
+    prel = np.array([t for r in rels for t in r], dtype=np.int64)[flat]
+    ptable = np.array([t for r in patch_ids for t in r], dtype=np.int64)[flat]
 
-    def patch(u: int, k: int):
-        """Bit k of the witness word for node u's label; the parent of the
-        topmost inconsistent node is consistent, so that label is feasible
-        and the patches tile the word into one accepted s-t path.  The root's
-        label is hardwired, so its table has no wires and lowers to a
-        constant."""
-        _, words, nontrivial = eng.tables(lo[u], hi[u])
-        rel = k - lo[u] - 1
-        if rel not in nontrivial:
-            return None
-        return label_table(u, lambda p, q: words[p, q, rel])
-
-    outs = patched_outputs(b, plan, cons, [word[v - 1] for v in bp.gap_var], patch)
-    b.set_outputs([outs[k] for k in np.argsort(bp.gap_var)])
+    leaves = np.flatnonzero((right < 0) & (hi <= n))
+    word = np.asarray(bp.gap_var, dtype=np.int64) - 1  # a_{gap_var[k-1]} at gap k
+    kids = np.flatnonzero(right >= 0)
+    edge, inner = eq_id(1), eq_id(w)
+    groups = [  # (wires, table index) per row
+        (label, feas_id[key]),
+        (np.column_stack([word[hi[leaves] - 1], label[leaves]]), leaf_id[key[leaves]]),
+        # the label pairs that must agree: both on a boundary layer or neither
+        (np.column_stack([p[kids], p[kids + 1]]), np.where(lo[kids] == 0, edge, inner)),
+        (np.column_stack([q[kids + 1], p[right[kids]]]), np.full(len(kids), inner)),
+        (np.column_stack([q[kids], q[right[kids]]]), np.where(hi[kids] == n + 1, edge, inner)),
+        (label[pnode], ptable),
+    ]
+    width = max(g[0].shape[1] for g in groups)
+    wires = np.full((sum(len(g) for g, _ in groups), width), -1, dtype=np.int64)
+    at = 0
+    for g, _ in groups:
+        wires[at:at + len(g), :g.shape[1]] = g
+        at += len(g)
+    tables = [np.frombuffer(t, dtype=bool) for t in catalog]
+    roots = stamp_tables(b, tables, wires, np.concatenate([i for _, i in groups]), nots)
+    feas, checks, eqs, patches = np.split(roots, np.cumsum(
+        [len(lo), len(leaves), 3 * len(kids)]))
+    cons = feas.copy()  # the acceptance gap checks feasibility alone
+    cons[leaves] = checks
+    # children labels chain and everyone is feasible
+    cons[kids] = b.trees(AND, np.column_stack(
+        [eqs.reshape(3, -1).T, feas[kids], feas[kids + 1], feas[right[kids]]]))
+    outs = patched_outputs(b, plan, cons, word, pnode, lo[pnode] + prel + 1, patches)
+    b.set_outputs(outs[np.argsort(bp.gap_var)].tolist())
     return b.build(), layout
 
 

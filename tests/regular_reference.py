@@ -1,0 +1,167 @@
+"""Per-node regular synthesis, the reference for the stamped build.
+
+This is the gate-by-gate construction :mod:`rangesynth.regular` had before
+it stamped its label tables: every node's feasibility, leaf check, label
+equalities and patches go through :func:`lower_fields` one node at a time,
+and :func:`patched_outputs` and :func:`chain_ands` walk the nodes one at a
+time with the scalar builder calls.  ``tests/counting_reference.py`` builds
+its per-node counting circuits on the same two functions.  The stamped build
+must give circuits of the same size, depth and alternations, with the same
+outputs.
+"""
+
+import numpy as np
+
+from rangesynth.circuit import CircuitBuilder, lower_fields
+from rangesynth.regular import SynthesisError, _Engine, _layout, unroll
+
+
+def chain_ands(builder, parent, nodes, value_of) -> list:
+    """AND-accumulate per-node bits up each ancestor chain, shallowly.
+
+    For every node index in ``nodes`` (root first: each node's parent is -1
+    or listed earlier) sets ``out[i]`` to a wire computing the AND of
+    ``value_of[j]`` over node i and all its ancestors j; ``out`` is None at
+    the other nodes.  Uses binary lifting so the added circuit depth is
+    O(log chain length) rather than the chain length itself.
+    """
+    # lift[i][k] = (wire = AND of values over the 2^k chain nodes starting
+    # at i and going up, ancestor node just above that block or -1)
+    lift: list = [None] * len(parent)
+    for i in nodes:
+        levels = [(value_of[i], parent[i])]
+        while True:
+            w, anc = levels[-1]
+            if anc < 0 or len(lift[anc]) < len(levels):
+                break
+            w2, anc2 = lift[anc][len(levels) - 1]
+            levels.append((builder.and_(w, w2), anc2))
+        lift[i] = levels
+    out: list = [None] * len(parent)
+    for i in nodes:
+        parts = []
+        cur = i
+        while cur >= 0:
+            w, cur = lift[cur][-1]
+            parts.append(w)
+        out[i] = builder.and_tree(parts)
+    return out
+
+
+def patched_outputs(b, plan, cons, word_bits, patch) -> list:
+    """One output wire per position k = 1, 2, ... of ``word_bits``.
+
+    Output k is ``word_k AND cons(leaf) AND pathand(parent(leaf))`` ORed
+    with ``sel(u) AND patch(u, k)`` for every node u from the leaf up to the
+    root, where pathand is the AND of ``cons`` over a node and its
+    ancestors and ``sel(u) = NOT cons(u) AND pathand(parent(u))`` marks u as
+    the topmost inconsistent node.  Nodes are ``plan`` indexes; ``cons``
+    and ``sel`` are built at most once per node.
+    """
+    parent = plan.parent.tolist()
+    ok: list = [None] * len(parent)
+    sel: list = [None] * len(parent)
+
+    def cons_of(u):
+        if ok[u] is None:
+            ok[u] = cons(u)
+        return ok[u]
+
+    internal = np.flatnonzero(plan.right >= 0).tolist()
+    for u in internal:
+        cons_of(u)
+    pathand = chain_ands(b, parent, internal, ok)
+
+    def above(u):
+        return b.const(1) if parent[u] < 0 else pathand[parent[u]]
+
+    def sel_of(u):
+        if sel[u] is None:
+            sel[u] = b.and_(b.not_(cons_of(u)), above(u))
+        return sel[u]
+
+    outputs = []
+    leaves = np.flatnonzero(plan.right < 0).tolist()
+    for k, (leaf, word) in enumerate(zip(leaves, word_bits), 1):
+        terms = [b.and_tree([word, cons_of(leaf), above(leaf)])]
+        u = leaf
+        while u >= 0:
+            if b.const_value(cons_of(u)) != 1:
+                bit = patch(u, k)
+                if bit is not None:
+                    terms.append(b.and_(sel_of(u), bit))
+            u = parent[u]
+        outputs.append(b.or_tree(terms))
+    return outputs
+
+
+def _synth(bp):
+    n, widths = bp.n, bp.widths
+    eng = _Engine(bp)
+    plan, layout = _layout(bp)
+    if not eng.tables(0, n + 1)[0].any():
+        raise SynthesisError(f"language slice at length {n} is empty")
+    lo, hi, right = (a.tolist() for a in (plan.lo, plan.hi, plan.right))
+
+    b = CircuitBuilder(layout.m)
+    word = b.inputs(0, n)  # a_1..a_n in variable order
+    pq = []  # each node's (p wires, q wires)
+    for _, _, off, pb, qb in layout.labels:
+        ws = b.inputs(off, pb + qb)
+        pq.append((ws[:pb], ws[pb:]))
+
+    def label_table(u: int, fn):
+        """A predicate of node u's own (p, q) label."""
+        pw, qw = pq[u]
+        return lower_fields(b, [(pw, widths[lo[u]]), (qw, widths[hi[u]])], fn)
+
+    feas = [label_table(u, lambda p, q, r=eng.tables(lo[u], hi[u])[0]: r[p, q])
+            for u in range(len(lo))]
+
+    def eq(xs, ys, width):
+        return lower_fields(b, [(xs, width), (ys, width)], lambda x, y: x == y)
+
+    def cons(u: int) -> int:
+        pw, qw = pq[u]
+        if right[u] < 0 and hi[u] > n:  # acceptance gap: feasibility alone
+            return feas[u]
+        if right[u] < 0:  # gap k reads word bit a_{gap_var[k-1]}
+            rel0, rel1 = bp.rel0[hi[u] - 1], bp.rel1[hi[u] - 1]
+            return lower_fields(
+                b,
+                [([word[bp.gap_var[hi[u] - 1] - 1]], None),
+                 (pw, widths[lo[u]]), (qw, widths[hi[u]])],
+                lambda a, p, q: np.where(a, rel1[p, q], rel0[p, q]),
+            )
+        # children labels chain and everyone is feasible
+        (lp, lq), (rp, rq) = pq[u + 1], pq[right[u]]
+        return b.and_tree([
+            eq(pw, lp, widths[lo[u]]), eq(lq, rp, widths[lo[right[u]]]),
+            eq(qw, rq, widths[hi[u]]),
+            feas[u], feas[u + 1], feas[right[u]],
+        ])
+
+    def patch(u: int, k: int):
+        """Bit k of the witness word for node u's label; the parent of the
+        topmost inconsistent node is consistent, so that label is feasible
+        and the patches tile the word into one accepted s-t path.  The root's
+        label is hardwired, so its table has no wires and lowers to a
+        constant."""
+        _, words, nontrivial = eng.tables(lo[u], hi[u])
+        rel = k - lo[u] - 1
+        if rel not in nontrivial:
+            return None
+        return label_table(u, lambda p, q: words[p, q, rel])
+
+    outs = patched_outputs(b, plan, cons, [word[v - 1] for v in bp.gap_var], patch)
+    b.set_outputs([outs[k] for k in np.argsort(bp.gap_var)])
+    return b.build(), layout
+
+
+def synth_regular(automaton, n: int):
+    return _synth(unroll(automaton, n))
+
+
+def synth_structured(bp):
+    bp.check_structured()
+    return _synth(bp)

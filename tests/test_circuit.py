@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rangesynth import circuit
 from rangesynth.circuit import (
     _CHUNK_BYTES,
     _all_packed,
@@ -302,6 +303,20 @@ class TestStamp:
             if scalar.kinds[w] < NOT:
                 assert root == w
 
+    @given(stamp_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_runs_of_rows_match_one_run(self, case):
+        """Rows laid out a few layout cells at a time give the very gates
+        and roots of one run."""
+        m, templates, leaves, which = case
+        one, runs = _stamp_builder(m), _stamp_builder(m)
+        want = one.stamp(templates, leaves, which)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(circuit, "_LAY_OUT_WIRES", 3)
+            got = runs.stamp(templates, leaves, which)
+        assert np.array_equal(got, want)
+        assert (runs.kinds, runs.arg0, runs.arg1) == (one.kinds, one.arg0, one.arg1)
+
     def test_one_template(self):
         b = _stamp_builder(2)
         xor = ((NOT, -2, 0), (AND, -1, 0), (NOT, -1, 0), (AND, 2, -2), (OR, 1, 3)), 4
@@ -391,6 +406,55 @@ class TestStamp:
         with pytest.raises(CircuitError, match="which"):
             b.stamp([((), -1), ((), -1)], [[0], [0]], which)
         assert len(b.kinds) == 1
+
+
+@st.composite
+def tree_cases(draw):
+    """AND or OR, and rows of one to six wires of a ``_stamp_builder``
+    (inputs, both shared CONSTs, a NOT and an AND), padded with -1."""
+    m, width = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(0, m + 3), min_size=1, max_size=width),
+                         max_size=6))
+    return m, draw(st.sampled_from([AND, OR])), width, rows
+
+
+class TestTrees:
+    """``trees`` builds what ``and_tree``/``or_tree`` build row by row."""
+
+    @given(tree_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_trees(self, case):
+        m, kind, width, rows = case
+        wires = np.full((len(rows), width), -1, dtype=np.int64)
+        for i, row in enumerate(rows):
+            wires[i, :len(row)] = row
+        stamped, scalar = _stamp_builder(m), _stamp_builder(m)
+        roots = stamped.trees(kind, wires).tolist()
+        want = [(scalar.and_tree if kind == AND else scalar.or_tree)(row) for row in rows]
+        for root, w in zip(roots, want):  # a folded tree names the same wire
+            if scalar.kinds[w] < NOT:
+                assert root == w
+        for b, outs in ((stamped, roots), (scalar, want)):
+            b.set_outputs(outs + [b.not_(0)])
+        assert stamped.build() == scalar.build()
+
+    def test_refuses_wide_rows(self):
+        b = _stamp_builder(2)
+        with pytest.raises(CircuitError, match="31"):
+            b.trees(AND, np.zeros((1, 32), dtype=np.int64))
+
+
+class TestNots:
+    @given(st.integers(1, 4), st.lists(st.integers(0, 7), max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_not_calls(self, m, picks):
+        """The gates and wires of one ``not_`` call per wire, in order."""
+        block, scalar = _stamp_builder(m), _stamp_builder(m)
+        wires = [p % len(block.kinds) for p in picks]
+        assert block.nots(np.array(wires, dtype=np.int64)).tolist() == [
+            scalar.not_(w) for w in wires]
+        assert (block.kinds, block.arg0, block.arg1) == (scalar.kinds, scalar.arg0, scalar.arg1)
+        assert block._not_ids == scalar._not_ids
 
 
 class TestInputs:

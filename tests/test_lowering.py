@@ -6,8 +6,11 @@ slot-aligned AND trees (``circuit._cover``, ``circuit._slot_and_tree``);
 minterm per true row.  A covered table must compute the same function with
 no more depth, and no more gates when built alone.  Every family synthesis
 must come out no larger, no deeper and with no more alternations than the
-same synthesis under the reference lowering, with the same range.  The
-gates emitted must not depend on hash order or on the cover cache.
+same synthesis under the reference lowering, with the same range; the
+reference goes in through ``circuit._template``, the template every replayed
+or stamped table is made from, and the mod-16 counter must come out smaller
+without it.  The gates emitted must not depend on hash order or on the cover
+cache.
 """
 
 import os
@@ -125,6 +128,32 @@ def test_wide_tables_fall_back_to_minterms():
     assert size(new) == size(ref)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 4).flatmap(lambda k: st.lists(
+    st.booleans(), min_size=1 << k, max_size=1 << k)), min_size=1, max_size=4), st.data())
+def test_stamp_tables_matches_replay(tables, data):
+    """Rows of tables over distinct inputs in one stamp, against one
+    ``table_to_subcircuit`` replay per row: the same outputs and, built,
+    the same gate count."""
+    m = 5
+    which = data.draw(st.lists(st.integers(0, len(tables) - 1), max_size=8))
+    rows = [data.draw(st.permutations(range(m)))[:len(tables[t]).bit_length() - 1]
+            for t in which]
+    wires = np.full((len(rows), 4), -1, dtype=np.int64)
+    for i, row in enumerate(rows):
+        wires[i, :len(row)] = row
+    stamped, replayed = CircuitBuilder(m), CircuitBuilder(m)
+    stamped.inputs(0, m)
+    nots = stamped.stamp((((NOT, -1, 0),), 0), np.arange(m)[:, None])
+    stamped.set_outputs(circuit.stamp_tables(stamped, tables, wires, which, nots).tolist())
+    replayed.inputs(0, m)
+    replayed.set_outputs([table_to_subcircuit(replayed, tables[t], row)
+                          for t, row in zip(which, rows)])
+    new, ref = stamped.build(), replayed.build()
+    assert np.array_equal(eval_batch(new, _all_rows(m)), eval_batch(ref, _all_rows(m)))
+    assert size(new) == size(ref)
+
+
 def test_lower_fields_calls_fn_once_with_arrays():
     calls = []
 
@@ -158,6 +187,15 @@ def test_cover_cache_is_bounded():
 
 MOD16_TXT = "states 16\nstart 0\nfinal 0\n" + "".join(
     f"trans {s} 0 {s}\ntrans {s} 1 {(s + 1) % 16}\n" for s in range(16))
+MOD16 = parse_dfa(MOD16_TXT)
+
+
+def _minterm_template(k: int, table: bytes) -> tuple:
+    """``circuit._template`` under the minterm lowering: the one source of
+    every table's gates, whether replayed by ``table_to_subcircuit`` or
+    stamped by ``stamp_tables``."""
+    return circuit._record(k, lambda b, wires: table_to_subcircuit_reference(
+        b, np.frombuffer(table, dtype=bool), wires))
 
 
 def _lowering_cases():
@@ -165,7 +203,7 @@ def _lowering_cases():
     cases = [(kind, params, {}) for kind, params, _ in _family_cases()]
     cases += [("padded", (v, 5), {"variant": "co-sac"}),
               ("padded", (v, 5), {"variant": "sac"}),
-              ("regular", (parse_dfa(MOD16_TXT), 32), {})]
+              ("regular", (MOD16, 32), {})]
     return cases
 
 
@@ -175,9 +213,11 @@ def _lowering_cases():
 def test_family_no_worse_than_minterm_lowering(kind, params, options):
     fam = FAMILIES[kind]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(circuit, "table_to_subcircuit", table_to_subcircuit_reference)
+        mp.setattr(circuit, "_template", _minterm_template)
         ref = fam.synth(*params, **options)[0]
     new = fam.synth(*params, **options)[0]
+    if params[0] is MOD16:  # the stamped tables lower through the patch too
+        assert size(new) < size(ref)
     assert size(new) <= size(ref)
     assert depth(new) <= depth(ref)
     assert alternations(new) <= alternations(ref)
