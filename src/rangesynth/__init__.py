@@ -13,7 +13,6 @@ from .circuit import (
     Circuit,
     CircuitBuilder,
     CircuitMetrics,
-    all_inputs,
     circuit_range,
     eval_batch,
     eval_circuit,

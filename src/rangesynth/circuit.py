@@ -185,14 +185,15 @@ class CircuitBuilder:
 
     One constructor per gate kind; each folds constant operands (an AND
     with 0 is that 0, an AND with 1 its other operand, and so on), which is
-    always exact.  :meth:`gate` emits a gate as given, for the few callers
-    that need the gate itself.  :meth:`stamp` appends a small template once
-    per row of an array of wires, folding the same way, and :meth:`inputs`
-    a run of INPUT gates.  :meth:`build` then merges structurally equal
-    gates and drops logic gates that no output reads (:func:`_reduce`), so
-    synthesizers need not share subcircuits themselves.  CONST gates, and
-    the NOTs of :meth:`not_`, are still shared as they are emitted, which
-    keeps the gate arrays and the reduction small.
+    always exact.  :meth:`gate` emits a gate as given, for ``upclose``'s
+    per-output OR, which must cost a gate even on a constant.
+    :meth:`stamp` appends a small template once per row of an array of
+    wires, folding the same way, and :meth:`inputs` a run of INPUT gates.
+    :meth:`build` then merges structurally equal gates and drops logic gates
+    that no output reads (:func:`_reduce`), so synthesizers need not share
+    subcircuits themselves.  CONST gates, and the NOTs of :meth:`not_`, are
+    still shared as they are emitted, which keeps the gate arrays and the
+    reduction small.
     """
 
     def __init__(self, num_inputs: int):
@@ -315,21 +316,18 @@ class CircuitBuilder:
         return slots[0]
 
     def _fold_tree(self, op, wires: Sequence[int], unit: int) -> int:
-        """Tree of ``op`` over the wires: a constant ``unit`` drops out and a
-        constant ``1 - unit`` absorbs the whole tree."""
-        kept = [w for w in wires if self.const_value(w) != unit]
-        if any(self.kinds[w] == CONST for w in kept):
-            return self.const(1 - unit)
-        return self._tree(op, kept or [self.const(unit)])
+        """Tree of ``op`` over the wires :func:`_tree_leaves` keeps; the
+        ``unit`` constant for no wires."""
+        if not len(wires):
+            return self.const(unit)
+        keep = _tree_leaves(unit, [self.const_value(w) for w in wires])
+        return self._tree(op, [wires[i] for i in keep])
 
     def and_tree(self, wires: Sequence[int]) -> int:
         return self._fold_tree(self.and_, wires, 1)
 
     def or_tree(self, wires: Sequence[int]) -> int:
         return self._fold_tree(self.or_, wires, 0)
-
-    def xor_tree(self, wires: Sequence[int]) -> int:
-        return self._tree(self.xor, list(wires) or [self.const(0)])
 
     def trees(self, kind: int, wires) -> np.ndarray:
         """:meth:`and_tree` (kind AND) or :meth:`or_tree` (kind OR) of
@@ -646,24 +644,32 @@ def _xor_template(k: int, first: int = 0) -> tuple:
     return tuple(gates), root
 
 
+def _tree_leaves(unit: int, bits: Sequence) -> list:
+    """The leaves an AND (``unit`` 1) or OR (``unit`` 0) tree keeps, given
+    each leaf's constant bit, None for a wire: the first constant
+    ``1 - unit`` alone, which absorbs the tree; else every leaf but the
+    ``unit`` constants, which drop out; else the first leaf.  The folding
+    rule of both :meth:`CircuitBuilder._fold_tree` and
+    :func:`_tree_template`."""
+    kept = [i for i, v in enumerate(bits) if v != unit]
+    return [i for i in kept if bits[i] is not None][:1] or kept or [0]
+
+
 @lru_cache(maxsize=None)
 def _tree_template(kind: int, pattern: tuple) -> tuple:
     """Stamp template of ``CircuitBuilder._fold_tree`` for AND or OR over
     leaf columns of the given classes: 0 a wire, 1 CONST 0, 2 CONST 1, 3
-    no leaf.  The unit constant drops out, and the other one is the root."""
-    unit = 1 + (kind == AND)
+    no leaf."""
     present = [c for c, p in enumerate(pattern) if p != 3]
-    kept = [c for c in present if pattern[c] != unit]
-    absorbing = [c for c in kept if pattern[c]]
-    if absorbing or not kept:
-        return (), -1 - (absorbing or present)[0]
+    keep = _tree_leaves(int(kind == AND), [pattern[c] - 1 if pattern[c] else None
+                                           for c in present])
     gates = []
 
     def op(a, b):
         gates.append((kind, a, b))
         return len(gates) - 1
 
-    root = CircuitBuilder._tree(op, [-1 - c for c in kept])
+    root = CircuitBuilder._tree(op, [-1 - present[i] for i in keep])
     return tuple(gates), root
 
 
@@ -691,40 +697,29 @@ def table_to_subcircuit(builder: CircuitBuilder, table: Sequence[int], wires: Se
     literals over the wire slots (:func:`_slot_and_tree`), and a balanced OR
     tree joins them.  There are at most as many implicants as true rows, so
     the local depth is at most ``ceil(log2 k) + ceil(log2 #true_rows) + 1``.
-    A constant table collapses to a CONST gate.  Each distinct table is
-    lowered once (:func:`_template`); a call replays its gates on ``wires``,
-    taking each literal's NOT from :meth:`CircuitBuilder.not_`.
+    A constant table collapses to a CONST gate.  One row of
+    :func:`stamp_tables`.
     """
-    k = len(wires)
-    gates, root = _template(k, _table_bytes(table, k))
-    leaf: list = [None, None] + list(wires) + [None] * k  # _record's columns
-
-    def wire(op: int) -> int:
-        if op >= 0:
-            return ids[op]
-        c = -1 - op
-        if leaf[c] is None:
-            leaf[c] = builder.const(c) if c < 2 else builder.not_(wires[c - 2 - k])
-        return leaf[c]
-
-    ids: list = []
-    for kind, a, b in gates:
-        ids.append(builder.not_(wire(a)) if kind == NOT
-                   else builder.gate(kind, wire(a), wire(b)))
-    return wire(root)
+    return int(stamp_tables(builder, [table], [list(wires)], [0])[0])
 
 
-def stamp_tables(builder: CircuitBuilder, tables, wires, which, nots) -> np.ndarray:
-    """:func:`table_to_subcircuit` for many rows in one
-    :meth:`CircuitBuilder.stamp`: row r computes ``tables[which[r]]`` over
-    the wires of row r of ``wires``, a (rows, c) array holding them first,
-    least significant index bit first, and -1 after them.  ``nots[w]`` is
-    the NOT of wire w, for every wire in ``wires``; the rows share those
-    NOTs rather than each emitting its own."""
+def stamp_tables(builder: CircuitBuilder, tables, wires, which, nots=None) -> np.ndarray:
+    """Truth tables on many rows of wires in one :meth:`CircuitBuilder.stamp`:
+    row r computes ``tables[which[r]]`` (see :func:`table_to_subcircuit`)
+    over the wires of row r of ``wires``, a (rows, c) array holding as many
+    as its table has inputs first, least significant index bit first, and
+    -1 after them.  Each distinct table is lowered once (:func:`_template`),
+    the one source of every table's gates.  ``nots[w]`` is the NOT of wire
+    w, for every wire in ``wires``; without ``nots`` the NOTs of the
+    literals the rows read come from :meth:`CircuitBuilder.nots`.  Either
+    way the rows share them rather than each emitting its own."""
     wires = np.asarray(wires, dtype=np.int64)
     which = np.asarray(which, dtype=np.intp)
     ks = np.array([max(len(t), 1).bit_length() - 1 for t in tables], dtype=np.intp)
-    templates = [_template(int(k), _table_bytes(t, int(k))) for t, k in zip(tables, ks)]
+    templates = tuple(_template(int(k), _table_bytes(t, int(k))) for t, k in zip(tables, ks))
+    k = ks[which]
+    if (np.count_nonzero(wires >= 0, axis=1) != k).any():
+        raise CircuitError("each row needs one wire per input of its table")
     rows, width = len(wires), int(ks.max(initial=0))
     # _record's leaf columns per row: CONST 0, CONST 1, the wires, their
     # NOTs; only a constant table reads a CONST, as its root
@@ -732,10 +727,15 @@ def stamp_tables(builder: CircuitBuilder, tables, wires, which, nots) -> np.ndar
     fill = max(const[0], const[1], int(wires.max(initial=0)))
     leaves = np.full((rows, 2 + 2 * width), fill, dtype=np.int64)
     leaves[:, :2] = np.where(np.array(const) < 0, fill, const)
-    k = ks[which]
     r, c = np.nonzero(np.arange(width) < k[:, None])
     leaves[r, 2 + c] = wires[r, c]
-    leaves[r, 2 + k[r] + c] = np.asarray(nots)[wires[r, c]]
+    if nots is None:  # the builder's NOTs of just the literals a row reads
+        ts = _template_set(templates, leaves.shape[1])
+        read = ts.reads[which[r], 2 + k[r] + c] | (ts.root[which[r]] == 2 + k[r] + c)
+        r, c = r[read], c[read]
+        leaves[r, 2 + k[r] + c] = builder.nots(wires[r, c])
+    else:
+        leaves[r, 2 + k[r] + c] = np.asarray(nots)[wires[r, c]]
     return builder.stamp(templates, leaves, which)
 
 
@@ -906,7 +906,7 @@ def _field_values(widths: tuple) -> tuple:
     return tuple(vals)
 
 
-def lower_fields(builder: CircuitBuilder, fields, fn) -> int:
+def lower_fields(builder: CircuitBuilder, fields, fn):
     """Lower a predicate over small bit-encoded fields to a DNF subcircuit.
 
     ``fields`` is a list of ``(wires_msb_first, num_values)`` pairs; each
@@ -914,14 +914,20 @@ def lower_fields(builder: CircuitBuilder, fields, fn) -> int:
     ``num_values`` is given (the out-of-range-encoding convention).  ``fn``
     is called once, with one read-only int array per field holding that
     field's value on every row of the truth table, and returns the
-    predicate's bit on every row as an array of the same length.
+    predicate's bit on every row as an array of the same length, or a
+    (predicates, rows) array of several predicates.  Returns the root wire,
+    or one per predicate as an array, from one :func:`stamp_tables` call.
     """
     wires_lsb: list[int] = []
     widths = []
     for ws, nv in fields:
         wires_lsb.extend(reversed(list(ws)))
         widths.append((len(ws), nv))
-    return table_to_subcircuit(builder, fn(*_field_values(tuple(widths))), wires_lsb)
+    tables = np.asarray(fn(*_field_values(tuple(widths))))
+    several = np.atleast_2d(tables)
+    roots = stamp_tables(builder, several, np.tile(wires_lsb, (len(several), 1)),
+                         np.arange(len(several)))
+    return roots if tables.ndim == 2 else int(roots[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1361,13 +1367,6 @@ def _all_packed(m: int, words: int = 1 << 10) -> Iterator[tuple]:
         P[:6] = _LOW_INPUTS[:m, None]
         P[6:] = ((w >> shifts) & 1) * _ALL_ONES
         yield P, min(total - 64 * start, 64 * len(w))
-
-
-def all_inputs(m: int) -> Iterator[np.ndarray]:
-    """Every length-m input vector in :func:`_all_packed` order, as (rows, m)
-    uint8 chunks of up to 2^16 rows."""
-    for P, rows in _all_packed(m):
-        yield _unpack_rows(P, rows)
 
 
 def circuit_range(c: Circuit, budget: int = 1 << 24) -> set[bytes]:

@@ -44,7 +44,7 @@ def union(circuits) -> Circuit:
     sel_bits = bits_for(k)
     b = CircuitBuilder(sel_bits + sum(c.num_inputs for c in circuits))
     sel = b.inputs(0, sel_bits)  # MSB first; k or more picks the last
-    ind = [lower_fields(b, [(sel, k)], lambda v, i=i: v == i) for i in range(k)]
+    ind = lower_fields(b, [(sel, k)], lambda v: v == np.arange(k)[:, None]).tolist()
     branch_outs = []
     off = sel_bits
     for c in circuits:
@@ -74,7 +74,7 @@ def concat_finite(words, c: Circuit, side: str = "left") -> Circuit:
     b = CircuitBuilder(sel_bits + c.num_inputs)
     sel = b.inputs(0, sel_bits)
     cols = np.array(words, dtype=np.uint8).T  # cols[j][v]: bit j of word v
-    word_outs = [lower_fields(b, [(sel, s)], col.__getitem__) for col in cols]
+    word_outs = lower_fields(b, [(sel, s)], lambda v: cols[:, v]).tolist()
     inner = b.append_circuit(c, b.inputs(sel_bits, c.num_inputs))
     b.set_outputs(word_outs + inner if side == "left" else inner + word_outs)
     return b.build()
@@ -170,5 +170,5 @@ def finite_language(words) -> Circuit:
     b = CircuitBuilder(sel_bits)
     sel = b.inputs(0, sel_bits)
     cols = np.array(words, dtype=np.uint8).T  # cols[j][v]: bit j of word v
-    b.set_outputs([lower_fields(b, [(sel, s)], col.__getitem__) for col in cols])
+    b.set_outputs(lower_fields(b, [(sel, s)], lambda v: cols[:, v]).tolist())
     return b.build()

@@ -754,7 +754,3 @@ def word_to_string(word) -> str:
     bits = (np.frombuffer(word, dtype=np.uint8) if isinstance(word, bytes)
             else np.asarray(word, dtype=np.uint8))
     return (bits + ord("0")).tobytes().decode("ascii")
-
-
-def words_to_strings(words: np.ndarray) -> list[str]:
-    return [word_to_string(row) for row in words]

@@ -20,7 +20,7 @@ import numpy as np
 from .circuit import (
     _ALL_ONES, AND, CONST, INPUT, NOT,
     Circuit, CircuitBuilder, ParseError, _all_packed, _as_bits, _eval_packed,
-    _packed_rows, _parse, _unpack_rows, eval_batch, lower_fields, serialize, size,
+    _packed_rows, _parse, _unpack_rows, eval_batch, serialize, size, stamp_tables,
 )
 from .languages import LanguageError
 from .regular import WitnessError
@@ -116,47 +116,42 @@ def _gate_checks(b: CircuitBuilder, v: VerifierCircuit, want_consistent: bool):
     """Per-logic-gate (in)consistency bits plus the claimed-output wire.
 
     Returns (check_wires, z_out, x_wires).  Inputs of the new builder are
-    laid out as x, y, then one z bit per logic gate of v in gate order.
+    laid out as x, y, then one z bit per logic gate of v in gate order; the
+    x and z bits, and the y bits a gate of v reads, get one INPUT gate each.
+    One :func:`stamp_tables` call checks every logic gate: its row holds its
+    operands' values, each a proof bit or a CONST, and its own z.
     """
     c = v.circuit
+    kinds, a0, a1 = c._arrays()
+    logic = np.flatnonzero(kinds >= NOT)
+    binary = kinds[logic] >= AND
     nxy = c.num_inputs
-    z_index: dict[int, int] = {}
-    for g in range(c.num_gates):
-        if c.kinds[g] >= NOT:
-            z_index[g] = len(z_index)
-    wires: dict[int, int] = {}  # proof bit -> its one INPUT gate
-
-    def proof_bit(i: int) -> int:
-        if i not in wires:
-            wires[i] = b.input(i)
-        return wires[i]
-
-    def value_wire(g: int) -> int:
-        k = c.kinds[g]
-        if k == INPUT:
-            return proof_bit(c.arg0[g])
-        if k == CONST:
-            return b.const(c.arg0[g])
-        return proof_bit(nxy + z_index[g])
-
-    checks = []
-    for g, zi in z_index.items():
-        k = c.kinds[g]
-        zg = proof_bit(nxy + zi)
-        if k == NOT:
-            fields = [([value_wire(c.arg0[g])], None), ([zg], None)]
-            fn = lambda a, z: (z == 1 - a) == want_consistent
-        else:
-            op = (lambda a, bb: a & bb) if k == AND else (lambda a, bb: a | bb)
-            fields = [
-                ([value_wire(c.arg0[g])], None),
-                ([value_wire(c.arg1[g])], None),
-                ([zg], None),
-            ]
-            fn = lambda a, bb, z, op=op: (z == op(a, bb)) == want_consistent
-        checks.append(lower_fields(b, fields, fn))
-    z_out = value_wire(c.outputs[0])
-    return checks, z_out, [proof_bit(i) for i in range(v.num_x)]
+    bit = np.full(c.num_gates, -1, dtype=np.int64)  # each gate's proof bit
+    bit[kinds == INPUT] = a0[kinds == INPUT]
+    bit[logic] = nxy + np.arange(len(logic))
+    read = np.concatenate([a0[logic], a1[logic[binary]], c.outputs]).astype(np.int64)
+    used = np.zeros(nxy + len(logic), dtype=bool)
+    used[:v.num_x] = used[nxy:] = True
+    read_bits = bit[read]
+    used[read_bits[read_bits >= 0]] = True
+    wire = np.full(len(used) + 1, -1, dtype=np.int64)  # bit -1 maps to -1
+    runs = np.flatnonzero(np.diff(np.concatenate([[0], used, [0]]).astype(np.int8)))
+    for lo, hi in runs.reshape(-1, 2).tolist():
+        wire[lo:hi] = b.inputs(lo, hi - lo)
+    value = wire[bit]
+    for bit_value in (0, 1):
+        const = (kinds == CONST) & (a0 == bit_value)
+        if const[read].any():
+            value[const] = b.const(bit_value)
+    rows = np.column_stack([value[a0[logic]],
+                            np.where(binary, value[a1[logic]], value[logic]),
+                            np.where(binary, value[logic], -1)])
+    # the NOT, AND and OR checks over (a, z) and (a, b, z), least significant first
+    r = np.arange(8)
+    tables = [((r >> 1 & 1) != (r & 1))[:4], r >> 2 == r & r >> 1 & 1,
+              r >> 2 == (r | r >> 1) & 1]
+    checks = stamp_tables(b, [t == want_consistent for t in tables], rows, kinds[logic] - NOT)
+    return checks.tolist(), int(value[c.outputs[0]]), wire[:v.num_x].tolist()
 
 
 def _proof_inputs(v: VerifierCircuit) -> int:

@@ -31,7 +31,7 @@ Each is lowered once (``circuit._template``) and one
 :meth:`~rangesynth.circuit.CircuitBuilder.trees` call ANDs each internal
 node's checks, and :func:`~rangesynth.intervals.patched_outputs` the rest.
 ``tests/regular_reference.py`` keeps the gate-by-gate construction, and the
-two give circuits of equal size, depth and alternations.
+two give the same circuit up to gate numbering.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ line-by-line text reader and writer that the whole-array ``parse`` and
 ``serialize`` replaced, the verifier reader that re-joins the text around
 ``parse``, a build that keeps every emitted gate, a per-gate
 ``append_circuit``, the truth-table lowering that writes one full minterm
-per true row, the row-index enumeration of every input, and the cone sweep
-that first finds the gates the outputs read.
+per true row, the per-gate replay of a lowered table that the table stamps
+replaced, the row-index enumeration of every input, and the cone sweep that
+first finds the gates the outputs read.
 They are slow but obviously follow the definitions in the circuit module
 docstring, so the differential tests compare the fast paths against them.
 """
@@ -20,7 +21,8 @@ import numpy as np
 
 from rangesynth.circuit import (
     _KIND_NAMES, _NAME_TO_KIND, AND, CONST, INPUT, MAX_INPUTS, NOT, OR, Circuit,
-    CircuitError, InputArityError, ParseError, StructureError, parse,
+    CircuitError, InputArityError, ParseError, StructureError, _field_values,
+    _table_bytes, _template, parse,
 )
 
 
@@ -363,3 +365,36 @@ def table_to_subcircuit_reference(builder, table, wires) -> int:
         ]
         terms.append(builder.and_tree(lits))
     return builder.or_tree(terms)
+
+
+def table_to_subcircuit_replay(builder, table, wires) -> int:
+    """``table_to_subcircuit`` one gate at a time: the table's template
+    (``circuit._template``) replayed on ``wires``, each literal's NOT from
+    ``builder.not_`` and each AND/OR through ``builder.gate``, unfolded."""
+    k = len(wires)
+    gates, root = _template(k, _table_bytes(table, k))
+    leaf = [None, None] + list(wires) + [None] * k  # _record's columns
+
+    def wire(op: int) -> int:
+        if op >= 0:
+            return ids[op]
+        c = -1 - op
+        if leaf[c] is None:
+            leaf[c] = builder.const(c) if c < 2 else builder.not_(wires[c - 2 - k])
+        return leaf[c]
+
+    ids = []
+    for kind, a, b in gates:
+        ids.append(builder.not_(wire(a)) if kind == NOT
+                   else builder.gate(kind, wire(a), wire(b)))
+    return wire(root)
+
+
+def lower_fields_replay(builder, fields, fn) -> int:
+    """``lower_fields`` of one predicate through
+    :func:`table_to_subcircuit_replay`."""
+    wires_lsb, widths = [], []
+    for ws, nv in fields:
+        wires_lsb.extend(reversed(list(ws)))
+        widths.append((len(ws), nv))
+    return table_to_subcircuit_replay(builder, fn(*_field_values(tuple(widths))), wires_lsb)

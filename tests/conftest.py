@@ -42,7 +42,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 from rangesynth.circuit import CircuitBuilder, eval_batch
 from rangesynth.languages import parse_dfa
-from rangesynth.npsys import VerifierCircuit
+from rangesynth.npsys import VerifierCircuit, parse_verifier
 
 # Even number of ones.
 PARITY_TXT = """\
@@ -205,3 +205,36 @@ def tiny_and_verifier():
     b = CircuitBuilder(3)
     b.set_outputs([b.and_(b.input(0), b.input(1))])
     return VerifierCircuit(b.build(), num_x=2, num_y=1)
+
+
+def const_verifier():
+    """Verifier whose gates read CONST gates: x0 AND 1, ORed with 0, ANDed
+    with y and with NOT 0, so it accepts the x with x0 = 1."""
+    return parse_verifier("""\
+circuit 3 10 1
+split 2 1
+0 INPUT 0
+1 INPUT 1
+2 INPUT 2
+3 CONST 1
+4 CONST 0
+5 AND 0 3
+6 OR 4 5
+7 NOT 4
+8 AND 6 2
+9 AND 8 7
+outputs 9
+""")
+
+
+def random_verifier(gates: int, seed: int, num_x: int = 3, num_y: int = 3):
+    """A verifier of ``gates`` random NOT/AND/OR gates, output the last:
+    each reads the gate before it, and an AND/OR also a random earlier gate
+    or input, so the y bits none reads stay unread."""
+    rng = np.random.default_rng(seed)
+    b = CircuitBuilder(num_x + num_y)
+    wires = b.inputs(0, num_x + num_y)
+    for kind, u in zip(rng.integers(2, 5, gates).tolist(), rng.random(gates)):
+        wires.append(b.gate(kind, wires[-1], wires[int(u * len(wires))]))
+    b.set_outputs([wires[-1]])
+    return VerifierCircuit(b.build(), num_x, num_y)

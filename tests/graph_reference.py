@@ -13,13 +13,19 @@ from rangesynth.circuit import CircuitBuilder
 from rangesynth.graphs import _basis, _check_size
 
 
+def xor_tree(b: CircuitBuilder, wires) -> int:
+    """Balanced tree of ``b.xor`` over the wires, paired as
+    ``CircuitBuilder._tree`` pairs them; CONST 0 for no wires."""
+    return b._tree(b.xor, list(wires) or [b.const(0)])
+
+
 def synth_cycles(n: int):
     _check_size("cycles", n)
     tris, pairs, incidence, _, _ = _basis(n)
     b = CircuitBuilder(len(tris))
     coeff = [b.input(i) for i in range(len(tris))]
     zero = b.const(0)
-    edges = [b.xor_tree([coeff[i] for i in row if i >= 0])
+    edges = [xor_tree(b, [coeff[i] for i in row if i >= 0])
              for row in incidence.tolist()]
     out = np.full((n, n), zero)
     out[pairs] = out.T[pairs] = edges
@@ -37,7 +43,7 @@ def synth_ustconn(n: int):
     zero = b.const(0)
     edges = []
     for p, row in enumerate(incidence.tolist()):
-        cyc = b.xor_tree([coeff[i] for i in row if i >= 0])
+        cyc = xor_tree(b, [coeff[i] for i in row if i >= 0])
         if p == n - 2:  # the pair (1, n), last of the first row
             cyc = b.not_(cyc)
         edges.append(b.or_(cyc, mask[p]))

@@ -2,18 +2,19 @@
 
 This is the gate-by-gate construction :mod:`rangesynth.regular` had before
 it stamped its label tables: every node's feasibility, leaf check, label
-equalities and patches go through :func:`lower_fields` one node at a time,
-and :func:`patched_outputs` and :func:`chain_ands` walk the nodes one at a
-time with the scalar builder calls.  ``tests/counting_reference.py`` builds
+equalities and patches are lowered one node at a time and replayed gate by
+gate (``circuit_reference.lower_fields_replay``), and
+:func:`patched_outputs` and :func:`chain_ands` walk the nodes one at a time
+with the scalar builder calls.  ``tests/counting_reference.py`` builds
 its per-node counting circuits on the same two functions.  The stamped build
-must give circuits of the same size, depth and alternations, with the same
-outputs.
+must give the same circuit up to gate numbering (``tests/structure.py``).
 """
 
 import numpy as np
 
-from rangesynth.circuit import CircuitBuilder, lower_fields
+from rangesynth.circuit import CircuitBuilder
 from rangesynth.regular import SynthesisError, _Engine, _layout, unroll
+from tests.circuit_reference import lower_fields_replay as lower_fields
 
 
 def chain_ands(builder, parent, nodes, value_of) -> list:

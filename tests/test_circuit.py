@@ -52,6 +52,7 @@ from tests.circuit_reference import (
     serialize_reference,
     validate_reference,
 )
+from tests.graph_reference import xor_tree
 
 
 def _identity():
@@ -201,8 +202,6 @@ class TestFolding:
         assert b.or_tree([zero, x, zero]) == x
         assert b.or_tree([zero]) == zero
         assert b.or_tree([]) == zero
-        assert b.xor_tree([]) == zero
-        assert b.xor_tree([zero, x]) == x
         assert len(b.kinds) == gates  # no gate so far
         g = b.and_tree([x, one, y])
         assert (b.kinds[g], b.arg0[g], b.arg1[g]) == (AND, x, y)
@@ -639,7 +638,7 @@ class TestDifferential:
     def test_rows_not_a_multiple_of_8(self, rows):
         b = CircuitBuilder(4)
         x = [b.input(i) for i in range(4)]
-        b.set_outputs([b.xor_tree(x), b.or_(b.not_(x[0]), x[3]), b.const(1)])
+        b.set_outputs([xor_tree(b, x), b.or_(b.not_(x[0]), x[3]), b.const(1)])
         c = b.build()
         X = _random_rows(c, rows, rows)
         assert np.array_equal(eval_batch(c, X), eval_reference(c, X))
@@ -727,7 +726,7 @@ class TestPacked:
         monkeypatch.setattr(circuit_module, "_BLOCK_BYTES", 1024)
         b = CircuitBuilder(4)
         x = [b.input(i) for i in range(4)]
-        b.set_outputs([b.xor_tree(x), b.or_(b.not_(x[0]), x[3]), x[1], x[2]])
+        b.set_outputs([xor_tree(b, x), b.or_(b.not_(x[0]), x[3]), x[1], x[2]])
         c = b.build()
         X = _random_rows(c, rows, rows)
         packed = _pack_rows(X)
@@ -739,7 +738,7 @@ class TestPacked:
     def test_all_packed_matches_all_inputs(self, m):
         b = CircuitBuilder(m)
         x = [b.input(i) for i in range(m)]
-        b.set_outputs([b.xor_tree(x), b.and_tree(x[::3]), b.const(1)] + x[::-2])
+        b.set_outputs([xor_tree(b, x), b.and_tree(x[::3]), b.const(1)] + x[::-2])
         c = b.build()
         want = np.concatenate(list(all_inputs_reference(m)))
         for words in (1 << 10, 3):

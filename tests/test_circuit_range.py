@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from rangesynth.circuit import CircuitBuilder, _all_packed, circuit_range
 from rangesynth.counting import synth_exact_count, synth_threshold
 from tests.conftest import contains11_verifier
+from tests.graph_reference import xor_tree
 from tests.membership_reference import circuit_range as reference_range
 from tests.test_circuit import random_circuits
 
@@ -37,7 +38,7 @@ def test_outputs_wider_than_a_key_word(n):
     rng = np.random.default_rng(n)
     b = CircuitBuilder(9)
     x = [b.input(i) for i in range(9)]
-    outs = [b.xor_tree([x[i] for i in rng.choice(9, 3, replace=False)]) for _ in range(n - 1)]
+    outs = [xor_tree(b, [x[i] for i in rng.choice(9, 3, replace=False)]) for _ in range(n - 1)]
     b.set_outputs(outs + [b.and_(x[0], x[8])])
     c = b.build()
     got = circuit_range(c)

@@ -10,6 +10,7 @@ from rangesynth.counting import synth_exact_count, synth_threshold, witness_coun
 from rangesynth.regular import WitnessError
 from tests.conftest import exact_range, random_proofs
 from tests.counting_reference import build as reference_build
+from tests.structure import assert_same_circuit
 from tests.witness_reference import build_tree, path_to_leaf
 
 
@@ -240,7 +241,7 @@ class TestAgainstPerNodeReference:
     @pytest.mark.parametrize("n", [4, 5, 8, 13, 16, 33, 64, 100, 128, 256, 512, 1024])
     def test_structure(self, n):
         """No deeper and no more alternations than the reference, exact count
-        smaller from n = 8 on, and the very metrics of the same construction
+        smaller from n = 8 on, and the same circuit as the same construction
         emitted gate by gate."""
         for kind in ("threshold", "exact"):
             c, _ = _synth(kind)(n, n // 2)
@@ -249,5 +250,4 @@ class TestAgainstPerNodeReference:
             if kind == "exact" and n >= 8:
                 assert size(c) < size(ref)
             per_gate, _ = reference_build(kind, n, n // 2, patch="thermometer")
-            assert ((size(c), depth(c), alternations(c))
-                    == (size(per_gate), depth(per_gate), alternations(per_gate)))
+            assert_same_circuit(c, per_gate)

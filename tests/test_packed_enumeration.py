@@ -3,8 +3,8 @@
 ``enumerate_slice`` walks every valid encoding bit-sliced through
 ``circuit._all_packed`` and ``languages._space``, ``sample_members`` packs
 its rng draws through the same ``_space``, ``npsys._certificate`` evaluates
-every certificate of an x in one packed call per chunk, and ``all_inputs``
-unpacks ``_all_packed``.  Each is compared with the code it replaced, kept
+every certificate of an x in one packed call per chunk, and ``_all_packed``
+unpacked lists every input.  Each is compared with the code it replaced, kept
 in ``tests/membership_reference.py`` and ``tests/circuit_reference.py``:
 equal arrays, dtype and shape, and for the samplers the same words per seed.
 """
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from rangesynth import circuit, languages
-from rangesynth.circuit import CircuitBuilder, all_inputs
+from rangesynth.circuit import CircuitBuilder, _all_packed, _unpack_rows
 from rangesynth.languages import (
     BudgetError, Combined, Cycles, EncodingError, ExactCount, NpCoSac, NpPadded,
     NpSac, Regular, Threshold, UnReach, USTConn, enumerate_slice, parse_dfa,
@@ -176,7 +176,10 @@ def test_certificate_at_the_last_y(num_y):
 
 @pytest.mark.parametrize("m", list(range(13)) + [16, 17])
 def test_all_inputs_matches_row_index_bits(m):
-    got, want = list(all_inputs(m)), list(all_inputs_reference(m))
+    """The packed enumerator, unpacked chunk by chunk, lists every input in
+    row-index order."""
+    got = [_unpack_rows(P, rows) for P, rows in _all_packed(m, 1 << 10)]
+    want = list(all_inputs_reference(m))
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype == np.uint8
@@ -184,15 +187,14 @@ def test_all_inputs_matches_row_index_bits(m):
 
 
 def test_enumerate_slice_packs_and_unpacks_no_candidate_matrix(monkeypatch):
-    """No candidate is built as a uint8 row and packed again: neither
-    ``_pack_rows`` nor ``all_inputs`` runs under ``enumerate_slice``."""
+    """No candidate is built as a uint8 row and packed again: ``_pack_rows``
+    does not run under ``enumerate_slice``."""
     calls = []
 
     def counting(fn):
         return lambda *args, **kwargs: calls.append(fn.__name__) or fn(*args, **kwargs)
 
-    for module, name in ((circuit, "_pack_rows"), (languages, "_pack_rows"),
-                         (circuit, "all_inputs")):
+    for module, name in ((circuit, "_pack_rows"), (languages, "_pack_rows")):
         monkeypatch.setattr(module, name, counting(getattr(module, name)))
     for spec, n in _slice_cases():
         if n < 17:

@@ -31,7 +31,7 @@ from tests.circuit_reference import (
     validate_reference,
 )
 from tests.conftest import (
-    MOD3_TXT, NFA1_TXT, PARITY_TXT, TH2_TXT, XX_BP, contains11_verifier,
+    MOD3_TXT, NFA1_TXT, PARITY_TXT, TH2_TXT, XX_BP, const_verifier, contains11_verifier,
     exact_range, random_proofs,
 )
 
@@ -263,6 +263,8 @@ def _family_cases():
         ("unreach", (4,), []),
         ("cosac", (v,), []),
         ("sac", (v,), []),
+        ("cosac", (const_verifier(),), []),
+        ("sac", (const_verifier(),), []),
     ]
 
 

@@ -5,9 +5,9 @@
 ``patched_outputs`` walking the nodes one at a time.  The stamped build must
 have the same range where it can be enumerated (n <= 4 and at most
 ``EXHAUSTIVE_INPUTS`` proof bits), the same outputs on random and
-mutated-honest proofs at every n tested, and the same size, depth and
-alternations everywhere, also on small random automata.  Gate order may
-differ.  Synthesis is a fixed number
+mutated-honest proofs at every n tested, and be the same circuit up to gate
+numbering everywhere (``tests/structure.py``), also on small random
+automata.  Synthesis is a fixed number
 of stamps plus one per binary-lifting round of the path ANDs, and no
 per-gate constructor call.
 """
@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 
 from rangesynth import circuit
-from rangesynth.circuit import CONST, CircuitBuilder, alternations, depth, eval_batch, size
+from rangesynth.circuit import CONST, CircuitBuilder, eval_batch
 from rangesynth.languages import Dfa, Nfa, parse_dfa
 from rangesynth.regular import (SynthesisError, synth_regular, synth_structured, unroll,
                                 witness_bp)
 from tests import regular_reference as reference
 from tests.conftest import MOD3_TXT, NFA1_TXT, PARITY_TXT, TH2_TXT, exact_range, random_proofs
+from tests.structure import assert_same_circuit
 from tests.test_lowering import MOD16_TXT
 
 EXHAUSTIVE_INPUTS = 22
@@ -58,8 +59,7 @@ def _both(bp):
 
 
 def _assert_same_structure(new, ref):
-    assert (size(new), depth(new), alternations(new)) == (
-        size(ref), depth(ref), alternations(ref))
+    assert_same_circuit(new, ref)
 
 
 @pytest.mark.parametrize("name, n", SMALL, ids=[f"{a}-{n}" for a, n in SMALL])

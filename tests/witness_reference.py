@@ -29,6 +29,7 @@ from rangesynth.circuit import CircuitBuilder, _as_bits
 from rangesynth.graphs import TriangleBasis, _graph_matrix
 from rangesynth.languages import LanguageError, _bfs_dist
 from rangesynth.regular import WitnessError
+from tests.graph_reference import xor_tree
 
 
 def _bits_for(k):
@@ -213,7 +214,7 @@ def synth_cycles(n):
     for u in range(1, n + 1):
         for v in range(u + 1, n + 1):
             incident = basis.edge_incidence.get((u, v), [])
-            wire = b.xor_tree([coeff[i] for i in incident])
+            wire = xor_tree(b, [coeff[i] for i in incident])
             out[u - 1][v - 1] = wire
             out[v - 1][u - 1] = wire
     b.set_outputs([out[i][j] for i in range(n) for j in range(n)])
@@ -232,7 +233,7 @@ def synth_ustconn(n):
     out = [[zero] * n for _ in range(n)]
     for u, v in pairs:
         incident = basis.edge_incidence.get((u, v), [])
-        cyc = b.xor_tree([coeff[i] for i in incident])
+        cyc = xor_tree(b, [coeff[i] for i in incident])
         if (u, v) == (1, n):
             cyc = b.not_(cyc)
         wire = b.or_(cyc, mask[(u, v)])
