@@ -9,12 +9,22 @@ the interval's boundary layers.  A node is consistent when its label chains
 with its children's and all three are feasible; a leaf checks its gap's edge
 on the word bit.  A label's patch is its lexicographically smallest witness.
 
-Both come from one backward-reach walk: :func:`_back` multiplies a chain of
-gap relations from the right, and :func:`_walk` steps through it taking the
-smallest state that can still reach the target.  Over a node's combined
-(either-bit) relations the first product is the feasibility table and the
-walk gives the patch words; over a word's own relations :func:`witness_bp`
-reads membership from the product and the honest labels from the walk.
+A node's label tables (feasibility and patch words) are products of its
+gaps' either-bit relations, and products compose: ``_Engine`` builds each
+node's tables from its two children's, bottom-up over the tree
+(:func:`_compose`, the parallel-prefix evaluation of an automaton; Ladner
+and Fischer, JACM 1980).  Feasibility is a boolean product.  The patch
+follows the smallest path, which splits at the middle layer into the left
+child's smallest path to the first-ranked state that can still reach the
+target, then the right child's smallest path on; so each table also ranks
+every start's ends by their smallest paths.  Nodes of one length share
+tables when gaps 2..n share relations, so an unrolling composes O(log n)
+entries, one stacked numpy step per tree height.
+
+Over a word's own relations :func:`witness_bp` walks the BP gap by gap:
+:func:`_back` multiplies the relations from the right, giving membership,
+and :func:`_walk` takes the smallest state that still reaches the sink,
+giving the honest labels.
 
 A deterministic BP, where every row of every gap relation has exactly one
 successor (every DFA unrolling), needs neither: a word's only path is its
@@ -30,14 +40,16 @@ Each is lowered once (``circuit._template``) and one
 :func:`~rangesynth.circuit.stamp_tables` call emits every node's rows; one
 :meth:`~rangesynth.circuit.CircuitBuilder.trees` call ANDs each internal
 node's checks, and :func:`~rangesynth.intervals.patched_outputs` the rest.
-``tests/regular_reference.py`` keeps the gate-by-gate construction, and the
-two give the same circuit up to gate numbering.
+``tests/regular_reference.py`` keeps the gate-by-gate construction over
+tables walked gap by gap, and the two give the same circuit up to gate
+numbering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 import numpy as np
 
@@ -98,20 +110,37 @@ class LayeredBp:
         return [1] + [self.width] * self.n + [1]
 
     def check_structured(self):
+        """Refuse a BP that breaks the conditions above, naming the field:
+        gap variables not a permutation of 1..n, relations of the wrong
+        shape or not boolean, or ``accept`` not a bool array of shape
+        (width,)."""
         if self.n < 1:
             raise StructureError(f"a structured BP needs n >= 1 gaps, got {self.n}")
         if sorted(self.gap_var) != list(range(1, self.n + 1)):
             raise StructureError(
                 f"gap variables {self.gap_var} are not a permutation of 1..{self.n}"
             )
-        want = [(1, self.width)] + [(self.width, self.width)] * (self.n - 1)
-        shapes = [rel.shape for rel in self.rel0[: self.n]]
-        if shapes == want == [rel.shape for rel in self.rel1[: self.n]]:
-            return
-        for g in range(self.n):  # name the first gap that is off
-            for rel in (self.rel0[g], self.rel1[g]):
-                if rel.shape != want[g]:
-                    raise StructureError(f"gap {g + 1} relation has shape {rel.shape}")
+        w, boolean = self.width, np.dtype(bool)
+        want = [((1, w), boolean)] + [((w, w), boolean)] * (self.n - 1)
+        for name in ("rel0", "rel1"):
+            rels = getattr(self, name)[: self.n]
+            if [(getattr(r, "shape", None), getattr(r, "dtype", None)) for r in rels] == want:
+                continue
+            if len(rels) < self.n:
+                raise StructureError(f"{name} has {len(rels)} relations for {self.n} gaps")
+            for g, (rel, (shape, _)) in enumerate(zip(rels, want), 1):  # name the first
+                if not isinstance(rel, np.ndarray) or rel.dtype != boolean:
+                    got = (f"dtype {rel.dtype}" if isinstance(rel, np.ndarray)
+                           else type(rel).__name__)
+                    raise StructureError(f"{name} gap {g} relation must be a bool array, "
+                                         f"got {got}")
+                if rel.shape != shape:
+                    raise StructureError(f"{name} gap {g} relation has shape {rel.shape}")
+        accept = self.accept
+        if not isinstance(accept, np.ndarray) or (accept.shape, accept.dtype) != ((w,), boolean):
+            got = (f"shape {accept.shape} and dtype {accept.dtype}"
+                   if isinstance(accept, np.ndarray) else type(accept).__name__)
+            raise StructureError(f"accept must be a bool array of shape ({w},), got {got}")
 
     def accepts(self, word) -> bool:
         """Run the BP on a word given in variable order; a word of any
@@ -258,77 +287,115 @@ def _layout(bp: LayeredBp):
 
 
 # ---------------------------------------------------------------------------
-# reachability and witnesses
+# label tables
 
 
-def _back(rels) -> list:
-    """Backward reach products along a chain of gap relations: ``back[t][s, q]``
-    says state s before gap t reaches state q after the last gap."""
-    back = [np.eye(rels[-1].shape[1], dtype=bool)]
-    for rel in reversed(rels):
-        back.append(rel @ back[-1])
-    return back[::-1]
+def _compose(feas_l, rank_l, feas_r, rank_r):
+    """A batch of parents' label tables from their children's, as stacked
+    (entries, w, w) arrays over padded layers.
 
-
-def _walk(rels, back, p, q) -> list:
-    """Lexicographically smallest state sequence from p to q along ``rels``:
-    each step takes the smallest state that still reaches q.  p and q may be
-    equal-length index arrays, walked side by side."""
-    states = [p]
-    for rel, tail in zip(rels, back[1:]):
-        states.append((rel[states[-1]] & tail[:, q].T).argmax(axis=-1))
-    return states
+    ``rank[p, s]`` orders the ends s of a node's smallest p -> s paths.  The
+    smallest p -> q path of a parent ends its left half at ``mid[p, q]``, the
+    s with the first-ranked left path among those that chain (p -> s on the
+    left, s -> q on the right), and goes on along the right child's smallest
+    s -> q path; so the parent ranks q by (rank_l[p, mid], rank_r[mid, q]).
+    Returns (feas, rank, mid); mid is meaningless where feas is False.
+    """
+    w = feas_l.shape[-1]
+    valid = feas_l[:, :, :, None] & feas_r[:, None, :, :]  # (entry, p, s, q)
+    mid = np.where(valid, rank_l[:, :, :, None], w).argmin(axis=2)
+    feas = valid.any(axis=2)
+    e, ends = np.arange(len(mid))[:, None, None], np.arange(w)
+    key = rank_l[e, ends[:, None], mid] * w + rank_r[e, mid, ends]
+    rank = np.where(feas, key, w * w).argsort(axis=2).argsort(axis=2)
+    return feas, rank, mid
 
 
 class _Engine:
-    """Per-synthesis cache of each node's label tables.
+    """Every node's label tables, composed bottom-up over the interval tree.
 
-    When gaps 2..n share their relations (every automaton unrolling does),
-    a node's tables depend only on its length and on whether it touches the
-    first or the last layer, so one entry serves all such nodes and a BP
-    builds O(log n) tables; otherwise each node gets its own.
+    The tables are kept per entry.  When gaps 2..n share their relations
+    (every automaton unrolling does), a node's tables depend only on its
+    length and on whether it touches the first or the last layer, so nodes
+    with equal keys share an entry and a BP builds O(log n) of them; the
+    keys are closed under the midpoint split.  Otherwise each node is its
+    own entry.  ``key[u]`` is node u's entry and ``first[j]`` the first node
+    of entry j, in pre-order.
+
+    ``entries[j]`` is (feas, words, nontrivial) for the labels (p, q) of
+    entry j's nodes (lo, hi].  ``feas[p, q]`` says q at the right boundary
+    is reachable from p at the left one.  ``words[p, q]`` is the word
+    patched in for a feasible label (zero elsewhere): the bits read along
+    the lexicographically smallest state sequence from p to q (bit 0
+    preferred on parallel edges); the acceptance gap contributes no bit.
+    ``nontrivial`` is the set of relative word positions where some
+    feasible pair has a 1.
+
+    Leaves come from their gap's relations; a parent composes its two
+    children (:func:`_compose`), one stacked step per tree height, so a BP
+    takes O(log n) numpy steps.  Every layer is padded to w states: layer 0's
+    single state and the sink are state 0, and the other states there are
+    infeasible rows and columns.
     """
 
     def __init__(self, bp: LayeredBp):
-        self.bp = bp
-        self.uniform = all(  # an unrolling repeats one array: skip the compare
+        n, w = bp.n, bp.width
+        uniform = all(  # an unrolling repeats one array: skip the compare
             (r0 is bp.rel0[1] or np.array_equal(r0, bp.rel0[1]))
             and (r1 is bp.rel1[1] or np.array_equal(r1, bp.rel1[1]))
             for r0, r1 in zip(bp.rel0[1:], bp.rel1[1:]))
-        self._tables: dict = {}
+        plan = self.plan = _plan(n, w)[0]
+        lo, hi = plan.lo, plan.hi
+        code = ((hi - lo) * 4 + (lo == 0) * 2 + (hi == n + 1) if uniform
+                else np.arange(len(lo)))
+        _, self.first, self.key = np.unique(code, return_index=True, return_inverse=True)
+        u = self.first
+        elo, ehi = lo[u], hi[u]
+        size = np.minimum(ehi, n) - elo  # word bits: the acceptance gap reads none
+        height = np.frexp((ehi - elo - 1).astype(float))[1]  # ceil(log2(length))
+        order = np.argsort(height, kind="stable")
+        bounds = np.cumsum(np.bincount(height)).tolist()  # of each height's entries
+        left = self.key[np.minimum(u + 1, len(lo) - 1)]  # read at inner entries only
+        right = self.key[plan.right[u]]
 
-    def tables(self, lo: int, hi: int):
-        """(feas, words, nontrivial) for the labels (p, q) of node (lo, hi].
+        # per entry and label (p, q): feasibility, the rank of q among p's
+        # ends, and the patch word as an int whose bit t is the word's bit t
+        feas = np.zeros((len(u), w, w), dtype=bool)
+        rank = np.empty((len(u), w, w), dtype=np.intp)
+        words = np.zeros((len(u), w, w), dtype=object)
+        leaves = order[:bounds[0]]
+        rel0, rel1 = np.zeros((2, len(leaves), w, w), dtype=bool)
+        for i, g in enumerate(ehi[leaves].tolist()):  # a gap, or the acceptance edge
+            if g > n:  # taken on either bit, so it patches in no bit
+                rel0[i, :, 0] = rel1[i, :, 0] = bp.accept
+            else:
+                r0, r1 = bp.rel0[g - 1], bp.rel1[g - 1]
+                rel0[i, :len(r0)], rel1[i, :len(r1)] = r0, r1
+        feas[leaves] = rel0 | rel1
+        rank[leaves] = np.arange(w)
+        words[leaves] = (rel1 & ~rel0).astype(int).tolist()  # bit 0 preferred on parallel edges
+        state = np.arange(w)
+        for a, c in zip(bounds, bounds[1:]):  # one height at a time, upwards
+            batch = order[a:c]
+            kl, kr = left[batch], right[batch]
+            f, rank[batch], mid = _compose(feas[kl], rank[kl], feas[kr], rank[kr])
+            feas[batch] = f
+            pair = words[kl[:, None, None], state[:, None], mid] | (
+                words[kr[:, None, None], mid, state] << size[kl].astype(object)[:, None, None])
+            words[batch] = np.where(f, pair, 0)
 
-        ``feas[p, q]`` says q at the right boundary is reachable from p at
-        the left one.  ``words[p, q]`` is the word patched in for a feasible
-        label: the bits read along the lexicographically smallest state
-        sequence from p to q (bit 0 preferred on parallel edges); the
-        acceptance gap contributes no bit.  ``nontrivial`` is the set of
-        relative word positions where some feasible pair has a 1.
-        """
-        bp = self.bp
-        key = (hi - lo, lo == 0, hi == bp.n + 1) if self.uniform else (lo, hi)
-        got = self._tables.get(key)
-        if got is None:
-            gaps = range(lo + 1, min(hi, bp.n) + 1)  # the gaps that read a bit
-            rels = [bp.rel0[g - 1] | bp.rel1[g - 1] for g in gaps]
-            if hi > bp.n:
-                rels.append(bp.accept[:, None])
-            back = _back(rels)
-            p, q = np.nonzero(back[0])
-            states = _walk(rels, back, p, q)
-            words = np.zeros(back[0].shape + (len(gaps),), dtype=np.uint8)
-            # gap by gap, but in one gather where gaps 2..n share a relation
-            alone = int(lo == 0) if self.uniform else len(gaps)
-            for t in range(alone):
-                words[p, q, t] = ~bp.rel0[gaps[t] - 1][states[t], states[t + 1]]
-            if alone < len(gaps):
-                path = np.array(states[alone:len(gaps) + 1])
-                words[p, q, alone:] = ~bp.rel0[gaps[alone] - 1][path[:-1], path[1:]].T
-            nontrivial = set(np.flatnonzero(words[p, q].any(axis=0)).tolist())
-            got = self._tables[key] = (back[0], words, nontrivial)
-        return got
+        # each entry's tables at its nodes' layer widths
+        rows = np.where(elo == 0, 1, w).tolist()
+        cols = np.where(ehi == n + 1, 1, w).tolist()
+        self.entries = []
+        for j, (r, c, k) in enumerate(zip(rows, cols, size.tolist())):
+            ints = words[j, :r, :c].ravel().tolist()
+            ints.append(reduce(or_, ints))  # any label's 1s: the nontrivial positions
+            raw = b"".join(x.to_bytes((k + 7) // 8, "little") for x in ints)
+            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+            bits = bits.reshape(r * c + 1, 8 * ((k + 7) // 8))[:, :k]
+            self.entries.append((feas[j, :r, :c], bits[:-1].reshape(r, c, k),
+                                 set(np.flatnonzero(bits[-1]).tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +411,7 @@ def _synth(bp: LayeredBp):
     n, w = bp.n, bp.width
     eng = _Engine(bp)
     plan, layout = _layout(bp)
-    if not eng.tables(0, n + 1)[0].any():
+    if not eng.entries[eng.key[0]][0].any():  # the root's one label
         raise SynthesisError(f"language slice at length {n} is empty")
     lo, hi, right = plan.lo, plan.hi, plan.right
     b = CircuitBuilder(layout.m)
@@ -369,14 +436,12 @@ def _synth(bp: LayeredBp):
         x, y = _field_values(((bits_for(nv), nv),) * 2)
         return table_id(x == y)
 
-    # nodes with equal tables share a key
-    code = (hi - lo) * 4 + (lo == 0) * 2 + (hi == n + 1) if eng.uniform else np.arange(len(lo))
-    _, first, key = np.unique(code, return_index=True, return_inverse=True)
+    first, key = eng.first, eng.key  # nodes with equal tables share a key
     feas_id, leaf_id = np.zeros((2, len(first)), dtype=np.int64)
     rels, patch_ids = [], []  # per key: nontrivial positions and their tables
     for j, u in enumerate(first.tolist()):
         a, c = int(lo[u]), int(hi[u])
-        feas, words, nontrivial = eng.tables(a, c)
+        feas, words, nontrivial = eng.entries[j]
         fields = ((int(p_bits[u]), 1 if a == 0 else w), (int(q_bits[u]), 1 if c == n + 1 else w))
         pv, qv = _field_values(fields)
         feas_id[j] = table_id(feas[pv, qv])
@@ -441,6 +506,24 @@ def synth_structured(bp: LayeredBp):
 
 # ---------------------------------------------------------------------------
 # witness generation
+
+
+def _back(rels) -> list:
+    """Backward reach products along a chain of gap relations: ``back[t][s, q]``
+    says state s before gap t reaches state q after the last gap."""
+    back = [np.eye(rels[-1].shape[1], dtype=bool)]
+    for rel in reversed(rels):
+        back.append(rel @ back[-1])
+    return back[::-1]
+
+
+def _walk(rels, back, p, q) -> list:
+    """Lexicographically smallest state sequence from p to q along ``rels``:
+    each step takes the smallest state that still reaches q."""
+    states = [p]
+    for rel, tail in zip(rels, back[1:]):
+        states.append((rel[states[-1]] & tail[:, q].T).argmax(axis=-1))
+    return states
 
 
 def _successors(bp: LayeredBp):

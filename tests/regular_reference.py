@@ -1,9 +1,10 @@
 """Per-node regular synthesis, the reference for the stamped build.
 
 This is the gate-by-gate construction :mod:`rangesynth.regular` had before
-it stamped its label tables: every node's feasibility, leaf check, label
-equalities and patches are lowered one node at a time and replayed gate by
-gate (``circuit_reference.lower_fields_replay``), and
+it stamped its label tables, over the tables it walked gap by gap before it
+composed them (:func:`tables_reference`): every node's feasibility, leaf
+check, label equalities and patches are lowered one node at a time and
+replayed gate by gate (``circuit_reference.lower_fields_replay``), and
 :func:`patched_outputs` and :func:`chain_ands` walk the nodes one at a time
 with the scalar builder calls.  ``tests/counting_reference.py`` builds
 its per-node counting circuits on the same two functions.  The stamped build
@@ -13,8 +14,50 @@ must give the same circuit up to gate numbering (``tests/structure.py``).
 import numpy as np
 
 from rangesynth.circuit import CircuitBuilder
-from rangesynth.regular import SynthesisError, _Engine, _layout, unroll
+from rangesynth.regular import SynthesisError, _layout, unroll
 from tests.circuit_reference import lower_fields_replay as lower_fields
+
+
+def _back(rels) -> list:
+    """Backward reach products along a chain of gap relations: ``back[t][s, q]``
+    says state s before gap t reaches state q after the last gap."""
+    back = [np.eye(rels[-1].shape[1], dtype=bool)]
+    for rel in reversed(rels):
+        back.append(rel @ back[-1])
+    return back[::-1]
+
+
+def _walk(rels, back, p, q) -> list:
+    """Lexicographically smallest state sequence from p to q along ``rels``:
+    each step takes the smallest state that still reaches q.  p and q are
+    equal-length index arrays, walked side by side."""
+    states = [p]
+    for rel, tail in zip(rels, back[1:]):
+        states.append((rel[states[-1]] & tail[:, q].T).argmax(axis=-1))
+    return states
+
+
+def tables_reference(bp, lo: int, hi: int):
+    """(feas, words, nontrivial) of node (lo, hi], walked gap by gap.
+
+    The gap walk ``regular._Engine`` had before it composed each node's
+    tables from its children's: :func:`_back` multiplies the node's
+    either-bit relations from the right (the first product is the
+    feasibility table) and :func:`_walk` steps from every feasible (p, q)
+    along the smallest state that still reaches q; the word reads bit 0
+    where the step has a 0-edge.  Same contract as an ``_Engine`` entry.
+    """
+    gaps = range(lo + 1, min(hi, bp.n) + 1)  # the gaps that read a bit
+    rels = [bp.rel0[g - 1] | bp.rel1[g - 1] for g in gaps]
+    if hi > bp.n:
+        rels.append(bp.accept[:, None])
+    back = _back(rels)
+    p, q = np.nonzero(back[0])
+    states = _walk(rels, back, p, q)
+    words = np.zeros(back[0].shape + (len(gaps),), dtype=np.uint8)
+    for t, g in enumerate(gaps):
+        words[p, q, t] = ~bp.rel0[g - 1][states[t], states[t + 1]]
+    return back[0], words, set(np.flatnonzero(words[p, q].any(axis=0)).tolist())
 
 
 def chain_ands(builder, parent, nodes, value_of) -> list:
@@ -98,11 +141,21 @@ def patched_outputs(b, plan, cons, word_bits, patch) -> list:
 
 def _synth(bp):
     n, widths = bp.n, bp.widths
-    eng = _Engine(bp)
+    # nodes of one length share tables when gaps 2..n share relations
+    uniform = all(np.array_equal(r0, bp.rel0[1]) and np.array_equal(r1, bp.rel1[1])
+                  for r0, r1 in zip(bp.rel0[1:], bp.rel1[1:]))
+    tables = {}
+
+    def tables_of(u):
+        key = (hi[u] - lo[u], lo[u] == 0, hi[u] == n + 1) if uniform else (lo[u], hi[u])
+        if key not in tables:
+            tables[key] = tables_reference(bp, lo[u], hi[u])
+        return tables[key]
+
     plan, layout = _layout(bp)
-    if not eng.tables(0, n + 1)[0].any():
-        raise SynthesisError(f"language slice at length {n} is empty")
     lo, hi, right = (a.tolist() for a in (plan.lo, plan.hi, plan.right))
+    if not tables_of(0)[0].any():
+        raise SynthesisError(f"language slice at length {n} is empty")
 
     b = CircuitBuilder(layout.m)
     word = b.inputs(0, n)  # a_1..a_n in variable order
@@ -116,7 +169,7 @@ def _synth(bp):
         pw, qw = pq[u]
         return lower_fields(b, [(pw, widths[lo[u]]), (qw, widths[hi[u]])], fn)
 
-    feas = [label_table(u, lambda p, q, r=eng.tables(lo[u], hi[u])[0]: r[p, q])
+    feas = [label_table(u, lambda p, q, r=tables_of(u)[0]: r[p, q])
             for u in range(len(lo))]
 
     def eq(xs, ys, width):
@@ -148,7 +201,7 @@ def _synth(bp):
         and the patches tile the word into one accepted s-t path.  The root's
         label is hardwired, so its table has no wires and lowers to a
         constant."""
-        _, words, nontrivial = eng.tables(lo[u], hi[u])
+        _, words, nontrivial = tables_of(u)
         rel = k - lo[u] - 1
         if rel not in nontrivial:
             return None

@@ -8,6 +8,8 @@ circuits are the same DAG exactly when these per-level keys and the output
 labels are equal.  One array step per level.
 """
 
+import hashlib
+
 import numpy as np
 
 from rangesynth.circuit import AND, gate_depths
@@ -61,3 +63,15 @@ def assert_same_circuit(new, ref):
     assert len(new_outs) == len(ref_outs), f"{len(new_outs)} outputs against {len(ref_outs)}"
     assert np.array_equal(new_outs, ref_outs), (
         f"output {int(np.flatnonzero(new_outs != ref_outs)[0])} differs")
+
+
+def digest(c) -> str:
+    """A SHA-256 hex digest of :func:`canonical`: equal exactly when two
+    built circuits are the same DAG up to gate numbering."""
+    m, keys, outputs = canonical(c)
+    h = hashlib.sha256(f"{m} {len(keys)}".encode())
+    for level in keys:
+        h.update(np.int64(len(level)).tobytes())
+        h.update(np.ascontiguousarray(level, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(outputs, dtype=np.int64).tobytes())
+    return h.hexdigest()

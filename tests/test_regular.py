@@ -80,6 +80,37 @@ class TestParseBp:
         with pytest.raises(StructureError):
             synth_structured(bp)
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda bp: setattr(bp, "rel0", [r.astype(np.int64) for r in bp.rel0]),
+                     "rel0 gap 1 relation must be a bool array, got dtype int64", id="int-rel0"),
+        pytest.param(lambda bp: bp.rel1.__setitem__(2, bp.rel1[2].astype(np.uint8)),
+                     "rel1 gap 3 relation must be a bool array, got dtype uint8",
+                     id="uint8-rel1-gap3"),
+        pytest.param(lambda bp: bp.rel0.__setitem__(1, bp.rel0[1].tolist()),
+                     "rel0 gap 2 relation must be a bool array, got list", id="list-rel0-gap2"),
+        pytest.param(lambda bp: bp.rel1.pop(),
+                     "rel1 has 2 relations for 3 gaps", id="missing-rel1"),
+        pytest.param(lambda bp: setattr(bp, "accept", bp.accept.astype(np.int64)),
+                     r"accept must be a bool array of shape \(2,\), got shape \(2,\) and "
+                     "dtype int64", id="int-accept"),
+        pytest.param(lambda bp: setattr(bp, "accept", np.ones(3, dtype=bool)),
+                     r"accept must be a bool array of shape \(2,\), got shape \(3,\)",
+                     id="long-accept"),
+        pytest.param(lambda bp: setattr(bp, "accept", [True, False]),
+                     r"accept must be a bool array of shape \(2,\), got list", id="list-accept"),
+    ])
+    def test_api_bp_fields_must_be_boolean_and_shaped(self, parity, edit, message):
+        """Int relations would patch through ``~`` as -1/-2 (parity at n=3
+        as 0/1 int64 matrices gave a circuit whose range was all 8 words),
+        and a misshapen ``accept`` failed inside numpy or went unread by
+        the witness; both entry points now refuse them and name the field."""
+        bp = unroll(parity, 3)
+        edit(bp)
+        with pytest.raises(StructureError, match=message):
+            synth_structured(bp)
+        with pytest.raises(StructureError, match=message):
+            witness_bp(bp, [1, 1, 0])
+
 
 # ---------------------------------------------------------------------------
 # reference decoder
@@ -308,12 +339,13 @@ def _check_tables(bp):
     """Every node's feasibility, witness words and nontrivial positions
     against the reference reach and walk."""
     eng = _Engine(bp)
+    entry = dict(zip(zip(eng.plan.lo.tolist(), eng.plan.hi.tolist()), eng.key.tolist()))
     stack = [build_tree(0, bp.n + 1)]
     while stack:
         node = stack.pop()
         if not node.is_leaf:
             stack += [node.left, node.right]
-        feas, words, nontrivial = eng.tables(node.lo, node.hi)
+        feas, words, nontrivial = eng.entries[entry[node.lo, node.hi]]
         assert np.array_equal(feas, _reach(bp, node.lo, node.hi))
         n_words = min(node.hi, bp.n) - node.lo
         assert words.shape == feas.shape + (n_words,)
@@ -411,15 +443,15 @@ class TestSynthStructured:
                      for g in range(n)]
             bp = parse_bp(_bp_text(n, 2, [0], range(1, n + 1), edges))
         built = []
-        real_back = regular._back
+        real_compose = regular._compose
 
-        def counting_back(rels):  # one call per label table built
-            built.append(len(rels))
-            return real_back(rels)
+        def counting_compose(*tables):  # one row per parent table built
+            built.append(len(tables[0]))
+            return real_compose(*tables)
 
-        monkeypatch.setattr(regular, "_back", counting_back)
+        monkeypatch.setattr(regular, "_compose", counting_compose)
         synth_structured(bp)
-        assert len(built) <= 4 * (n + 1).bit_length()
+        assert sum(built) <= 4 * (n + 1).bit_length()
 
     def test_witness_bp_roundtrip(self):
         bp = parse_bp(XX_BP)

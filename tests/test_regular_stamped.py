@@ -8,14 +8,15 @@ have the same range where it can be enumerated (n <= 4 and at most
 mutated-honest proofs at every n tested, and be the same circuit up to gate
 numbering everywhere (``tests/structure.py``), also on small random
 automata.  Synthesis is a fixed number
-of stamps plus one per binary-lifting round of the path ANDs, and no
-per-gate constructor call.
+of stamps plus one per binary-lifting round of the path ANDs, no
+per-gate constructor call, and one label-table composition step per height
+of the key tree, with no gap walk.
 """
 
 import numpy as np
 import pytest
 
-from rangesynth import circuit
+from rangesynth import circuit, regular
 from rangesynth.circuit import CONST, CircuitBuilder, eval_batch
 from rangesynth.languages import Dfa, Nfa, parse_dfa
 from rangesynth.regular import (SynthesisError, synth_regular, synth_structured, unroll,
@@ -134,7 +135,8 @@ def _count_calls(monkeypatch, n: int) -> dict:
     """Calls made while synthesizing parity at n, the caches warm."""
     parity = parse_dfa(PARITY_TXT)
     synth_regular(parity, n)
-    calls = dict.fromkeys(["stamp", "per_gate", "lower_fields", "table_to_subcircuit"], 0)
+    calls = dict.fromkeys(["stamp", "per_gate", "lower_fields", "table_to_subcircuit",
+                           "_back", "_walk", "_compose"], 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -146,6 +148,8 @@ def _count_calls(monkeypatch, n: int) -> dict:
         mp.setattr(CircuitBuilder, "stamp", counted("stamp", CircuitBuilder.stamp))
         for name in ("lower_fields", "table_to_subcircuit"):
             mp.setattr(circuit, name, counted(name, getattr(circuit, name)))
+        for name in ("_back", "_walk", "_compose"):
+            mp.setattr(regular, name, counted(name, getattr(regular, name)))
         for name in ("input", "not_", "and_", "or_", "xor", "and_tree", "or_tree"):
             mp.setattr(CircuitBuilder, name, counted("per_gate", getattr(CircuitBuilder, name)))
         gate = CircuitBuilder.gate
@@ -168,3 +172,12 @@ def test_stamp_calls_do_not_grow_with_n(monkeypatch):
     for got in counts.values():
         assert got["per_gate"] == got["lower_fields"] == got["table_to_subcircuit"] == 0
     assert counts[256]["stamp"] == counts[4096]["stamp"] == counts[64]["stamp"] + 1
+
+
+def test_tables_compose_once_per_height(monkeypatch):
+    """The label tables take one composition step per height of the key
+    tree over (0, n+1], ceil(log2(n + 1)) of them, and no gap walk."""
+    for n in (256, 4096):
+        got = _count_calls(monkeypatch, n)
+        assert got["_back"] == got["_walk"] == 0
+        assert got["_compose"] == n.bit_length() == int(np.ceil(np.log2(n + 1)))
