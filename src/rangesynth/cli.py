@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 from . import combinators, counting, graphs, npsys, regular
@@ -308,6 +308,7 @@ def _cmd_witness(args) -> int:
     return 0
 
 
+@cache  # one parser per process: run() may be called many times
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="rangesynth",

@@ -9,8 +9,10 @@ line-by-line text reader and writer that the whole-array ``parse`` and
 ``parse``, a build that keeps every emitted gate, a per-gate
 ``append_circuit``, the truth-table lowering that writes one full minterm
 per true row, the per-gate replay of a lowered table that the table stamps
-replaced, the row-index enumeration of every input, and the cone sweep that
-first finds the gates the outputs read.
+replaced, the row-index enumeration of every input, the cone sweep that
+first finds the gates the outputs read, and the frontier walk over fan-out
+lists that found gate levels before the block-by-block scan in id order
+(with the level schedule built from it on an int64 sort key).
 They are slow but obviously follow the definitions in the circuit module
 docstring, so the differential tests compare the fast paths against them.
 """
@@ -22,7 +24,7 @@ import numpy as np
 from rangesynth.circuit import (
     _KIND_NAMES, _NAME_TO_KIND, AND, CONST, INPUT, MAX_INPUTS, NOT, OR, Circuit,
     CircuitError, InputArityError, ParseError, StructureError, _field_values,
-    _table_bytes, _template, parse,
+    _Schedule, _table_bytes, _template, parse,
 )
 
 
@@ -85,6 +87,62 @@ def alternations_reference(c) -> int:
                 blocks[i][pol] = best
                 types[i][pol] = t
     return max((blocks[o][0] for o in c.outputs), default=0)
+
+
+def gate_levels_reference(kinds, a0, a1) -> np.ndarray:
+    """Level of every gate by a frontier walk over the fan-out lists.
+
+    A gate joins the frontier once its last operand has been levelled, so
+    each fan-in edge is visited once; the walk takes one round per level.
+    """
+    n = len(kinds)
+    logic = np.flatnonzero(kinds >= NOT)
+    binary = np.flatnonzero(kinds >= AND)
+    readers = np.concatenate([logic, binary])
+    operands = np.concatenate([a0[logic], a1[binary]])
+    waiting = np.bincount(readers, minlength=n)  # operands not yet levelled
+    readers = readers[np.argsort(operands, kind="stable")]
+    # the readers of gate g are readers[first[g]:first[g + 1]]
+    first = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(operands, minlength=n), out=first[1:])
+    level = np.zeros(n, dtype=np.int32)
+    frontier = np.flatnonzero(kinds < NOT)
+    lvl = 0
+    while frontier.size:
+        lo = first[frontier]
+        count = first[frontier + 1] - lo
+        ends = np.cumsum(count)
+        edges = np.arange(ends[-1]) + np.repeat(lo - ends + count, count)
+        hit, times = np.unique(readers[edges], return_counts=True)
+        waiting[hit] -= times
+        frontier = hit[waiting[hit] == 0]
+        lvl += 1
+        level[frontier] = lvl
+    return level
+
+
+def level_schedule_reference(kinds, a0, a1) -> _Schedule:
+    """The level schedule from :func:`gate_levels_reference`, its (level,
+    kind) key sorted as int64."""
+    n = len(kinds)
+    level = gate_levels_reference(kinds, a0, a1)
+    key = level.astype(np.int64) * 5 + kinds
+    order = np.argsort(key, kind="stable")
+    slot = np.empty(n, dtype=np.int64)
+    slot[order] = np.arange(n)
+    sorted_kinds = kinds[order]
+    src0 = a0[order]
+    logic = sorted_kinds >= NOT
+    src0[logic] = slot[src0[logic]]
+    src1 = np.zeros(n, dtype=np.int64)
+    binary = sorted_kinds >= AND
+    src1[binary] = slot[a1[order[binary]]]
+    ends = np.cumsum(np.bincount(key, minlength=5)).tolist()
+    groups = [
+        (j % 5, ends[j - 1], ends[j])
+        for j in range(5, len(ends)) if ends[j] > ends[j - 1]
+    ]
+    return _Schedule(level, slot, src0, src1, ends[INPUT], ends[CONST], groups)
 
 
 def all_inputs_reference(m: int, chunk: int = 1 << 16):

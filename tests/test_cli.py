@@ -341,3 +341,31 @@ def test_verify_non_positive_trials_exit_2(trials, tmp_path, capsys):
                 "--mode", "sample", "--trials", trials]) == 2
     captured = capsys.readouterr()
     assert "PASS" not in captured.out and "--trials" in captured.err
+
+
+def test_one_parser_per_process(tmp_path, capsys):
+    # a usage error, --help, then synth/stats/verify through one cached
+    # parser give the exit codes and output of a fresh parser per call
+    out = str(tmp_path / "t.circ")
+    calls = [["synth", "threshold", "--n", "4"], ["--help"], ["stats", "--help"],
+             ["synth", "threshold", "--n", "4", "--t", "2", "--out", out],
+             ["stats", "--circuit", out, "--bound-depth", "9"],
+             ["verify", "--circuit", out, "--lang", "threshold:4:2"],
+             ["frobnicate"],
+             ["verify", "--circuit", out, "--lang", "threshold:4:2", "--mode", "sample",
+              "--trials", "100"]]
+
+    def session(fresh: bool) -> list:
+        cli._build_parser.cache_clear()
+        seen = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = run(argv)
+            seen.append((code, *capsys.readouterr()))
+        return seen
+
+    want = session(fresh=True)
+    assert [code for code, _, _ in want] == [2, 0, 0, 0, 1, 0, 2, 0]
+    assert session(fresh=False) == want
+    assert cli._build_parser.cache_info().misses == 1
