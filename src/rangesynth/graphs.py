@@ -164,7 +164,8 @@ def decompose_cycles(G, trace: list | None = None) -> np.ndarray:
     only ever toggles edges shorter than d, so the triangle's coefficient is
     edge (u, u+d) once every longer edge has been cleared.  The sweep
     gathers the edges into diagonals of one length each and clears them
-    from length n-1 down to 2, one slice XOR per side of the triangles.
+    from length n-1 down to 2, one XOR per side of the triangles, on each
+    diagonal held as a Python int (bit u is edge (u, u+d)).
     When ``trace`` is given it receives the greedy descent's potential
     d(G) = (longest edge length, its multiplicity) before each step: (d, k),
     (d, k-1), ..., (d, 1) for each length d with k edges.
@@ -178,17 +179,23 @@ def _sweep(m: np.ndarray, trace: list | None = None) -> np.ndarray:
         raise WitnessError("graph has an odd-degree vertex; not in Cycles")
     v = len(m)
     _, _, _, gather, order = _basis(v)
-    D = m.reshape(-1)[gather]  # a copy: D[d, u] is edge (u, u+d)
+    packed = np.packbits(m.reshape(-1)[gather], axis=1, bitorder="little")
+    # diag[d] has bit u set for edge (u, u+d); gather's padding is cut off
+    diag = [int.from_bytes(row.tobytes(), "little") & ((1 << (v - d)) - 1)
+            for d, row in enumerate(packed)]
     for d in range(v - 1, 1, -1):
-        c, h = D[d, : v - d], d // 2
+        c, h = diag[d], d // 2
         if trace is not None:
-            trace.extend((d, k) for k in range(np.count_nonzero(c), 0, -1))
-        D[h, : v - d] ^= c  # (u, u+h)
-        D[d - h, h : h + v - d] ^= c  # (u+h, u+d)
+            trace.extend((d, j) for j in range(c.bit_count(), 0, -1))
+        diag[h] ^= c  # (u, u+h)
+        diag[d - h] ^= c << h  # (u+h, u+d)
     # Each step XORs a triangle, so every degree stays even, and a nonempty
     # set of length-1 edges has a vertex of degree 1: none is left.
-    assert v < 2 or not D[1, : v - 1].any(), "length-1 residue in Cycles"
-    return D.reshape(-1)[order]
+    assert v < 2 or not diag[1], "length-1 residue in Cycles"
+    k = packed.shape[1]
+    out = np.frombuffer(b"".join(x.to_bytes(k, "little") for x in diag), dtype=np.uint8)
+    bits = np.unpackbits(out.reshape(v, k), axis=1, count=v, bitorder="little")
+    return bits.reshape(-1)[order]
 
 
 # ---------------------------------------------------------------------------

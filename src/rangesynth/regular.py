@@ -21,16 +21,13 @@ every start's ends by their smallest paths.  Nodes of one length share
 tables when gaps 2..n share relations, so an unrolling composes O(log n)
 entries, one stacked numpy step per tree height.
 
-Over a word's own relations :func:`witness_bp` walks the BP gap by gap:
-:func:`_back` multiplies the relations from the right, giving membership,
-and :func:`_walk` takes the smallest state that still reaches the sink,
-giving the honest labels.
-
-A deterministic BP, where every row of every gap relation has exactly one
-successor (every DFA unrolling), needs neither: a word's only path is its
-run.  There the run replaces the walk: :func:`_successors` tabulates each
-gap's successor per state and bit, the honest labels are n lookups in that
-table, and membership is the accept bit of the last state.
+A witness walks the word's own relations gap by gap over Python-int tables
+(:class:`_Gaps`).  In a deterministic BP (every row of every relation has
+one successor, as in every DFA unrolling) the word's only path is its run,
+and membership is the last state's accept bit.  Otherwise :func:`_reach`
+makes one backward pass of masks, the states of each layer that still reach
+the sink, and :func:`_lowest_path` walks forward to the lowest successor in
+the next layer's mask: the lexicographically smallest accepting path.
 
 Synthesis is a handful of block emissions over all nodes.  Every label
 predicate (feasibility, the leaf's edge check, the three label equalities
@@ -50,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
+from typing import NamedTuple
 
 import numpy as np
 
@@ -270,17 +268,24 @@ class ProofLayout:
 
 @lru_cache(maxsize=PLAN_CACHE)
 def _plan(n: int, width: int):
-    """The label plan of every n-gap BP of this width, and its q widths."""
+    """The label plan of every n-gap BP of this width, its q widths, and per
+    label bit the layer whose state it encodes and the bit of twice that
+    state it is (a witness walk keeps its states doubled)."""
     bits = np.array([0] + [bits_for(width)] * n + [0])
     plan = Plan(n + 1, lambda lo, hi, parent: bits[lo] + bits[hi], n)
     q_bits = bits[plan.hi]
-    q_bits.flags.writeable = False
-    return plan, q_bits
+    own = plan.owner
+    in_q = plan.shift < q_bits[own]  # a label is p above q
+    layer = np.where(in_q, plan.hi[own], plan.lo[own])
+    shift = np.where(in_q, plan.shift, plan.shift - q_bits[own]) + 1
+    for a in (q_bits, layer, shift):
+        a.flags.writeable = False
+    return plan, q_bits, layer, shift
 
 
 def _layout(bp: LayeredBp):
     """The plan of the tree over (0, n+1] and its label blocks."""
-    plan, q_bits = _plan(bp.n, bp.width)
+    plan, q_bits = _plan(bp.n, bp.width)[:2]
     labels = list(zip(*(a.tolist() for a in (
         plan.lo, plan.hi, plan.offset, plan.bits - q_bits, q_bits))))
     return plan, ProofLayout(n=bp.n, m=plan.m, labels=labels)
@@ -508,81 +513,97 @@ def synth_structured(bp: LayeredBp):
 # witness generation
 
 
-def _back(rels) -> list:
-    """Backward reach products along a chain of gap relations: ``back[t][s, q]``
-    says state s before gap t reaches state q after the last gap."""
-    back = [np.eye(rels[-1].shape[1], dtype=bool)]
-    for rel in reversed(rels):
-        back.append(rel @ back[-1])
-    return back[::-1]
+class _Gaps(NamedTuple):
+    """A BP's gap relations as Python tables.  ``steps[g][2p + b]`` is state
+    p's entry in gap g+1's relation on bit b: twice its successor when the
+    BP is deterministic, else the mask of its successors (bit q for state
+    q); gap 1 pads layer 0's one state with zeros.  A walk keeps its states
+    doubled, so state 2p on bit b reads entry 2p + b with one addition.
+    ``accept`` masks the accepting layer-n states, and ``order`` is the word
+    position each gap reads (None: gap g reads bit g)."""
+
+    width: int
+    order: np.ndarray | None
+    steps: tuple | list  # tuples when cached
+    accept: int
+    deterministic: bool
 
 
-def _walk(rels, back, p, q) -> list:
-    """Lexicographically smallest state sequence from p to q along ``rels``:
-    each step takes the smallest state that still reaches q."""
-    states = [p]
-    for rel, tail in zip(rels, back[1:]):
-        states.append((rel[states[-1]] & tail[:, q].T).argmax(axis=-1))
-    return states
+def _masks(rows: np.ndarray) -> np.ndarray:
+    """Each row of a bool matrix as an int with bit q set where column q is."""
+    w = rows.shape[1]
+    if w <= 64:
+        return rows @ (np.uint64(1) << np.arange(w, dtype=np.uint64))
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return np.array([int.from_bytes(row.tobytes(), "little") for row in packed], dtype=object)
 
 
-def _successors(bp: LayeredBp):
-    """The run table of a deterministic BP, or None if it is not one.
-
-    A BP is deterministic when every row of every gap relation has exactly
-    one successor, as in every DFA unrolling.  ``succ[b, g, p]`` is then the
-    state that gap g+1 leads state p to on bit b; gap 1's single row fills
-    its whole row of the table.  One pass over all the relations' rows.
-    """
+def _gaps(bp: LayeredBp) -> _Gaps:
+    """The tables of :class:`_Gaps`, one pass over all the relations' rows.  A
+    BP is deterministic when every row of every relation has exactly one
+    successor, as in every DFA unrolling."""
     n, w = bp.n, bp.width
-    # an automaton unrolling repeats one relation pair over gaps 2..n, so
-    # its last gap refuses a nondeterministic one without the full pass
-    last0, last1 = bp.rel0[-1], bp.rel1[-1]
-    if np.count_nonzero(last0) + np.count_nonzero(last1) != 2 * len(last0):
-        return None
-    rows, succ = np.nonzero(np.concatenate(bp.rel0 + bp.rel1))
-    total = 2 * (1 + (n - 1) * w)
-    if len(rows) != total or not np.array_equal(rows, np.arange(total)):
-        return None  # some row has no successor or several
-    succ = succ.reshape(2, -1)
-    table = np.empty((2, n, w), dtype=np.intp)
-    table[:, 0] = succ[:, :1]
-    table[:, 1:] = succ[:, 1:].reshape(2, n - 1, w)
-    table.flags.writeable = False
-    return table
+    rows = np.concatenate(bp.rel0 + bp.rel1)
+    row, succ = np.divmod(np.flatnonzero(rows), w)  # a run hits each row once
+    deterministic = len(row) == len(rows) and bool((row == np.arange(len(rows))).all())
+    vals = (2 * succ if deterministic else _masks(rows)).reshape(2, -1)  # by bit
+    pad = np.zeros((2, w - 1), dtype=vals.dtype)
+    steps = np.concatenate([vals[:, :1], pad, vals[:, 1:]], axis=1).reshape(2, n, w)
+    order = (None if bp.gap_var == tuple(range(1, n + 1))
+             else np.array(bp.gap_var, dtype=np.intp) - 1)
+    accept = sum(1 << q for q in np.flatnonzero(bp.accept).tolist())
+    return _Gaps(w, order, steps.transpose(1, 2, 0).reshape(n, 2 * w).tolist(), accept,
+                 deterministic)
 
 
-def _run(succ, bits) -> list:
-    """The states at layers 0..n of the run on ``bits`` (in gap order)."""
+def _reach(steps, bits, accept) -> list:
+    """Per layer 0..n, the mask of its states from which the rest of the word
+    (``bits``, in gap order) reaches an accepting state."""
+    back = [accept]
+    for step, b in zip(reversed(steps), reversed(bits)):
+        after, mask = back[-1], 0
+        for p, succ in enumerate(step[b::2]):
+            if succ & after:
+                mask |= 1 << p
+        back.append(mask)
+    back.reverse()
+    return back
+
+
+def _lowest_path(steps, bits, back) -> list:
+    """The lexicographically smallest accepting state sequence at layers
+    0..n, doubled: each step takes the lowest successor that still reaches
+    ``back``."""
     state, states = 0, [0]
-    for row in succ[bits, np.arange(len(bits))].tolist():
-        state = row[state]
+    for step, b, alive in zip(steps, bits, back[1:]):
+        nxt = step[state + b] & alive
+        state = 2 * (nxt & -nxt).bit_length() - 2
         states.append(state)
     return states
 
 
-def _witness(bp: LayeredBp, succ, word) -> np.ndarray:
-    """The proof for a coerced word of length n; ``succ`` is the BP's run
-    table or None."""
-    # lexicographically smallest accepting state sequence through the BP
-    if succ is not None:  # deterministic: the run is the only path
-        states = _run(succ, word[np.fromiter(bp.gap_var, np.intp, bp.n) - 1])
-        if not bp.accept[states[-1]]:
-            raise WitnessError("word is not in the language")
-        states = np.array(states + [0])  # and the sink
+def _witness(gaps: _Gaps, word: np.ndarray) -> np.ndarray:
+    """The proof for a coerced word of length n."""
+    bits = (word if gaps.order is None else word[gaps.order]).tolist()
+    if gaps.deterministic:  # the run is the only path, and no reach is needed
+        state, states = 0, [0]
+        for step, b in zip(gaps.steps, bits):
+            state = step[state + b]
+            states.append(state)
+        member = gaps.accept >> (state >> 1) & 1
     else:
-        bits = word.tolist()
-        rels = [(bp.rel1 if bits[v - 1] else bp.rel0)[g] for g, v in enumerate(bp.gap_var)]
-        rels.append(bp.accept[:, None])
-        back = _back(rels)
-        if not back[0][0, 0]:
-            raise WitnessError("word is not in the language")
-        states = np.array(_walk(rels, back, 0, 0))
-
-    plan, q_bits = _plan(bp.n, bp.width)
+        back = _reach(gaps.steps, bits, gaps.accept)
+        member = back[0] & 1
+        if member:
+            states = _lowest_path(gaps.steps, bits, back)
+    if not member:
+        raise WitnessError("word is not in the language")
+    states.append(0)  # the sink
+    n = len(bits)
+    plan, _, layer, shift = _plan(n, gaps.width)
     proof = np.empty(plan.m, dtype=np.uint8)
-    proof[: bp.n] = word
-    plan.write(proof, (states[plan.lo] << q_bits) | states[plan.hi])
+    proof[:n] = word
+    proof[n:] = (np.fromiter(states, np.intp, n + 2)[layer] >> shift) & 1
     return proof
 
 
@@ -590,25 +611,26 @@ def witness_bp(bp: LayeredBp, word) -> np.ndarray:
     """Proof vector whose evaluation reproduces the given member word."""
     bp.check_structured()
     word = _as_bits(word, (bp.n,), "word", WitnessError)
-    return _witness(bp, _successors(bp), word)
+    return _witness(_gaps(bp), word)
 
 
 UNROLL_CACHE = 64
 
 
 @lru_cache(maxsize=UNROLL_CACHE)
-def _unrolled(automaton, n: int):
-    """The automaton's n-gap BP and its run table (None for a nondeterministic
-    one), shared by every equal automaton; never handed out."""
-    bp = unroll(automaton, n)
-    return bp, _successors(bp)
+def _unrolled(automaton, n: int) -> _Gaps:
+    """The tables of the automaton's n-gap BP as tuples, shared by every equal
+    automaton.  Gaps 2..n repeat one relation pair: it is tabulated once."""
+    gaps = _gaps(unroll(automaton, min(n, 2)))
+    first, *rest = map(tuple, gaps.steps)
+    return gaps._replace(steps=(first,) + tuple(rest) * (n - 1))
 
 
 def witness_regular(automaton, word) -> np.ndarray:
     """Proof vector for synth_regular(automaton, len(word))."""
     word = _as_bits(word, (None,), "word", WitnessError)
     try:
-        bp, succ = _unrolled(automaton, len(word))
+        gaps = _unrolled(automaton, len(word))
     except TypeError:  # unhashable, e.g. an automaton built with list fields
-        bp, succ = _unrolled.__wrapped__(automaton, len(word))
-    return _witness(bp, succ, word)
+        gaps = _unrolled.__wrapped__(automaton, len(word))
+    return _witness(gaps, word)

@@ -181,33 +181,37 @@ def check_completeness(c: Circuit, spec, n: int, witness_fn=None,
     if members is None:
         members = enumerate_slice(spec, n, budget=budget)
     members = _as_bits(members, (None, n), "members")
+    m = c.num_inputs
 
     if witness_fn is not None:
         report = Report("completeness", "witness", len(members))
         for start in range(0, len(members), _CHUNK):
             rows = members[start : start + _CHUNK]
-            proofs, errors = [], []
-            for row in rows:
+            proofs, errors = [], {}  # errors: row -> the witness failure
+            for i, row in enumerate(rows):
                 try:
                     proof = witness_fn(row)
                 except Exception as exc:  # witness failure is a finding, not a crash
-                    errors.append(f"witness_fn: {exc}")
+                    errors[i] = f"witness_fn: {exc}"
                     continue
-                errors.append(None)
-                proofs.append(_as_bits(proof, (c.num_inputs,), "proof"))
-            batch = np.array(proofs, dtype=np.uint8).reshape(len(proofs), c.num_inputs)
-            results = zip(proofs, eval_batch(c, batch))
-            for row, error in zip(rows, errors):  # violations in member order
-                if error is not None:
-                    _note(report, "<none>", _bits_str(row), error)
-                    continue
-                proof, out = next(results)
-                if not np.array_equal(out, row):
-                    _note(report, _bits_str(proof), _bits_str(out),
-                          f"wanted {_bits_str(row)}")
+                if getattr(proof, "shape", None) != (m,):  # lists, strings, wrong shapes
+                    proof = _as_bits(proof, (m,), "proof")
+                proofs.append(proof)
+            batch = _as_bits(np.array(proofs).reshape(len(proofs), m), (None, m), "proof")
+            outs = eval_batch(c, batch)
+            proved = np.ones(len(rows), dtype=bool)
+            proved[list(errors)] = False
+            wrong = ~proved
+            wrong[proved] = outs.shape[1] != n or (outs != rows[proved]).any(axis=1)
+            slot = np.cumsum(proved) - 1  # each proved row's proof
+            for i in np.flatnonzero(wrong).tolist():  # violations in member order
+                if i in errors:
+                    _note(report, "<none>", _bits_str(rows[i]), errors[i])
+                else:
+                    _note(report, _bits_str(batch[slot[i]]), _bits_str(outs[slot[i]]),
+                          f"wanted {_bits_str(rows[i])}")
         return report
 
-    m = c.num_inputs
     if m > 62 or (1 << m) > budget:
         raise BudgetError(
             f"full-range completeness needs 2^{m} evaluations, over budget"

@@ -9,12 +9,18 @@ replayed gate by gate (``circuit_reference.lower_fields_replay``), and
 with the scalar builder calls.  ``tests/counting_reference.py`` builds
 its per-node counting circuits on the same two functions.  The stamped build
 must give the same circuit up to gate numbering (``tests/structure.py``).
+
+:func:`witness_walk` is the numpy witness :mod:`rangesynth.regular` had
+before it walked words over Python-int successor masks: a deterministic BP
+runs its word through the :func:`_successors` table (:func:`_run`), and any
+other takes :func:`_back`'s n width x width reach products and
+:func:`_walk`'s argmaxes.  ``test_witness_run.py`` holds the mask walk to it.
 """
 
 import numpy as np
 
-from rangesynth.circuit import CircuitBuilder
-from rangesynth.regular import SynthesisError, _layout, unroll
+from rangesynth.circuit import CircuitBuilder, _as_bits
+from rangesynth.regular import SynthesisError, WitnessError, _layout, _plan, unroll
 from tests.circuit_reference import lower_fields_replay as lower_fields
 
 
@@ -30,11 +36,73 @@ def _back(rels) -> list:
 def _walk(rels, back, p, q) -> list:
     """Lexicographically smallest state sequence from p to q along ``rels``:
     each step takes the smallest state that still reaches q.  p and q are
-    equal-length index arrays, walked side by side."""
+    equal-length index arrays, walked side by side, or two states."""
     states = [p]
     for rel, tail in zip(rels, back[1:]):
         states.append((rel[states[-1]] & tail[:, q].T).argmax(axis=-1))
     return states
+
+
+def _successors(bp):
+    """The run table of a deterministic BP, or None if it is not one.
+
+    A BP is deterministic when every row of every gap relation has exactly
+    one successor, as in every DFA unrolling.  ``succ[b, g, p]`` is then the
+    state that gap g+1 leads state p to on bit b; gap 1's single row fills
+    its whole row of the table.  One pass over all the relations' rows.
+    """
+    n, w = bp.n, bp.width
+    # an automaton unrolling repeats one relation pair over gaps 2..n, so
+    # its last gap refuses a nondeterministic one without the full pass
+    last0, last1 = bp.rel0[-1], bp.rel1[-1]
+    if np.count_nonzero(last0) + np.count_nonzero(last1) != 2 * len(last0):
+        return None
+    rows, succ = np.nonzero(np.concatenate(bp.rel0 + bp.rel1))
+    total = 2 * (1 + (n - 1) * w)
+    if len(rows) != total or not np.array_equal(rows, np.arange(total)):
+        return None  # some row has no successor or several
+    succ = succ.reshape(2, -1)
+    table = np.empty((2, n, w), dtype=np.intp)
+    table[:, 0] = succ[:, :1]
+    table[:, 1:] = succ[:, 1:].reshape(2, n - 1, w)
+    table.flags.writeable = False
+    return table
+
+
+def _run(succ, bits) -> list:
+    """The states at layers 0..n of the run on ``bits`` (in gap order)."""
+    state, states = 0, [0]
+    for row in succ[bits, np.arange(len(bits))].tolist():
+        state = row[state]
+        states.append(state)
+    return states
+
+
+def witness_walk(bp, word, run: bool = True):
+    """``witness_bp`` as numpy tables: the run of a deterministic BP (unless
+    ``run`` is False), else the reach products and the walk."""
+    bp.check_structured()
+    word = _as_bits(word, (bp.n,), "word", WitnessError)
+    succ = _successors(bp) if run else None
+    if succ is not None:  # deterministic: the run is the only path
+        states = _run(succ, word[np.fromiter(bp.gap_var, np.intp, bp.n) - 1])
+        if not bp.accept[states[-1]]:
+            raise WitnessError("word is not in the language")
+        states = np.array(states + [0])  # and the sink
+    else:
+        bits = word.tolist()
+        rels = [(bp.rel1 if bits[v - 1] else bp.rel0)[g] for g, v in enumerate(bp.gap_var)]
+        rels.append(bp.accept[:, None])
+        back = _back(rels)
+        if not back[0][0, 0]:
+            raise WitnessError("word is not in the language")
+        states = np.array(_walk(rels, back, 0, 0))
+
+    plan, q_bits = _plan(bp.n, bp.width)[:2]
+    proof = np.empty(plan.m, dtype=np.uint8)
+    proof[: bp.n] = word
+    plan.write(proof, (states[plan.lo] << q_bits) | states[plan.hi])
+    return proof
 
 
 def tables_reference(bp, lo: int, hi: int):

@@ -136,7 +136,7 @@ def _count_calls(monkeypatch, n: int) -> dict:
     parity = parse_dfa(PARITY_TXT)
     synth_regular(parity, n)
     calls = dict.fromkeys(["stamp", "per_gate", "lower_fields", "table_to_subcircuit",
-                           "_back", "_walk", "_compose"], 0)
+                           "_reach", "_lowest_path", "_compose"], 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -148,7 +148,7 @@ def _count_calls(monkeypatch, n: int) -> dict:
         mp.setattr(CircuitBuilder, "stamp", counted("stamp", CircuitBuilder.stamp))
         for name in ("lower_fields", "table_to_subcircuit"):
             mp.setattr(circuit, name, counted(name, getattr(circuit, name)))
-        for name in ("_back", "_walk", "_compose"):
+        for name in ("_reach", "_lowest_path", "_compose"):
             mp.setattr(regular, name, counted(name, getattr(regular, name)))
         for name in ("input", "not_", "and_", "or_", "xor", "and_tree", "or_tree"):
             mp.setattr(CircuitBuilder, name, counted("per_gate", getattr(CircuitBuilder, name)))
@@ -176,8 +176,8 @@ def test_stamp_calls_do_not_grow_with_n(monkeypatch):
 
 def test_tables_compose_once_per_height(monkeypatch):
     """The label tables take one composition step per height of the key
-    tree over (0, n+1], ceil(log2(n + 1)) of them, and no gap walk."""
+    tree over (0, n+1], ceil(log2(n + 1)) of them, and no word walk."""
     for n in (256, 4096):
         got = _count_calls(monkeypatch, n)
-        assert got["_back"] == got["_walk"] == 0
+        assert got["_reach"] == got["_lowest_path"] == 0
         assert got["_compose"] == n.bit_length() == int(np.ceil(np.log2(n + 1)))

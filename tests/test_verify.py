@@ -331,6 +331,82 @@ class TestCompleteness:
         assert len(calls) == -(-len(members) // chunk)
         assert sum(calls) == len(members) - (len(members) + 2) // 3
 
+    @pytest.mark.parametrize("chunk", [5, 1 << 14])
+    @pytest.mark.parametrize("case", ["broken", "few", "empty"])
+    def test_chunk_checks_match_per_member_reference(self, case, chunk, parity, monkeypatch):
+        """The same violations, in member order, and the same dropped count
+        as one eval_batch call per member: a broken circuit with witness
+        errors interleaved (more violations than are stored), a few
+        violations, and no members at all."""
+        n = 6
+        c, _ = synth_regular(parity, n)
+        if case != "few":
+            c = _output_to_input(c, 2)
+        members = enumerate_slice(Regular(parity), n)
+        if case == "empty":
+            members = members[:0]
+
+        def witness(w):
+            if case == "few":  # one proof of the wrong word, one failure
+                if not w[:3].any():
+                    raise RuntimeError("no proof for " + verify._bits_str(w))
+                return witness_regular(parity, w[::-1] if w[3:].all() else w)
+            if w[1] and not w[4]:
+                raise RuntimeError("no proof for " + verify._bits_str(w))
+            proof = witness_regular(parity, w)
+            return proof.tolist() if w[0] else proof  # lists take the slow coercion
+
+        want = _witness_completeness_reference(c, Regular(parity), members, witness)
+        monkeypatch.setattr(verify, "_CHUNK", chunk)
+        got = check_completeness(c, Regular(parity), n, witness_fn=witness, members=members)
+        assert got.violations == want.violations and got.dropped == want.dropped
+        assert render_report(got) == render_report(want)
+        assert got.trials == len(members)
+        if case == "broken":
+            reasons = [reason.split()[0] for _, _, reason in got.violations]
+            assert "witness_fn:" in reasons and "wanted" in reasons and got.dropped > 0
+        elif case == "few":
+            assert 0 < got.violation_count < _MAX_RECORDED
+        else:
+            assert got.passed
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_proof_width_message_is_unchanged(self, extra, parity):
+        c, _ = synth_regular(parity, 4)
+        m = c.num_inputs
+        bad = np.zeros(m + extra, dtype=np.uint8)
+        with pytest.raises(InputArityError) as want:
+            circuit._as_bits(bad, (m,), "proof")
+        members = enumerate_slice(Regular(parity), 4)
+
+        def witness(w):  # good proofs, then the wrong length
+            return bad if w[0] else witness_regular(parity, w)
+
+        with pytest.raises(InputArityError) as got:
+            check_completeness(c, Regular(parity), 4, witness_fn=witness, members=members)
+        assert str(got.value) == str(want.value) == f"proof length {m + extra} != {m}"
+
+    @pytest.mark.parametrize("form", ["array", "list"])
+    def test_non_binary_proof_raises(self, form, parity):
+        c, _ = synth_regular(parity, 4)
+
+        def witness(w):
+            proof = witness_regular(parity, w).astype(np.int64)
+            proof[-1] = 2
+            return proof if form == "array" else proof.tolist()
+
+        with pytest.raises(circuit.InputBitError, match="proof bits must be 0 or 1"):
+            check_completeness(c, Regular(parity), 4, witness_fn=witness)
+
+    def test_string_proofs_are_accepted(self, parity):
+        c, _ = synth_regular(parity, 4)
+
+        def witness(w):
+            return verify._bits_str(witness_regular(parity, w))  # e.g. "0101..."
+
+        r = check_completeness(c, Regular(parity), 4, witness_fn=witness)
+        assert r.passed and r.trials == 8
+
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_wrong_proof_width_raises(self, extra):
         c, _ = synth_threshold(4, 2)

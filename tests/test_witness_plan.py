@@ -13,8 +13,9 @@ from rangesynth.counting import synth_exact_count, synth_threshold, witness_coun
 from rangesynth.languages import Dfa, LanguageError, Nfa, parse_dfa
 from rangesynth.regular import (LayeredBp, StructureError, parse_bp, synth_structured,
                                 unroll, witness_bp, witness_regular)
+from tests import regular_reference
 from tests import witness_reference as ref
-from tests.conftest import MOD3_TXT, PARITY_TXT
+from tests.conftest import MOD3_TXT, NFA1_TXT, PARITY_TXT
 from tests.test_regular import _bp_text
 
 _SETTINGS = settings(max_examples=60, deadline=None,
@@ -231,12 +232,32 @@ def test_caches_stay_within_their_bounds():
 
 
 def test_cached_plans_are_read_only():
-    plan, q_bits = regular._plan(5, 3)
+    plan, *label_arrays = regular._plan(5, 3)
     for a in (plan.lo, plan.hi, plan.parent, plan.right, plan.offset, plan.bits,
-              plan.owner, plan.shift, q_bits):
+              plan.owner, plan.shift, *label_arrays):
         assert not a.flags.writeable
     assert not counting._plan(9).owner.flags.writeable
-    succ = regular._unrolled(parse_dfa(MOD3_TXT), 5)[1]
-    assert not succ.flags.writeable
-    with pytest.raises(ValueError):
-        succ[0, 0, 0] = 1
+
+
+@pytest.mark.parametrize("text", [MOD3_TXT, NFA1_TXT], ids=["dfa", "nfa"])
+def test_cached_gap_tables_are_immutable(text):
+    """The cached tables are tuples of tuples and hold the reference's
+    successors: twice the run table's entry for a DFA, the relation's row
+    as a mask for an NFA."""
+    automaton = parse_dfa(text)
+    for n in (1, 2, 5):
+        gaps = regular._unrolled(automaton, n)
+        bp = unroll(automaton, n)
+        succ = regular_reference._successors(bp)
+        assert gaps.deterministic == (succ is not None)
+        assert isinstance(gaps.steps, tuple) and len(gaps.steps) == n
+        for g, step in enumerate(gaps.steps):
+            assert isinstance(step, tuple)
+            with pytest.raises(TypeError):
+                step[0] = 1
+            for b, rel in enumerate((bp.rel0[g], bp.rel1[g])):
+                for p in range(len(rel)):
+                    want = (2 * int(succ[b, g, p]) if succ is not None
+                            else sum(1 << int(q) for q in np.flatnonzero(rel[p])))
+                    assert step[2 * p + b] == want
+        assert len(gaps.steps) < 3 or gaps.steps[1] is gaps.steps[-1]  # one shared row
