@@ -188,7 +188,8 @@ class CircuitBuilder:
     always exact.  :meth:`gate` emits a gate as given, for ``upclose``'s
     per-output OR, which must cost a gate even on a constant.
     :meth:`stamp` appends a small template once per row of an array of
-    wires, folding the same way, and :meth:`inputs` a run of INPUT gates.
+    wires, folding through these same constructors (:func:`_specialize`),
+    and :meth:`inputs` a run of INPUT gates.
     :meth:`build` then merges structurally equal gates and drops logic gates
     that no output reads (:func:`_reduce`), so synthesizers need not share
     subcircuits themselves.  CONST gates, and the NOTs of :meth:`not_`, are
@@ -316,12 +317,16 @@ class CircuitBuilder:
         return slots[0]
 
     def _fold_tree(self, op, wires: Sequence[int], unit: int) -> int:
-        """Tree of ``op`` over the wires :func:`_tree_leaves` keeps; the
-        ``unit`` constant for no wires."""
+        """Tree of ``op`` (AND for ``unit`` 1, OR for ``unit`` 0) over the
+        first constant ``1 - unit`` alone, which absorbs the tree; else over
+        every wire but the ``unit`` constants, which drop out; else over the
+        first wire.  The ``unit`` constant for no wires."""
         if not len(wires):
             return self.const(unit)
-        keep = _tree_leaves(unit, [self.const_value(w) for w in wires])
-        return self._tree(op, [wires[i] for i in keep])
+        bits = [self.const_value(w) for w in wires]
+        absorb = [w for w, v in zip(wires, bits) if v == 1 - unit][:1]
+        return self._tree(op, absorb or [w for w, v in zip(wires, bits) if v != unit]
+                          or [wires[0]])
 
     def and_tree(self, wires: Sequence[int]) -> int:
         return self._fold_tree(self.and_, wires, 1)
@@ -376,10 +381,10 @@ class CircuitBuilder:
         :meth:`not_` shares; :meth:`build` merges each duplicate into its
         first occurrence.
 
-        Rows whose templates read no CONST leaf are laid out together, in
-        whole-array steps over all their gates whatever their templates;
-        the rows that do are folded one template at a time, in one pass per
-        template gate.
+        A row whose template's gates read a CONST leaf stamps that template
+        specialized to its row's constants (:func:`_specialize`, once per
+        template and placement of constants), and then every row is laid
+        out in whole-array steps over all its gates, whatever its template.
         """
         leaves = np.asarray(leaves, dtype=np.int64)
         if leaves.ndim != 2:
@@ -393,131 +398,74 @@ class CircuitBuilder:
             which = np.asarray(which, dtype=np.intp)
             if which.shape != (rows,) or rows and which.view(np.uintp).max() >= len(template):
                 raise CircuitError("which needs one template index per row")
-        ts = _template_set(tuple(template), k)
-        base = len(self.kinds)
+        template = tuple(template)
+        ts = _template_set(template, k)
         const = np.frombuffer(self.kinds, dtype=np.int8)[leaves] == CONST
-        fold = (const & ts.reads[which]).any(axis=1) if const.any() else None
-        if fold is None and len(template) == 1:  # nothing to fold: one layout
-            kinds, c0, c1, root = ts.columns(0)
-            size = len(kinds)
+        fold = ()  # the rows whose template's gates read a CONST leaf
+        if const.any():
+            const &= ts.reads[which]
+            fold = np.flatnonzero(const.any(axis=1))
+        if not len(fold) and len(template) == 1:  # nothing to fold: one layout
+            base, size = len(self.kinds), int(ts.size[0])
             wire = np.concatenate([leaves, np.arange(
                 base, base + rows * size, dtype=np.int64).reshape(rows, size)], axis=1)
-            arg1 = wire[:, c1]
-            arg1[:, kinds == NOT] = 0
-            self.kinds.frombytes(kinds.tobytes() * rows)
-            self.arg0.frombytes(wire[:, c0].tobytes())
+            arg1 = wire[:, ts.ops[1]]
+            arg1[:, ts.kinds == NOT] = 0
+            self.kinds.frombytes(ts.kinds.tobytes() * rows)
+            self.arg0.frombytes(wire[:, ts.ops[0]].tobytes())
             self.arg1.frombytes(arg1.tobytes())
-            return wire[:, root]
-        counts = ts.size[which]  # gates each row emits
-        groups = []  # (rows, template columns, emit flags, wires) per folded template
-        if fold is not None and fold.any():
-            const = np.where(const, np.frombuffer(self.arg0, dtype=np.int64)[leaves], -1)
-            part = np.flatnonzero(fold)
-            part = part[np.argsort(which[part], kind="stable")]
-            for rs in np.split(part, np.flatnonzero(np.diff(which[part])) + 1):
-                c = ts.columns(which[rs[0]])
-                emit, wire = self._fold(*c[:3], leaves[rs], const[rs])
-                groups.append((rs, c, emit, wire))
-                counts[rs] = emit.sum(axis=1)
-            for v in (0, 1):  # the constants folded NOTs stand in for
-                marks = [wire == _FOLDED_CONST - v for *_, wire in groups]
-                if any(m.any() for m in marks):
-                    c = self.const(v)
-                    for (*_, wire), m in zip(groups, marks):
-                        wire[m] = c
-        start = np.cumsum(counts) - counts + len(self.kinds)
+            return wire[:, ts.root[0]]
         roots = np.full((rows,) + ts.root.shape[1:], -1, dtype=np.int64)
-        if not groups:  # no row folds: every run of rows appends as it is laid out
-            for _, _, kinds, operands in self._lay_out(ts, which, leaves, start,
-                                                       np.arange(rows), roots):
-                self.kinds.frombytes(kinds.tobytes())
-                self.arg0.frombytes(operands[0].tobytes())
-                self.arg1.frombytes(operands[1].tobytes())
-            return roots
-        block = np.zeros((3, int(counts.sum())), dtype=np.int64)
-        for part, n, kinds, operands in self._lay_out(ts, which, leaves, start,
-                                                      np.flatnonzero(~fold), roots):
-            at = np.repeat(start[part] - start[0], n) + (
-                np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n))
-            block[0, at] = kinds
-            block[1:, at] = operands
-        for rs, (kinds, c0, c1, root), emit, wire in groups:
-            ids = start[rs, None] + np.cumsum(emit, axis=1) - 1
-            new = np.nonzero(wire < 0)  # operands and roots among the new gates
-            wire[new] = ids[new[0], -1 - wire[new]]
-            r, j = np.nonzero(emit)
-            at = ids[r, j] - start[0]
-            block[0, at] = kinds[j]
-            block[1, at] = wire[r, c0[j]]
-            block[2, at] = np.where(kinds[j] == NOT, 0, wire[r, c1[j]])
-            if roots.ndim == 1:
-                roots[rs] = wire[:, root]
-            else:
-                roots[rs, :root.size] = wire[:, root]
-        self.kinds.frombytes(block[0].astype(np.int8).tobytes())
-        self.arg0.frombytes(block[1].tobytes())
-        self.arg1.frombytes(block[2].tobytes())
+        if len(fold):  # each (template, placement of constants) specialized once
+            bits = const[fold] * (np.frombuffer(self.arg0, dtype=np.int64)[leaves[fold]] + 1)
+            keys, spec = np.unique(np.column_stack([which[fold], bits]), axis=0,
+                                   return_inverse=True)
+            which = which.copy()
+            which[fold] = len(template) + spec.ravel()
+            specs = [_specialize(template[t], tuple(p)) for t, *p in keys.tolist()]
+            made = {v for _, consts in specs for v in consts}
+            extra = [self.const(v) if v in made else 0 for v in (0, 1)]  # 0: unread
+            template += tuple(t for t, _ in specs)
+            leaves = np.column_stack([leaves, np.broadcast_to(extra, (rows, 2))])
+            ts = _template_set(template, k + 2)
+        counts = ts.size[which]  # gates each row emits
+        start = np.cumsum(counts) - counts + len(self.kinds)
+        for kinds, operands in self._lay_out(ts, which, leaves, start, roots):
+            self.kinds.frombytes(kinds.tobytes())
+            self.arg0.frombytes(operands[0].tobytes())
+            self.arg1.frombytes(operands[1].tobytes())
         return roots
 
     @staticmethod
-    def _lay_out(ts, which, leaves, start, plain, roots):
-        """Lay out the rows ``plain``, which fold nothing, in runs of at most
-        ``_LAY_OUT_WIRES`` layout cells, which bounds the work arrays.  Row
-        r's wire layout (see :class:`_TemplateSet`) is its leaves, then ids
-        ``start[r]``, ``start[r] + 1``, ... for its template's gates.  Writes
-        the rows' roots and yields, per run, its rows, their gate counts,
-        and their gates' kinds and operands in row order."""
+    def _lay_out(ts, which, leaves, start, roots):
+        """Lay out the rows in runs of at most ``_LAY_OUT_WIRES`` layout
+        cells, which bounds the work arrays.  Row r's wire layout (see
+        :class:`_TemplateSet`) is its leaves, then ids ``start[r]``,
+        ``start[r] + 1``, ... for its template's gates.  Writes the rows'
+        roots and yields, per run, its gates' kinds and operands in row
+        order."""
         k = leaves.shape[1]
         width = k + int(ts.size.max(initial=0))
         step = max(1, _LAY_OUT_WIRES // width)
-        for lo in range(0, len(plain), step):
-            part = plain[lo:lo + step]
-            t = which[part]
+        for lo in range(0, len(which), step):
+            t = which[lo:lo + step]
             n = ts.size[t]
-            wire = np.empty((len(part), width), dtype=np.int64)
-            wire[:, :k] = leaves[part]
-            wire[:, k:] = start[part, None] + np.arange(width - k)
-            row = np.arange(0, len(part) * width, width)
+            wire = np.empty((len(t), width), dtype=np.int64)
+            wire[:, :k] = leaves[lo:lo + step]
+            wire[:, k:] = start[lo:lo + step, None] + np.arange(width - k)
+            row = np.arange(0, len(t) * width, width)
             wire = wire.ravel()
             rc = ts.root[t]
             if roots.ndim == 1:
-                roots[part] = wire[row + rc]
+                roots[lo:lo + step] = wire[row + rc]
             else:
                 r, c = np.nonzero(rc >= 0)
-                roots[part[r], c] = wire[row[r] + rc[r, c]]
+                roots[lo + r, c] = wire[row[r] + rc[r, c]]
             g = np.arange(n.sum()) + np.repeat(ts.first[t] - (np.cumsum(n) - n), n)
             kinds = ts.kinds[g]
             operands = wire[np.repeat(row, n) + ts.ops[:, g]]
             operands[1, kinds == NOT] = 0
-            yield part, n, kinds, operands
-
-    def _fold(self, kinds, c0, c1, leaves, const):
-        """One template's gates over rows of leaves, before they have ids:
-        returns each (row, gate) cell's emit flag and the row's wires over
-        columns leaves + gates, where ``-1 - j`` stands for its gate j and
-        ``_FOLDED_CONST - v`` for a CONST v that a NOT folds to."""
-        k, own = leaves.shape[1], -1 - np.arange(len(kinds))
-        wire = np.concatenate([leaves, np.broadcast_to(own, (len(leaves), len(kinds)))],
-                              axis=1)
-        reads = np.concatenate([c0, c1])
-        if (const[:, reads[reads < k]] >= 0).any():
-            bit = np.concatenate([const, np.full((len(leaves), len(kinds)), -1)], axis=1)
-            rows = np.arange(len(leaves))
-            for j, (kind, a, b) in enumerate(zip(kinds.tolist(), c0.tolist(), c1.tolist())):
-                out = k + j
-                if kind == NOT:
-                    hit = np.flatnonzero(bit[:, a] >= 0)
-                    bit[hit, out] = 1 - bit[hit, a]
-                    wire[hit, out] = _FOLDED_CONST - bit[hit, out]
-                    continue
-                # and_/or_: a constant first operand decides, else the second;
-                # the unit (1 for AND, 0 for OR) passes the other operand
-                unit = int(kind == AND)
-                ca, cb = bit[:, a], bit[:, b]
-                pick = np.where(ca >= 0, np.where(ca == unit, b, a),
-                                np.where(cb >= 0, np.where(cb == unit, a, b), out))
-                wire[:, out], bit[:, out] = wire[rows, pick], bit[rows, pick]
-        return wire[:, k:] == own, wire
+            yield kinds, operands
 
     def set_outputs(self, outputs: Sequence[int]):
         self.outputs = list(outputs)
@@ -561,18 +509,12 @@ class CircuitBuilder:
 # Wire-layout cells (a row's leaves and gates) a stamp lays out in one run.
 _LAY_OUT_WIRES = 1 << 18
 
-# Below every ``-1 - j`` of a template gate: _fold's stand-in for the id of
-# CONST 0, and one less for CONST 1, until stamp knows the builder holds them.
-_FOLDED_CONST = -(1 << 62)
-
-
 class _TemplateSet(NamedTuple):
     """The templates of one stamp call over k leaf columns, laid out once in
-    the wire layout of ``CircuitBuilder._fold`` (leaf columns first, then
-    gate j at column k + j): each template's gate count and first gate in
-    the flat ``kinds``, ``c0``, ``c1`` (operand columns), its root columns
-    (a row padded with -1 for tuple roots) and the leaf columns its gates
-    read."""
+    a row's wire layout (leaf columns first, then gate j at column k + j):
+    each template's gate count and first gate in the flat ``kinds`` and
+    ``ops`` (operand columns), its root columns (a row padded with -1 for
+    tuple roots) and the leaf columns its gates read."""
 
     size: np.ndarray
     first: np.ndarray
@@ -580,13 +522,6 @@ class _TemplateSet(NamedTuple):
     ops: np.ndarray  # (2, gates): each gate's two operand columns
     root: np.ndarray
     reads: np.ndarray
-
-    def columns(self, i: int) -> tuple:
-        """Template i's (kinds, op0 columns, op1 columns, root columns)."""
-        at = slice(self.first[i], self.first[i] + self.size[i])
-        root = self.root[i]
-        return (self.kinds[at], *self.ops[:, at],
-                root[root >= 0] if root.ndim else root)
 
 
 @lru_cache(maxsize=1024)
@@ -628,49 +563,73 @@ def _template_set(templates: tuple, k: int) -> _TemplateSet:
                         reads)
 
 
+def _replay(pattern: tuple, build) -> tuple:
+    """The stamp template of ``build(b, leaves)``, run once gate by gate on a
+    scratch builder b whose gate i is leaf column i: an INPUT, or CONST v
+    where ``pattern[i] == 1 + v``.  ``build`` emits through b's
+    constructors and returns the root wire, or a list of them for a
+    template with a tuple of roots.  A CONST it makes (a NOT of a constant
+    folds to one) becomes leaf column ``len(pattern) + v``, even where a
+    leaf holds the same constant: the stamping builder's shared CONST, as
+    the scalar constructors make it, need not be that leaf.  Returns the
+    template and the values of the CONSTs made; the one path from scalar
+    builder code to a template."""
+    k = len(pattern)
+    b = CircuitBuilder(k)
+    for i, p in enumerate(pattern):
+        b.gate(CONST if p else INPUT, p - 1 if p else i)
+    out = build(b, list(range(k)))
+    col, gates, made = [-1 - i for i in range(k)], [], []  # each gate's op
+    for kind, a, c in zip(b.kinds[k:], b.arg0[k:], b.arg1[k:]):
+        if kind == CONST:
+            col.append(-1 - k - a)
+            made.append(a)
+        else:
+            col.append(len(gates))
+            gates.append((kind, col[a], 0 if kind == NOT else col[c]))
+    root = tuple(col[w] for w in out) if isinstance(out, list) else col[out]
+    return (tuple(gates), root), tuple(made)
+
+
+@lru_cache(maxsize=1024)
+def _specialize(template: tuple, pattern: tuple) -> tuple:
+    """A template's gates replayed through :meth:`CircuitBuilder.not_`,
+    :meth:`~CircuitBuilder.and_` and :meth:`~CircuitBuilder.or_` over leaf
+    columns that hold the constants of ``pattern`` (see :func:`_replay`):
+    the template a row with those constants stamps, and the values of the
+    CONSTs its folded NOTs make."""
+    gates, root = template
+
+    def build(b: CircuitBuilder, leaves: list):
+        wires = []
+
+        def wire(op: int) -> int:
+            return wires[op] if op >= 0 else leaves[-1 - op]
+
+        for kind, a, c in gates:
+            wires.append(b.not_(wire(a)) if kind == NOT else
+                         (b.and_ if kind == AND else b.or_)(wire(a), wire(c)))
+        return list(map(wire, root)) if isinstance(root, tuple) else wire(root)
+
+    return _replay(pattern, build)
+
+
 @lru_cache(maxsize=None)
 def _xor_template(k: int, first: int = 0) -> tuple:
-    """Stamp template of the balanced XOR tree over leaf columns first ..
-    first + k - 1 (k >= 1), paired as ``CircuitBuilder._tree`` pairs them;
-    each XOR is ``or_(and_(a, not_(b)), and_(not_(a), b))``, in that order."""
-    gates = []
-
-    def xor(a, b):
-        gates.extend([(NOT, b, 0), (AND, a, len(gates)), (NOT, a, 0),
-                      (AND, len(gates) + 2, b), (OR, len(gates) + 1, len(gates) + 3)])
-        return len(gates) - 1
-
-    root = CircuitBuilder._tree(xor, [-1 - first - i for i in range(k)])
-    return tuple(gates), root
-
-
-def _tree_leaves(unit: int, bits: Sequence) -> list:
-    """The leaves an AND (``unit`` 1) or OR (``unit`` 0) tree keeps, given
-    each leaf's constant bit, None for a wire: the first constant
-    ``1 - unit`` alone, which absorbs the tree; else every leaf but the
-    ``unit`` constants, which drop out; else the first leaf.  The folding
-    rule of both :meth:`CircuitBuilder._fold_tree` and
-    :func:`_tree_template`."""
-    kept = [i for i, v in enumerate(bits) if v != unit]
-    return [i for i in kept if bits[i] is not None][:1] or kept or [0]
+    """Stamp template of the balanced XOR tree of :meth:`CircuitBuilder.xor`
+    over leaf columns first .. first + k - 1 (k >= 1), paired as
+    ``CircuitBuilder._tree`` pairs them."""
+    return _replay((0,) * (first + k), lambda b, leaves: b._tree(b.xor, leaves[first:]))[0]
 
 
 @lru_cache(maxsize=None)
 def _tree_template(kind: int, pattern: tuple) -> tuple:
-    """Stamp template of ``CircuitBuilder._fold_tree`` for AND or OR over
-    leaf columns of the given classes: 0 a wire, 1 CONST 0, 2 CONST 1, 3
-    no leaf."""
-    present = [c for c, p in enumerate(pattern) if p != 3]
-    keep = _tree_leaves(int(kind == AND), [pattern[c] - 1 if pattern[c] else None
-                                           for c in present])
-    gates = []
-
-    def op(a, b):
-        gates.append((kind, a, b))
-        return len(gates) - 1
-
-    root = CircuitBuilder._tree(op, [-1 - present[i] for i in keep])
-    return tuple(gates), root
+    """Stamp template of :meth:`CircuitBuilder.and_tree` (kind AND) or
+    :meth:`~CircuitBuilder.or_tree` (kind OR) over leaf columns of the
+    given classes: 0 a wire, 1 CONST 0, 2 CONST 1, 3 no leaf."""
+    tree = CircuitBuilder.and_tree if kind == AND else CircuitBuilder.or_tree
+    return _replay(tuple(p % 3 for p in pattern), lambda b, leaves: tree(
+        b, [w for w, p in zip(leaves, pattern) if p != 3]))[0]
 
 
 def bits_for(k: int) -> int:
@@ -747,26 +706,19 @@ def _table_bytes(table, k: int) -> bytes:
 
 
 def _record(k: int, gadget) -> tuple:
-    """The stamp template of ``gadget(b, wires)`` over k wires, run once on a
-    fresh builder: leaf columns 0 and 1 are CONST 0 and CONST 1, columns
-    2 .. k + 1 the wires and columns k + 2 .. 2k + 1 their NOTs, which the
-    gadget gets from :meth:`CircuitBuilder.not_` and the caller supplies, so
-    that the rows of a stamp share them.  A gadget that returns a list of
-    wires gives a template with a tuple of roots."""
-    b = CircuitBuilder(k)
-    b.const(0), b.const(1)
-    wires = b.inputs(0, k)
-    for w in wires:
-        b.not_(w)
-    out = gadget(b, wires)
-    first = 2 * k + 2
+    """The stamp template of ``gadget(b, wires)`` over k wires, replayed
+    (:func:`_replay`) with leaf columns 0 and 1 CONST 0 and CONST 1,
+    columns 2 .. k + 1 the wires and columns k + 2 .. 2k + 1 their NOTs,
+    which :meth:`CircuitBuilder.const` and :meth:`CircuitBuilder.not_` give
+    the gadget and the caller supplies, so that the rows of a stamp share
+    them.  A gadget that returns a list of wires gives a template with a
+    tuple of roots."""
+    def build(b: CircuitBuilder, leaves: list):
+        b._const_ids.update({0: 0, 1: 1})
+        b._not_ids.update(zip(leaves[2:k + 2], leaves[k + 2:]))
+        return gadget(b, leaves[2:k + 2])
 
-    def op(g: int) -> int:
-        return g - first if g >= first else -1 - g
-
-    gates = tuple((kind, op(a), 0 if kind == NOT else op(c))
-                  for kind, a, c in zip(b.kinds[first:], b.arg0[first:], b.arg1[first:]))
-    return gates, tuple(map(op, out)) if isinstance(out, list) else op(out)
+    return _replay((1, 2) + (0,) * (2 * k), build)[0]
 
 
 @lru_cache(maxsize=COVER_CACHE)

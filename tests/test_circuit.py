@@ -316,6 +316,36 @@ class TestStamp:
         assert np.array_equal(got, want)
         assert (runs.kinds, runs.arg0, runs.arg1) == (one.kinds, one.arg0, one.arg1)
 
+    def test_specializes_once_per_pattern(self, monkeypatch):
+        """Rows whose X columns hold constants in a few placements cost one
+        specialization of ``graphs._CUT_GATE`` per placement, not one per
+        row; a second identical stamp replays nothing."""
+        from rangesynth.graphs import _CUT_GATE
+        rng = np.random.default_rng(0)
+        leaves = rng.integers(0, 4, (1200, 3))  # wires 0, 1: inputs; 2, 3: CONST 0, 1
+        leaves[:, 2] = rng.integers(0, 2, 1200)
+        stamped, scalar = _stamp_builder(2), _stamp_builder(2)
+        keys = {tuple(p) for p in (stamped.const_values(leaves) + 1).tolist() if any(p)}
+        circuit._specialize.cache_clear()
+        roots = stamped.stamp(_CUT_GATE, leaves)
+        assert circuit._specialize.cache_info().misses == len(keys) == 8
+        want = [_scalar_row(scalar, _CUT_GATE, row) for row in leaves]
+        for root, w in zip(roots.tolist(), want):
+            if scalar.kinds[w] < NOT:
+                assert root == w
+        for b, outs in ((stamped, roots.tolist()), (scalar, want)):
+            b.set_outputs(outs)
+        assert stamped.build() == scalar.build()
+        calls = []
+        for name in ("gate", "not_", "and_", "or_"):
+            def counted(self, *args, _name=name, _scalar=getattr(CircuitBuilder, name)):
+                calls.append(_name)
+                return _scalar(self, *args)
+
+            monkeypatch.setattr(CircuitBuilder, name, counted)
+        stamped.stamp(_CUT_GATE, leaves)
+        assert calls == [] and circuit._specialize.cache_info().misses == len(keys)
+
     def test_one_template(self):
         b = _stamp_builder(2)
         xor = ((NOT, -2, 0), (AND, -1, 0), (NOT, -1, 0), (AND, 2, -2), (OR, 1, 3)), 4

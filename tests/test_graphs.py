@@ -268,7 +268,10 @@ def test_serialize_matches_per_gate_reference(kind, n):
 def test_no_per_gate_emission(kind, monkeypatch):
     """Each family is stamped in blocks: no scalar gate constructor runs
     (``const()`` appends its shared CONST through ``gate``, which is not
-    counted)."""
+    counted).  One build first warms the template caches: a template is
+    recorded once per process, gate by gate on a scratch builder, and none
+    of those gates reaches the circuit's builder."""
+    SYNTH[kind](20)
     calls = []
     for name in ("gate", "input", "not_", "and_", "or_", "xor"):
         scalar = getattr(CircuitBuilder, name)
