@@ -86,8 +86,10 @@ class ParseError(CircuitError):
 class Circuit:
     """Immutable gate list plus designated outputs.
 
-    Gates are stored as parallel arrays (kind, a, b) so that multi-million
-    gate circuits stay cheap.
+    Gates are stored as parallel ``array`` columns (kind ``b``, a and b
+    ``q``) so that multi-million gate circuits stay cheap: callers copy
+    them with ``array(col.typecode, col)``, and :func:`_reduce` writes
+    survivors straight into them.  ``_arrays`` views them in numpy.
     """
 
     __slots__ = ("num_inputs", "kinds", "arg0", "arg1", "outputs", "_np_cache",
@@ -99,41 +101,19 @@ class Circuit:
         self.arg0 = arg0 if isinstance(arg0, array) else array("q", arg0)
         self.arg1 = arg1 if isinstance(arg1, array) else array("q", arg1)
         self.outputs = list(outputs)
-        self._np_cache = None
-        self._sched = None
+        self._np_cache = self._sched = None
         if not _validated:
-            self._validate()
+            if not 0 <= self.num_inputs <= MAX_INPUTS:
+                raise StructureError(f"num_inputs {self.num_inputs} is not in 0..{MAX_INPUTS}")
+            if not (len(self.arg0) == len(self.arg1) == len(self.kinds)):
+                raise StructureError("gate arrays must have equal length")
+            _check_gates(self.num_inputs, *self._arrays(), self.outputs)
 
     # -- basic structure ---------------------------------------------------
 
     @property
     def num_gates(self) -> int:
         return len(self.kinds)
-
-    def _validate(self):
-        """Check every structural rule with whole-array masks.
-
-        A fault raises :class:`StructureError` naming the first bad gate.
-        """
-        if not 0 <= self.num_inputs <= MAX_INPUTS:
-            raise StructureError(
-                f"num_inputs {self.num_inputs} is not in 0..{MAX_INPUTS}")
-        n = len(self.kinds)
-        if not (len(self.arg0) == len(self.arg1) == n):
-            raise StructureError("gate arrays must have equal length")
-        kinds, a0, a1 = self._arrays()
-        ids = np.arange(n)
-        bad = (kinds < INPUT) | (kinds > OR) | (a0 < 0)
-        bad |= (kinds == INPUT) & (a0 >= self.num_inputs)
-        bad |= (kinds == CONST) & (a0 > 1)
-        bad |= (kinds >= NOT) & (a0 >= ids)
-        bad |= (kinds >= AND) & ((a1 < 0) | (a1 >= ids))
-        if bad.any():
-            i = int(bad.argmax())
-            k, a, b = self.kinds[i], self.arg0[i], self.arg1[i]
-            fault = _FAULTS.get(k, "unknown kind {k}")
-            raise StructureError(fault.format(k=k, a=a, b=b), i)
-        _check_outputs(self.outputs, n)
 
     def _arrays(self):
         if self._np_cache is None:
@@ -174,50 +154,99 @@ class Circuit:
         )
 
 
-def _check_outputs(outputs, n: int):
+def _check_gates(num_inputs: int, kinds, a0, a1, outputs):
+    """Check every gate with whole-array masks (a known kind, an INPUT index
+    below ``num_inputs``, a CONST bit, operands that are earlier gates), then
+    the outputs; a fault raises :class:`StructureError` naming the first bad gate."""
+    ids = np.arange(len(kinds))
+    bad = (kinds < INPUT) | (kinds > OR) | (a0 < 0)
+    bad |= (kinds == INPUT) & (a0 >= num_inputs)
+    bad |= (kinds == CONST) & (a0 > 1)
+    bad |= (kinds >= NOT) & (a0 >= ids)
+    bad |= (kinds >= AND) & ((a1 < 0) | (a1 >= ids))
+    if bad.any():
+        i = int(bad.argmax())
+        k, a, b = int(kinds[i]), int(a0[i]), int(a1[i])
+        fault = _FAULTS.get(k, "unknown kind {k}")
+        raise StructureError(fault.format(k=k, a=a, b=b), i)
     for o in outputs:
-        if not 0 <= o < n:
+        if not 0 <= o < len(kinds):
             raise StructureError(f"output id {o} does not exist")
 
 
 class CircuitBuilder:
     """Append-only constructor for :class:`Circuit`.
 
+    The gates live in numpy columns whose capacity doubles as they fill:
+    ``kinds`` (int8), ``arg0``, ``arg1`` and ``not_of`` (int64), the NOT
+    that :meth:`not_` shares for each gate or -1.  These attributes view the
+    live gates until the next emission; the capacity past them is no gate.
+
     One constructor per gate kind; each folds constant operands (an AND
     with 0 is that 0, an AND with 1 its other operand, and so on), which is
     always exact.  :meth:`gate` emits a gate as given, for ``upclose``'s
-    per-output OR, which must cost a gate even on a constant.
-    :meth:`stamp` appends a small template once per row of an array of
-    wires, folding through these same constructors (:func:`_specialize`),
-    and :meth:`inputs` a run of INPUT gates.
-    :meth:`build` then merges structurally equal gates and drops logic gates
-    that no output reads (:func:`_reduce`), so synthesizers need not share
-    subcircuits themselves.  CONST gates, and the NOTs of :meth:`not_`, are
-    still shared as they are emitted, which keeps the gate arrays and the
-    reduction small.
+    per-output OR, which must cost a gate even on a constant.  :meth:`stamp`
+    appends a small template once per row of an array of wires, folding
+    through these same constructors (:func:`_specialize`), and :meth:`inputs`
+    a run of INPUT gates.  :meth:`build` checks the gates (:func:`_check_gates`;
+    the scalar constructors emit an operand that names no gate as given, the
+    array methods refuse it), then merges structurally equal gates and drops
+    logic gates no output reads (:func:`_reduce`), so synthesizers need not
+    share subcircuits themselves; CONST gates and the NOTs of :meth:`not_`
+    are shared as they are emitted, which keeps both small.
     """
 
     def __init__(self, num_inputs: int):
         self.num_inputs = num_inputs
-        self.kinds = array("b")
-        self.arg0 = array("q")
-        self.arg1 = array("q")
         self.outputs: list[int] = []
         self._const_ids: dict[int, int] = {}
-        self._not_ids: dict[int, int] = {}
+        self._n = 0  # the gate count
+        self._kinds = np.empty(_CAPACITY, dtype=np.int8)
+        self._arg0, self._arg1, self._not_of = np.empty((3, _CAPACITY), dtype=np.int64)
+
+    kinds = property(lambda self: self._kinds[:self._n])
+    arg0 = property(lambda self: self._arg0[:self._n])
+    arg1 = property(lambda self: self._arg1[:self._n])
+    not_of = property(lambda self: self._not_of[:self._n])
+
+    def _grow(self, need: int):
+        """Room for ``need`` gates, and at least twice as many as now."""
+        cap, cols = max(need, 2 * len(self._kinds)), []
+        for col in (self._kinds, self._arg0, self._arg1, self._not_of):
+            cols.append(np.empty(cap, dtype=col.dtype))
+            cols[-1][:self._n] = col[:self._n]
+        self._kinds, self._arg0, self._arg1, self._not_of = cols
+
+    def _emit(self, kinds, arg0, arg1) -> int:
+        """Append a gate per entry of ``arg0``, as given; the first's id."""
+        gid, end = self._n, self._n + len(arg0)
+        if end > len(self._kinds):
+            self._grow(end)
+        self._kinds[gid:end] = kinds
+        self._arg0[gid:end] = arg0
+        self._arg1[gid:end] = arg1
+        self._not_of[gid:end] = -1
+        self._n = end
+        return gid
+
+    def _existing(self, wires) -> np.ndarray:
+        """``wires`` as an int64 array, refused unless each names a gate."""
+        wires = np.asarray(wires, dtype=np.int64)
+        if wires.size and wires.view(np.uint64).max() >= self._n:  # or negative
+            raise StructureError("wires must be existing gates")
+        return wires
 
     def gate(self, kind: int, a: int, b: int = 0) -> int:
         """Append one gate as given, folding and sharing nothing."""
-        gid = len(self.kinds)
-        self.kinds.append(kind)
-        self.arg0.append(a)
-        self.arg1.append(b)
+        gid = self._n
+        if gid == len(self._kinds):
+            self._grow(gid + 1)
+        self._kinds[gid], self._arg0[gid], self._arg1[gid], self._not_of[gid] = kind, a, b, -1
+        self._n = gid + 1
         return gid
 
     def input(self, index: int) -> int:
-        if not (0 <= index < self.num_inputs):
-            raise StructureError(f"input index {index} out of range")
-        return self.gate(INPUT, index)
+        return self.inputs(index, 1)[0]
 
     def inputs(self, start: int, count: int) -> list[int]:
         """INPUT gates for indexes ``start .. start + count - 1``, in order:
@@ -227,10 +256,7 @@ class CircuitBuilder:
         if count and not (0 <= start and start + count <= self.num_inputs):
             bad = start if start < 0 else max(start, self.num_inputs)
             raise StructureError(f"input index {bad} out of range")
-        gid = len(self.kinds)
-        self.kinds.frombytes(bytes([INPUT]) * count)
-        self.arg0.frombytes(np.arange(start, start + count, dtype=np.int64).tobytes())
-        self.arg1.frombytes(bytes(8 * count))
+        gid = self._emit(INPUT, np.arange(start, start + count), 0)
         return list(range(gid, gid + count))
 
     def const(self, bit: int) -> int:
@@ -244,20 +270,21 @@ class CircuitBuilder:
 
     def const_value(self, g: int) -> int | None:
         """Return the bit a gate is a CONST of, or None."""
-        return self.arg0[g] if self.kinds[g] == CONST else None
+        return int(self._arg0[g]) if 0 <= g < self._n and self._kinds[g] == CONST else None
 
     def const_values(self, wires) -> np.ndarray:
         """:meth:`const_value` of every wire of an array, -1 for None."""
-        wires = np.asarray(wires, dtype=np.int64)
-        const = np.frombuffer(self.kinds, dtype=np.int8)[wires] == CONST
-        return np.where(const, np.frombuffer(self.arg0, dtype=np.int64)[wires], -1)
+        wires = self._existing(wires)
+        return np.where(self._kinds[wires] == CONST, self._arg0[wires], -1)
 
     def not_(self, a: int) -> int:
-        if self.kinds[a] == CONST:
-            return self.const(1 - self.arg0[a])
-        gid = self._not_ids.get(a)
-        if gid is None:
-            gid = self._not_ids[a] = self.gate(NOT, a)
+        if not 0 <= a < self._n:
+            return self.gate(NOT, a)
+        if self._kinds[a] == CONST:
+            return self.const(1 - self._arg0[a])
+        gid = int(self._not_of[a])
+        if gid < 0:
+            gid = self._not_of[a] = self.gate(NOT, a)
         return gid
 
     def nots(self, wires) -> np.ndarray:
@@ -272,28 +299,26 @@ class CircuitBuilder:
             if (bit == v).any():
                 out[bit == v] = self.const(1 - v)
         real = bit < 0
-        flat = wires[real].tolist()
-        shared = self._not_ids
-        fresh = list(dict.fromkeys(w for w in flat if w not in shared))
-        shared.update(zip(fresh, range(len(self.kinds), len(self.kinds) + len(fresh))))
-        self.kinds.frombytes(bytes([NOT]) * len(fresh))
-        self.arg0.frombytes(np.array(fresh, dtype=np.int64).tobytes())
-        self.arg1.frombytes(bytes(8 * len(fresh)))
-        out[real] = [shared[w] for w in flat]
+        flat = wires[real]
+        lack = flat[self._not_of[flat] < 0]
+        fresh = lack[np.sort(np.unique(lack, return_index=True)[1])]  # first-appearance order
+        gid = self._emit(NOT, fresh, 0)
+        self._not_of[fresh] = np.arange(gid, gid + len(fresh))
+        out[real] = self._not_of[flat]
         return out
 
     def and_(self, a: int, b: int) -> int:
-        if self.kinds[a] == CONST:
-            return b if self.arg0[a] else a
-        if self.kinds[b] == CONST:
-            return a if self.arg0[b] else b
+        if 0 <= a < self._n and self._kinds[a] == CONST:
+            return b if self._arg0[a] else a
+        if 0 <= b < self._n and self._kinds[b] == CONST:
+            return a if self._arg0[b] else b
         return self.gate(AND, a, b)
 
     def or_(self, a: int, b: int) -> int:
-        if self.kinds[a] == CONST:
-            return a if self.arg0[a] else b
-        if self.kinds[b] == CONST:
-            return b if self.arg0[b] else a
+        if 0 <= a < self._n and self._kinds[a] == CONST:
+            return a if self._arg0[a] else b
+        if 0 <= b < self._n and self._kinds[b] == CONST:
+            return b if self._arg0[b] else a
         return self.gate(OR, a, b)
 
     def xor(self, a: int, b: int) -> int:
@@ -345,10 +370,8 @@ class CircuitBuilder:
             raise CircuitError(f"trees takes rows of at most 31 wires, got {wires.shape}")
         absent = wires < 0
         leaves = np.where(absent, wires[:, :1], wires)
-        cls = absent * np.int64(3)  # 0 a wire, 1 CONST 0, 2 CONST 1, 3 no leaf
-        const = np.frombuffer(self.kinds, dtype=np.int8)[leaves] == CONST
-        if const.any():
-            cls = np.where(absent | ~const, cls, np.frombuffer(self.arg0, dtype=np.int64)[leaves] + 1)
+        # 0 a wire, 1 CONST 0, 2 CONST 1, 3 no leaf
+        cls = np.where(absent, 3, self.const_values(leaves) + 1)
         digit = 2 * np.arange(wires.shape[1], dtype=np.int64)
         distinct, which = np.unique((cls << digit).sum(axis=1), return_inverse=True)
         return self.stamp([_tree_template(kind, tuple(p)) for p in
@@ -390,8 +413,6 @@ class CircuitBuilder:
         if leaves.ndim != 2:
             raise CircuitError(f"leaves must be (rows, k), got shape {leaves.shape}")
         rows, k = leaves.shape
-        if leaves.size and leaves.view(np.uint64).max() >= len(self.kinds):
-            raise StructureError("stamp leaves must be existing wires")  # or negative
         if which is None:
             template, which = (template,), np.zeros(rows, dtype=np.intp)
         else:
@@ -400,25 +421,21 @@ class CircuitBuilder:
                 raise CircuitError("which needs one template index per row")
         template = tuple(template)
         ts = _template_set(template, k)
-        const = np.frombuffer(self.kinds, dtype=np.int8)[leaves] == CONST
+        const = self._kinds[self._existing(leaves)] == CONST
         fold = ()  # the rows whose template's gates read a CONST leaf
-        if const.any():
-            const &= ts.reads[which]
-            fold = np.flatnonzero(const.any(axis=1))
+        if const.any():  # bits: 1 + the bit of each CONST leaf its row's template reads
+            bits = (const & ts.reads[which]) * (self._arg0[leaves] + 1)
+            fold = np.flatnonzero(bits.any(axis=1))
         if not len(fold) and len(template) == 1:  # nothing to fold: one layout
-            base, size = len(self.kinds), int(ts.size[0])
-            wire = np.concatenate([leaves, np.arange(
-                base, base + rows * size, dtype=np.int64).reshape(rows, size)], axis=1)
+            gates = self._n + np.arange(rows * len(ts.kinds)).reshape(rows, len(ts.kinds))
+            wire = np.concatenate([leaves, gates], axis=1)
             arg1 = wire[:, ts.ops[1]]
             arg1[:, ts.kinds == NOT] = 0
-            self.kinds.frombytes(ts.kinds.tobytes() * rows)
-            self.arg0.frombytes(wire[:, ts.ops[0]].tobytes())
-            self.arg1.frombytes(arg1.tobytes())
+            kinds = ts.kinds[None].repeat(rows, axis=0)  # faster than np.tile on few rows
+            self._emit(kinds.ravel(), wire[:, ts.ops[0]].ravel(), arg1.ravel())
             return wire[:, ts.root[0]]
-        roots = np.full((rows,) + ts.root.shape[1:], -1, dtype=np.int64)
         if len(fold):  # each (template, placement of constants) specialized once
-            bits = const[fold] * (np.frombuffer(self.arg0, dtype=np.int64)[leaves[fold]] + 1)
-            keys, spec = np.unique(np.column_stack([which[fold], bits]), axis=0,
+            keys, spec = np.unique(np.column_stack([which[fold], bits[fold]]), axis=0,
                                    return_inverse=True)
             which = which.copy()
             which[fold] = len(template) + spec.ravel()
@@ -428,22 +445,15 @@ class CircuitBuilder:
             template += tuple(t for t, _ in specs)
             leaves = np.column_stack([leaves, np.broadcast_to(extra, (rows, 2))])
             ts = _template_set(template, k + 2)
-        counts = ts.size[which]  # gates each row emits
-        start = np.cumsum(counts) - counts + len(self.kinds)
-        for kinds, operands in self._lay_out(ts, which, leaves, start, roots):
-            self.kinds.frombytes(kinds.tobytes())
-            self.arg0.frombytes(operands[0].tobytes())
-            self.arg1.frombytes(operands[1].tobytes())
-        return roots
+        return self._lay_out(ts, which, leaves)
 
-    @staticmethod
-    def _lay_out(ts, which, leaves, start, roots):
-        """Lay out the rows in runs of at most ``_LAY_OUT_WIRES`` layout
-        cells, which bounds the work arrays.  Row r's wire layout (see
-        :class:`_TemplateSet`) is its leaves, then ids ``start[r]``,
-        ``start[r] + 1``, ... for its template's gates.  Writes the rows'
-        roots and yields, per run, its gates' kinds and operands in row
-        order."""
+    def _lay_out(self, ts, which, leaves) -> np.ndarray:
+        """Emit the rows in runs of at most ``_LAY_OUT_WIRES`` layout cells (to
+        bound the work arrays) and return their roots.  Row r's wire layout
+        (:class:`_TemplateSet`) is its leaves, then its gates' ids from start[r]."""
+        roots = np.full((len(which),) + ts.root.shape[1:], -1, dtype=np.int64)
+        counts = ts.size[which]  # gates each row emits
+        start = np.cumsum(counts) - counts + self._n
         k = leaves.shape[1]
         width = k + int(ts.size.max(initial=0))
         step = max(1, _LAY_OUT_WIRES // width)
@@ -465,7 +475,8 @@ class CircuitBuilder:
             kinds = ts.kinds[g]
             operands = wire[np.repeat(row, n) + ts.ops[:, g]]
             operands[1, kinds == NOT] = 0
-            yield kinds, operands
+            self._emit(kinds, *operands)
+        return roots
 
     def set_outputs(self, outputs: Sequence[int]):
         self.outputs = list(outputs)
@@ -482,32 +493,29 @@ class CircuitBuilder:
                 f"expected {other.num_inputs} input wires, got {len(input_wires)}"
             )
         kinds, a0, a1 = other._arrays()
-        wires = np.asarray(input_wires, dtype=np.int64)
+        wires = self._existing(input_wires)
         is_input = kinds == INPUT
         copied = np.flatnonzero(~is_input)
         remap = np.empty(len(kinds), dtype=np.int64)
         remap[is_input] = wires[a0[is_input]]
-        remap[copied] = len(self.kinds) + np.arange(len(copied))
+        remap[copied] = self._n + np.arange(len(copied))
         k = kinds[copied]
         new0, new1 = a0[copied], a1[copied]
         new0[k >= NOT] = remap[new0[k >= NOT]]
         new1[k >= AND] = remap[new1[k >= AND]]
-        self.kinds.frombytes(k.tobytes())
-        self.arg0.frombytes(new0.tobytes())
-        self.arg1.frombytes(new1.tobytes())
+        self._emit(k, new0, new1)
         return remap[other.outputs].tolist()
 
     def build(self) -> Circuit:
-        """The circuit, reduced by :func:`_reduce`."""
-        _check_outputs(self.outputs, len(self.kinds))
-        kinds, arg0, arg1, outputs = _reduce(
-            self.kinds, self.arg0, self.arg1, self.outputs)
-        return Circuit(self.num_inputs, kinds, arg0, arg1, outputs,
-                       _validated=True)
+        """The circuit, checked and reduced by :func:`_reduce`."""
+        cols = self.kinds, self.arg0, self.arg1
+        _check_gates(self.num_inputs, *cols, self.outputs)
+        return Circuit(self.num_inputs, *_reduce(*cols, self.outputs), _validated=True)
 
 
 # Wire-layout cells (a row's leaves and gates) a stamp lays out in one run.
 _LAY_OUT_WIRES = 1 << 18
+_CAPACITY = 1 << 10  # gates a builder holds before its columns first double
 
 class _TemplateSet(NamedTuple):
     """The templates of one stamp call over k leaf columns, laid out once in
@@ -580,7 +588,7 @@ def _replay(pattern: tuple, build) -> tuple:
         b.gate(CONST if p else INPUT, p - 1 if p else i)
     out = build(b, list(range(k)))
     col, gates, made = [-1 - i for i in range(k)], [], []  # each gate's op
-    for kind, a, c in zip(b.kinds[k:], b.arg0[k:], b.arg1[k:]):
+    for kind, a, c in zip(b.kinds[k:].tolist(), b.arg0[k:].tolist(), b.arg1[k:].tolist()):
         if kind == CONST:
             col.append(-1 - k - a)
             made.append(a)
@@ -662,16 +670,15 @@ def table_to_subcircuit(builder: CircuitBuilder, table: Sequence[int], wires: Se
     return int(stamp_tables(builder, [table], [list(wires)], [0])[0])
 
 
-def stamp_tables(builder: CircuitBuilder, tables, wires, which, nots=None) -> np.ndarray:
+def stamp_tables(builder: CircuitBuilder, tables, wires, which) -> np.ndarray:
     """Truth tables on many rows of wires in one :meth:`CircuitBuilder.stamp`:
     row r computes ``tables[which[r]]`` (see :func:`table_to_subcircuit`)
     over the wires of row r of ``wires``, a (rows, c) array holding as many
     as its table has inputs first, least significant index bit first, and
     -1 after them.  Each distinct table is lowered once (:func:`_template`),
-    the one source of every table's gates.  ``nots[w]`` is the NOT of wire
-    w, for every wire in ``wires``; without ``nots`` the NOTs of the
-    literals the rows read come from :meth:`CircuitBuilder.nots`.  Either
-    way the rows share them rather than each emitting its own."""
+    the one source of every table's gates.  The NOTs of the literals the
+    rows read come from :meth:`CircuitBuilder.nots`, so the rows share them
+    rather than each emitting its own."""
     wires = np.asarray(wires, dtype=np.int64)
     which = np.asarray(which, dtype=np.intp)
     ks = np.array([max(len(t), 1).bit_length() - 1 for t in tables], dtype=np.intp)
@@ -688,13 +695,10 @@ def stamp_tables(builder: CircuitBuilder, tables, wires, which, nots=None) -> np
     leaves[:, :2] = np.where(np.array(const) < 0, fill, const)
     r, c = np.nonzero(np.arange(width) < k[:, None])
     leaves[r, 2 + c] = wires[r, c]
-    if nots is None:  # the builder's NOTs of just the literals a row reads
-        ts = _template_set(templates, leaves.shape[1])
-        read = ts.reads[which[r], 2 + k[r] + c] | (ts.root[which[r]] == 2 + k[r] + c)
-        r, c = r[read], c[read]
-        leaves[r, 2 + k[r] + c] = builder.nots(wires[r, c])
-    else:
-        leaves[r, 2 + k[r] + c] = np.asarray(nots)[wires[r, c]]
+    ts = _template_set(templates, leaves.shape[1])  # the NOTs of the literals rows read
+    read = ts.reads[which[r], 2 + k[r] + c] | (ts.root[which[r]] == 2 + k[r] + c)
+    r, c = r[read], c[read]
+    leaves[r, 2 + k[r] + c] = builder.nots(wires[r, c])
     return builder.stamp(templates, leaves, which)
 
 
@@ -715,7 +719,7 @@ def _record(k: int, gadget) -> tuple:
     tuple of roots."""
     def build(b: CircuitBuilder, leaves: list):
         b._const_ids.update({0: 0, 1: 1})
-        b._not_ids.update(zip(leaves[2:k + 2], leaves[k + 2:]))
+        b._not_of[2:k + 2] = leaves[k + 2:]
         return gadget(b, leaves[2:k + 2])
 
     return _replay((1, 2) + (0,) * (2 * k), build)[0]
@@ -921,16 +925,16 @@ def _first_of_key(kinds, lo, hi, ids, base: int) -> np.ndarray:
 def _reduce(kinds, arg0, arg1, outputs):
     """Merge structurally equal gates, then drop logic gates nobody reads.
 
-    Takes and returns ``(kinds, arg0, arg1, outputs)`` as a builder holds
-    them.  Survivors keep their order, so operands still precede their
-    readers; a kept AND/OR lists its smaller operand first.
+    Takes a builder's int8 and int64 gate columns as arrays and its
+    outputs, and returns them as :class:`Circuit` holds them.  Survivors
+    keep their order, so operands still precede their readers; a kept
+    AND/OR lists its smaller operand first.
     """
-    k = np.frombuffer(kinds, dtype=np.int8)
+    k = np.asarray(kinds, dtype=np.int8)
     n = len(k)
     if n == 0:
-        return kinds, arg0, arg1, outputs
-    a0 = np.frombuffer(arg0, dtype=np.int64)
-    a1 = np.frombuffer(arg1, dtype=np.int64)
+        return array("b"), array("q"), array("q"), outputs
+    a0, a1 = (np.asarray(a, dtype=np.int64) for a in (arg0, arg1))
     base = max(n, int(a0.max()) + 1)  # INPUT indexes may exceed the gate count
     if 5 * base * base >= 1 << 63:  # a key must fit in an int64; ids in int32
         raise CircuitError(f"cannot reduce: {base} gate ids or input indexes "

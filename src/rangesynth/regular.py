@@ -51,8 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import (AND, NOT, CircuitBuilder, _as_bits, _field_values, bits_for,
-                      stamp_tables)
+from .circuit import AND, CircuitBuilder, _as_bits, _field_values, bits_for, stamp_tables
 from .intervals import PLAN_CACHE, Plan, patched_outputs
 from .languages import Dfa, LanguageError, Nfa, _records
 
@@ -407,9 +406,6 @@ class _Engine:
 # synthesis
 
 
-_NOT = (((NOT, -1, 0),), 0)
-
-
 def _synth(bp: LayeredBp):
     """The circuit and its layout, stamped over all nodes at once (see the
     module docstring)."""
@@ -421,7 +417,7 @@ def _synth(bp: LayeredBp):
     lo, hi, right = plan.lo, plan.hi, plan.right
     b = CircuitBuilder(layout.m)
     b.inputs(0, layout.m)  # proof bit i is wire i: a_1..a_n, then the labels
-    nots = b.stamp(_NOT, np.arange(layout.m)[:, None])
+    b.nots(np.arange(layout.m))  # every proof bit's NOT, for the table rows to share
     # each node's p and q wires, least significant first, -1 past its bits
     q_bits = _plan(n, w)[1]
     p_bits = plan.bits - q_bits
@@ -485,7 +481,7 @@ def _synth(bp: LayeredBp):
         wires[at:at + len(g), :g.shape[1]] = g
         at += len(g)
     tables = [np.frombuffer(t, dtype=bool) for t in catalog]
-    roots = stamp_tables(b, tables, wires, np.concatenate([i for _, i in groups]), nots)
+    roots = stamp_tables(b, tables, wires, np.concatenate([i for _, i in groups]))
     feas, checks, eqs, patches = np.split(roots, np.cumsum(
         [len(lo), len(leaves), 3 * len(kids)]))
     cons = feas.copy()  # the acceptance gap checks feasibility alone

@@ -7,7 +7,8 @@ the structural rules, a parser that checks each gate line as it reads it, the
 line-by-line text reader and writer that the whole-array ``parse`` and
 ``serialize`` replaced, the verifier reader that re-joins the text around
 ``parse``, a build that keeps every emitted gate, a per-gate
-``append_circuit``, the truth-table lowering that writes one full minterm
+``append_circuit``, the builder that shared NOTs through a dict before the
+``not_of`` column, the truth-table lowering that writes one full minterm
 per true row, the per-gate replay of a lowered table that the table stamps
 replaced, the row-index enumeration of every input, the cone sweep that
 first finds the gates the outputs read, and the frontier walk over fan-out
@@ -23,7 +24,7 @@ import numpy as np
 
 from rangesynth.circuit import (
     _KIND_NAMES, _NAME_TO_KIND, AND, CONST, INPUT, MAX_INPUTS, NOT, OR, Circuit,
-    CircuitError, InputArityError, ParseError, StructureError, _field_values,
+    CircuitBuilder, CircuitError, InputArityError, ParseError, StructureError, _field_values,
     _Schedule, _table_bytes, _template, parse,
 )
 
@@ -210,6 +211,40 @@ def append_circuit_reference(b, other, input_wires) -> list:
         else:
             remap[i] = b.or_(remap[a0[i]], remap[a1[i]])
     return [remap[o] for o in other.outputs]
+
+
+class DictNotBuilder(CircuitBuilder):
+    """A builder whose :meth:`not_` and :meth:`nots` share NOTs through
+    the dict ``_not_ids`` from a wire to its NOT, one Python step per
+    wire, in place of the ``not_of`` column (which it leaves at -1)."""
+
+    def __init__(self, num_inputs: int):
+        super().__init__(num_inputs)
+        self._not_ids: dict[int, int] = {}
+
+    def not_(self, a: int) -> int:
+        if self.kinds[a] == CONST:
+            return self.const(1 - self.arg0[a])
+        gid = self._not_ids.get(a)
+        if gid is None:
+            gid = self._not_ids[a] = self.gate(NOT, a)
+        return gid
+
+    def nots(self, wires) -> np.ndarray:
+        wires = np.asarray(wires, dtype=np.int64)
+        bit = self.const_values(wires)
+        out = np.empty(wires.shape, dtype=np.int64)
+        for v in (1, 0):
+            if (bit == v).any():
+                out[bit == v] = self.const(1 - v)
+        real = bit < 0
+        flat = wires[real].tolist()
+        shared = self._not_ids
+        fresh = list(dict.fromkeys(w for w in flat if w not in shared))
+        shared.update(zip(fresh, range(len(self.kinds), len(self.kinds) + len(fresh))))
+        self._emit(NOT, np.array(fresh, dtype=np.int64), 0)
+        out[real] = [shared[w] for w in flat]
+        return out
 
 
 def validate_reference(c) -> None:

@@ -42,6 +42,7 @@ from rangesynth.circuit import (
     table_to_subcircuit,
 )
 from tests.circuit_reference import (
+    DictNotBuilder,
     all_inputs_reference,
     alternations_reference,
     cone_sizes_reference,
@@ -314,7 +315,7 @@ class TestStamp:
             mp.setattr(circuit, "_LAY_OUT_WIRES", 3)
             got = runs.stamp(templates, leaves, which)
         assert np.array_equal(got, want)
-        assert (runs.kinds, runs.arg0, runs.arg1) == (one.kinds, one.arg0, one.arg1)
+        assert same_columns(runs, one)
 
     def test_specializes_once_per_pattern(self, monkeypatch):
         """Rows whose X columns hold constants in a few placements cost one
@@ -473,6 +474,55 @@ class TestTrees:
             b.trees(AND, np.zeros((1, 32), dtype=np.int64))
 
 
+def same_columns(b1: CircuitBuilder, b2: CircuitBuilder) -> bool:
+    """The two builders hold the same gates and the same shared NOTs."""
+    return all(np.array_equal(getattr(b1, col), getattr(b2, col))
+               for col in ("kinds", "arg0", "arg1", "not_of"))
+
+
+def _shared_nots(b: CircuitBuilder) -> dict:
+    """A builder's ``not_of`` column as the dict the reference keeps."""
+    return {g: n for g, n in enumerate(b.not_of.tolist()) if n >= 0}
+
+
+@st.composite
+def not_steps(draw):
+    """A builder start and a list of steps: ``not_`` of one wire, ``nots``
+    of a (possibly empty) list of wires, or an AND of two wires; each wire
+    is drawn as a number taken modulo the builder's gate count, so steps
+    reach earlier NOTs, NOTs of NOTs, repeats and both CONSTs.  The start
+    is ``_stamp_builder``'s (with each CONST shared or raw) or, with
+    ``record``, ``_record``'s leaf columns: CONST 0, CONST 1, k inputs and
+    their k NOTs, pre-seeded as shared."""
+    m = draw(st.integers(1, 4))
+    start = draw(st.sampled_from(["record", (m, (True, True)), (m, (False, True)),
+                                  (m, (True, False)), (m, (False, False))]))
+    pick = st.integers(0, 1 << 16)
+    step = st.one_of(st.tuples(st.just("not_"), pick),
+                     st.tuples(st.just("nots"), st.lists(pick, max_size=8)),
+                     st.tuples(st.just("and_"), st.tuples(pick, pick)))
+    return m, start, draw(st.lists(step, max_size=12))
+
+
+def _not_start(cls, m, start) -> CircuitBuilder:
+    if start != "record":
+        m, shared = start
+        b = cls(m)
+        b.inputs(0, m)
+        for v in (0, 1):
+            b.const(v) if shared[v] else b.gate(CONST, v)
+        return b
+    b = cls(m)
+    b._const_ids.update({0: b.gate(CONST, 0), 1: b.gate(CONST, 1)})
+    b.inputs(0, m)
+    nots = [b.gate(NOT, w) for w in range(2, m + 2)]
+    if cls is CircuitBuilder:
+        b._not_of[2:m + 2] = nots  # as _record seeds them
+    else:
+        b._not_ids.update(zip(range(2, m + 2), nots))
+    return b
+
+
 class TestNots:
     @given(st.integers(1, 4), st.lists(st.integers(0, 7), max_size=12))
     @settings(max_examples=100, deadline=None)
@@ -482,8 +532,171 @@ class TestNots:
         wires = [p % len(block.kinds) for p in picks]
         assert block.nots(np.array(wires, dtype=np.int64)).tolist() == [
             scalar.not_(w) for w in wires]
-        assert (block.kinds, block.arg0, block.arg1) == (scalar.kinds, scalar.arg0, scalar.arg1)
-        assert block._not_ids == scalar._not_ids
+        assert same_columns(block, scalar)
+
+    @given(not_steps())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dict_builder(self, case):
+        """``not_`` and ``nots`` on the ``not_of`` column give the wires,
+        gates and shared NOTs of the dict-sharing reference, step by step."""
+        m, start, steps = case
+        col, ref = _not_start(CircuitBuilder, m, start), _not_start(DictNotBuilder, m, start)
+        for op, picks in steps:
+            n = len(col.kinds)
+            if op == "not_":
+                got, want = col.not_(picks % n), ref.not_(picks % n)
+                assert type(got) is int and got == want
+            elif op == "nots":
+                wires = np.array([p % n for p in picks], dtype=np.int64)
+                assert np.array_equal(col.nots(wires), ref.nots(wires))
+            else:
+                assert col.and_(*(p % n for p in picks)) == ref.and_(*(p % n for p in picks))
+            assert all(np.array_equal(getattr(col, c), getattr(ref, c))
+                       for c in ("kinds", "arg0", "arg1"))
+            assert _shared_nots(col) == ref._not_ids
+
+    def test_empty(self):
+        b = _stamp_builder(2)
+        before = len(b.kinds)
+        assert b.nots(np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
+        assert len(b.kinds) == before
+
+
+def _interleaved(ops) -> tuple:
+    """Run a seeded mix of ``gate``, ``inputs``, ``stamp``, ``trees``,
+    ``nots`` and ``append_circuit`` on a fresh builder; returns it and
+    every wire the calls returned."""
+    rng = np.random.default_rng(ops)
+    inner = _stamp_builder(2)
+    inner.set_outputs([inner.and_(3, 5), inner.not_(4)])
+    inner = inner.build()
+    b = CircuitBuilder(1 << 12)
+    b.const(0), b.const(1)
+    b.inputs(0, 2)
+    out, used = [], 2
+    for op in rng.integers(0, 6, 40).tolist():
+        n = len(b.kinds)
+        wires = rng.integers(0, n, (int(rng.integers(0, 9)), 3))
+        if op == 0:
+            out.append(b.gate(int(rng.choice([NOT, AND, OR])), *rng.integers(0, n, 2).tolist()))
+        elif op == 1:
+            count = int(rng.integers(0, 9))
+            out += b.inputs(used, count)
+            used += count
+        elif op == 2:
+            out += b.stamp((((NOT, -1, 0), (AND, 0, -2), (OR, 1, -3)), 2), wires).tolist()
+        elif op == 3:
+            wires[:, 2:][rng.random((len(wires), 1)) < 0.5] = -1
+            out += b.trees(int(rng.choice([AND, OR])), wires).tolist()
+        elif op == 4:
+            out += b.nots(wires).ravel().tolist()
+        else:
+            out += b.append_circuit(inner, wires[:1, :2].ravel().tolist() or [0, 1])
+    return b, out
+
+
+class TestColumns:
+    """The builder's numpy columns: growth, the contract of the values they
+    give out, and ids that name no gate."""
+
+    @given(st.integers(0, 1 << 20))
+    @settings(max_examples=40, deadline=None)
+    def test_growth_keeps_gates(self, ops):
+        """A builder that starts with room for one gate, and so doubles
+        again and again between the calls, ends with the very columns and
+        wires of one that starts at the default capacity."""
+        want = _interleaved(ops)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(circuit, "_CAPACITY", 1)
+            got = _interleaved(ops)
+        assert len(got[0]._kinds) < 2 * len(got[0].kinds)  # doubled as it filled
+        assert same_columns(got[0], want[0]) and got[1] == want[1]
+        assert got[0].build() == want[0].build()
+
+    def test_templates_hold_python_ints(self, monkeypatch):
+        """Every template ``_replay`` records, and the CONST values beside
+        it, are plain ints: they are cache keys and feed the golden
+        digests.  Covers XOR trees, tree templates, table covers, counting
+        gadgets and specializations."""
+        from rangesynth import counting
+        from rangesynth.counting import synth_exact_count, synth_threshold
+        from rangesynth.graphs import synth_unreach
+        from rangesynth.languages import parse_dfa
+        from rangesynth.regular import synth_regular
+        from tests.conftest import PARITY_TXT
+        recorded = []
+
+        def recording(pattern, build, _replay=circuit._replay):
+            recorded.append(_replay(pattern, build))
+            return recorded[-1]
+
+        monkeypatch.setattr(circuit, "_replay", recording)
+        for cached in (circuit._xor_template, circuit._tree_template, circuit._template,
+                       circuit._specialize, counting._clamp_template,
+                       counting._cons_template, counting._thermometer_template):
+            cached.cache_clear()
+        synth_regular(parse_dfa(PARITY_TXT), 9)
+        synth_threshold(16, 5)
+        synth_exact_count(16, 5)
+        synth_unreach(6)
+        circuit._xor_template(3)
+        table_to_subcircuit(_stamp_builder(3), [0, 1, 1, 0, 1, 0, 0, 1], [0, 1, 2])
+
+        def ints(x):
+            return all(map(ints, x)) if isinstance(x, tuple) else type(x) is int
+
+        assert len(recorded) > 20 and all(map(ints, recorded))
+
+    def test_circuit_columns_are_arrays(self, parity):
+        """A built circuit holds ``array.array`` columns with typecodes b, q
+        and q, which callers copy with ``array(col.typecode, col)``."""
+        from array import array
+        from rangesynth.regular import synth_regular
+        for c in (synth_regular(parity, 5)[0], _identity(), CircuitBuilder(0).build()):
+            cols = (c.kinds, c.arg0, c.arg1)
+            assert all(type(col) is array for col in cols)
+            assert [col.typecode for col in cols] == ["b", "q", "q"]
+
+    @staticmethod
+    def _builder(full: bool, monkeypatch) -> CircuitBuilder:
+        """Inputs 0, 1 and CONST 1 last: with ``full`` they fill the
+        columns, so id -1 would wrap onto the CONST; else the slack after
+        them is poisoned, its kinds CONST and its NOTs gate 0."""
+        monkeypatch.setattr(circuit, "_CAPACITY", 3 if full else 8)
+        b = CircuitBuilder(2)
+        b.inputs(0, 2)
+        b.const(1)
+        b._kinds[3:], b._arg0[3:], b._not_of[3:] = CONST, 1, 0
+        return b
+
+    BAD = [
+        ("gate", lambda b, w: b.gate(AND, 0, w)),
+        ("not_", lambda b, w: b.not_(w)),
+        ("and_", lambda b, w: b.and_(w, 0)),
+        ("and_-second", lambda b, w: b.and_(0, w)),
+        ("or_", lambda b, w: b.or_(w, 1)),
+        ("or_-second", lambda b, w: b.or_(1, w)),
+        ("xor", lambda b, w: b.xor(0, w)),
+        ("nots", lambda b, w: b.nots([0, w])),
+        ("trees", lambda b, w: b.trees(AND, [[0, 1], [w, 0]])),
+        ("append_circuit", lambda b, w: b.append_circuit(_identity(), [w])),
+    ]
+
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("where", ["-1", "n", "slack"])
+    @pytest.mark.parametrize("name, call", BAD, ids=[n for n, _ in BAD])
+    def test_refuses_missing_ids(self, name, call, where, full, monkeypatch):
+        """An id that names no gate folds and shares nothing, and is
+        refused by the call or by ``build`` with a StructureError."""
+        b = self._builder(full, monkeypatch)
+        w = {"-1": -1, "n": 3, "slack": 5}[where]
+        with pytest.raises(StructureError) as err:
+            out = call(b, w)
+            if isinstance(out, (int, np.integer)):
+                assert out >= 3  # a fresh gate, not a folded or shared wire
+                b.set_outputs([out])
+            b.build()
+        assert "existing gates" in str(err.value) or err.value.gate >= 3
 
 
 class TestInputs:
@@ -493,8 +706,7 @@ class TestInputs:
         blocks.const(1), singles.const(1)
         assert blocks.inputs(start, count) == [singles.input(i)
                                                 for i in range(start, start + count)]
-        assert (blocks.kinds, blocks.arg0, blocks.arg1) == (
-            singles.kinds, singles.arg0, singles.arg1)
+        assert same_columns(blocks, singles)
 
     @pytest.mark.parametrize("start, count", [(-1, 2), (4, 2), (5, 1), (7, 3), (-3, 9)])
     def test_refuses_as_input_does(self, start, count):

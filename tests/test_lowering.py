@@ -145,8 +145,8 @@ def test_stamp_tables_matches_replay(tables, data):
         wires[i, :len(row)] = row
     stamped, replayed = CircuitBuilder(m), CircuitBuilder(m)
     stamped.inputs(0, m)
-    nots = stamped.stamp((((NOT, -1, 0),), 0), np.arange(m)[:, None])
-    stamped.set_outputs(circuit.stamp_tables(stamped, tables, wires, which, nots).tolist())
+    stamped.nots(np.arange(m))
+    stamped.set_outputs(circuit.stamp_tables(stamped, tables, wires, which).tolist())
     replayed.inputs(0, m)
     replayed.set_outputs([table_to_subcircuit_replay(replayed, tables[t], row)
                           for t, row in zip(which, rows)])
