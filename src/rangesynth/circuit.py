@@ -1060,6 +1060,7 @@ class _Schedule(NamedTuple):
     inputs_end: int     # slots [0, inputs_end) hold the INPUT gates
     consts_end: int     # slots [inputs_end, consts_end) hold the CONST gates
     groups: list        # (kind, lo, hi) per nonempty logic group, by level
+    widest: int         # most gates in one logic group (0 without logic gates)
 
 
 # Gate ids _gate_levels scans at a time, a round per level: on a 20k-level
@@ -1113,7 +1114,8 @@ def _level_schedule(kinds, a0, a1) -> _Schedule:
         (j % 5, ends[j - 1], ends[j])
         for j in range(5, len(ends)) if ends[j] > ends[j - 1]
     ]
-    return _Schedule(level, slot, src0, src1, ends[INPUT], ends[CONST], groups)
+    widest = max((hi - lo for _, lo, hi in groups), default=0)
+    return _Schedule(level, slot, src0, src1, ends[INPUT], ends[CONST], groups, widest)
 
 
 # ---------------------------------------------------------------------------
@@ -1121,13 +1123,14 @@ def _level_schedule(kinds, a0, a1) -> _Schedule:
 
 # Packed gate values held per chunk of words by _eval_packed (and uint64
 # temporaries per block of languages._member_packed).  Every numpy call of a
-# level group also pays a dispatch and per-row gather cost that only a
-# chunk of about 16 words or more amortises: 512 KB is 3-9 words on
-# 4k-17k-gate circuits.  2 MB, about one core's L2, is 15-40 words there; in
-# a sweep of 0.5, 1, 1.5 and 2 MB it was fastest on every perfbench circuit
-# (256 words on a 2-vCPU Xeon with 2 MB L2 a core: parity n=256 23.4 -> 10.2
-# ms, threshold n=256 65.5 -> 18.0 ms).  A circuit too large for one word in
-# 2 MB still takes one word a chunk.
+# level group also pays a dispatch cost that only a chunk of about 16 words
+# or more amortises: 512 KB is 3-9 words on 4k-17k-gate circuits, 2 MB
+# (about one core's L2) 15-40.  Re-swept once groups stopped allocating, in
+# perfbench pairs against 2 MB (seed 1, 5 pairs, 2-vCPU Xeon with 2 MB L2 a
+# core): 4 MB lost 4-7% of proofs_per_s on every workload and raised peak
+# RSS 2-3 MB; 1.5 MB lost 3% on certify-small and 5% on nc0-graphs; 1 MB
+# gained 11% on nc0-graphs but lost 8% on compile-large.  A circuit too
+# large for one word in 2 MB still takes one word a chunk.
 _CHUNK_BYTES = 1 << 21
 # Bits, a byte each, per _pack_rows or _unpack_rows block.  Transposes of
 # 2 MB blocks unpacked up to 2.6x slower than 512 KB ones, so this stays.
@@ -1191,26 +1194,44 @@ def _eval_packed(c: Circuit, P: np.ndarray) -> np.ndarray:
     is input i of row r; returns (num_outputs, words) uint64 in the same
     layout.  Words go level by level, in chunks sized so the gate values
     stay near _CHUNK_BYTES.  ``P`` is trusted: every bit is a row's bit.
+
+    The call allocates its scratch once: the gate values of one chunk and
+    two operand buffers as wide as the schedule's widest group.  Every chunk
+    reuses them.  A group gathers its operands into the buffers with
+    ``ndarray.take`` and writes its op straight into its own gate rows, so
+    no group allocates.  The buffers are flat and viewed at each chunk's
+    width, because ``take`` copies through a temporary unless its source and
+    ``out`` are C-contiguous; its "clip" mode skips the bounds check, which
+    would copy too.  Operand slots always lie below the group's own.
     """
     s = c._schedule()
-    words = P.shape[1]
+    n, words = c.num_gates, P.shape[1]
     out = np.empty((len(c.outputs), words), dtype=np.uint64)
     out_slots = s.slot[c.outputs]
     in_slots = s.src0[: s.inputs_end]
-    const_bits = s.src0[s.inputs_end : s.consts_end]
-    step = max(1, _CHUNK_BYTES // (8 * max(1, c.num_gates)))
+    consts = np.where(s.src0[s.inputs_end : s.consts_end] == 1, _ALL_ONES, 0)[:, None]
+    step = max(1, _CHUNK_BYTES // (8 * max(1, n)))
+    width = min(step, words)
+    # allocated apart: one block for all three raised nc0-graphs' peak RSS
+    # in perfbench from 62.8 to 64.2 MB
+    gate_buf = np.empty(n * width, dtype=np.uint64)
+    buf0 = np.empty(s.widest * width, dtype=np.uint64)
+    buf1 = np.empty(s.widest * width, dtype=np.uint64)
     for start in range(0, words, step):
-        stop = min(start + step, words)
-        vals = np.empty((c.num_gates, stop - start), dtype=np.uint64)
-        vals[: s.inputs_end] = P[in_slots, start:stop]
-        vals[s.inputs_end : s.consts_end] = np.where(const_bits == 1, _ALL_ONES, 0)[:, None]
+        w = min(step, words - start)
+        vals = gate_buf[: n * w].reshape(n, w)
+        op0 = buf0[: s.widest * w].reshape(s.widest, w)
+        op1 = buf1[: s.widest * w].reshape(s.widest, w)
+        vals[: s.inputs_end] = P[in_slots, start : start + w]
+        vals[s.inputs_end : s.consts_end] = consts
         for kind, lo, hi in s.groups:
-            a = vals[s.src0[lo:hi]]
+            a = vals.take(s.src0[lo:hi], 0, op0[: hi - lo], "clip")
             if kind == NOT:
                 np.invert(a, out=vals[lo:hi])
             else:
-                _BINARY_OPS[kind](a, vals[s.src1[lo:hi]], out=vals[lo:hi])
-        out[:, start:stop] = vals[out_slots]
+                b = vals.take(s.src1[lo:hi], 0, op1[: hi - lo], "clip")
+                _BINARY_OPS[kind](a, b, out=vals[lo:hi])
+        out[:, start : start + w] = vals.take(out_slots, 0)
     return out
 
 
@@ -1374,18 +1395,25 @@ def alternations(c: Circuit) -> int:
     # on a path ending at the gate when it is observed in polarity pol
     # (0 positive, 1 negated), plus the type the path currently ends in
     # (0 none, 1 AND, 2 OR).  A NOT swaps the polarities.
+    # Operands are gathered into per-call buffers, flat so that each group's
+    # (2, width) view is C-contiguous and ``take`` fills it without a copy.
     blocks = np.zeros((2, c.num_gates), dtype=np.int32)
     types = np.zeros((2, c.num_gates), dtype=np.int8)
+    bufs = [np.empty(2 * s.widest, dtype=d) for d in (np.int32, np.int8, np.int32, np.int8)]
     for kind, lo, hi in s.groups:
-        a = s.src0[lo:hi]
+        ba, ta, bb, tb = (buf[: 2 * (hi - lo)].reshape(2, hi - lo) for buf in bufs)
+        blocks.take(s.src0[lo:hi], 1, ba, "clip")
+        types.take(s.src0[lo:hi], 1, ta, "clip")
         if kind == NOT:
-            blocks[:, lo:hi] = blocks[::-1, a]
-            types[:, lo:hi] = types[::-1, a]
+            blocks[:, lo:hi] = ba[::-1]
+            types[:, lo:hi] = ta[::-1]
             continue
-        b = s.src1[lo:hi]
+        blocks.take(s.src1[lo:hi], 1, bb, "clip")
+        types.take(s.src1[lo:hi], 1, tb, "clip")
         t = _BLOCK_TYPES[kind]
-        blocks[:, lo:hi] = np.maximum(blocks[:, a] + (types[:, a] != t),
-                                      blocks[:, b] + (types[:, b] != t))
+        ba += ta != t
+        bb += tb != t
+        np.maximum(ba, bb, out=blocks[:, lo:hi])
         types[:, lo:hi] = t
     return int(blocks[0, s.slot[c.outputs]].max())
 

@@ -143,7 +143,8 @@ def level_schedule_reference(kinds, a0, a1) -> _Schedule:
         (j % 5, ends[j - 1], ends[j])
         for j in range(5, len(ends)) if ends[j] > ends[j - 1]
     ]
-    return _Schedule(level, slot, src0, src1, ends[INPUT], ends[CONST], groups)
+    widest = int(np.bincount(key)[5:].max(initial=0))
+    return _Schedule(level, slot, src0, src1, ends[INPUT], ends[CONST], groups, widest)
 
 
 def all_inputs_reference(m: int, chunk: int = 1 << 16):

@@ -1,6 +1,8 @@
 """Circuit IR: evaluation, metrics, table lowering, serialization."""
 
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -992,6 +994,85 @@ class TestPacked:
                                    for P, rows in chunks])
             assert np.array_equal(outs, eval_batch(c, want))
         assert circuit_range(c) == {row.tobytes() for row in eval_batch(c, want)}
+
+
+def _not_widest() -> Circuit:
+    """Four NOTs on level 1, the widest group, then an AND and an OR."""
+    b = CircuitBuilder(4)
+    x = [b.not_(b.input(i)) for i in range(4)]
+    b.set_outputs([b.and_(x[0], x[1]), b.or_(x[2], x[3]), x[1]])
+    return b.build()
+
+
+def _exact_count() -> Circuit:
+    from rangesynth.counting import synth_exact_count
+
+    return synth_exact_count(9, 4)[0]
+
+
+_WORKSPACE_CIRCUITS = {
+    "exact count": _exact_count,
+    "widest group NOT": _not_widest,
+    "no logic gates": lambda: Circuit(3, [INPUT, CONST, INPUT, CONST, INPUT],
+                                      [0, 1, 2, 0, 1], [0] * 5, [4, 1]),
+    "no outputs": lambda: Circuit(2, [INPUT, INPUT, AND], [0, 1, 0], [0, 0, 1], []),
+}
+
+
+class TestWorkspace:
+    """_eval_packed's one workspace per call, reused by every chunk of words."""
+
+    @pytest.mark.parametrize("name", list(_WORKSPACE_CIRCUITS))
+    @pytest.mark.parametrize("step", [1, 3, 4, 10, 16])
+    @pytest.mark.parametrize("words", [0, 1, 10])
+    def test_chunk_steps(self, name, step, words, monkeypatch):
+        # chunks of `step` words: 10 words in steps of 3 or 4 end in a
+        # narrower chunk, and a step of 16 is wider than all the words
+        c = _WORKSPACE_CIRCUITS[name]()
+        monkeypatch.setattr(circuit, "_CHUNK_BYTES", 8 * max(1, c.num_gates) * step)
+        rows = max(0, 64 * words - 5)
+        X = _random_rows(c, rows, step)
+        Y = _eval_packed(c, _pack_rows(X))
+        assert Y.shape == (len(c.outputs), words)
+        assert np.array_equal(_unpack_rows(Y, rows), eval_reference(c, X))
+
+    def test_widest_group_is_not(self):
+        s = _not_widest()._schedule()
+        assert [kind for kind, lo, hi in s.groups if hi - lo == s.widest] == [NOT]
+        assert s.widest == 4
+
+    def test_concurrent_evaluation(self, monkeypatch):
+        """Four threads evaluate one shared circuit at once, each on its own
+        rows and over several chunks, so a workspace shared between calls
+        would mix their gate values."""
+        from rangesynth.counting import synth_threshold
+
+        c, _ = synth_threshold(24, 12)
+        monkeypatch.setattr(circuit, "_CHUNK_BYTES", 8 * c.num_gates * 3)
+        inputs = [_random_rows(c, 64 * 10 - 7 * i, i) for i in range(4)]
+        wants = [eval_reference(c, X) for X in inputs]
+        got = [None] * 4
+        start = threading.Barrier(4, timeout=60)
+
+        def run(i):
+            start.wait()
+            got[i] = [eval_batch(c, inputs[i]) for _ in range(10)]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, mid-chunk
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for outs, want in zip(got, wants):
+            assert outs is not None  # the thread raised
+            for out in outs:
+                assert np.array_equal(out, want)
 
 
 class TestBadBits:

@@ -24,7 +24,17 @@ def assert_same_schedule(c: Circuit):
     assert got.level.dtype == want.level.dtype
     for name in ("level", "slot", "src0", "src1"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert got[4:] == want[4:]  # inputs_end, consts_end, groups
+    assert got[4:] == want[4:]  # inputs_end, consts_end, groups, widest
+
+
+def assert_operands_below(c: Circuit):
+    """Every logic group reads only slots below its own.  The evaluator
+    gathers operands with ``take``'s "clip" mode, which would clamp a bad
+    slot instead of raising."""
+    s = c._schedule()
+    for kind, lo, hi in s.groups:
+        for src in (s.src0, s.src1) if kind >= AND else (s.src0,):
+            assert ((src[lo:hi] >= 0) & (src[lo:hi] < lo)).all(), (kind, lo, hi)
 
 
 def _random_logic(g: int, m: int, seed: int, reach=None) -> Circuit:
@@ -77,6 +87,22 @@ class TestAgainstFrontierWalk:
     @pytest.mark.parametrize("name", list(CASES))
     def test_golden_cases(self, name):
         assert_same_schedule(_circuit(name))
+
+
+class TestOperandSlots:
+    @settings(max_examples=200, deadline=None)
+    @given(random_circuits(max_gates=60))
+    def test_random(self, c):
+        assert_operands_below(c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_circuits())
+    def test_wide(self, c):
+        assert_operands_below(c)
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_golden_cases(self, name):
+        assert_operands_below(_circuit(name))
 
 
 class TestBlockEdges:
